@@ -1,6 +1,7 @@
 package branchlab_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -252,11 +253,12 @@ func BenchmarkTAGEPredictTrain(b *testing.B) {
 }
 
 // BenchmarkRecordSharded contrasts sequential trace recording with
-// sharded generation at NumCPU workers: on a multi-core host the
-// materialization path overlaps across shards; on one core the two
-// coincide (sharding costs prefix regeneration but saves the channel
-// handoff).
+// sharded generation at NumCPU workers, through the cache's ingest path
+// (Spec.RecordSlicesCtx) with one slice per shard: on a multi-core host
+// the shards generate concurrently; on one core the two coincide
+// (sharding costs prefix regeneration).
 func BenchmarkRecordSharded(b *testing.B) {
+	const budget = 500_000
 	spec, _ := branchlab.Workload("605.mcf_s")
 	counts := []int{1}
 	if n := runtime.NumCPU(); n > 1 {
@@ -264,13 +266,27 @@ func BenchmarkRecordSharded(b *testing.B) {
 	}
 	for _, shards := range counts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.SetBytes(500_000)
+			b.SetBytes(budget)
 			pool := branchlab.NewEnginePool(shards)
+			sliceLen := uint64((budget + shards - 1) / shards)
 			for i := 0; i < b.N; i++ {
-				branchlab.RecordTraceSharded(spec, 0, 500_000, pool, shards)
+				if _, _, err := spec.RecordSlicesCtx(context.Background(), 0, budget, sliceLen, pool, shards, 0); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
+}
+
+// recordCached is RecordTraceCachedCtx under the background context,
+// failing the benchmark on error.
+func recordCached(b *testing.B, cache *branchlab.TraceCache, spec *branchlab.WorkloadSpec, budget uint64) branchlab.Replayable {
+	b.Helper()
+	tr, err := branchlab.RecordTraceCachedCtx(context.Background(), cache, spec, 0, budget)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr
 }
 
 // BenchmarkTraceCacheHit measures the cache's serve-from-memory cost
@@ -279,10 +295,10 @@ func BenchmarkRecordSharded(b *testing.B) {
 func BenchmarkTraceCacheHit(b *testing.B) {
 	spec, _ := branchlab.Workload("605.mcf_s")
 	cache := branchlab.NewTraceCache(0)
-	branchlab.RecordTraceCached(cache, spec, 0, 500_000) // warm
+	recordCached(b, cache, spec, 500_000) // warm
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		branchlab.RecordTraceCached(cache, spec, 0, 500_000)
+		recordCached(b, cache, spec, 500_000)
 	}
 }
 
@@ -310,7 +326,7 @@ func BenchmarkTraceCacheSlicedReplay(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cache := branchlab.NewSlicedTraceCache(tc.cap, sliceInsts)
-			tr := branchlab.RecordTraceCached(cache, spec, 0, budget)
+			tr := recordCached(b, cache, spec, budget)
 			b.SetBytes(budget)
 			b.ResetTimer()
 			var peak int64
@@ -341,7 +357,10 @@ func BenchmarkEvictedRefill(b *testing.B) {
 	spec, _ := branchlab.Workload("605.mcf_s")
 	// One checkpointed recording, as the cache performs on a miss; the
 	// header's checkpoint list is what the refills below resume from.
-	_, cks := spec.RecordSlices(0, budget, window, nil, 1, window)
+	_, cks, err := spec.RecordSlicesCtx(context.Background(), 0, budget, window, nil, 1, window)
+	if err != nil {
+		b.Fatal(err)
+	}
 	if len(cks) == 0 {
 		b.Fatal("workload captured no checkpoints")
 	}
@@ -360,16 +379,13 @@ func BenchmarkEvictedRefill(b *testing.B) {
 			b.Run(fmt.Sprintf("mode=%s/pos=%s", mode, pos.name), func(b *testing.B) {
 				b.SetBytes(window)
 				for i := 0; i < b.N; i++ {
-					var got []branchlab.Inst
-					if mode == "skim" {
-						got = spec.RecordRange(0, budget, pos.lo, pos.lo+window)
-					} else {
-						ck := program.NearestCheckpoint(cks, pos.lo)
-						var err error
-						got, err = spec.RecordRangeFrom(0, budget, ck, pos.lo, pos.lo+window)
-						if err != nil {
-							b.Fatal(err)
-						}
+					var ck *program.Checkpoint // nil: skim from zero
+					if mode == "ckpt" {
+						ck = program.NearestCheckpoint(cks, pos.lo)
+					}
+					got, err := spec.RecordRangeFrom(0, budget, ck, pos.lo, pos.lo+window)
+					if err != nil {
+						b.Fatal(err)
 					}
 					if uint64(len(got)) != window {
 						b.Fatalf("refill returned %d insts, want %d", len(got), window)

@@ -175,29 +175,29 @@ func ScreenH2Ps(col *Collector, sliceLen uint64) *H2PReport {
 func CloseStream(s Stream) error { return trace.CloseStream(s) }
 
 // RecordTrace materializes up to budget instructions from a workload
-// input.
+// input. It is the facade's context-free recording root: the recording
+// cannot be cancelled, so only a payload failure can stop it, and that
+// escalates as a panic. Use RecordTraceCachedCtx to bound a recording
+// by a caller context.
 func RecordTrace(spec *WorkloadSpec, input int, budget uint64) *Buffer {
-	return spec.Record(input, budget)
-}
-
-// RecordTraceSharded is RecordTrace with the generation split across
-// pool workers (nil selects a NumCPU pool): each worker deterministically
-// regenerates the trace from its seed and materializes one disjoint
-// range of the backing array. The result is byte-identical to
-// RecordTrace at any shard count.
-func RecordTraceSharded(spec *WorkloadSpec, input int, budget uint64, pool *EnginePool, shards int) *Buffer {
-	return spec.RecordSharded(input, budget, pool, shards)
+	//lint:ignore ctxflow RecordTrace is the facade's documented no-context root; RecordTraceCachedCtx is the bounded form
+	buf, err := spec.RecordCtx(context.Background(), input, budget)
+	if err != nil {
+		engine.Abort(err)
+	}
+	return buf
 }
 
 // TraceCache is a content-keyed, concurrency-safe cache of recorded
-// traces: concurrent requests for one (workload, input) coalesce onto a
-// single recording, smaller budgets are served as zero-copy prefix
-// views of larger recordings, and memory is bounded by slice-granular
-// LRU eviction — cold fixed-size slices of a trace evict independently
-// and re-materialize deterministically on their next use, so the
-// memory bound is the union of live slices rather than whole traces.
-// Share one cache across drivers (via ExperimentConfig.Cache or
-// RecordTraceCached) to synthesize each trace once per process.
+// traces: concurrent requests for one (workload, input, budget)
+// coalesce onto a single recording — each budget is its own entry,
+// since a workload's static structure scales with its budget — and
+// memory is bounded by slice-granular LRU eviction: cold fixed-size
+// slices of a trace evict independently and re-materialize
+// deterministically on their next use, so the memory bound is the
+// union of live slices rather than whole traces. Share one cache
+// across drivers (via ExperimentConfig.Cache or RecordTraceCachedCtx)
+// to synthesize each trace once per process.
 type TraceCache = tracecache.Cache
 
 // TraceCacheStats are a cache's hit/miss/eviction counters, including
@@ -242,29 +242,22 @@ func OpenTraceStore(dir string, maxBytes int64) (*TraceStore, error) {
 	return tracestore.Open(dir, maxBytes)
 }
 
-// RecordTraceCachedCtx is RecordTraceCached under a caller context: a
-// cancelled or deadline-expired recording returns a typed error (see
+// RecordTraceCachedCtx is RecordTrace through a shared cache, under a
+// caller context: it records on the first request for (spec, input,
+// budget) and serves replayable views from memory afterwards,
+// re-materializing any slice the cache cap evicted (byte-identically)
+// on demand. The recording captures one payload checkpoint per cache
+// slice, so a refill resumes from the nearest checkpoint below the
+// missing window instead of regenerating the whole prefix. A nil cache
+// records without caching.
+//
+// A cancelled or deadline-expired recording returns a typed error (see
 // IsCancel) and never a truncated or wrong trace. Concurrent callers
 // coalesce; a cancelled waiter detaches without disturbing the shared
 // recording, and a cancelled leader hands the recording off to a
 // surviving waiter (DESIGN.md §9).
 func RecordTraceCachedCtx(ctx context.Context, c *TraceCache, spec *WorkloadSpec, input int, budget uint64) (Replayable, error) {
 	return c.RecordCtx(ctx, spec.Name, input, budget,
-		spec.CacheSource(input, budget, nil, 1, workload.CkptPerCacheSlice))
-}
-
-// RecordTraceCached is RecordTrace through a shared cache: it records on
-// the first request for (spec, input, budget) and serves replayable
-// views from memory afterwards, re-materializing any slice the cache
-// cap evicted (byte-identically) on demand. The recording captures one
-// payload checkpoint per cache slice, so a refill resumes from the
-// nearest checkpoint below the missing window instead of regenerating
-// the whole prefix. Workload traces are budget-sensitive (their static
-// structure scales with the budget), so each requested budget is its
-// own cache entry, never a truncated prefix of a larger recording. A
-// nil cache degrades to RecordTrace.
-func RecordTraceCached(c *TraceCache, spec *WorkloadSpec, input int, budget uint64) Replayable {
-	return c.Record(spec.Name, input, budget,
 		spec.CacheSource(input, budget, nil, 1, workload.CkptPerCacheSlice))
 }
 

@@ -15,21 +15,22 @@
 // worker pool; -parallel selects the worker count (0 = NumCPU, 1 =
 // sequential). Output is byte-identical at every worker count.
 //
-// Workload traces are recorded once per (workload, input) through a
-// shared in-memory cache and replayed by every experiment that needs
-// them; -tracecache bounds the cache in MiB (0 disables it) and
-// -cacheslice sets its eviction granularity in instructions: the cache
-// evicts cold fixed-size slices of a trace rather than whole
-// recordings, and an evicted slice re-records deterministically the
-// next time a replay reaches it, so a capped cache stays byte-identical
-// to an unbounded one. -ckptslice sets the payload checkpoint spacing
+// Workload traces are recorded once per (workload, input, budget)
+// through a shared in-memory cache and replayed by every experiment
+// that needs them; -tracecache bounds the cache in MiB (0 disables it)
+// and -cacheslice sets its eviction granularity in instructions: the
+// cache evicts cold fixed-size slices of a trace rather than whole
+// recordings, and an evicted slice refills deterministically the next
+// time a replay reaches it, so a capped cache stays byte-identical to
+// an unbounded one. -ckptslice sets the payload checkpoint spacing
 // captured during first recording (0 = none): with checkpoints in the
 // cache header an evicted slice refills in O(window) by resuming from
 // the nearest checkpoint instead of regenerating the whole prefix.
 // Cache counters print to stderr behind -cachestats, keeping stdout
-// diff-able. -recshards N records each trace on N workers (sharded
-// deterministic recording); output stays byte-identical in every
-// combination of flags.
+// diff-able. -recshards N records each trace on N workers, one or more
+// slices each (sharded deterministic recording; with -tracecache 0 the
+// slices are the default cache slice size); output stays
+// byte-identical in every combination of flags.
 //
 // -tracestore DIR adds a persistent content-addressed tier beneath the
 // RAM cache (DESIGN.md §11): recordings write through to DIR, evicted

@@ -99,9 +99,9 @@ func (e *CancelError) Unwrap() error { return e.Err }
 type abortPanic struct{ err error }
 
 // Abort escalates err through call frames that have no error return
-// (Map units, legacy recording wrappers). The nearest engine-aware
-// recovery point — a MapErr unit or Recovered at a run boundary —
-// converts it back into the typed error, unchanged.
+// (Map units, Config.RecordTrace, the context-free cache refill). The
+// nearest engine-aware recovery point — a MapErr unit or Recovered at
+// a run boundary — converts it back into the typed error, unchanged.
 func Abort(err error) {
 	if err == nil {
 		err = errors.New("engine: Abort(nil)")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -26,7 +27,10 @@ func TestBlockSizeSweepByteIdentical(t *testing.T) {
 	if !ok {
 		t.Fatal("workload missing")
 	}
-	tr := spec.Record(0, 150_000)
+	tr, err := spec.RecordCtx(context.Background(), 0, 150_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const sliceLen = 50_000
 
 	wantCol := core.NewCollector(sliceLen)

@@ -36,10 +36,12 @@ type Config struct {
 	Workers    int    // engine workers per experiment (0 = NumCPU)
 
 	// RecordShards, when > 1, records each trace by generating disjoint
-	// instruction ranges on up to that many engine workers
-	// (program.RecordSharded; each recording's worker count is capped
-	// by Workers). Sharded recording is byte-identical to sequential
-	// recording, so artifacts are unaffected in every mode. Note the
+	// slice-aligned instruction ranges on up to that many engine
+	// workers (program.RecordSlicesCtx; each recording's worker count is
+	// capped by Workers and by the trace's slice count — the cache's
+	// CacheSlice, or tracecache.DefaultSliceInsts without a cache).
+	// Sharded recording is byte-identical to sequential recording, so
+	// artifacts are unaffected in every mode. Note the
 	// worker budgets multiply: drivers recording several traces
 	// concurrently run up to Workers x min(Workers, RecordShards)
 	// generation goroutines, so the knob pays off on hosts with spare
@@ -125,31 +127,20 @@ func (c Config) Pool() *engine.Pool {
 }
 
 // RecordTrace materializes one workload input's trace at the configured
-// budget, through the shared cache when one is configured. All drivers
+// budget through Cache.RecordCtx — the one recording path. All drivers
 // record through this so concurrent work units requesting the same trace
 // coalesce onto a single recording. With RecordShards > 1 the recording
 // itself runs sharded across engine workers (byte-identical output).
 // The returned trace replays identically whether it is a plain buffer
-// (nil cache) or a cache view re-materializing evicted slices on
-// demand (Spec.RecordRange, the reseed-and-skim path).
+// (nil cache: the slices recorded and joined) or a cache view
+// re-materializing evicted slices on demand (Spec.RecordRangeFrom,
+// resuming from a checkpoint or skimming from zero).
 // Recording honours the run context: a cancelled or expired run fails
 // with a typed error escalated to the Runner.RunErr boundary — a
 // truncated trace is never returned.
 func (c Config) RecordTrace(s *workload.Spec, input int) trace.Replayable {
-	ctx := c.Context()
-	var (
-		tr  trace.Replayable
-		err error
-	)
-	switch {
-	case c.Cache == nil && c.RecordShards > 1:
-		tr, err = s.RecordShardedFromCtx(ctx, input, c.Budget, c.Pool(), c.RecordShards, nil)
-	case c.Cache == nil:
-		tr, err = s.RecordCtx(ctx, input, c.Budget)
-	default:
-		tr, err = c.Cache.RecordCtx(ctx, s.Name, input, c.Budget,
-			s.CacheSource(input, c.Budget, c.Pool(), c.RecordShards, c.CkptSlice))
-	}
+	tr, err := c.Cache.RecordCtx(c.Context(), s.Name, input, c.Budget,
+		s.CacheSource(input, c.Budget, c.Pool(), c.RecordShards, c.CkptSlice))
 	if err != nil {
 		engine.Abort(err)
 	}

@@ -32,7 +32,8 @@
 //     existing context variable (the documented no-context fast path).
 //
 // Everything else needs a justified //lint:ignore ctxflow — the
-// deliberately context-free refill paths in tracecache carry one.
+// deliberately context-free cache refill (program.RecordRangeFrom)
+// carries one.
 package ctxflow
 
 import (

@@ -2,7 +2,7 @@
 // (DESIGN.md §9).
 //
 // A context threaded into a recording entry point (RunCtx, RecordCtx,
-// RecordSlicesCtx, RecordShardedFromCtx) bounds the generation. The
+// RecordSlicesCtx) bounds the generation. The
 // emitter checks it only at points where stopping is provably safe —
 // payload checkpoint safe points (Emitter.Checkpoint), slice-window
 // retirement, and batch flushes — and stopping means unwinding the

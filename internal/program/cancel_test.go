@@ -75,7 +75,7 @@ func TestRunCtxCancelEndsStreamTyped(t *testing.T) {
 func TestRunCtxUncancelledIsByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	want := Record(7, 50_000, countingPayload)
+	want := mustRecord(t, 7, 50_000, countingPayload)
 	s := RunCtx(ctx, 7, 50_000, countingPayload)
 	got := trace.RecordSized(s, 50_000)
 	if err := s.Err(); err != nil {
@@ -176,39 +176,32 @@ func TestRecordSlicesCtxCancelViaWindowRetirement(t *testing.T) {
 	}
 }
 
-// TestRecordShardedFromCtxCancelTyped: a pre-cancelled sharded
+// TestRecordSlicesCtxShardedCancelTyped: a pre-cancelled sharded
 // recording fails typed across the worker pool.
-func TestRecordShardedFromCtxCancelTyped(t *testing.T) {
+func TestRecordSlicesCtxShardedCancelTyped(t *testing.T) {
 	defer leakCheck(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	buf, err := RecordShardedFromCtx(ctx, 1, 100_000, countingPayload, engine.New(4), 4, nil)
-	if buf != nil {
-		t.Fatalf("cancelled sharded recording returned a %d-inst buffer", buf.Len())
+	out, _, err := RecordSlicesCtx(ctx, 1, 100_000, countingPayload, 10_000, engine.New(4), 4, 0)
+	if out != nil {
+		t.Fatalf("cancelled sharded recording returned %d slices", len(out))
 	}
 	if !engine.IsCancel(err) {
-		t.Fatalf("RecordShardedFromCtx = %v, want a cancellation", err)
+		t.Fatalf("RecordSlicesCtx = %v, want a cancellation", err)
 	}
 }
 
-// TestRecordShardedFromCtxUncancelledByteIdentical: the ctx-bound
-// sharded path under an inert context matches sequential recording.
-func TestRecordShardedFromCtxUncancelledByteIdentical(t *testing.T) {
+// TestRecordSlicesCtxShardedUncancelledByteIdentical: the sharded path
+// under an inert context matches sequential recording.
+func TestRecordSlicesCtxShardedUncancelledByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	want := Record(11, 40_000, countingPayload)
-	got, err := RecordShardedFromCtx(ctx, 11, 40_000, countingPayload, engine.New(4), 4, nil)
+	want := mustRecord(t, 11, 40_000, countingPayload)
+	arrs, _, err := RecordSlicesCtx(ctx, 11, 40_000, countingPayload, 10_000, engine.New(4), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != want.Len() {
-		t.Fatalf("lengths differ: %d vs %d", got.Len(), want.Len())
-	}
-	for i := 0; i < got.Len(); i++ {
-		if got.At(i) != want.At(i) {
-			t.Fatalf("inst %d differs under an inert context", i)
-		}
-	}
+	assertSameBuffer(t, joinSlices(arrs), want, "inert context")
 }
 
 // TestStreamErrHelper: trace.StreamErr surfaces the typed error through

@@ -59,9 +59,9 @@ func ckptPayload(e *Emitter) {
 // capture point — the refill contract.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	const budget = 50_000
-	want := Record(42, budget, ckptPayload)
+	want := mustRecord(t, 42, budget, ckptPayload)
 	for _, every := range []uint64{1000, 7777, 20_000} {
-		arrs, cks := RecordSlices(42, budget, ckptPayload, 5000, nil, 1, every)
+		arrs, cks := mustSlices(t, 42, budget, ckptPayload, 5000, nil, 1, every)
 		assertSameBuffer(t, joinSlices(arrs), want, "ckptEvery="+itoa(int(every)))
 		if len(cks) == 0 {
 			t.Fatalf("every=%d: no checkpoints captured", every)
@@ -106,13 +106,13 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 // checkpoint list must be identical at any shard count.
 func TestCheckpointCaptureShardInvariant(t *testing.T) {
 	const budget = 40_000
-	_, want := RecordSlices(7, budget, ckptPayload, 4000, nil, 1, 3000)
+	_, want := mustSlices(t, 7, budget, ckptPayload, 4000, nil, 1, 3000)
 	if len(want) == 0 {
 		t.Fatal("sequential capture produced no checkpoints")
 	}
 	pool := engine.New(4)
 	for _, shards := range []int{2, 3, 7} {
-		_, got := RecordSlices(7, budget, ckptPayload, 4000, pool, shards, 3000)
+		_, got := mustSlices(t, 7, budget, ckptPayload, 4000, pool, shards, 3000)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shards=%d: checkpoint list differs from sequential (%d vs %d checkpoints)",
 				shards, len(got), len(want))
@@ -120,39 +120,21 @@ func TestCheckpointCaptureShardInvariant(t *testing.T) {
 	}
 }
 
-// RecordShardedFrom with checkpoints must assemble the identical
-// buffer; workers resume instead of skimming.
-func TestRecordShardedFromByteIdentical(t *testing.T) {
-	const budget = 50_000
-	want := Record(11, budget, ckptPayload)
-	_, cks := RecordSlices(11, budget, ckptPayload, 5000, nil, 1, 5000)
-	if len(cks) == 0 {
-		t.Fatal("no checkpoints captured")
-	}
-	pool := engine.New(4)
-	for _, shards := range []int{2, 3, 8} {
-		got := RecordShardedFrom(11, budget, ckptPayload, pool, shards, cks)
-		assertSameBuffer(t, got, want, "from-ckpt/shards="+itoa(shards))
-	}
-	// An empty list degrades to the skim path, still byte-identical.
-	assertSameBuffer(t, RecordShardedFrom(11, budget, ckptPayload, pool, 3, nil), want, "from-nil")
-}
-
 // Payloads that never register are never captured: the fallback
 // consumers see an empty list and skim.
 func TestNonCheckpointablePayloadCapturesNothing(t *testing.T) {
-	arrs, cks := RecordSlices(5, 20_000, countingPayload, 2000, nil, 1, 1000)
+	arrs, cks := mustSlices(t, 5, 20_000, countingPayload, 2000, nil, 1, 1000)
 	if len(cks) != 0 {
 		t.Fatalf("non-checkpointable payload captured %d checkpoints", len(cks))
 	}
-	assertSameBuffer(t, joinSlices(arrs), Record(5, 20_000, countingPayload), "fallback")
+	assertSameBuffer(t, joinSlices(arrs), mustRecord(t, 5, 20_000, countingPayload), "fallback")
 }
 
 // Bad checkpoints must fail with typed errors — never panic a replay
 // worker, never return wrong bytes.
 func TestResumeRejectsBadCheckpoints(t *testing.T) {
 	const budget = 20_000
-	_, cks := RecordSlices(3, budget, ckptPayload, 2000, nil, 1, 2000)
+	_, cks := mustSlices(t, 3, budget, ckptPayload, 2000, nil, 1, 2000)
 	if len(cks) == 0 {
 		t.Fatal("no checkpoints captured")
 	}

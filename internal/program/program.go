@@ -14,7 +14,6 @@ package program
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -62,7 +61,7 @@ type Emitter struct {
 	ctx  context.Context
 	done <-chan struct{}
 
-	// Sharded-recording mode (see RecordSharded): instructions with
+	// Range-recording mode (see recordSegments): instructions with
 	// index < skip are generated but not materialized, instructions in
 	// [skip, stopAt) append to direct, and reaching stopAt unwinds the
 	// payload. stopAt == 0 disables early stop; direct == nil selects
@@ -109,8 +108,7 @@ func (e *Emitter) Rand() *xrand.Rand { return e.rng }
 func (e *Emitter) Running() bool { return e.emitted < e.budget }
 
 // Abort unwinds the payload with a typed error instead of a panic. The
-// recording entry point converts it into its error return (or, on the
-// legacy no-error surfaces, re-escalates it to the run boundary); the
+// recording entry point converts it into its error return; the
 // partially generated bytes are discarded, never returned. Payloads
 // use it for unreachable-configuration guards that should fail the run
 // loudly without killing the process.
@@ -455,23 +453,11 @@ func (s *Stream) Close() error {
 	return nil
 }
 
-// Record runs payload to completion and materializes the trace. The
+// RecordCtx runs payload to completion and materializes the trace. The
 // buffer is pre-sized from the budget: payloads run until the budget is
 // exhausted, so the recording's final length is the budget except for
-// payloads that return early. A payload Abort escalates to the run
-// boundary via engine.Abort — the legacy surface never silently
-// truncates (see RecordCtx for the error-returning form).
-func Record(seed, budget uint64, payload Payload) *trace.Buffer {
-	buf, err := RecordCtx(context.Background(), seed, budget, payload)
-	if err != nil {
-		engine.Abort(err)
-	}
-	return buf
-}
-
-// RecordCtx is Record bounded by ctx. On cancellation or payload
-// failure it returns (nil, err) with a typed error — never a
-// truncated buffer.
+// payloads that return early. On cancellation or payload failure it
+// returns (nil, err) with a typed error — never a truncated buffer.
 func RecordCtx(ctx context.Context, seed, budget uint64, payload Payload) (*trace.Buffer, error) {
 	s := RunCtx(ctx, seed, budget, payload)
 	defer s.Close()
@@ -550,59 +536,28 @@ func recordSegments(ctx context.Context, seed, budget uint64, payload Payload, l
 	return append(e.filled, e.direct), e.ckpts, nil
 }
 
-// recordRange is recordSegments with a single destination window and a
-// skim from zero: no checkpoints involved, so it can only fail on
-// cancellation or payload abort.
-func recordRange(ctx context.Context, seed, budget uint64, payload Payload, lo, hi uint64, dst []trace.Inst) ([]trace.Inst, error) {
-	out, _, err := recordSegments(ctx, seed, budget, payload, lo, hi, [][]trace.Inst{dst}, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out[len(out)-1], nil
-}
-
-// RecordRange materializes instructions [lo, hi) of the (seed, budget,
-// payload) trace into a freshly allocated array: the slice-granular
-// trace cache's re-materialization path. The replay reseeds from the
-// trace seed and skims the prefix without materializing it, so the
-// returned range is byte-identical to the same range of a full
-// recording — at the cost of regenerating (not storing) the lo
-// instructions before the range.
-func RecordRange(seed, budget uint64, payload Payload, lo, hi uint64) []trace.Inst {
-	if hi > budget {
-		hi = budget
-	}
-	if lo >= hi {
-		return nil
-	}
-	//lint:ignore ctxflow range refills are deliberately context-free: a replay must be able to regenerate bytes after the recording context is gone (see tracecache refill contract)
-	out, err := recordRange(context.Background(), seed, budget, payload, lo, hi, make([]trace.Inst, 0, hi-lo))
-	if err != nil {
-		engine.Abort(err) // background ctx: only a payload abort lands here
-	}
-	return out
-}
-
-// RecordRangeFrom is RecordRange resuming from ck instead of skimming
-// the prefix: generation starts at ck.At, so the refill costs
-// O(lo-ck.At + window) regardless of lo — O(window) when checkpoints
-// were captured at slice spacing. ck must come from a checkpointed
-// recording of the identical (seed, budget, payload) triple with
-// ck.At <= lo; a nil ck degrades to the skim path. The resumed bytes
-// are byte-identical to the same range of a full recording, or the
-// call fails (wrapping ErrBadCheckpoint, or xrand.ErrZeroState for a
-// zero-value checkpoint) and the caller falls back to RecordRange —
-// wrong bytes are never returned.
+// RecordRangeFrom materializes instructions [lo, hi) of the (seed,
+// budget, payload) trace into a freshly allocated array: the
+// slice-granular trace cache's refill path. With ck == nil the replay
+// reseeds from the trace seed and skims the prefix without
+// materializing it — O(lo + window). With a checkpoint generation
+// starts at ck.At instead, so the refill costs O(lo-ck.At + window) —
+// O(window) when checkpoints were captured at slice spacing. ck must
+// come from a checkpointed recording of the identical (seed, budget,
+// payload) triple with ck.At <= lo. Either way the bytes are identical
+// to the same range of a full recording, or the call fails (wrapping
+// ErrBadCheckpoint, or xrand.ErrZeroState for a zero-value checkpoint)
+// and the caller retries with ck == nil — wrong bytes are never
+// returned.
+//
+// Refills are deliberately context-free: a replay must be able to
+// regenerate evicted bytes after the recording context is gone.
 func RecordRangeFrom(seed, budget uint64, payload Payload, ck *Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
 	if hi > budget {
 		hi = budget
 	}
 	if lo >= hi {
 		return nil, nil
-	}
-	if ck == nil {
-		//lint:ignore ctxflow range refills are deliberately context-free: a replay must be able to regenerate bytes after the recording context is gone
-		return recordRange(context.Background(), seed, budget, payload, lo, hi, make([]trace.Inst, 0, hi-lo))
 	}
 	//lint:ignore ctxflow range refills are deliberately context-free: a replay must be able to regenerate bytes after the recording context is gone
 	segs, _, err := recordSegments(context.Background(), seed, budget, payload, lo, hi,
@@ -613,121 +568,21 @@ func RecordRangeFrom(seed, budget uint64, payload Payload, ck *Checkpoint, lo, h
 	return segs[len(segs)-1], nil
 }
 
-// RecordSharded materializes the same trace Record produces by
-// generating disjoint instruction ranges on pool workers. Worker w
-// replays the payload deterministically from the trace seed, skims
-// instructions before its range (generated, counted, not stored),
-// writes its range directly into the shared backing array, and stops.
-// The assembled buffer is byte-identical to sequential recording at any
-// shard count: payloads are pure functions of the seed, so every
-// replica emits the identical instruction sequence.
-//
-// Sharding trades total generation work for wall-clock and allocation
-// traffic: shard w regenerates the w/shards prefix it discards, but the
-// materialization path (batch copies, channel handoff, buffer growth)
-// runs once per instruction across all workers and the shards record
-// concurrently. See DESIGN.md §6 for why prefix replay — rather than
-// per-slice generator reseeding — is what keeps the recording
-// byte-identical for arbitrary payloads.
-func RecordSharded(seed, budget uint64, payload Payload, pool *engine.Pool, shards int) *trace.Buffer {
-	return RecordShardedFrom(seed, budget, payload, pool, shards, nil)
-}
-
-// RecordShardedFrom is RecordSharded with a checkpoint list from a
-// prior checkpointed recording of the same (seed, budget, payload)
-// triple: worker w resumes from the nearest checkpoint at or below its
-// range start instead of skimming the prefix, so the shards' work no
-// longer overlaps — re-recording is embarrassingly parallel, each
-// worker generating O(budget/shards) instructions. A worker whose
-// checkpoint cannot resume (or that has none at or below its range)
-// falls back to the skim path, so the assembled buffer is
-// byte-identical to sequential recording for any ckpts, including nil
-// (which is exactly RecordSharded).
-func RecordShardedFrom(seed, budget uint64, payload Payload, pool *engine.Pool, shards int, ckpts []Checkpoint) *trace.Buffer {
-	buf, err := RecordShardedFromCtx(context.Background(), seed, budget, payload, pool, shards, ckpts)
-	if err != nil {
-		engine.Abort(err)
-	}
-	return buf
-}
-
-// RecordShardedFromCtx is RecordShardedFrom bounded by ctx: shard
-// workers check cancellation at byte-safe points, and a cancelled or
-// failed recording returns (nil, err) — the partially filled backing
-// array is never assembled into a buffer.
-func RecordShardedFromCtx(ctx context.Context, seed, budget uint64, payload Payload, pool *engine.Pool, shards int, ckpts []Checkpoint) (*trace.Buffer, error) {
-	if pool == nil {
-		pool = engine.New(0)
-	}
-	if uint64(shards) > budget {
-		shards = int(budget)
-	}
-	if shards <= 1 {
-		return RecordCtx(ctx, seed, budget, payload)
-	}
-	chunk := (budget + uint64(shards) - 1) / uint64(shards)
-	insts := make([]trace.Inst, budget)
-	counts, mapErr := engine.MapErr(ctx, pool, shards, func(ctx context.Context, w int) (int, error) {
-		lo := uint64(w) * chunk
-		hi := lo + chunk
-		if hi > budget {
-			hi = budget
-		}
-		if lo >= hi {
-			return 0, nil
-		}
-		// Each worker appends into its own zero-length, capacity-capped
-		// window of the shared array, so writes stay disjoint.
-		if ck := NearestCheckpoint(ckpts, lo); ck != nil {
-			segs, _, err := recordSegments(ctx, seed, budget, payload, lo, hi,
-				[][]trace.Inst{insts[lo:lo:hi]}, 0, ck)
-			if err == nil {
-				return len(segs[len(segs)-1]), nil
-			}
-			if !errors.Is(err, ErrBadCheckpoint) {
-				return 0, err // cancellation / payload abort: no fallback
-			}
-			// Unusable checkpoint: regenerate the window's prefix below.
-		}
-		out, err := recordRange(ctx, seed, budget, payload, lo, hi, insts[lo:lo:hi])
-		if err != nil {
-			return 0, err
-		}
-		return len(out), nil
-	})
-	if mapErr != nil {
-		return nil, mapErr
-	}
-	// A payload that returns before exhausting the budget ends every
-	// shard at the same deterministic point; the first short shard is
-	// the end of the trace.
-	total := uint64(0)
-	for w, n := range counts {
-		total += uint64(n)
-		lo := uint64(w) * chunk
-		hi := lo + chunk
-		if hi > budget {
-			hi = budget
-		}
-		if uint64(n) < hi-lo {
-			break
-		}
-	}
-	return trace.FromSlice(insts[:total]), nil
-}
-
-// RecordSlices materializes the same trace Record produces as
+// RecordSlicesCtx materializes the same trace RecordCtx produces as
 // consecutive, independently owned arrays of sliceLen instructions
 // each (the last may be shorter): the ingest path of the slice-granular
 // trace cache, which needs each slice to be individually evictable —
 // dropping one array frees its memory, which views of a shared backing
 // array (Buffer.Slice) cannot do. sliceLen == 0 or >= budget yields a
 // single array. With shards > 1 the generation splits across pool
-// workers at slice-aligned boundaries, each worker skimming its prefix
-// and filling its own slice arrays (no copies, no channel handoff).
-// The concatenated arrays are byte-identical to Record at any
-// (sliceLen, shards) combination: payloads are pure functions of the
-// seed.
+// workers at slice-aligned boundaries: worker w replays the payload
+// deterministically from the trace seed, skims the instructions before
+// its first slice (generated, counted, not stored) and fills its own
+// slice arrays (no copies, no channel handoff). The concatenated arrays
+// are byte-identical to RecordCtx at any (sliceLen, shards)
+// combination: payloads are pure functions of the seed. See DESIGN.md
+// §6 for why prefix replay — rather than per-slice generator reseeding
+// — is what keeps the recording byte-identical for arbitrary payloads.
 //
 // ckptEvery > 0 additionally captures payload checkpoints at that
 // spacing (first safe point at or after each multiple; see
@@ -736,17 +591,10 @@ func RecordShardedFromCtx(ctx context.Context, seed, budget uint64, payload Payl
 // is identical at any shard count; a payload that never registers via
 // Emitter.Checkpointable yields an empty list (the fallback consumers
 // detect). ckptEvery == 0 disables capture.
-func RecordSlices(seed, budget uint64, payload Payload, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []Checkpoint) {
-	out, cks, err := RecordSlicesCtx(context.Background(), seed, budget, payload, sliceLen, pool, shards, ckptEvery)
-	if err != nil {
-		engine.Abort(err)
-	}
-	return out, cks
-}
-
-// RecordSlicesCtx is RecordSlices bounded by ctx. Cancellation or a
-// payload failure returns (nil, nil, err) with a typed error; partial
-// slice arrays are never returned.
+//
+// ctx bounds the recording: cancellation or a payload failure returns
+// (nil, nil, err) with a typed error; partial slice arrays are never
+// returned.
 func RecordSlicesCtx(ctx context.Context, seed, budget uint64, payload Payload, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []Checkpoint, error) {
 	if budget == 0 {
 		return nil, nil, nil

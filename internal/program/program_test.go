@@ -25,8 +25,8 @@ func TestBudgetExact(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := Record(42, 50000, countingPayload)
-	b := Record(42, 50000, countingPayload)
+	a := mustRecord(t, 42, 50000, countingPayload)
+	b := mustRecord(t, 42, 50000, countingPayload)
 	if a.Len() != b.Len() {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
@@ -35,7 +35,7 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("instruction %d differs", i)
 		}
 	}
-	c := Record(43, 50000, countingPayload)
+	c := mustRecord(t, 43, 50000, countingPayload)
 	same := 0
 	for i := 0; i < a.Len(); i++ {
 		if a.At(i) == c.At(i) {
@@ -76,7 +76,7 @@ func TestBranchIPsStable(t *testing.T) {
 		ip5b = e.BranchIP(5)
 		e.Cond(9, false)
 	}
-	b := Record(1, 1000, payload)
+	b := mustRecord(t, 1, 1000, payload)
 	if ip5 != ip5b {
 		t.Error("BranchIP not stable across calls")
 	}
@@ -112,7 +112,7 @@ func TestSetVarDataflowVisible(t *testing.T) {
 		e.SetVar(v, 0xBEEF)
 		e.Cond(1, true, v)
 	}
-	b := Record(1, 10, payload)
+	b := mustRecord(t, 1, 10, payload)
 	if b.Len() != 2 {
 		t.Fatalf("trace length %d", b.Len())
 	}
@@ -134,7 +134,7 @@ func TestCondBackwardTargets(t *testing.T) {
 		e.Compute(5)
 		e.CondBackward(100, true)
 	}
-	b := Record(1, 100, payload)
+	b := mustRecord(t, 1, 100, payload)
 	var br *trace.Inst
 	for i := 0; i < b.Len(); i++ {
 		inst := b.At(i)
@@ -162,7 +162,7 @@ func TestCallRetBalance(t *testing.T) {
 			e.Compute(3)
 		}
 	}
-	b := Record(1, 10000, payload)
+	b := mustRecord(t, 1, 10000, payload)
 	calls, rets := 0, 0
 	for i := 0; i < b.Len(); i++ {
 		switch b.At(i).Kind {
@@ -184,7 +184,7 @@ func TestCallRetBalance(t *testing.T) {
 }
 
 func TestRetWithoutCallIsNoop(t *testing.T) {
-	b := Record(1, 100, func(e *Emitter) {
+	b := mustRecord(t, 1, 100, func(e *Emitter) {
 		e.Ret()
 		e.Compute(3)
 	})
@@ -194,7 +194,7 @@ func TestRetWithoutCallIsNoop(t *testing.T) {
 }
 
 func TestMemoryOpsCarryAddresses(t *testing.T) {
-	b := Record(1, 100, func(e *Emitter) {
+	b := mustRecord(t, 1, 100, func(e *Emitter) {
 		e.Load(0x1234)
 		e.Store(0x5678)
 		e.SetVarLoad(2, 0x9ABC, 7)
@@ -212,7 +212,7 @@ func TestMemoryOpsCarryAddresses(t *testing.T) {
 }
 
 func TestIPsAdvanceWithinBlocks(t *testing.T) {
-	b := Record(1, 50, func(e *Emitter) { e.Compute(50) })
+	b := mustRecord(t, 1, 50, func(e *Emitter) { e.Compute(50) })
 	for i := 1; i < b.Len(); i++ {
 		if b.At(i).IP != b.At(i-1).IP+4 {
 			t.Fatalf("filler IPs not sequential at %d: %#x -> %#x",
@@ -222,7 +222,7 @@ func TestIPsAdvanceWithinBlocks(t *testing.T) {
 }
 
 func TestTakenBranchRedirectsIP(t *testing.T) {
-	b := Record(1, 10, func(e *Emitter) {
+	b := mustRecord(t, 1, 10, func(e *Emitter) {
 		e.Cond(1, true)
 		e.Compute(1)
 		e.Cond(2, false)

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -30,42 +31,26 @@ func assertSameBuffer(t *testing.T, got, want *trace.Buffer, label string) {
 	}
 }
 
-// Sharded recording's whole contract: byte-identical to sequential
-// recording at any shard count, including counts that do not divide the
-// budget and counts exceeding it.
-func TestRecordShardedByteIdentical(t *testing.T) {
-	const budget = 50_000
-	want := Record(42, budget, countingPayload)
-	pool := engine.New(4)
-	for _, shards := range []int{1, 2, 3, 7, 16} {
-		got := RecordSharded(42, budget, countingPayload, pool, shards)
-		assertSameBuffer(t, got, want, "shards="+itoa(shards))
+// mustRecord is RecordCtx under the background context, failing the
+// test on error.
+func mustRecord(t *testing.T, seed, budget uint64, payload Payload) *trace.Buffer {
+	t.Helper()
+	buf, err := RecordCtx(context.Background(), seed, budget, payload)
+	if err != nil {
+		t.Fatalf("RecordCtx(seed=%d, budget=%d): %v", seed, budget, err)
 	}
-	// nil pool selects a default pool.
-	assertSameBuffer(t, RecordSharded(42, budget, countingPayload, nil, 3), want, "nil pool")
-	// More shards than instructions degrades to one instruction per
-	// shard (kept tiny: each shard replays its prefix).
-	tiny := Record(42, 100, countingPayload)
-	assertSameBuffer(t, RecordSharded(42, 100, countingPayload, pool, 137), tiny, "shards>budget")
+	return buf
 }
 
-func TestRecordShardedEarlyReturn(t *testing.T) {
-	const budget = 60_000
-	want := Record(9, budget, earlyPayload)
-	if uint64(want.Len()) >= budget {
-		t.Fatal("test payload should end before the budget")
+// mustSlices is RecordSlicesCtx under the background context, failing
+// the test on error.
+func mustSlices(t *testing.T, seed, budget uint64, payload Payload, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []Checkpoint) {
+	t.Helper()
+	arrs, cks, err := RecordSlicesCtx(context.Background(), seed, budget, payload, sliceLen, pool, shards, ckptEvery)
+	if err != nil {
+		t.Fatalf("RecordSlicesCtx(seed=%d, budget=%d): %v", seed, budget, err)
 	}
-	pool := engine.New(3)
-	for _, shards := range []int{2, 4, 9} {
-		got := RecordSharded(9, budget, earlyPayload, pool, shards)
-		assertSameBuffer(t, got, want, "early return")
-	}
-}
-
-func TestRecordShardedZeroBudget(t *testing.T) {
-	if got := RecordSharded(1, 0, countingPayload, engine.New(2), 4); got.Len() != 0 {
-		t.Fatalf("zero budget recorded %d instructions", got.Len())
-	}
+	return arrs, cks
 }
 
 // trace.Limit used to re-wrap streams in a FuncStream that dropped the

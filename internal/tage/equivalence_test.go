@@ -1,6 +1,7 @@
 package tage_test
 
 import (
+	"context"
 	"testing"
 
 	"branchlab/internal/core"
@@ -53,6 +54,17 @@ func lockstep(t *testing.T, name string, buf *trace.Buffer, a, b engine) uint64 
 	return mispreds
 }
 
+// record is Spec.RecordCtx under the background context, failing the
+// test on error.
+func record(t *testing.T, spec *workload.Spec, budget uint64) *trace.Buffer {
+	t.Helper()
+	buf, err := spec.RecordCtx(context.Background(), 0, budget)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	return buf
+}
+
 func allSpecs() []*workload.Spec {
 	return append(workload.SPECint2017Like(), workload.LCFLike()...)
 }
@@ -65,7 +77,7 @@ func TestPackedMatchesReferenceAllWorkloads(t *testing.T) {
 	// trace-visible signature in the suite.
 	const budget = 150_000
 	for _, spec := range allSpecs() {
-		buf := spec.Record(0, budget)
+		buf := record(t, spec, budget)
 		packed := tage.New(tage.Config8KB())
 		ref := tage.NewReference(tage.Config8KB())
 		miss := lockstep(t, spec.Name, buf, packed, ref)
@@ -81,7 +93,7 @@ func TestPackedMatchesReferenceTelemetry(t *testing.T) {
 	// a real trace: same event totals, same per-IP counts, same victim
 	// attributions.
 	spec := allSpecs()[0]
-	buf := spec.Record(0, 150_000)
+	buf := record(t, spec, 150_000)
 	packed := tage.New(tage.Config8KB())
 	ref := tage.NewReference(tage.Config8KB())
 	sa, sb := packed.EnableAllocTracking(), ref.EnableAllocTracking()
@@ -171,7 +183,7 @@ func TestBatchPathMatchesScalarPath(t *testing.T) {
 	// depends on where block boundaries fall.
 	const budget = 150_000
 	for _, spec := range allSpecs()[:3] {
-		buf := spec.Record(0, budget)
+		buf := record(t, spec, budget)
 		for _, blockLen := range []int{512, trace.DefaultBlockLen} {
 			batch := core.RunBlocks(buf.BlockStream(blockLen), tage.New(tage.Config8KB()))
 			scalar := core.RunBlocks(buf.BlockStream(blockLen), scalarOnly{tage.New(tage.Config8KB())})

@@ -28,6 +28,15 @@ var magic = [4]byte{'B', 'L', 'T', '1'}
 // expected header.
 var ErrBadMagic = errors.New("trace: bad magic (not a BLT1 trace file)")
 
+// ErrBadRecord is returned (wrapped) for an instruction BLT1 cannot
+// carry: an invalid kind, a register outside the register file (other
+// than NoReg), or — on decode — presence flags the Writer never sets (a
+// memory operand on a non-memory kind, a destination flag with NoReg).
+// Writer.WriteInst refuses such instructions and Reader.Next stops on
+// such records, so every decoded instruction is safe to index
+// per-register state with and re-encodes to itself.
+var ErrBadRecord = errors.New("trace: malformed BLT1 record")
+
 const (
 	flagTaken  = 1 << 4
 	flagHasMem = 1 << 5
@@ -54,10 +63,17 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// validReg reports whether r is NoReg or inside the register file.
+func validReg(r uint8) bool { return r == NoReg || r < NumRegs }
+
 // WriteInst appends one instruction to the trace.
 func (w *Writer) WriteInst(inst *Inst) error {
 	if !inst.Kind.Valid() {
-		return fmt.Errorf("trace: invalid kind %d", inst.Kind)
+		return fmt.Errorf("%w: invalid kind %d", ErrBadRecord, inst.Kind)
+	}
+	if !validReg(inst.DstReg) || !validReg(inst.SrcRegs[0]) || !validReg(inst.SrcRegs[1]) {
+		return fmt.Errorf("%w: register out of range (dst %d, src %d, %d)",
+			ErrBadRecord, inst.DstReg, inst.SrcRegs[0], inst.SrcRegs[1])
 	}
 	if !w.wrote {
 		if _, err := w.w.Write(magic[:]); err != nil {
@@ -134,6 +150,12 @@ func NewReader(r io.Reader) *Reader {
 // end of file.
 func (r *Reader) Err() error { return r.err }
 
+// bad records a decoded record the Writer could not have produced.
+func (r *Reader) bad(format string, args ...any) bool {
+	r.err = fmt.Errorf("%w: "+format, append([]any{ErrBadRecord}, args...)...)
+	return false
+}
+
 // fail records a mid-record decoding error. EOF inside a record means the
 // file was truncated, which callers must be able to distinguish from a
 // clean end of trace.
@@ -179,8 +201,7 @@ func (r *Reader) Next(inst *Inst) bool {
 		SrcRegs: [2]uint8{NoReg, NoReg},
 	}
 	if !inst.Kind.Valid() {
-		r.err = fmt.Errorf("trace: invalid kind %d in stream", inst.Kind)
-		return false
+		return r.bad("invalid kind %d", inst.Kind)
 	}
 	du, err := binary.ReadUvarint(r.r)
 	if err != nil {
@@ -194,6 +215,9 @@ func (r *Reader) Next(inst *Inst) bool {
 		}
 	}
 	if flags&flagHasMem != 0 {
+		if inst.Kind != KindLoad && inst.Kind != KindStore {
+			return r.bad("memory operand on a %s instruction", inst.Kind)
+		}
 		if inst.MemAddr, err = binary.ReadUvarint(r.r); err != nil {
 			return r.fail(err)
 		}
@@ -201,6 +225,10 @@ func (r *Reader) Next(inst *Inst) bool {
 	if flags&flagHasDst != 0 {
 		if inst.DstReg, err = r.r.ReadByte(); err != nil {
 			return r.fail(err)
+		}
+		if inst.DstReg >= NumRegs {
+			// NoReg included: the Writer omits the flag for it.
+			return r.bad("destination register %d", inst.DstReg)
 		}
 		if inst.DstValue, err = binary.ReadUvarint(r.r); err != nil {
 			return r.fail(err)
@@ -212,6 +240,9 @@ func (r *Reader) Next(inst *Inst) bool {
 		}
 		if inst.SrcRegs[1], err = r.r.ReadByte(); err != nil {
 			return r.fail(err)
+		}
+		if !validReg(inst.SrcRegs[0]) || !validReg(inst.SrcRegs[1]) {
+			return r.bad("source registers %d, %d", inst.SrcRegs[0], inst.SrcRegs[1])
 		}
 	}
 	return true

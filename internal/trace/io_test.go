@@ -109,6 +109,51 @@ func TestIOInvalidKindRejected(t *testing.T) {
 	}
 }
 
+func TestIOInvalidRegisterRejected(t *testing.T) {
+	for _, inst := range []Inst{
+		{Kind: KindALU, DstReg: NumRegs, SrcRegs: [2]uint8{NoReg, NoReg}},
+		{Kind: KindALU, DstReg: NoReg, SrcRegs: [2]uint8{40, NoReg}},
+		{Kind: KindALU, DstReg: NoReg, SrcRegs: [2]uint8{1, 0xFE}},
+	} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := w.WriteInst(&inst); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("WriteInst(%+v) = %v, want ErrBadRecord", inst, err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != len(magic) {
+			t.Errorf("refused instruction left %d record bytes", buf.Len()-len(magic))
+		}
+	}
+}
+
+// TestIOHostileRecordsRejected: records the Writer never produces —
+// notably a register index past the register file, which used to crash
+// the timing model with an index out of range — stop the Reader with
+// ErrBadRecord instead of yielding the instruction.
+func TestIOHostileRecordsRejected(t *testing.T) {
+	for _, tc := range []struct{ name, data string }{
+		{"src register 40", "BLT1\x80\x00\x28\xff"},
+		{"dst register 32", "BLT1\x40\x00\x20\x00"},
+		{"dst flag with NoReg", "BLT1\x40\x00\xff\x05"},
+		{"mem operand on ALU", "BLT1\x20\x00\x07"},
+		{"invalid kind", "BLT1\x0f\x00"},
+		{"second src register", "BLT1\x80\x00\x01\x80"},
+	} {
+		r := NewReader(bytes.NewReader([]byte(tc.data)))
+		var inst Inst
+		if r.Next(&inst) {
+			t.Errorf("%s: hostile record decoded as %+v", tc.name, inst)
+			continue
+		}
+		if !errors.Is(r.Err(), ErrBadRecord) {
+			t.Errorf("%s: err = %v, want ErrBadRecord", tc.name, r.Err())
+		}
+	}
+}
+
 func TestZigzag(t *testing.T) {
 	if err := quick.Check(func(v int64) bool {
 		return unzigzag(zigzag(v)) == v

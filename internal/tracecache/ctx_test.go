@@ -284,7 +284,9 @@ func TestBadSourceTyped(t *testing.T) {
 			// Three slices, middle one short: structurally malformed.
 			return [][]trace.Inst{mkInsts(0, 10), mkInsts(10, 15), mkInsts(20, 30)}, nil, nil
 		},
-		Range: func(lo, hi uint64) []trace.Inst { return mkInsts(int(lo), int(hi)) },
+		Refill: func(_ *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
+			return mkInsts(int(lo), int(hi)), nil
+		},
 	}
 	v, err := c.RecordCtx(context.Background(), "w", 0, 30, bad)
 	if v != nil || !errors.Is(err, ErrBadSource) {
@@ -300,30 +302,6 @@ func TestBadSourceTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkIdentity(t, drain(t, good), 0)
-}
-
-// TestLegacyRecordAbortsOnBadSource: the no-error Record surface
-// escalates ErrBadSource via engine.Abort rather than panicking raw or
-// returning a malformed trace.
-func TestLegacyRecordAbortsOnBadSource(t *testing.T) {
-	c := NewSliced(0, 10)
-	bad := Source{
-		Record: func(context.Context, uint64) ([][]trace.Inst, []program.Checkpoint, error) {
-			return [][]trace.Inst{mkInsts(0, 3), mkInsts(10, 30)}, nil, nil
-		},
-		Range: func(lo, hi uint64) []trace.Inst { return mkInsts(int(lo), int(hi)) },
-	}
-	defer func() {
-		err := engine.Recovered(recover())
-		if err == nil {
-			t.Fatal("legacy Record on a malformed source did not abort")
-		}
-		if !errors.Is(err, ErrBadSource) {
-			t.Fatalf("abort error = %v, want ErrBadSource", err)
-		}
-	}()
-	c.Record("w", 0, 30, bad)
-	t.Fatal("legacy Record returned normally for a malformed source")
 }
 
 // TestNilCacheRecordCtxPropagatesError: the nil-cache passthrough

@@ -131,7 +131,7 @@ func TestCacheResumeFaultFallsBackByteIdentical(t *testing.T) {
 	replay := func() (vals []uint64, st Stats, resumes int64) {
 		src := &ckptSource{source: source{n: 100}, every: 25}
 		c := NewSliced(10*instBytes, 10) // one-slice cap: every pin refills
-		v := c.Record("w", 0, 100, src.Source())
+		v := record(t, c, "w", 0, 100, src.Source())
 		return drain(t, v), c.Stats(), src.resumes.Load()
 	}
 
@@ -180,7 +180,7 @@ func TestCacheEvictChaosByteIdentical(t *testing.T) {
 
 	src := &ckptSource{source: source{n: 100}, every: 20}
 	c := NewSliced(0, 10) // uncapped: only chaos can evict
-	v := c.Record("w", 0, 100, src.Source())
+	v := record(t, c, "w", 0, 100, src.Source())
 	for pass := 0; pass < 2; pass++ {
 		checkIdentity(t, drain(t, v), 0)
 	}

@@ -51,7 +51,7 @@ func TestStoreWarmRestartZeroRecordings(t *testing.T) {
 
 	cold := &source{n: 100}
 	c1, st1 := withStore(t, dir, 0, 25)
-	checkIdentity(t, drain(t, c1.Record("w", 0, 100, cold.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c1, "w", 0, 100, cold.Source())), 0)
 	if got := cold.records.Load(); got != 1 {
 		t.Fatalf("cold run recorded %d times, want 1", got)
 	}
@@ -63,7 +63,7 @@ func TestStoreWarmRestartZeroRecordings(t *testing.T) {
 	// The restart: fresh cache, fresh store handle, same directory.
 	warm := &source{n: 100}
 	c2, st2 := withStore(t, dir, 0, 25)
-	checkIdentity(t, drain(t, c2.Record("w", 0, 100, warm.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c2, "w", 0, 100, warm.Source())), 0)
 	if got := warm.records.Load(); got != 0 {
 		t.Fatalf("warm run recorded %d times, want 0", got)
 	}
@@ -89,7 +89,7 @@ func TestStoreDemoteThenPromote(t *testing.T) {
 	// Cap below one 25-inst slice's footprint: every pin evicts its
 	// predecessor, so a second replay walks entirely through the store.
 	c, _ := withStore(t, t.TempDir(), 25*instBytes, 25)
-	v := c.Record("w", 0, 100, src.Source())
+	v := record(t, c, "w", 0, 100, src.Source())
 	checkIdentity(t, drain(t, v), 0)
 	checkIdentity(t, drain(t, v), 0)
 	if got := src.ranges.Load(); got != 0 {
@@ -111,7 +111,7 @@ func TestStoreCorruptionFallsBackByteIdentically(t *testing.T) {
 	dir := t.TempDir()
 	cold := &source{n: 100}
 	c1, st1 := withStore(t, dir, 0, 25)
-	want := drain(t, c1.Record("w", 0, 100, cold.Source()))
+	want := drain(t, record(t, c1, "w", 0, 100, cold.Source()))
 	st1.Close()
 
 	files := storedSliceFiles(t, dir)
@@ -129,7 +129,7 @@ func TestStoreCorruptionFallsBackByteIdentically(t *testing.T) {
 
 	warm := &source{n: 100}
 	c2, _ := withStore(t, dir, 0, 25)
-	got := drain(t, c2.Record("w", 0, 100, warm.Source()))
+	got := drain(t, record(t, c2, "w", 0, 100, warm.Source()))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("byte divergence at inst %d after corruption fallback", i)
@@ -146,7 +146,7 @@ func TestStoreCorruptionFallsBackByteIdentically(t *testing.T) {
 	// promotes everything again.
 	again := &source{n: 100}
 	c3, _ := withStore(t, dir, 0, 25)
-	checkIdentity(t, drain(t, c3.Record("w", 0, 100, again.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c3, "w", 0, 100, again.Source())), 0)
 	if c3.Stats().DiskSliceHits != 4 {
 		t.Fatal("re-recorded slice was not written back to the store")
 	}
@@ -159,7 +159,7 @@ func TestStoreCorruptHeaderFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	cold := &source{n: 100}
 	c1, st1 := withStore(t, dir, 0, 25)
-	drain(t, c1.Record("w", 0, 100, cold.Source()))
+	drain(t, record(t, c1, "w", 0, 100, cold.Source()))
 	st1.Close()
 
 	var header string
@@ -178,7 +178,7 @@ func TestStoreCorruptHeaderFallsBack(t *testing.T) {
 
 	warm := &source{n: 100}
 	c2, st2 := withStore(t, dir, 0, 25)
-	checkIdentity(t, drain(t, c2.Record("w", 0, 100, warm.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c2, "w", 0, 100, warm.Source())), 0)
 	if got := warm.records.Load(); got != 1 {
 		t.Fatalf("header reject must force a recording, got %d", got)
 	}
@@ -190,17 +190,17 @@ func TestStoreCorruptHeaderFallsBack(t *testing.T) {
 	}
 }
 
-// TestStoreWholeTraceGranularity exercises the store under a source
-// with no Range callback (single-slice entries).
+// TestStoreWholeTraceGranularity exercises the store under a cache with
+// slice granularity 0 (single-slice entries).
 func TestStoreWholeTraceGranularity(t *testing.T) {
 	dir := t.TempDir()
 	cold := &source{n: 80}
-	c1, _ := withStore(t, dir, 0, 25)
-	checkIdentity(t, drain(t, c1.Record("w", 0, 80, cold.WholeSource())), 0)
+	c1, _ := withStore(t, dir, 0, 0)
+	checkIdentity(t, drain(t, record(t, c1, "w", 0, 80, cold.Source())), 0)
 
 	warm := &source{n: 80}
-	c2, _ := withStore(t, dir, 0, 25)
-	checkIdentity(t, drain(t, c2.Record("w", 0, 80, warm.WholeSource())), 0)
+	c2, _ := withStore(t, dir, 0, 0)
+	checkIdentity(t, drain(t, record(t, c2, "w", 0, 80, warm.Source())), 0)
 	if warm.records.Load() != 0 {
 		t.Fatal("whole-trace entry did not warm-start from the store")
 	}
@@ -214,18 +214,18 @@ func TestStoreKeySeparatesGeometry(t *testing.T) {
 	dir := t.TempDir()
 	a := &source{n: 100}
 	c1, _ := withStore(t, dir, 0, 25)
-	drain(t, c1.Record("w", 0, 100, a.Source()))
+	drain(t, record(t, c1, "w", 0, 100, a.Source()))
 
 	b := &source{n: 100}
 	c2, _ := withStore(t, dir, 0, 50) // different slice geometry
-	checkIdentity(t, drain(t, c2.Record("w", 0, 100, b.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c2, "w", 0, 100, b.Source())), 0)
 	if b.records.Load() != 1 {
 		t.Fatal("changed slice geometry served the old store content")
 	}
 
 	d := &source{n: 60}
 	c3, _ := withStore(t, dir, 0, 25) // same geometry, different budget
-	checkIdentity(t, drain(t, c3.Record("w", 0, 60, d.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c3, "w", 0, 60, d.Source())), 0)
 	if d.records.Load() != 1 {
 		t.Fatal("changed budget served the old store content")
 	}
@@ -239,7 +239,7 @@ func TestStoreKeySeparatesGeometry(t *testing.T) {
 func TestStoreConcurrentPromoteDemote(t *testing.T) {
 	src := &source{n: 256}
 	c, _ := withStore(t, t.TempDir(), 32*instBytes, 16)
-	v := c.Record("w", 0, 256, src.Source())
+	v := record(t, c, "w", 0, 256, src.Source())
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {

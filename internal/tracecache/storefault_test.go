@@ -23,7 +23,7 @@ func TestStoreCorruptChaosWarmRunByteIdentical(t *testing.T) {
 	faultinject.Deactivate()
 	ref := &source{n: 100}
 	cRef := NewSliced(0, 25)
-	want := drain(t, cRef.Record("w", 0, 100, ref.Source()))
+	want := drain(t, record(t, cRef, "w", 0, 100, ref.Source()))
 
 	// Corrupting cold run: every write-through lands flipped.
 	if err := faultinject.Activate(seed); err != nil {
@@ -37,7 +37,7 @@ func TestStoreCorruptChaosWarmRunByteIdentical(t *testing.T) {
 	cold := &source{n: 100}
 	c1 := NewSliced(0, 25)
 	c1.SetStore(st1)
-	got := drain(t, c1.Record("w", 0, 100, cold.Source()))
+	got := drain(t, record(t, c1, "w", 0, 100, cold.Source()))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("cold run inst %d differs under corrupt chaos — in-memory bytes touched", i)
@@ -56,7 +56,7 @@ func TestStoreCorruptChaosWarmRunByteIdentical(t *testing.T) {
 	warm := &source{n: 100}
 	c2 := NewSliced(0, 25)
 	c2.SetStore(st2)
-	got = drain(t, c2.Record("w", 0, 100, warm.Source()))
+	got = drain(t, record(t, c2, "w", 0, 100, warm.Source()))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("warm run inst %d differs after corruption fallback", i)

@@ -4,46 +4,34 @@
 // Every figure/table driver materializes the same (workload, input)
 // traces independently, so a full `cmd/experiments -run all` run used to
 // synthesize each trace up to ~10 times. The cache keys recordings on
-// (workload name, input, budget) and deduplicates them two ways:
-//
-//   - Singleflight: concurrent requests for the same key block on one
-//     in-flight recording instead of each recording their own copy.
-//   - Prefix serving: a request whose budget is at most a cached
-//     trace's budget is served a zero-copy prefix view, never a
-//     re-recording.
+// (workload name, input, budget) — every budget is its own entry,
+// because generators scale static structure with the budget (see
+// program.Emitter.Budget), so a shorter trace is not a prefix of a
+// longer one — and concurrent requests for the same key block on one
+// in-flight recording instead of each recording their own copy
+// (singleflight). Within one experiments invocation every driver records
+// at the same configured budget, so each (workload, input) trace is
+// recorded exactly once and `-run all` output stays byte-identical to
+// uncached runs.
 //
 // Storage is slice-granular: a cached trace is a small header plus
 // fixed-size slice entries, each an independently owned (and therefore
 // independently evictable and garbage-collectable) instruction array.
-// Record returns a trace.Replayable view that serves zero-copy
+// RecordCtx returns a trace.Replayable view that serves zero-copy
 // instruction blocks from resident slices; the LRU memory cap evicts
 // cold slices, not whole recordings, so the cache's memory bound is the
 // union of the drivers' live slice working sets instead of N whole
 // traces. A request touching an evicted slice re-materializes exactly
-// that range under per-slice singleflight through the deterministic
-// skim path (Source.Range — reseed from the trace seed, regenerate the
-// prefix without storing it, fill only the missing window), so sharing
-// and eviction stay byte-invisible to every driver.
+// that range under per-slice singleflight through Source.Refill, so
+// sharing and eviction stay byte-invisible to every driver.
 //
-// Refills resume from checkpoints when the recording captured them
-// (Source.Record's second return): the permanent header keeps the
-// checkpoint list, and a refill resumes from the nearest checkpoint at
-// or below the missing window (Source.Resume) instead of skimming the
-// whole prefix — O(window) instead of O(prefix + window). A checkpoint
-// that cannot resume (or a payload that captured none) falls back to
-// the skim path; Stats separates the two regimes (SliceResumes vs
+// A refill resumes from the nearest checkpoint the recording captured
+// at or below the missing window (Source.Record's second return, kept
+// in the permanent header) — O(window). Without one, or when the
+// checkpoint cannot resume, the same callback runs with a nil
+// checkpoint and skims from instruction zero — O(prefix + window), the
+// exact fallback. Stats separates the two regimes (SliceResumes vs
 // SliceSkims).
-//
-// Prefix serving is a truncation of the longer recording — the first b
-// instructions of the same program run — not a re-synthesis at the
-// smaller budget. Generators may scale static structure with the budget
-// (see program.Emitter.Budget), so the two differ in general: sources
-// for such payloads must declare Source.BudgetSensitive, which keys
-// their entries on the budget and turns a smaller-budget request into
-// its own recording rather than a wrong truncated prefix. Within one
-// experiments invocation every driver records at the same configured
-// budget, so either keying records each (workload, input) trace exactly
-// once and `-run all` output stays byte-identical to uncached runs.
 //
 // Counters are exposed as report-friendly Stats for the CLIs to print
 // to stderr (WriteStats, behind the shared -cachestats flag).
@@ -89,10 +77,10 @@ const instBytes = int64(unsafe.Sizeof(trace.Inst{}))
 // tracks a driver's slice-shaped working set instead of whole traces.
 const DefaultSliceInsts = 1 << 18
 
-// Source materializes one deterministic trace for the cache. All
+// Source materializes one deterministic trace for the cache. Both
 // callbacks must derive from the same (generator, seed, budget) triple:
-// Range(lo, hi) and Resume(ck, lo, hi) must reproduce exactly the
-// bytes Record put at [lo, hi).
+// Refill(ck, lo, hi) must reproduce exactly the bytes Record put at
+// [lo, hi).
 type Source struct {
 	// Record materializes the whole trace as consecutive, independently
 	// owned arrays of sliceLen instructions each (the last may be
@@ -105,25 +93,15 @@ type Source struct {
 	// layer enforces this; see DESIGN.md §9).
 	Record func(ctx context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error)
 
-	// Range re-materializes instructions [lo, hi) of the same trace by
-	// skimming the prefix — the refill path of last resort. nil
-	// disables slice granularity for this trace: it is cached as a
-	// single slice and evicts whole.
-	Range func(lo, hi uint64) []trace.Inst
-
-	// Resume re-materializes instructions [lo, hi) starting from a
-	// checkpoint Record captured (ck.At <= lo), making the refill cost
-	// independent of lo. An error (a checkpoint that cannot resume)
-	// falls back to Range; wrong bytes are never served. nil disables
-	// checkpoint resume for this trace.
-	Resume func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error)
-
-	// BudgetSensitive declares that the payload's static structure
-	// scales with the recording budget, so a shorter trace is NOT a
-	// prefix of a longer one (see workload.Spec.BudgetSensitive). The
-	// cache then keys this trace on (name, input, budget) and never
-	// serves it as a truncated prefix of a different budget.
-	BudgetSensitive bool
+	// Refill re-materializes instructions [lo, hi) of the same trace.
+	// ck is a checkpoint Record captured (ck.At <= lo) to resume from,
+	// making the cost independent of lo; an error (a checkpoint that
+	// cannot resume) makes the cache retry with ck == nil. A nil ck
+	// means generate from instruction 0, skimming the prefix — the
+	// refill of last resort. Refills are context-free: a replay must be
+	// able to finish after the recording context is gone, so a nil-ck
+	// failure escalates to the run boundary (engine.Abort).
+	Refill func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error)
 
 	// CkptSpacing is the checkpoint spacing Record captures at (0 =
 	// none, CkptPerSlice = one per cache slice). It only parameterizes
@@ -134,11 +112,8 @@ type Source struct {
 	CkptSpacing uint64
 }
 
-// key identifies one recordable trace. For budget-insensitive sources
-// budget stays zero and one entry per (workload, input) holds the
-// largest budget recorded so far, serving smaller budgets as prefixes;
-// budget-sensitive sources carry their budget in the key, because for
-// them a prefix of a longer recording is not the same trace.
+// key identifies one recordable trace. The budget is part of the
+// identity: a prefix of a longer recording is not the same trace.
 type key struct {
 	name   string
 	input  int
@@ -150,9 +125,8 @@ type key struct {
 // and live for the cache lifetime; only slice arrays are evictable.
 type entry struct {
 	key      key
-	budget   uint64 // budget the recording was requested at
-	total    uint64 // instructions actually recorded (== budget unless the payload ended early)
-	sliceLen uint64 // slice granularity of this entry (== total extent when whole-trace)
+	total    uint64 // instructions actually recorded (== key.budget unless the payload ended early)
+	sliceLen uint64 // slice granularity of this entry (== key.budget when whole-trace)
 	slices   []*sliceEnt
 	// Persistent-store identity: store is non-nil when the cache had a
 	// store attached at recording time, so evicted slices promote from
@@ -162,15 +136,14 @@ type entry struct {
 	// later.
 	skey  tracestore.Key
 	store *tracestore.Store
-	rng   func(lo, hi uint64) []trace.Inst // deterministic skim refill for [lo, hi)
-	// Checkpoint machinery: ckpts (sorted by At, captured during the
-	// first recording) and resume make refills O(window). Both may be
-	// empty/nil — the skim path is always available. Checkpoints live
-	// in the permanent header: a few hundred words per trace, exempt
-	// from the LRU cap like the header itself.
-	ckpts  []program.Checkpoint
-	resume func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error)
-	ready  chan struct{} // closed when slices/total (or err) are set
+	// src.Refill re-materializes evicted slices; ckpts (sorted by At,
+	// captured during the first recording, possibly empty) make those
+	// refills O(window). Checkpoints live in the permanent header: a
+	// few hundred words per trace, exempt from the LRU cap like the
+	// header itself.
+	src   Source
+	ckpts []program.Checkpoint
+	ready chan struct{} // closed when slices/total (or err) are set
 	// err is the leader's terminal failure, set before ready closes. A
 	// cancellation-class err means the leader's caller went away and a
 	// surviving waiter should take over the recording (hand-off); any
@@ -183,18 +156,24 @@ type entry struct {
 // checkpoint when possible and reporting which regime served it.
 // Called without the cache lock held.
 func (e *entry) refill(lo, hi uint64) (data []trace.Inst, resumed bool) {
-	if e.resume != nil {
-		if ck := program.NearestCheckpoint(e.ckpts, lo); ck != nil {
-			if ferr := faultinject.Fail(faultinject.CacheResume); ferr == nil {
-				if data, err := e.resume(ck, lo, hi); err == nil {
-					return data, true
-				}
+	if ck := program.NearestCheckpoint(e.ckpts, lo); ck != nil {
+		if ferr := faultinject.Fail(faultinject.CacheResume); ferr == nil {
+			if data, err := e.src.Refill(ck, lo, hi); err == nil {
+				return data, true
 			}
-			// An unusable checkpoint — or an injected resume fault —
-			// degrades to the exact skim path: slower, same bytes.
 		}
+		// An unusable checkpoint (ErrBadCheckpoint) — or an injected
+		// resume fault — degrades to the exact skim path: slower, same
+		// bytes.
 	}
-	return e.rng(lo, hi), false
+	data, err := e.src.Refill(nil, lo, hi)
+	if err != nil {
+		// A skim cannot be cancelled (refills are context-free), so
+		// only a payload abort lands here; escalate it to the run
+		// boundary rather than serve nothing.
+		engine.Abort(err)
+	}
+	return data, false
 }
 
 // sliceEnt is one independently accounted, independently evictable
@@ -224,7 +203,7 @@ type memoEntry struct {
 }
 
 // Stats are the cache's lifetime counters. Hits+Coalesced+Misses is the
-// total number of Record calls; MemoHits+MemoMisses the Memo calls; the
+// total number of RecordCtx calls; MemoHits+MemoMisses the Memo calls; the
 // Slice* counters track the slice-granular serving underneath.
 type Stats struct {
 	Hits      uint64 // trace served from a completed recording
@@ -316,7 +295,7 @@ func WriteStats(w io.Writer, c *Cache) {
 
 // Cache is a concurrency-safe trace cache. The zero value is not usable;
 // construct with New or NewSliced. A nil *Cache is valid everywhere and
-// disables caching (every Record call records).
+// disables caching (every RecordCtx call records).
 type Cache struct {
 	mu         sync.Mutex
 	maxBytes   int64
@@ -338,7 +317,8 @@ func New(maxBytes int64) *Cache {
 
 // NewSliced is New with an explicit slice granularity in instructions.
 // sliceInsts == 0 disables slice granularity: traces are cached as
-// single slices and evict whole, the pre-slice behaviour.
+// single slices, evict whole and refill with Source.Refill(nil, 0,
+// total).
 func NewSliced(maxBytes int64, sliceInsts uint64) *Cache {
 	c := &Cache{
 		maxBytes:   maxBytes,
@@ -354,7 +334,7 @@ func NewSliced(maxBytes int64, sliceInsts uint64) *Cache {
 // recordings and refills write through to s, evicted slices promote
 // back from it (checksum-verified, zero-copy), and a trace whose
 // header s already holds is restored without recording at all. Call
-// before the first Record — the store key is derived per entry at
+// before the first RecordCtx — the store key is derived per entry at
 // recording time — and close s only after every replay served by this
 // cache has completed. nil detaches; a nil *Cache ignores the call.
 func (c *Cache) SetStore(s *tracestore.Store) {
@@ -384,42 +364,30 @@ func storeKeyFor(name string, input int, budget, sliceLen uint64, src Source) tr
 	}
 }
 
-// Record returns the trace for (name, input) truncated to budget
-// instructions, invoking src to materialize it on a miss. src must
-// produce the deterministic recording for exactly this (name, input,
-// budget) triple; its callbacks run without the cache lock held, so
-// they may be arbitrarily slow and may themselves use the cache under
-// different keys.
-//
-// The returned view replays through resident slices zero-copy and
-// re-materializes evicted slices on demand — resuming from a stored
-// checkpoint when the recording captured one at or below the missing
-// window (Source.Resume), skimming the prefix otherwise (Source.Range)
-// — so replays are byte-identical to an uncached recording under any
-// cap. Concurrent calls for the same key share one recording. For
-// budget-insensitive sources a call whose budget exceeds the resident
-// entry's re-records at the larger budget and replaces it; a
-// budget-sensitive source (Source.BudgetSensitive) keys each budget
-// separately instead, since its traces are not prefix-comparable.
-func (c *Cache) Record(name string, input int, budget uint64, src Source) trace.Replayable {
-	v, err := c.RecordCtx(context.Background(), name, input, budget, src)
-	if err != nil {
-		// The background context cannot cancel, so only a source failure
-		// lands here; escalate it to the run boundary rather than serve
-		// nothing (the legacy surface has no error return).
-		engine.Abort(err)
-	}
-	return v
-}
-
-// canceledErr is the typed error a cancelled Record call returns; it
+// canceledErr is the typed error a cancelled RecordCtx call returns; it
 // classifies as cancellation under engine.IsCancel.
 func canceledErr(ctx context.Context) error {
 	return fmt.Errorf("tracecache: recording canceled: %w", ctx.Err())
 }
 
-// RecordCtx is Record bounded by ctx, with the failure contract of
-// DESIGN.md §9:
+// RecordCtx returns the trace for (name, input, budget), invoking src
+// to materialize it on a miss. src must produce the deterministic
+// recording for exactly this triple; its callbacks run without the
+// cache lock held, so they may be arbitrarily slow and may themselves
+// use the cache under different keys.
+//
+// The returned view replays through resident slices zero-copy and
+// re-materializes evicted slices on demand through src.Refill —
+// resuming from a stored checkpoint when the recording captured one at
+// or below the missing window, skimming the prefix otherwise — so
+// replays are byte-identical to an uncached recording under any cap.
+// Concurrent calls for the same key share one recording.
+//
+// A nil *Cache records with src.Record at DefaultSliceInsts (so a
+// sharded source still shards, at slice granularity) and returns the
+// joined slices as one buffer.
+//
+// ctx bounds the recording, with the failure contract of DESIGN.md §9:
 //
 //   - A caller cancelled while coalesced on another goroutine's
 //     recording detaches immediately with a typed cancellation error;
@@ -442,19 +410,13 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 		ctx = context.Background()
 	}
 	if c == nil {
-		arrs, _, err := src.Record(ctx, 0)
+		arrs, _, err := src.Record(ctx, DefaultSliceInsts)
 		if err != nil {
 			return nil, err
 		}
 		return trace.FromSlice(joinArrays(arrs)), nil
 	}
-	k := key{name: name, input: input}
-	if src.BudgetSensitive {
-		// This payload's structure scales with the budget: a shorter
-		// trace is not a prefix of a longer one, so each budget is its
-		// own trace identity.
-		k.budget = budget
-	}
+	k := key{name: name, input: input, budget: budget}
 	c.mu.Lock()
 	for {
 		if ctx.Err() != nil {
@@ -465,73 +427,43 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 		if e == nil {
 			break
 		}
-		if e.slices == nil {
-			// In flight on another goroutine. Wait for it; if it was
-			// requested at a sufficient budget it serves this call too,
-			// otherwise loop and re-record larger.
-			sufficient := e.budget >= budget
-			if sufficient {
-				c.stats.Coalesced++
-			}
-			c.mu.Unlock()
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				// Detach: the leader's recording proceeds for the other
-				// waiters; only this caller stops waiting.
-				return nil, canceledErr(ctx)
-			}
-			c.mu.Lock()
-			if e.err != nil && !engine.IsCancel(e.err) {
-				// The leader's failure would fail this call identically.
-				err := e.err
-				c.mu.Unlock()
-				return nil, err
-			}
-			if sufficient && e.slices != nil {
-				v := viewOf(c, e, budget)
-				c.mu.Unlock()
-				return v, nil
-			}
-			// Leader cancelled (hand-off: the loop re-enters and this
-			// caller may take over), recorded too small, or panicked:
-			// retry.
-			continue
-		}
-		if e.budget >= budget {
+		if e.slices != nil {
 			c.stats.Hits++
-			v := viewOf(c, e, budget)
+			v := viewOf(c, e)
 			c.mu.Unlock()
 			return v, nil
 		}
-		// Resident but recorded at a smaller budget: drop it and
-		// re-record at the larger one.
-		c.drop(e)
-		break
+		// In flight on another goroutine: wait for it to serve this
+		// call too.
+		c.stats.Coalesced++
+		c.mu.Unlock()
+		select {
+		case <-e.ready:
+		case <-ctx.Done():
+			// Detach: the leader's recording proceeds for the other
+			// waiters; only this caller stops waiting.
+			return nil, canceledErr(ctx)
+		}
+		c.mu.Lock()
+		if e.err != nil && !engine.IsCancel(e.err) {
+			// The leader's failure would fail this call identically.
+			err := e.err
+			c.mu.Unlock()
+			return nil, err
+		}
+		if e.slices != nil {
+			v := viewOf(c, e)
+			c.mu.Unlock()
+			return v, nil
+		}
+		// Leader cancelled (hand-off: the loop re-enters and this
+		// caller may take over) or panicked: retry.
 	}
 
-	e := &entry{key: k, budget: budget, ready: make(chan struct{})}
+	e := &entry{key: k, src: src, ready: make(chan struct{})}
 	e.sliceLen = c.sliceInsts
-	if e.sliceLen == 0 || e.sliceLen > budget || src.Range == nil {
+	if e.sliceLen == 0 || e.sliceLen > budget {
 		e.sliceLen = budget
-	}
-	e.rng = src.Range
-	e.resume = src.Resume
-	if e.rng == nil {
-		// Whole-trace granularity: the single slice refills through a
-		// full re-recording. Refills are deliberately context-free (a
-		// replay must be able to finish after the recording context is
-		// gone); a failure escalates to the run boundary.
-		record := src.Record
-		e.rng = func(lo, hi uint64) []trace.Inst {
-			//lint:ignore ctxflow refills are deliberately context-free per the comment above: a replay must be able to finish after the recording context is gone
-			arrs, _, err := record(context.Background(), 0)
-			if err != nil {
-				engine.Abort(err)
-			}
-			return joinArrays(arrs)[lo:hi]
-		}
-		e.resume = nil
 	}
 	if c.store != nil && budget > 0 {
 		e.store = c.store
@@ -580,7 +512,7 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 			if c.entries[k] == e {
 				c.stats.Entries++
 			}
-			v := viewOf(c, e, budget)
+			v := viewOf(c, e)
 			c.mu.Unlock()
 			return v, nil
 		} else if errors.Is(herr, tracestore.ErrReject) {
@@ -641,7 +573,7 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 		c.stats.Entries++
 		c.evictLocked()
 	}
-	v := viewOf(c, e, budget)
+	v := viewOf(c, e)
 	total := e.total
 	c.mu.Unlock()
 
@@ -838,24 +770,6 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// drop removes a resident entry and all its resident slices from the
-// map and LRU (caller holds mu). Views already handed out keep working:
-// they hold the entry and re-materialize through its rng, un-accounted.
-func (c *Cache) drop(e *entry) {
-	if c.entries[e.key] == e {
-		delete(c.entries, e.key)
-		c.stats.Entries--
-	}
-	for _, se := range e.slices {
-		if se.elem != nil {
-			c.lru.Remove(se.elem)
-			se.elem = nil
-			c.bytes -= se.bytes
-			c.stats.Slices--
-		}
-	}
-}
-
 // evictLocked enforces the memory cap, least-recently-used slice first
 // (caller holds mu). In-flight slices are never in the LRU list and so
 // are never evicted. Streams holding an evicted slice's array keep it
@@ -897,7 +811,7 @@ func (c *Cache) evictLocked() {
 }
 
 // joinArrays concatenates per-slice arrays into one (zero-copy for the
-// single-array case) — the nil-cache and whole-trace fallback.
+// single-array case) — the nil-cache path.
 func joinArrays(arrs [][]trace.Inst) []trace.Inst {
 	if len(arrs) == 1 {
 		return arrs[0]
@@ -913,15 +827,10 @@ func joinArrays(arrs [][]trace.Inst) []trace.Inst {
 	return out
 }
 
-// viewOf serves a request of the given budget from e (caller holds mu).
-// Budgets at or above the recorded length get the whole trace; smaller
-// budgets get a prefix view — both zero-copy window descriptors.
-func viewOf(c *Cache, e *entry, budget uint64) *view {
-	n := e.total
-	if budget < n {
-		n = budget
-	}
-	return &view{c: c, e: e, off: 0, n: int(n)}
+// viewOf serves the whole recording of e as a zero-copy window
+// descriptor (caller holds mu).
+func viewOf(c *Cache, e *entry) *view {
+	return &view{c: c, e: e, n: int(e.total)}
 }
 
 // view is a trace.Replayable window [off, off+n) of a cached trace. It

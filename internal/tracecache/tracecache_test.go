@@ -2,7 +2,7 @@ package tracecache
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,19 +49,22 @@ func (s *source) Source() Source {
 			}
 			return out, nil, nil
 		},
-		Range: func(lo, hi uint64) []trace.Inst {
+		Refill: func(_ *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
 			s.ranges.Add(1)
-			return mkInsts(int(lo), int(hi))
+			return mkInsts(int(lo), int(hi)), nil
 		},
 	}
 }
 
-// WholeSource is Source without range re-materialization: the cache
-// must fall back to whole-trace granularity for it.
-func (s *source) WholeSource() Source {
-	src := s.Source()
-	src.Range = nil
-	return src
+// record is RecordCtx under the background context, failing the test
+// on error. Call it from the test goroutine only.
+func record(t *testing.T, c *Cache, name string, input int, budget uint64, src Source) trace.Replayable {
+	t.Helper()
+	v, err := c.RecordCtx(context.Background(), name, input, budget, src)
+	if err != nil {
+		t.Fatalf("RecordCtx(%s/%d/%d): %v", name, input, budget, err)
+	}
+	return v
 }
 
 func drain(t *testing.T, tr trace.Replayable) []uint64 {
@@ -85,51 +88,6 @@ func checkIdentity(t *testing.T, vals []uint64, lo int) {
 		if v != uint64(lo+i) {
 			t.Fatalf("inst %d has value %d, want %d", i, v, lo+i)
 		}
-	}
-}
-
-func TestPrefixServing(t *testing.T) {
-	c := New(0)
-	src := &source{n: 100}
-	full := c.Record("w", 0, 100, src.Source())
-	if full.Len() != 100 {
-		t.Fatalf("full recording has %d insts, want 100", full.Len())
-	}
-	half := c.Record("w", 0, 50, src.Source())
-	if got := src.records.Load(); got != 1 {
-		t.Fatalf("recorder ran %d times, want 1 (prefix must be served from cache)", got)
-	}
-	if half.Len() != 50 {
-		t.Fatalf("prefix has %d insts, want 50", half.Len())
-	}
-	checkIdentity(t, drain(t, half), 0)
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want 1 miss, 1 hit, 1 entry", st)
-	}
-}
-
-func TestLargerBudgetReRecords(t *testing.T) {
-	c := New(0)
-	small, large := &source{n: 50}, &source{n: 100}
-	c.Record("w", 0, 50, small.Source())
-	big := c.Record("w", 0, 100, large.Source())
-	if small.records.Load()+large.records.Load() != 2 {
-		t.Fatalf("recorders ran %d+%d times, want 2 total (larger budget must re-record)",
-			small.records.Load(), large.records.Load())
-	}
-	if big.Len() != 100 {
-		t.Fatalf("re-recording has %d insts, want 100", big.Len())
-	}
-	checkIdentity(t, drain(t, big), 0)
-	st := c.Stats()
-	if st.Entries != 1 {
-		t.Fatalf("entries = %d, want 1 (smaller recording replaced)", st.Entries)
-	}
-	// The replacement serves subsequent smaller requests.
-	c.Record("w", 0, 50, small.Source())
-	if small.records.Load() != 1 {
-		t.Fatalf("small recorder ran %d times after replacement hit, want 1", small.records.Load())
 	}
 }
 
@@ -161,7 +119,7 @@ func TestSliceEvictionAccounting(t *testing.T) {
 	// 40-instruction trace in 10-instruction slices, cap = 2 slices.
 	c := NewSliced(2*10*instBytes, 10)
 	src := &source{n: 40}
-	v := c.Record("w", 0, 40, src.Source())
+	v := record(t, c, "w", 0, 40, src.Source())
 	st := c.Stats()
 	if st.Slices != 2 || st.SliceEvictions != 2 {
 		t.Fatalf("after insert: %d slices resident, %d evicted; want 2 and 2", st.Slices, st.SliceEvictions)
@@ -210,7 +168,7 @@ func TestEvictedSliceReRecordByteIdentity(t *testing.T) {
 		// Cap of one slice: every replay step evicts its predecessor.
 		c := NewSliced(int64(sliceLen)*instBytes, sliceLen)
 		src := &source{n: n}
-		v := c.Record("w", 0, n, src.Source())
+		v := record(t, c, "w", 0, n, src.Source())
 		for pass := 0; pass < 2; pass++ {
 			checkIdentity(t, drain(t, v), 0)
 		}
@@ -227,18 +185,20 @@ func TestEvictedSliceReRecordByteIdentity(t *testing.T) {
 	}
 }
 
-// TestWholeTraceGranularityNoRange: a Source without Range caches as a
-// single slice and refills through a full re-recording.
-func TestWholeTraceGranularityNoRange(t *testing.T) {
-	c := NewSliced(10*instBytes, 10) // cap smaller than the trace
-	src := &source{n: 100}
-	v := c.Record("w", 0, 100, src.WholeSource())
+// TestWholeTraceGranularityZeroSlice: a cache built with slice
+// granularity 0 holds each trace as a single slice and refills it whole
+// with one skim from instruction zero.
+func TestWholeTraceGranularityZeroSlice(t *testing.T) {
+	c := NewSliced(10*instBytes, 0) // cap smaller than the trace
+	src := &ckptSource{source: source{n: 100}, every: 25}
+	v := record(t, c, "w", 0, 100, src.Source())
 	checkIdentity(t, drain(t, v), 0)
-	if src.records.Load() != 2 {
-		t.Fatalf("recorder ran %d times, want 2 (initial + whole-trace refill)", src.records.Load())
+	if src.records.Load() != 1 || src.skims.Load() != 1 || src.resumes.Load() != 0 {
+		t.Fatalf("records=%d skims=%d resumes=%d, want 1 recording and 1 whole-trace skim",
+			src.records.Load(), src.skims.Load(), src.resumes.Load())
 	}
-	if st := c.Stats(); st.SliceRerecords != 1 {
-		t.Fatalf("SliceRerecords = %d, want 1", st.SliceRerecords)
+	if st := c.Stats(); st.SliceRerecords != 1 || st.SliceSkims != 1 {
+		t.Fatalf("stats = %+v, want 1 re-record, served by a skim", st)
 	}
 }
 
@@ -249,10 +209,10 @@ func TestLRUEviction(t *testing.T) {
 	a := &source{n: 100}
 	b := &source{n: 100}
 	cc := &source{n: 100}
-	drain(t, c.Record("a", 0, 100, a.Source()))
-	drain(t, c.Record("b", 0, 100, b.Source()))
-	drain(t, c.Record("a", 0, 100, a.Source()))  // touch a: b is now LRU
-	drain(t, c.Record("c", 0, 100, cc.Source())) // evicts b
+	drain(t, record(t, c, "a", 0, 100, a.Source()))
+	drain(t, record(t, c, "b", 0, 100, b.Source()))
+	drain(t, record(t, c, "a", 0, 100, a.Source()))  // touch a: b is now LRU
+	drain(t, record(t, c, "c", 0, 100, cc.Source())) // evicts b
 	st := c.Stats()
 	if st.SliceEvictions != 1 || st.Slices != 2 {
 		t.Fatalf("stats = %+v, want 1 slice eviction and 2 resident slices", st)
@@ -261,12 +221,12 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("bytes in use %d, want %d", st.BytesInUse, 2*100*instBytes)
 	}
 	// a survived (recently pinned): replaying it re-records nothing.
-	drain(t, c.Record("a", 0, 100, a.Source()))
+	drain(t, record(t, c, "a", 0, 100, a.Source()))
 	if r := a.ranges.Load() + a.records.Load(); r != 1 {
 		t.Fatalf("a recorded %d times total, want 1 (should have survived)", r)
 	}
 	// b was evicted: replaying it re-materializes.
-	drain(t, c.Record("b", 0, 100, b.Source()))
+	drain(t, record(t, c, "b", 0, 100, b.Source()))
 	if b.ranges.Load() == 0 {
 		t.Fatal("b should have been evicted and re-recorded on replay")
 	}
@@ -279,7 +239,7 @@ func TestCapSmallerThanOneTrace(t *testing.T) {
 	c := NewSliced(10*instBytes, 100)
 	src := &source{n: 100}
 	for i := 0; i < 3; i++ {
-		v := c.Record("w", 0, 100, src.Source())
+		v := record(t, c, "w", 0, 100, src.Source())
 		if v.Len() != 100 {
 			t.Fatalf("iteration %d: got %d insts, want 100", i, v.Len())
 		}
@@ -304,7 +264,7 @@ func TestCappedResidencyBelowWholeTrace(t *testing.T) {
 	cap := int64(3 * 100 * instBytes) // 3 of 10 slices
 	c := NewSliced(cap, 100)
 	src := &source{n: n}
-	v := c.Record("w", 0, n, src.Source())
+	v := record(t, c, "w", 0, n, src.Source())
 	whole := int64(n) * instBytes
 	bs := v.BlockStream(64)
 	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
@@ -326,7 +286,12 @@ func TestSingleflight(t *testing.T) {
 		go func(g int) {
 			defer done.Done()
 			start.Wait()
-			lens[g] = c.Record("w", 0, 5000, src.Source()).Len()
+			v, err := c.RecordCtx(context.Background(), "w", 0, 5000, src.Source())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			lens[g] = v.Len()
 		}(g)
 	}
 	start.Done()
@@ -351,7 +316,7 @@ func TestSingleflight(t *testing.T) {
 func TestConcurrentEvictedReplay(t *testing.T) {
 	c := NewSliced(16*instBytes, 16)
 	src := &source{n: 256}
-	v := c.Record("w", 0, 256, src.Source())
+	v := record(t, c, "w", 0, 256, src.Source())
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -387,8 +352,12 @@ func TestConcurrentMixedKeys(t *testing.T) {
 				name = "odd"
 			}
 			src := &source{n: 1000}
-			v := c.Record(name, g%4/2, 1000, src.Source())
+			v, err := c.RecordCtx(context.Background(), name, g%4/2, 1000, src.Source())
 			records.Add(src.records.Load())
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			if v.Len() != 1000 {
 				t.Errorf("bad recording length %d", v.Len())
 			}
@@ -422,7 +391,7 @@ func TestMemoFromRematerializedSlices(t *testing.T) {
 
 	c := NewSliced(10*instBytes, 10) // one-slice cap: everything evicts
 	src := &source{n: 100}
-	v := c.Record("w", 0, 100, src.Source())
+	v := record(t, c, "w", 0, 100, src.Source())
 	var computes atomic.Int64
 	got := c.Memo("sum/w/0", func() any {
 		computes.Add(1)
@@ -497,7 +466,7 @@ func TestNilCachePassthrough(t *testing.T) {
 	var c *Cache
 	src := &source{n: 10}
 	for i := 0; i < 2; i++ {
-		if v := c.Record("w", 0, 10, src.Source()); v.Len() != 10 {
+		if v := record(t, c, "w", 0, 10, src.Source()); v.Len() != 10 {
 			t.Fatal("nil cache must pass recordings through")
 		}
 	}
@@ -512,8 +481,8 @@ func TestNilCachePassthrough(t *testing.T) {
 func TestStatsRendering(t *testing.T) {
 	c := New(1 << 20)
 	src := &source{n: 10}
-	c.Record("w", 0, 10, src.Source())
-	c.Record("w", 0, 10, src.Source())
+	record(t, c, "w", 0, 10, src.Source())
+	record(t, c, "w", 0, 10, src.Source())
 	st := c.Stats()
 	if st.String() == "" {
 		t.Fatal("empty String rendering")
@@ -531,14 +500,14 @@ func TestStatsRendering(t *testing.T) {
 }
 
 // ckptSource is a counting Source over the same deterministic trace
-// with fake checkpoints every `every` instructions and a Resume path,
-// mirroring what a checkpointed workload recording provides.
+// with fake checkpoints every `every` instructions and a resuming
+// Refill, mirroring what a checkpointed workload recording provides.
 type ckptSource struct {
 	source
 	every   int
-	resumes atomic.Int64 // refills served via Resume
-	skims   atomic.Int64 // refills that fell back to Range
-	fail    bool         // make Resume fail, forcing the fallback
+	resumes atomic.Int64 // refills served from a checkpoint
+	skims   atomic.Int64 // refills that skimmed from zero (nil checkpoint)
+	fail    bool         // make every checkpoint fail, forcing the fallback
 }
 
 func (s *ckptSource) Source() Source {
@@ -554,32 +523,32 @@ func (s *ckptSource) Source() Source {
 		}
 		return arrs, cks, nil
 	}
-	src.Resume = func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
+	skim := src.Refill
+	src.Refill = func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
+		if ck == nil {
+			s.skims.Add(1)
+			return skim(nil, lo, hi)
+		}
 		if ck.At > lo {
-			return nil, errors.New("checkpoint past window")
+			return nil, fmt.Errorf("%w: checkpoint past window", program.ErrBadCheckpoint)
 		}
 		if s.fail {
-			return nil, errors.New("unusable checkpoint")
+			return nil, fmt.Errorf("%w: unusable checkpoint", program.ErrBadCheckpoint)
 		}
 		s.resumes.Add(1)
 		return mkInsts(int(lo), int(hi)), nil
-	}
-	origRange := src.Range
-	src.Range = func(lo, hi uint64) []trace.Inst {
-		s.skims.Add(1)
-		return origRange(lo, hi)
 	}
 	return src
 }
 
 // TestCheckpointResumeRefill: with checkpoints in the header, evicted
-// slices past the first checkpoint refill through Resume; the counters
+// slices past the first checkpoint refill from a checkpoint; the counters
 // separate resumes from skims and the bytes stay identical.
 func TestCheckpointResumeRefill(t *testing.T) {
 	// 100-inst trace, 10-inst slices, one-slice cap: every pin refills.
 	src := &ckptSource{source: source{n: 100}, every: 25}
 	c := NewSliced(10*instBytes, 10)
-	v := c.Record("w", 0, 100, src.Source())
+	v := record(t, c, "w", 0, 100, src.Source())
 	checkIdentity(t, drain(t, v), 0)
 	st := c.Stats()
 	if st.SliceRerecords == 0 {
@@ -607,11 +576,11 @@ func TestCheckpointResumeRefill(t *testing.T) {
 func TestCheckpointResumeFailureFallsBack(t *testing.T) {
 	src := &ckptSource{source: source{n: 100}, every: 20, fail: true}
 	c := NewSliced(10*instBytes, 10)
-	v := c.Record("w", 0, 100, src.Source())
+	v := record(t, c, "w", 0, 100, src.Source())
 	checkIdentity(t, drain(t, v), 0)
 	st := c.Stats()
 	if st.SliceResumes != 0 {
-		t.Fatalf("failing Resume still counted %d resumes", st.SliceResumes)
+		t.Fatalf("failing checkpoints still counted %d resumes", st.SliceResumes)
 	}
 	if st.SliceSkims == 0 || st.SliceSkims != st.SliceRerecords {
 		t.Fatalf("all refills should have skimmed (stats %+v)", st)
@@ -623,7 +592,7 @@ func TestCheckpointResumeFailureFallsBack(t *testing.T) {
 func TestConcurrentCheckpointResume(t *testing.T) {
 	src := &ckptSource{source: source{n: 256}, every: 16}
 	c := NewSliced(16*instBytes, 16)
-	v := c.Record("w", 0, 256, src.Source())
+	v := record(t, c, "w", 0, 256, src.Source())
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -649,8 +618,9 @@ func TestConcurrentCheckpointResume(t *testing.T) {
 }
 
 // budgetSource synthesizes a trace whose content depends on the budget
-// — the payload shape that makes prefix serving wrong (see
-// Source.BudgetSensitive). DstValue encodes (budget, index).
+// — the payload shape that makes prefix serving wrong (every workload
+// generator scales its static structure with the budget). DstValue
+// encodes (budget, index).
 type budgetSource struct {
 	budget  int
 	records atomic.Int64
@@ -667,29 +637,29 @@ func (s *budgetSource) insts(lo, hi int) []trace.Inst {
 
 func (s *budgetSource) Source() Source {
 	return Source{
-		BudgetSensitive: true,
 		Record: func(context.Context, uint64) ([][]trace.Inst, []program.Checkpoint, error) {
 			s.records.Add(1)
 			return [][]trace.Inst{s.insts(0, s.budget)}, nil, nil
 		},
-		Range: func(lo, hi uint64) []trace.Inst { return s.insts(int(lo), int(hi)) },
+		Refill: func(_ *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
+			return s.insts(int(lo), int(hi)), nil
+		},
 	}
 }
 
-// TestBudgetSensitiveNotServedPrefix is the regression test for the
-// prefix-serving hazard: a budget-sensitive payload requested at a
-// smaller budget than a cached recording must get its own recording at
-// that budget, not a truncated prefix of the larger one — the two
-// traces differ byte-for-byte for such payloads. (Before the fix the
-// cache keyed only on (name, input) and served the wrong prefix.)
+// TestBudgetSensitiveNotServedPrefix guards the cache key: each budget
+// is its own entry. A trace requested at a smaller budget than a cached
+// recording must get its own recording at that budget, not a truncated
+// prefix of the larger one — the two traces differ byte-for-byte for
+// payloads whose structure scales with the budget.
 func TestBudgetSensitiveNotServedPrefix(t *testing.T) {
 	c := New(0)
 	big := &budgetSource{budget: 100}
 	small := &budgetSource{budget: 50}
-	c.Record("w", 0, 100, big.Source())
-	half := c.Record("w", 0, 50, small.Source())
+	record(t, c, "w", 0, 100, big.Source())
+	half := record(t, c, "w", 0, 50, small.Source())
 	if small.records.Load() != 1 {
-		t.Fatalf("smaller budget was served without recording (%d recordings): truncated prefix of a budget-sensitive trace",
+		t.Fatalf("smaller budget was served without recording (%d recordings): truncated prefix of a larger trace",
 			small.records.Load())
 	}
 	if half.Len() != 50 {
@@ -704,8 +674,8 @@ func TestBudgetSensitiveNotServedPrefix(t *testing.T) {
 		}
 	}
 	// Each budget is its own entry; repeat requests at either budget hit.
-	c.Record("w", 0, 100, big.Source())
-	c.Record("w", 0, 50, small.Source())
+	record(t, c, "w", 0, 100, big.Source())
+	record(t, c, "w", 0, 50, small.Source())
 	if big.records.Load() != 1 || small.records.Load() != 1 {
 		t.Fatalf("repeat requests re-recorded (big=%d small=%d)", big.records.Load(), small.records.Load())
 	}

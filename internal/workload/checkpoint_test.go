@@ -20,9 +20,9 @@ func TestCheckpointResumeByteIdenticalAllWorkloads(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			want := s.Record(0, budget)
+			want := mustRecord(t, s, 0, budget)
 			for _, every := range spacings {
-				arrs, cks := s.RecordSlices(0, budget, sliceLen, nil, 1, every)
+				arrs, cks := mustSlices(t, s, 0, budget, sliceLen, nil, 1, every)
 				assertJoinEquals(t, arrs, want, s.Name)
 				if every > budget {
 					if len(cks) != 0 {
@@ -62,19 +62,19 @@ func TestCheckpointResumeByteIdenticalAllWorkloads(t *testing.T) {
 }
 
 // Checkpoint capture must not depend on the shard count, and sharded
-// re-recording from checkpoints must assemble the identical trace.
+// checkpointed recording must assemble the identical trace.
 func TestCheckpointShardedRecordingByteIdentical(t *testing.T) {
 	const budget = 80_000
 	pool := engine.New(4)
 	for _, name := range []string{"605.mcf_s", "game"} {
 		s := mustSpec(t, name)
-		want := s.Record(0, budget)
-		arrs, cks := s.RecordSlices(0, budget, 20_000, nil, 1, 20_000)
+		want := mustRecord(t, s, 0, budget)
+		arrs, cks := mustSlices(t, s, 0, budget, 20_000, nil, 1, 20_000)
 		assertJoinEquals(t, arrs, want, name)
 		if len(cks) == 0 {
 			t.Fatalf("%s: no checkpoints captured", name)
 		}
-		_, shardedCks := s.RecordSlices(0, budget, 20_000, pool, 4, 20_000)
+		_, shardedCks := mustSlices(t, s, 0, budget, 20_000, pool, 4, 20_000)
 		if len(shardedCks) != len(cks) {
 			t.Fatalf("%s: sharded capture found %d checkpoints, sequential %d", name, len(shardedCks), len(cks))
 		}
@@ -84,15 +84,8 @@ func TestCheckpointShardedRecordingByteIdentical(t *testing.T) {
 			}
 		}
 		for _, shards := range []int{2, 5} {
-			got := s.RecordShardedFrom(0, budget, pool, shards, cks)
-			if got.Len() != want.Len() {
-				t.Fatalf("%s shards=%d: length %d, want %d", name, shards, got.Len(), want.Len())
-			}
-			for i := 0; i < want.Len(); i++ {
-				if got.At(i) != want.At(i) {
-					t.Fatalf("%s shards=%d: instruction %d differs", name, shards, i)
-				}
-			}
+			arrs, _ := mustSlices(t, s, 0, budget, 20_000, pool, shards, 20_000)
+			assertJoinEquals(t, arrs, want, name+" sharded")
 		}
 	}
 }
@@ -121,7 +114,7 @@ func assertJoinEquals(t *testing.T, arrs [][]trace.Inst, want *trace.Buffer, lab
 func TestCheckpointIsTripleSpecific(t *testing.T) {
 	s := mustSpec(t, "605.mcf_s")
 	const budget = 60_000
-	_, cks := s.RecordSlices(0, budget, 15_000, nil, 1, 15_000)
+	_, cks := mustSlices(t, s, 0, budget, 15_000, nil, 1, 15_000)
 	if len(cks) == 0 {
 		t.Fatal("no checkpoints")
 	}
@@ -132,7 +125,7 @@ func TestCheckpointIsTripleSpecific(t *testing.T) {
 	// triple. Resume may succeed mechanically — verify we are NOT
 	// byte-identical to the other budget's reference, i.e. the test
 	// above is not vacuously passing.
-	other := s.Record(0, budget*2)
+	other := mustRecord(t, s, 0, budget*2)
 	got, err := s.RecordRangeFrom(0, budget*2, ck, ck.At, ck.At+2000)
 	if err != nil {
 		return // rejected outright: equally acceptable

@@ -73,88 +73,39 @@ func (s *Spec) StreamCtx(ctx context.Context, input int, budget uint64) trace.St
 	return program.RunCtx(ctx, s.seed(input), budget, s.Payload(input))
 }
 
-// Record materializes the trace for one input.
-func (s *Spec) Record(input int, budget uint64) *trace.Buffer {
-	return program.Record(s.seed(input), budget, s.Payload(input))
-}
-
-// RecordCtx is Record bounded by ctx; on cancellation or payload
-// failure it returns a typed error and no buffer.
+// RecordCtx materializes the trace for one input; on cancellation or
+// payload failure it returns a typed error and no buffer.
 func (s *Spec) RecordCtx(ctx context.Context, input int, budget uint64) (*trace.Buffer, error) {
 	return program.RecordCtx(ctx, s.seed(input), budget, s.Payload(input))
 }
 
-// RecordSharded materializes the same trace Record produces, generating
-// disjoint instruction ranges on pool workers (program.RecordSharded).
-// The result is byte-identical to Record at any shard count.
-func (s *Spec) RecordSharded(input int, budget uint64, pool *engine.Pool, shards int) *trace.Buffer {
-	return program.RecordSharded(s.seed(input), budget, s.Payload(input), pool, shards)
-}
-
-// RecordShardedFrom is RecordSharded resuming each worker from the
-// nearest checkpoint at or below its range start
-// (program.RecordShardedFrom): with checkpoints from a prior
-// checkpointed recording of the same (input, budget), workers no
-// longer skim overlapping prefixes — re-recording is embarrassingly
-// parallel. Byte-identical to Record for any checkpoint list.
-func (s *Spec) RecordShardedFrom(input int, budget uint64, pool *engine.Pool, shards int, ckpts []program.Checkpoint) *trace.Buffer {
-	return program.RecordShardedFrom(s.seed(input), budget, s.Payload(input), pool, shards, ckpts)
-}
-
-// RecordShardedFromCtx is RecordShardedFrom bounded by ctx: shard
-// workers check cancellation at byte-safe points and a cancelled
-// recording returns a typed error, never a partial buffer.
-func (s *Spec) RecordShardedFromCtx(ctx context.Context, input int, budget uint64, pool *engine.Pool, shards int, ckpts []program.Checkpoint) (*trace.Buffer, error) {
-	return program.RecordShardedFromCtx(ctx, s.seed(input), budget, s.Payload(input), pool, shards, ckpts)
-}
-
-// RecordSlices materializes the same trace Record produces as
-// independently owned arrays of sliceLen instructions each — the
-// slice-granular trace cache's ingest path (program.RecordSlices).
-// Concatenated, the arrays are byte-identical to Record at any
-// (sliceLen, shards) combination. ckptEvery > 0 also captures payload
-// checkpoints at that spacing; every registered generator is
-// checkpointable, so the cache can later refill evicted slices in
-// O(window) via RecordRangeFrom.
-func (s *Spec) RecordSlices(input int, budget, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []program.Checkpoint) {
-	return program.RecordSlices(s.seed(input), budget, s.Payload(input), sliceLen, pool, shards, ckptEvery)
-}
-
-// RecordSlicesCtx is RecordSlices bounded by ctx — the cache's
-// recording callback (CacheSource wires it into Source.Record).
-// Cancellation or payload failure returns a typed error; partial
-// slice arrays are never returned.
+// RecordSlicesCtx materializes the same trace RecordCtx produces as
+// independently owned arrays of sliceLen instructions each, generated
+// on up to shards pool workers — the slice-granular trace cache's
+// ingest path (program.RecordSlicesCtx; CacheSource wires it into
+// Source.Record). Concatenated, the arrays are byte-identical to
+// RecordCtx at any (sliceLen, shards) combination. ckptEvery > 0 also
+// captures payload checkpoints at that spacing; every registered
+// generator is checkpointable, so the cache can later refill evicted
+// slices in O(window) via RecordRangeFrom. Cancellation or payload
+// failure returns a typed error; partial slice arrays are never
+// returned.
 func (s *Spec) RecordSlicesCtx(ctx context.Context, input int, budget, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []program.Checkpoint, error) {
 	return program.RecordSlicesCtx(ctx, s.seed(input), budget, s.Payload(input), sliceLen, pool, shards, ckptEvery)
 }
 
-// RecordRange re-materializes instructions [lo, hi) of one input's
-// trace at the given budget (program.RecordRange): the trace replays
-// deterministically from its seed, the prefix is skimmed without being
-// stored, and only the requested window allocates. Byte-identical to
-// the same range of Record's output.
-func (s *Spec) RecordRange(input int, budget, lo, hi uint64) []trace.Inst {
-	return program.RecordRange(s.seed(input), budget, s.Payload(input), lo, hi)
-}
-
-// RecordRangeFrom is RecordRange resuming from ck
-// (program.RecordRangeFrom): generation starts at ck.At instead of
-// instruction zero, making the window cost independent of lo. The
-// checkpoint must come from a checkpointed recording of the same
-// (input, budget); on any mismatch the call fails (typed error, never
-// wrong bytes) and the caller falls back to RecordRange.
+// RecordRangeFrom re-materializes instructions [lo, hi) of one input's
+// trace at the given budget (program.RecordRangeFrom). A nil ck skims:
+// the trace replays deterministically from its seed and the prefix is
+// generated without being stored. A checkpoint from a checkpointed
+// recording of the same (input, budget) starts generation at ck.At
+// instead, making the window cost independent of lo; on any mismatch
+// the call fails (typed error, never wrong bytes) and the caller
+// retries with ck == nil. Either way the window is byte-identical to
+// the same range of RecordCtx's output.
 func (s *Spec) RecordRangeFrom(input int, budget uint64, ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
 	return program.RecordRangeFrom(s.seed(input), budget, s.Payload(input), ck, lo, hi)
 }
-
-// BudgetSensitive reports that this workload's traces are not
-// prefix-comparable across budgets: every registered generator scales
-// static structure with Emitter.Budget (the cold-code footprint, the
-// phase length), so a trace recorded at budget B is not a prefix of
-// the same workload recorded at B' > B. Callers keying recordings in a
-// cache must key on the budget (tracecache.Source.BudgetSensitive)
-// rather than serve truncated prefixes.
-func (s *Spec) BudgetSensitive() bool { return true }
 
 // CkptPerCacheSlice, passed as CacheSource's ckptEvery, captures one
 // checkpoint per cache slice: the spacing follows whatever slice
@@ -166,12 +117,11 @@ const CkptPerCacheSlice = ^uint64(0)
 // this package, shared by the experiments drivers, the facade and the
 // CLIs. Recording runs on pool with the given shard count; ckptEvery
 // is the checkpoint spacing (0 = no checkpoints, CkptPerCacheSlice =
-// one per cache slice). Refills resume from the captured checkpoints
-// (Resume) and fall back to the prefix skim (Range); both regenerate
+// one per cache slice). Refills resume from a captured checkpoint or,
+// with a nil one, skim from instruction zero; both regenerate
 // byte-identical windows.
 func (s *Spec) CacheSource(input int, budget uint64, pool *engine.Pool, shards int, ckptEvery uint64) tracecache.Source {
 	return tracecache.Source{
-		BudgetSensitive: s.BudgetSensitive(),
 		// The spacing is part of the recording's content identity: the
 		// persistent store keys on it (the sentinel value is shared
 		// with tracecache.CkptPerSlice and resolves to the slice
@@ -184,10 +134,7 @@ func (s *Spec) CacheSource(input int, budget uint64, pool *engine.Pool, shards i
 			}
 			return s.RecordSlicesCtx(ctx, input, budget, sliceLen, pool, shards, every)
 		},
-		Range: func(lo, hi uint64) []trace.Inst {
-			return s.RecordRange(input, budget, lo, hi)
-		},
-		Resume: func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
+		Refill: func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
 			return s.RecordRangeFrom(input, budget, ck, lo, hi)
 		},
 	}

@@ -2,10 +2,13 @@ package workload
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"testing"
 
 	"branchlab/internal/core"
 	"branchlab/internal/engine"
+	"branchlab/internal/program"
 	"branchlab/internal/tage"
 	"branchlab/internal/trace"
 	"branchlab/internal/tracecache"
@@ -50,8 +53,8 @@ func TestByName(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	s, _ := ByName("605.mcf_s")
-	a := s.Record(0, 100000)
-	b := s.Record(0, 100000)
+	a := mustRecord(t, s, 0, 100000)
+	b := mustRecord(t, s, 0, 100000)
 	if a.Len() != b.Len() {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
@@ -69,25 +72,18 @@ func TestRecordShardedByteIdentical(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s not found", name)
 		}
-		want := s.Record(0, 120_000)
+		want := mustRecord(t, s, 0, 120_000)
 		for _, shards := range []int{2, 5} {
-			got := s.RecordSharded(0, 120_000, pool, shards)
-			if got.Len() != want.Len() {
-				t.Fatalf("%s shards=%d: length %d, want %d", name, shards, got.Len(), want.Len())
-			}
-			for i := 0; i < want.Len(); i++ {
-				if got.At(i) != want.At(i) {
-					t.Fatalf("%s shards=%d: instruction %d differs", name, shards, i)
-				}
-			}
+			arrs, _ := mustSlices(t, s, 0, 120_000, 20_000, pool, shards, 0)
+			assertJoinEquals(t, arrs, want, fmt.Sprintf("%s shards=%d", name, shards))
 		}
 	}
 }
 
 func TestInputsDiffer(t *testing.T) {
 	s, _ := ByName("605.mcf_s")
-	a := s.Record(0, 50000)
-	b := s.Record(1, 50000)
+	a := mustRecord(t, s, 0, 50000)
+	b := mustRecord(t, s, 1, 50000)
 	same := 0
 	n := a.Len()
 	if b.Len() < n {
@@ -270,12 +266,34 @@ func mustSpec(t *testing.T, name string) *Spec {
 	return s
 }
 
+// mustRecord is Spec.RecordCtx under the background context, failing
+// the test on error.
+func mustRecord(t *testing.T, s *Spec, input int, budget uint64) *trace.Buffer {
+	t.Helper()
+	buf, err := s.RecordCtx(context.Background(), input, budget)
+	if err != nil {
+		t.Fatalf("%s: RecordCtx: %v", s.Name, err)
+	}
+	return buf
+}
+
+// mustSlices is Spec.RecordSlicesCtx under the background context,
+// failing the test on error.
+func mustSlices(t *testing.T, s *Spec, input int, budget, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []program.Checkpoint) {
+	t.Helper()
+	arrs, cks, err := s.RecordSlicesCtx(context.Background(), input, budget, sliceLen, pool, shards, ckptEvery)
+	if err != nil {
+		t.Fatalf("%s: RecordSlicesCtx: %v", s.Name, err)
+	}
+	return arrs, cks
+}
+
 // TestTraceFileRoundTrip stores a realistic workload trace in the BLT1
 // format and verifies the decoded stream drives a predictor to an
 // identical outcome — the offline trace-library workflow of §V-B.
 func TestTraceFileRoundTrip(t *testing.T) {
 	s := mustSpec(t, "602.gcc_s")
-	orig := s.Record(0, 100000)
+	orig := mustRecord(t, s, 0, 100000)
 
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
@@ -316,7 +334,10 @@ func TestStoreRestartReuseAllWorkloads(t *testing.T) {
 		out := make(map[string][]trace.Inst, len(all))
 		for _, s := range all {
 			src := s.CacheSource(0, budget, nil, 1, CkptPerCacheSlice)
-			v := c.Record(s.Name, 0, budget, src)
+			v, err := c.RecordCtx(context.Background(), s.Name, 0, budget, src)
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name, err)
+			}
 			insts := make([]trace.Inst, 0, v.Len())
 			var inst trace.Inst
 			st := v.Stream()
