@@ -2,6 +2,7 @@ package branchlab_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"branchlab"
@@ -99,5 +100,41 @@ func TestFacadeHelperSaveLoad(t *testing.T) {
 	}
 	if !loaded.Quantized() {
 		t.Error("loaded helper not quantized")
+	}
+}
+
+// TestIPCDriverPassCounts runs the four IPC drivers (fig1, fig5, fig7,
+// fig8) on one fresh Quick cache and pins how much work they share.
+// Memo misses count cells: 210 distinct pipeline cells plus 15 H2P
+// screenings, the count perfbench's traced ipc-cold replay requires.
+// Pass misses count per-trace pass tables: one cache/BTB annotation per
+// trace (15) and one outcome stream per (trace, predictor) — TAGE-SC-L
+// 8KB and 64KB on the 9 SPECint-like traces, plus 1024KB on the 6 LCF
+// traces (36).
+func TestIPCDriverPassCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four drivers end to end")
+	}
+	cfg := branchlab.QuickExperimentConfig()
+	cfg.Cache = cfg.NewCache(0)
+	ids := map[string]bool{"fig1": true, "fig5": true, "fig7": true, "fig8": true}
+	for _, r := range branchlab.Experiments() {
+		if !ids[r.ID] {
+			continue
+		}
+		if _, err := branchlab.RunExperiment(context.Background(), r, cfg); err != nil {
+			t.Fatalf("%s: %v", r.ID, err)
+		}
+		delete(ids, r.ID)
+	}
+	if len(ids) != 0 {
+		t.Fatalf("drivers missing from the registry: %v", ids)
+	}
+	st := cfg.Cache.Stats()
+	if st.MemoMisses != 210+15 {
+		t.Errorf("memo misses = %d, want 225 (210 pipeline cells + 15 screenings)", st.MemoMisses)
+	}
+	if st.PassMisses != 15+36 {
+		t.Errorf("pass misses = %d, want 51 (15 annotations + 36 predictor streams)", st.PassMisses)
 	}
 }

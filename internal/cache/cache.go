@@ -81,6 +81,23 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Name returns the configured level name.
 func (c *Cache) Name() string { return c.cfg.Name }
 
+// Latencies returns the latency Access reports when an access hits at
+// each level of the chain below and including c, then when it goes to
+// memory: element i is the sum of the first i+1 levels' hit latencies,
+// plus the memory latency in the last element. Every value Access
+// returns is one of these.
+func (c *Cache) Latencies() []uint64 {
+	var lats []uint64
+	var sum uint64
+	for l := c; ; l = l.lower {
+		sum += l.cfg.HitLat
+		lats = append(lats, sum)
+		if l.lower == nil {
+			return append(lats, sum+l.memLat)
+		}
+	}
+}
+
 // Access looks up addr, filling on miss, and returns the total latency of
 // the access including lower levels.
 func (c *Cache) Access(addr uint64) uint64 {

@@ -112,3 +112,29 @@ func BenchmarkAccess(b *testing.B) {
 		h.L1D.Access(uint64(i*64) & 0xFFFFF)
 	}
 }
+
+func TestLatenciesCoverEveryAccess(t *testing.T) {
+	h := NewHierarchy(DefaultHierarchy())
+	want := []uint64{4, 4 + 8, 4 + 8 + 28, 4 + 8 + 28 + 180}
+	got := h.L1D.Latencies()
+	if len(got) != len(want) {
+		t.Fatalf("L1D latencies = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("L1D latencies = %v, want %v", got, want)
+		}
+	}
+	// Every latency an access reports is one of the listed levels.
+	lats := h.L1I.Latencies()
+	for i := uint64(0); i < 20000; i++ {
+		lat := h.L1I.Access((i * 7919 * 64) & 0x3FFFFFF)
+		found := false
+		for _, l := range lats {
+			found = found || l == lat
+		}
+		if !found {
+			t.Fatalf("access latency %d not in %v", lat, lats)
+		}
+	}
+}

@@ -95,9 +95,18 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
+// ErrBadHelperData is returned (wrapped) when a stream with the BLH1
+// magic does not hold a well-formed model: an implausible geometry, a
+// weight level outside the 2-bit range, or fewer bytes than the
+// geometry needs.
+var ErrBadHelperData = errors.New("cnn: malformed BLH1 helper model")
+
 // ReadModel deserializes a helper model written by WriteTo. The returned
 // model predicts with the stored quantized weights; it cannot be further
-// trained (the float state is not persisted).
+// trained (the float state is not persisted). It reads the weight
+// tables incrementally, so its allocations are bounded by the bytes
+// actually present, never by the geometry the header claims: a short
+// header announcing 2^21 rows costs a few KiB before it fails.
 func ReadModel(r io.Reader) (*Model, error) {
 	br := bufio.NewReader(r)
 	var hdr [4]byte
@@ -107,7 +116,12 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if hdr != helperMagic {
 		return nil, ErrBadHelperFile
 	}
-	readUv := func() (uint64, error) { return binary.ReadUvarint(br) }
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: "+format, append([]any{ErrBadHelperData}, args...)...)
+	}
+	short := func(what string, err error) error {
+		return bad("truncated %s: %v", what, err)
+	}
 	readF32 := func() (float32, error) {
 		var b [4]byte
 		if _, err := io.ReadFull(br, b[:]); err != nil {
@@ -115,58 +129,68 @@ func ReadModel(r io.Reader) (*Model, error) {
 		}
 		return floatFrom(binary.LittleEndian.Uint32(b[:])), nil
 	}
-	var cfg Config
-	vals := make([]uint64, 4)
+	// levels decodes stored weight levels (int8 + 2) into dst.
+	levels := func(dst []int8, src []byte) error {
+		for i, b := range src {
+			if b > 4 {
+				return bad("weight level %d out of range", int(b)-2)
+			}
+			dst[i] = int8(b) - 2
+		}
+		return nil
+	}
+	var vals [4]uint64
 	for i := range vals {
-		v, err := readUv()
+		v, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, err
+			return nil, short("geometry", err)
 		}
 		vals[i] = v
 	}
+	if vals[0] == 0 || vals[1] == 0 || vals[2] == 0 || vals[3] == 0 ||
+		vals[0] > 1<<16 || vals[1] > 1<<20 || vals[2] > 1<<12 || vals[3] > 1<<12 {
+		return nil, bad("implausible geometry histLen=%d buckets=%d filters=%d segments=%d",
+			vals[0], vals[1], vals[2], vals[3])
+	}
+	var cfg Config
 	cfg.HistLen, cfg.Buckets = int(vals[0]), int(vals[1])
 	cfg.Filters, cfg.Segments = int(vals[2]), int(vals[3])
-	if cfg.HistLen <= 0 || cfg.Buckets <= 0 || cfg.Filters <= 0 || cfg.Segments <= 0 ||
-		cfg.HistLen > 1<<16 || cfg.Buckets > 1<<20 || cfg.Filters > 1<<12 || cfg.Segments > 1<<12 {
-		return nil, fmt.Errorf("cnn: implausible helper geometry %+v", cfg)
-	}
 	m := &Model{Cfg: cfg, quantized: true}
 	var err error
 	if m.b, err = readF32(); err != nil {
-		return nil, err
+		return nil, short("bias", err)
 	}
 	if m.scale2, err = readF32(); err != nil {
+		return nil, short("output scale", err)
+	}
+	// q2 (up to 16 MiB by geometry) grows with the bytes read.
+	q2b, err := io.ReadAll(io.LimitReader(br, int64(cfg.Segments*cfg.Filters)))
+	if err != nil {
 		return nil, err
 	}
-	q2b := make([]byte, cfg.Segments*cfg.Filters)
-	if _, err := io.ReadFull(br, q2b); err != nil {
-		return nil, err
+	if len(q2b) != cfg.Segments*cfg.Filters {
+		return nil, short("output weights", io.ErrUnexpectedEOF)
 	}
 	m.q2 = make([]int8, len(q2b))
-	for i, b := range q2b {
-		m.q2[i] = int8(b) - 2
-		if m.q2[i] < -2 || m.q2[i] > 2 {
-			return nil, fmt.Errorf("cnn: weight level %d out of range", m.q2[i])
-		}
+	if err := levels(m.q2, q2b); err != nil {
+		return nil, err
 	}
-	rows := 2 * cfg.Buckets
-	m.scale1 = make([]float32, rows)
-	m.q1 = make([][]int8, rows)
+	// The 2*Buckets rows are appended as they arrive.
 	rb := make([]byte, cfg.Filters)
-	for i := 0; i < rows; i++ {
-		if m.scale1[i], err = readF32(); err != nil {
-			return nil, err
+	for i := 0; i < 2*cfg.Buckets; i++ {
+		scale, err := readF32()
+		if err != nil {
+			return nil, short(fmt.Sprintf("row %d scale", i), err)
 		}
 		if _, err := io.ReadFull(br, rb); err != nil {
+			return nil, short(fmt.Sprintf("row %d weights", i), err)
+		}
+		row := make([]int8, cfg.Filters)
+		if err := levels(row, rb); err != nil {
 			return nil, err
 		}
-		m.q1[i] = make([]int8, cfg.Filters)
-		for j, b := range rb {
-			m.q1[i][j] = int8(b) - 2
-			if m.q1[i][j] < -2 || m.q1[i][j] > 2 {
-				return nil, fmt.Errorf("cnn: weight level %d out of range", m.q1[i][j])
-			}
-		}
+		m.scale1 = append(m.scale1, scale)
+		m.q1 = append(m.q1, row)
 	}
 	return m, nil
 }

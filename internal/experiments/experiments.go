@@ -360,27 +360,58 @@ func screenBranches(cfg Config, s *workload.Spec, input int, tr trace.Replayable
 	return v.rep, v.col
 }
 
-// ipcRun times a trace on the pipeline at the given scale.
-func ipcRun(tr trace.Replayable, scale int, opt pipeline.Options) pipeline.Result {
-	return pipeline.New(pipeline.Skylake().Scaled(scale)).Run(tr.Stream(), opt)
+// regime is a pipeline cell's prediction regime: TAGE-SC-L at kb KB,
+// or perfect prediction when kb is 0, with an optional oracle over the
+// predictor's stream (pipeline.Options.PerfectIPs, MinExecsPerfect).
+// sig names it in the cell's memo key; it must determine the regime
+// uniquely together with (workload, budget, scale).
+type regime struct {
+	sig        string
+	kb         int
+	perfectIPs map[uint64]bool
+	minExecs   uint64
 }
 
-// ipcCell is ipcRun memoized in the shared cache. sig names the
-// prediction regime (e.g. "tage-8kb", "perfect"); it must uniquely
-// determine opt's behaviour together with (workload, budget, scale),
-// since fig5/fig7/fig8 re-time identical (workload, scale, regime)
-// cells. tr must be the workload's input-0 trace at the configured
-// budget. opt is invoked only on a miss — predictors are stateful, so
-// each computed cell constructs its own.
-func ipcCell(cfg Config, s *workload.Spec, tr trace.Replayable, scale int, sig string, opt func() pipeline.Options) pipeline.Result {
-	key := fmt.Sprintf("ipc/%s/0/%d/%d/%s", s.Name, cfg.Budget, scale, sig)
+func tageRegime(kb int) regime { return regime{sig: fmt.Sprintf("tage-%dkb", kb), kb: kb} }
+
+var perfectRegime = regime{sig: "perfect"}
+
+// ipcCell times a trace on the pipeline at the given scale, memoized in
+// the shared cache: fig5/fig7/fig8 re-time identical (workload, scale,
+// regime) cells. tr must be the workload's input-0 trace at the
+// configured budget. A computed cell schedules over the trace's pass
+// tables — its cache/BTB annotation and its predictor's outcome stream,
+// each computed once per trace and shared by every scale and oracle.
+func ipcCell(cfg Config, s *workload.Spec, tr trace.Replayable, scale int, reg regime) pipeline.Result {
+	key := fmt.Sprintf("ipc/%s/0/%d/%d/%s", s.Name, cfg.Budget, scale, reg.sig)
 	return cfg.Cache.Memo(key, func() any {
-		return ipcRun(tr, scale, opt())
+		opt := pipeline.Options{PerfectBP: reg.kb == 0, PerfectIPs: reg.perfectIPs, MinExecsPerfect: reg.minExecs}
+		var out *pipeline.Outcomes
+		if reg.kb != 0 {
+			out = tageOutcomes(cfg, s, tr, reg.kb)
+		}
+		return pipeline.Schedule(tr.BlockStream(0), pipeline.Skylake().Scaled(scale), annotation(cfg, s, tr), out, opt)
 	}).(pipeline.Result)
 }
 
-func tagePred(kb int) pipeline.Options {
-	return pipeline.Options{Predictor: tage.New(tage.NewConfig(kb))}
+// annotation is the Skylake cache/BTB annotation of s's input-0 trace,
+// a per-trace pass table: Config.Scaled leaves Caches and BTB alone, so
+// one annotation serves every scale.
+func annotation(cfg Config, s *workload.Spec, tr trace.Replayable) *pipeline.Annotation {
+	key := fmt.Sprintf("ann/%s/0/%d", s.Name, cfg.Budget)
+	return cfg.Cache.Pass(key, func() any {
+		return pipeline.Annotate(tr.BlockStream(0), pipeline.Skylake())
+	}).(*pipeline.Annotation)
+}
+
+// tageOutcomes is TAGE-SC-L kb's outcome stream over s's input-0
+// trace, a per-trace pass table shared by every scale and oracle
+// regime over that predictor.
+func tageOutcomes(cfg Config, s *workload.Spec, tr trace.Replayable, kb int) *pipeline.Outcomes {
+	key := fmt.Sprintf("pred/%s/0/%d/tage-%dkb", s.Name, cfg.Budget, kb)
+	return cfg.Cache.Pass(key, func() any {
+		return pipeline.Predict(tr.BlockStream(0), tage.New(tage.NewConfig(kb)))
+	}).(*pipeline.Outcomes)
 }
 
 // geomean of a slice (positives assumed).

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"branchlab/internal/engine"
-	"branchlab/internal/pipeline"
 	"branchlab/internal/report"
-	"branchlab/internal/tage"
 	"branchlab/internal/workload"
 )
 
@@ -45,20 +43,16 @@ func ipcScalingFigure(id, title string, specs []*workload.Spec, cfg Config) *rep
 
 	regimes := []struct {
 		name string
-		sig  string
-		opt  func(s *workload.Spec) pipeline.Options
+		reg  func(s *workload.Spec) regime
 	}{
-		{"TAGE-SC-L 8KB", "tage-8kb", func(*workload.Spec) pipeline.Options { return tagePred(8) }},
-		{"TAGE-SC-L 64KB", "tage-64kb", func(*workload.Spec) pipeline.Options { return tagePred(64) }},
+		{"TAGE-SC-L 8KB", func(*workload.Spec) regime { return tageRegime(8) }},
+		{"TAGE-SC-L 64KB", func(*workload.Spec) regime { return tageRegime(64) }},
 		// The H2P set depends on the screening slice length, so it is
 		// part of the regime signature.
-		{"Perfect H2Ps", fmt.Sprintf("perfh2p/slice=%d", cfg.SliceLen), func(s *workload.Spec) pipeline.Options {
-			return pipeline.Options{
-				Predictor:  tage.New(tage.Config8KB()),
-				PerfectIPs: h2pSets[s.Name],
-			}
+		{"Perfect H2Ps", func(s *workload.Spec) regime {
+			return regime{sig: fmt.Sprintf("perfh2p/slice=%d", cfg.SliceLen), kb: 8, perfectIPs: h2pSets[s.Name]}
 		}},
-		{"Perfect BP", "perfect", func(*workload.Spec) pipeline.Options { return pipeline.Options{PerfectBP: true} }},
+		{"Perfect BP", func(*workload.Spec) regime { return perfectRegime }},
 	}
 
 	// One work unit per (regime, scale, workload) cell; cell index order
@@ -68,9 +62,7 @@ func ipcScalingFigure(id, title string, specs []*workload.Spec, cfg Config) *rep
 	cells := engine.Map(pool, len(regimes)*nS*nW, func(i int) float64 {
 		ri, si, wi := i/(nS*nW), (i/nW)%nS, i%nW
 		s := specs[wi]
-		reg := regimes[ri]
-		return ipcCell(cfg, s, traces[s.Name], cfg.PipeScales[si], reg.sig,
-			func() pipeline.Options { return reg.opt(s) }).IPC
+		return ipcCell(cfg, s, traces[s.Name], cfg.PipeScales[si], regimes[ri].reg(s)).IPC
 	})
 
 	// ipc[regime][scale] = geomean IPC.
@@ -142,16 +134,15 @@ func Fig7(cfg Config) *report.Artifact {
 	rows := engine.Map(pool, len(cfg.PipeScales)*nW, func(i int) []float64 {
 		scale, s := cfg.PipeScales[i/nW], specs[i%nW]
 		tr := traces[s.Name]
-		base := ipcCell(cfg, s, tr, scale, "tage-8kb", func() pipeline.Options { return tagePred(8) })
-		perfect := ipcCell(cfg, s, tr, scale, "perfect", func() pipeline.Options { return pipeline.Options{PerfectBP: true} })
+		base := ipcCell(cfg, s, tr, scale, tageRegime(8))
+		perfect := ipcCell(cfg, s, tr, scale, perfectRegime)
 		gap := perfect.IPC - base.IPC
 		fracs := make([]float64, len(cfg.StorageKB))
 		for ki, kb := range cfg.StorageKB {
 			if kb == 8 || gap <= 0 {
 				continue
 			}
-			res := ipcCell(cfg, s, tr, scale, fmt.Sprintf("tage-%dkb", kb),
-				func() pipeline.Options { return tagePred(kb) })
+			res := ipcCell(cfg, s, tr, scale, tageRegime(kb))
 			fracs[ki] = (res.IPC - base.IPC) / gap
 		}
 		return fracs
@@ -197,21 +188,15 @@ func Fig8(cfg Config) *report.Artifact {
 	type fig8Row struct{ r1000, r100 float64 }
 	results := engine.MapSlice(pool, specs, func(s *workload.Spec, _ int) fig8Row {
 		tr := traces[s.Name]
-		base := ipcCell(cfg, s, tr, 1, fmt.Sprintf("tage-%dkb", kb),
-			func() pipeline.Options { return tagePred(kb) })
-		perfect := ipcCell(cfg, s, tr, 1, "perfect",
-			func() pipeline.Options { return pipeline.Options{PerfectBP: true} })
+		base := ipcCell(cfg, s, tr, 1, tageRegime(kb))
+		perfect := ipcCell(cfg, s, tr, 1, perfectRegime)
 		gap := perfect.IPC - base.IPC
 		rem := func(minExecs uint64) float64 {
 			if gap <= 0 {
 				return 0
 			}
-			res := ipcCell(cfg, s, tr, 1, fmt.Sprintf("minexec=%d/tage-%dkb", minExecs, kb),
-				func() pipeline.Options {
-					opt := tagePred(kb)
-					opt.MinExecsPerfect = minExecs
-					return opt
-				})
+			res := ipcCell(cfg, s, tr, 1, regime{
+				sig: fmt.Sprintf("minexec=%d/tage-%dkb", minExecs, kb), kb: kb, minExecs: minExecs})
 			return (perfect.IPC - res.IPC) / gap
 		}
 		// The thresholds are defined against the paper's 30M-instruction

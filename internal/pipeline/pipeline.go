@@ -9,7 +9,18 @@
 // load/store queues — plus data dependencies through registers and
 // store-to-load forwarding, cache-latency variation, and branch
 // misprediction redirects that restart fetch after the branch resolves.
-// It is O(1) per instruction and deterministic.
+// It is amortized O(1) per instruction and deterministic.
+//
+// A run is three passes over the trace. Annotate walks the cache
+// hierarchy and BTB, recording per instruction which level served it
+// and whether a taken branch's target missed. Predict walks a branch
+// predictor, recording which conditional branches it mispredicted.
+// Schedule propagates the timestamps, reading both. The model has no
+// wrong-path fetch and Config.Scaled leaves the caches and BTB alone,
+// so the first two passes depend on the trace (and predictor) only:
+// one annotation and one prediction stream serve every pipeline scale
+// and every oracle regime over the same predictor. Core.RunBlocks
+// composes the three passes block by block.
 package pipeline
 
 import (
@@ -107,9 +118,6 @@ type Options struct {
 	// execution count so far exceeds the threshold (Fig 8's ">1000" and
 	// ">100" oracles).
 	MinExecsPerfect uint64
-	// BranchHook, when non-nil, observes every conditional branch with
-	// its prediction outcome.
-	BranchHook func(ip, target uint64, taken, pred bool)
 }
 
 // Result reports a run's timing and prediction outcomes.
@@ -131,52 +139,8 @@ func (r Result) Accuracy() float64 {
 	return 1 - float64(r.Mispreds)/float64(r.CondExecs)
 }
 
-// cycle-indexed width limiter: counts events per cycle in a ring. The
-// window must exceed any look-back distance, which is bounded by the
-// largest latency chain (memory latency + penalties « window).
-const widthWindow = 1 << 15
-
-type widthLimiter struct {
-	counts []uint16
-	limit  uint16
-	// cleared marks the highest cycle whose slot has been reset.
-	lastSeen uint64
-}
-
-func newWidthLimiter(limit int) *widthLimiter {
-	return &widthLimiter{counts: make([]uint16, widthWindow), limit: uint16(limit)}
-}
-
-// reserve finds the first cycle >= want with a free slot and claims it.
-func (w *widthLimiter) reserve(want uint64) uint64 {
-	for {
-		w.advance(want)
-		i := want & (widthWindow - 1)
-		if w.counts[i] < w.limit {
-			w.counts[i]++
-			return want
-		}
-		want++
-	}
-}
-
-// advance lazily clears ring slots the simulation has moved past.
-func (w *widthLimiter) advance(cycle uint64) {
-	if cycle <= w.lastSeen {
-		return
-	}
-	// Clear slots in (lastSeen, cycle]; they belong to new cycles.
-	d := cycle - w.lastSeen
-	if d > widthWindow {
-		d = widthWindow
-	}
-	for i := uint64(1); i <= d; i++ {
-		w.counts[(w.lastSeen+i)&(widthWindow-1)] = 0
-	}
-	w.lastSeen = cycle
-}
-
-// Core is a reusable pipeline simulator instance.
+// Core is a reusable pipeline simulator instance. Its cache hierarchy
+// and BTB persist across runs.
 type Core struct {
 	cfg  Config
 	hier *cache.Hierarchy
@@ -228,247 +192,37 @@ func (c *Core) Run(s trace.Stream, opt Options) Result {
 	return c.RunBlocks(trace.AsBlocks(s, trace.DefaultBlockLen), opt)
 }
 
-// RunBlocks is Run over an explicit block stream.
+// RunBlocks is Run over an explicit block stream: the three passes
+// composed block by block. Each block is annotated against the core's
+// cache hierarchy and BTB, run through the predictor (unless PerfectBP),
+// then scheduled. The passes share no state, so this equals
+// Schedule(Annotate(bs), Predict(bs)) over a fresh core.
 func (c *Core) RunBlocks(bs trace.BlockStream, opt Options) Result {
-	cfg := c.cfg
-	var res Result
-
-	var (
-		regReady [trace.NumRegs]uint64
-
-		// Ring buffers holding per-entry release cycles for each bounded
-		// structure: an instruction cannot claim entry i%N until the
-		// previous holder released it.
-		robRelease   = make([]uint64, cfg.ROBSize)
-		schedRelease = make([]uint64, cfg.SchedSize)
-		lqRelease    = make([]uint64, cfg.LQSize)
-		sqRelease    = make([]uint64, cfg.SQSize)
-		robIdx       int
-		schedIdx     int
-		lqIdx        int
-		sqIdx        int
-
-		fetchLim  = newWidthLimiter(cfg.FetchWidth)
-		issueLim  = newWidthLimiter(cfg.IssueWidth)
-		retireLim = newWidthLimiter(cfg.RetireWidth)
-
-		fetchReady uint64 // earliest cycle fetch may proceed (redirects)
-		lastRetire uint64
-		lastCycle  uint64
-
-		// Store-to-load forwarding over the most recent stores.
-		storeAddr  = make([]uint64, cfg.SQSize)
-		storeDone  = make([]uint64, cfg.SQSize)
-		execCounts = make(map[uint64]uint64) // for MinExecsPerfect
-	)
-
-	// Resolve the predictor's optional interfaces once, outside the
-	// per-instruction loop (same hoist as core.Run).
-	var predTT targetTrainer
-	var predBO bp.BranchObserver
-	if opt.Predictor != nil {
-		predTT, _ = opt.Predictor.(targetTrainer)
-		predBO, _ = opt.Predictor.(bp.BranchObserver)
+	a := newAnnotator(c.hier, c.btb)
+	s := newScheduler(c.cfg, a.l1i, a.l1d, opt)
+	var ps *predStream
+	if !opt.PerfectBP && opt.Predictor != nil {
+		ps = newPredStream(opt.Predictor)
 	}
-	train := func(ip, target uint64, taken, pred bool) {
-		if predTT != nil {
-			predTT.TrainWithTarget(ip, target, taken, pred)
-			return
+	var marks []byte
+	var miss []uint64
+	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
+		marks = resize(marks, len(blk))
+		a.block(blk, marks)
+		if ps != nil {
+			miss = resize(miss, bitWords(len(blk)))
+			clear(miss)
+			ps.block(blk, miss, 0)
 		}
-		opt.Predictor.Train(ip, taken, pred)
+		s.block(blk, marks, miss, 0)
 	}
-
-	blk := bs.NextBlock()
-	j := 0
-	for {
-		if j >= len(blk) {
-			if blk = bs.NextBlock(); len(blk) == 0 {
-				break
-			}
-			j = 0
-		}
-		inst := &blk[j]
-		j++
-		res.Insts++
-
-		// --- Fetch ---------------------------------------------------
-		fetch := fetchLim.reserve(maxU(fetchReady, lastCycle0(lastRetire, cfg)))
-		// Instruction-cache access delays fetch on miss (block-granular:
-		// the hierarchy caches the line after the first access).
-		if lat := c.hier.L1I.Access(inst.IP); lat > 0 {
-			fetch += lat
-		}
-
-		// --- Dispatch: ROB + scheduler occupancy ----------------------
-		dispatch := fetch + cfg.FrontDepth
-		if r := robRelease[robIdx]; r > dispatch {
-			dispatch = r
-		}
-		if r := schedRelease[schedIdx]; r > dispatch {
-			dispatch = r
-		}
-		if inst.Kind == trace.KindLoad {
-			if r := lqRelease[lqIdx]; r > dispatch {
-				dispatch = r
-			}
-		}
-		if inst.Kind == trace.KindStore {
-			if r := sqRelease[sqIdx]; r > dispatch {
-				dispatch = r
-			}
-		}
-
-		// --- Issue: operand readiness + issue bandwidth ---------------
-		ready := dispatch
-		for _, r := range inst.SrcRegs {
-			if r != trace.NoReg && regReady[r] > ready {
-				ready = regReady[r]
-			}
-		}
-		issue := issueLim.reserve(ready)
-
-		// --- Execute ---------------------------------------------------
-		var done uint64
-		switch inst.Kind {
-		case trace.KindLoad:
-			lat := c.hier.L1D.Access(inst.MemAddr)
-			// Store-to-load forwarding: a recent store to the same block
-			// bounds the load's completion from below.
-			block := inst.MemAddr >> 3
-			fwd := uint64(0)
-			for i := range storeAddr {
-				if storeAddr[i] == block && storeDone[i] > fwd {
-					fwd = storeDone[i]
-				}
-			}
-			done = maxU(issue+lat, fwd)
-		case trace.KindStore:
-			done = issue + execLatency(inst.Kind)
-			storeAddr[sqIdx] = inst.MemAddr >> 3
-			storeDone[sqIdx] = done
-		default:
-			done = issue + execLatency(inst.Kind)
-		}
-		if inst.DstReg != trace.NoReg {
-			regReady[inst.DstReg] = done
-		}
-
-		// --- Branch handling -------------------------------------------
-		if inst.Kind == trace.KindCondBr {
-			res.CondExecs++
-			pred := inst.Taken
-			switch {
-			case opt.PerfectBP:
-				// oracle
-			case opt.PerfectIPs != nil && opt.PerfectIPs[inst.IP]:
-				// oracle for the selected set; still train the predictor
-				// so shared history matches deployment.
-				if opt.Predictor != nil {
-					p := opt.Predictor.Predict(inst.IP)
-					train(inst.IP, inst.Target, inst.Taken, p)
-				}
-			case opt.MinExecsPerfect > 0 && execCounts[inst.IP] >= opt.MinExecsPerfect:
-				if opt.Predictor != nil {
-					p := opt.Predictor.Predict(inst.IP)
-					train(inst.IP, inst.Target, inst.Taken, p)
-				}
-			case opt.Predictor != nil:
-				pred = opt.Predictor.Predict(inst.IP)
-				train(inst.IP, inst.Target, inst.Taken, pred)
-			}
-			if opt.MinExecsPerfect > 0 {
-				execCounts[inst.IP]++
-			}
-			if pred != inst.Taken {
-				res.Mispreds++
-				// Wrong-path fetch is squashed when the branch resolves;
-				// fetch restarts after the redirect penalty.
-				if nr := done + cfg.RedirectPenalty; nr > fetchReady {
-					fetchReady = nr
-				}
-			}
-			if opt.BranchHook != nil {
-				opt.BranchHook(inst.IP, inst.Target, inst.Taken, pred)
-			}
-		} else if inst.Kind.IsBranch() {
-			if predBO != nil && !opt.PerfectBP {
-				predBO.ObserveBranch(inst.IP, inst.Target, inst.Kind, inst.Taken)
-			}
-		}
-
-		// Target prediction: a taken branch whose target the BTB/RAS did
-		// not produce at fetch costs a decode-redirect bubble.
-		if c.btb != nil && inst.Kind.IsBranch() {
-			predTarget, hit := c.btb.Lookup(inst.IP, inst.Kind)
-			if !c.btb.Update(inst.IP, inst.Target, inst.Kind, inst.Taken, predTarget, hit) {
-				if nr := fetch + cfg.BTBMissPenalty; nr > fetchReady {
-					fetchReady = nr
-				}
-			}
-		}
-
-		// --- Retire -----------------------------------------------------
-		retire := retireLim.reserve(maxU(done+1, lastRetire))
-		lastRetire = retire
-		lastCycle = maxU(lastCycle, retire)
-
-		// Release bounded structures.
-		robRelease[robIdx] = retire
-		robIdx++
-		if robIdx == cfg.ROBSize {
-			robIdx = 0
-		}
-		schedRelease[schedIdx] = issue
-		schedIdx++
-		if schedIdx == cfg.SchedSize {
-			schedIdx = 0
-		}
-		if inst.Kind == trace.KindLoad {
-			lqRelease[lqIdx] = done
-			lqIdx++
-			if lqIdx == cfg.LQSize {
-				lqIdx = 0
-			}
-		}
-		if inst.Kind == trace.KindStore {
-			sqRelease[sqIdx] = retire
-			sqIdx++
-			if sqIdx == cfg.SQSize {
-				sqIdx = 0
-			}
-		}
-	}
-
-	res.Cycles = lastCycle
-	if res.Cycles > 0 {
-		res.IPC = float64(res.Insts) / float64(res.Cycles)
-	}
-	if res.Insts > 0 {
-		res.MPKI = 1000 * float64(res.Mispreds) / float64(res.Insts)
-		res.L1DMissPKI = 1000 * float64(c.hier.L1D.Stats().Misses) / float64(res.Insts)
-	}
-	return res
+	return s.result(c.hier.L1D.Stats().Misses)
 }
 
-// targetTrainer mirrors core's optional target-aware training interface;
-// Run resolves it once per timed run rather than per branch.
-type targetTrainer interface {
-	TrainWithTarget(ip, target uint64, taken, pred bool)
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
+// resize returns buf with length n, reallocating only to grow.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return b
-}
-
-// lastCycle0 bounds fetch from below so that fetch cannot fall
-// unboundedly behind retirement bookkeeping (keeps the width-limiter ring
-// windows aligned).
-func lastCycle0(lastRetire uint64, cfg Config) uint64 {
-	if lastRetire > uint64(cfg.ROBSize)+cfg.FrontDepth+widthWindow/2 {
-		return lastRetire - uint64(cfg.ROBSize) - cfg.FrontDepth - widthWindow/2
-	}
-	return 0
+	return buf[:n]
 }

@@ -1,12 +1,14 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"branchlab/internal/bp"
 	"branchlab/internal/btb"
 	"branchlab/internal/tage"
 	"branchlab/internal/trace"
+	"branchlab/internal/workload"
 	"branchlab/internal/xrand"
 )
 
@@ -180,23 +182,31 @@ func TestMinExecsPerfectOracle(t *testing.T) {
 	}
 }
 
-func TestBranchHookSeesEveryCondBranch(t *testing.T) {
-	var hooks, takens uint64
-	opt := Options{
-		Predictor: bp.NewBimodal(10),
-		BranchHook: func(ip, target uint64, taken, pred bool) {
-			hooks++
-			if taken {
-				takens++
+func TestOutcomesSeeEveryCondBranch(t *testing.T) {
+	tr := branchyTrace(80000, 7, 0.7)
+	out := Predict(tr.BlockStream(0), bp.NewBimodal(10))
+	res := New(Skylake()).Run(tr.Stream(), Options{Predictor: bp.NewBimodal(10)})
+	if out.Len() != tr.Len() {
+		t.Errorf("outcomes cover %d of %d instructions", out.Len(), tr.Len())
+	}
+	if out.CondExecs != res.CondExecs || out.Mispreds != res.Mispreds {
+		t.Errorf("outcomes %d/%d, run %d/%d", out.Mispreds, out.CondExecs, res.Mispreds, res.CondExecs)
+	}
+	var cond, mis uint64
+	for i := 0; i < tr.Len(); i++ {
+		inst := tr.At(i)
+		if out.Mispredicted(i) {
+			mis++
+			if inst.Kind != trace.KindCondBr {
+				t.Fatalf("instruction %d (%v) marked mispredicted", i, inst.Kind)
 			}
-		},
+		}
+		if inst.Kind == trace.KindCondBr {
+			cond++
+		}
 	}
-	res := New(Skylake()).Run(branchyTrace(80000, 7, 0.7).Stream(), opt)
-	if hooks != res.CondExecs {
-		t.Errorf("hook calls %d != cond execs %d", hooks, res.CondExecs)
-	}
-	if takens == 0 || takens == hooks {
-		t.Errorf("taken mix looks wrong: %d/%d", takens, hooks)
+	if cond != out.CondExecs || mis != out.Mispreds || mis == 0 || mis == cond {
+		t.Errorf("bitvector %d/%d vs counts %d/%d", mis, cond, out.Mispreds, out.CondExecs)
 	}
 }
 
@@ -292,21 +302,47 @@ func TestTAGEDrivenRun(t *testing.T) {
 	}
 }
 
+// sink keeps benchmarked results live.
+var sink Result
+
+// BenchmarkPipelineALU times a saturated independent-ALU stream through
+// the composed passes: the width limiters' worst case.
 func BenchmarkPipelineALU(b *testing.B) {
 	tr := independentALUTrace(100000)
 	core := New(Skylake())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Run(trace.Limit(tr.Stream(), 100000), Options{PerfectBP: true})
+		sink = core.Run(trace.Limit(tr.Stream(), 100000), Options{PerfectBP: true})
 	}
 }
 
+// BenchmarkPipelineTAGE times a TAGE-SC-L 8KB run through the composed
+// passes: annotation, prediction and schedule.
 func BenchmarkPipelineTAGE(b *testing.B) {
 	tr := branchyTrace(100000, 1, 0.7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core := New(Skylake())
-		core.Run(tr.Stream(), Options{Predictor: tage.New(tage.Config8KB())})
+		sink = core.Run(tr.Stream(), Options{Predictor: tage.New(tage.Config8KB())})
+	}
+}
+
+// BenchmarkPipelineSchedule times the schedule pass alone on one Quick
+// workload trace at 1x, over a precomputed annotation and TAGE-SC-L 8KB
+// outcomes: the per-cell cost of an IPC driver once the pass tables are
+// built.
+func BenchmarkPipelineSchedule(b *testing.B) {
+	s, _ := workload.ByName("605.mcf_s")
+	tr, err := s.RecordCtx(context.Background(), 0, quickBudget)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Skylake()
+	ann := Annotate(tr.BlockStream(0), cfg)
+	out := Predict(tr.BlockStream(0), tage.New(tage.Config8KB()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = Schedule(tr.BlockStream(0), cfg, ann, out, Options{})
 	}
 }
 

@@ -203,8 +203,9 @@ type memoEntry struct {
 }
 
 // Stats are the cache's lifetime counters. Hits+Coalesced+Misses is the
-// total number of RecordCtx calls; MemoHits+MemoMisses the Memo calls; the
-// Slice* counters track the slice-granular serving underneath.
+// total number of RecordCtx calls; MemoHits+MemoMisses the Memo calls;
+// PassHits+PassMisses the Pass calls; the Slice* counters track the
+// slice-granular serving underneath.
 type Stats struct {
 	Hits      uint64 // trace served from a completed recording
 	Coalesced uint64 // blocked on another goroutine's in-flight recording
@@ -229,6 +230,8 @@ type Stats struct {
 
 	MemoHits   uint64 // derived results served from memory (incl. coalesced)
 	MemoMisses uint64 // derived results computed
+	PassHits   uint64 // per-trace pass tables served from memory (incl. coalesced)
+	PassMisses uint64 // per-trace pass tables computed
 }
 
 // Table renders the counters as a report table (for stderr diagnostics).
@@ -238,7 +241,7 @@ func (s Stats) Table() *report.Table {
 		"slice hits", "re-records", "ckpt resumes", "skim refills", "evictions",
 		"disk hdrs", "disk hits", "disk rejects",
 		"traces", "slices", "MiB in use", "MiB cap",
-		"memo hits", "memo misses")
+		"memo hits", "memo misses", "pass hits", "pass misses")
 	capMiB := "unbounded"
 	if s.CapBytes > 0 {
 		capMiB = fmt.Sprintf("%.1f", float64(s.CapBytes)/(1<<20))
@@ -260,18 +263,21 @@ func (s Stats) Table() *report.Table {
 		fmt.Sprintf("%.1f", float64(s.BytesInUse)/(1<<20)),
 		capMiB,
 		fmt.Sprintf("%d", s.MemoHits),
-		fmt.Sprintf("%d", s.MemoMisses))
+		fmt.Sprintf("%d", s.MemoMisses),
+		fmt.Sprintf("%d", s.PassHits),
+		fmt.Sprintf("%d", s.PassMisses))
 	return t
 }
 
 // String is a single-line rendering of the counters.
 func (s Stats) String() string {
-	return fmt.Sprintf("hits=%d coalesced=%d misses=%d slices=%d/%d sliceops=%d/%d/%d refills=%d/%d disk=%d/%d/%d bytes=%d memo=%d/%d",
+	return fmt.Sprintf("hits=%d coalesced=%d misses=%d slices=%d/%d sliceops=%d/%d/%d refills=%d/%d disk=%d/%d/%d bytes=%d memo=%d/%d pass=%d/%d",
 		s.Hits, s.Coalesced, s.Misses, s.Slices, s.Entries,
 		s.SliceHits, s.SliceRerecords, s.SliceEvictions,
 		s.SliceResumes, s.SliceSkims,
 		s.DiskHeaderHits, s.DiskSliceHits, s.DiskRejects, s.BytesInUse,
-		s.MemoHits, s.MemoHits+s.MemoMisses)
+		s.MemoHits, s.MemoHits+s.MemoMisses,
+		s.PassHits, s.PassHits+s.PassMisses)
 }
 
 // StatsFlag registers the shared -cachestats flag (used by both
@@ -720,10 +726,31 @@ func (c *Cache) Memo(key string, fn func() any) any {
 	if c == nil {
 		return fn()
 	}
+	return c.memo(key, fn, &c.stats.MemoHits, &c.stats.MemoMisses)
+}
+
+// Pass is Memo for per-trace pass tables: side data a family of cells
+// computes from one trace, such as the timing model's cache/BTB
+// annotation (one byte per instruction) and its per-predictor
+// misprediction bitvectors (one bit per instruction). It shares Memo's
+// single flight, panic withdrawal and cap exemption, but counts in
+// PassHits/PassMisses, so MemoHits+MemoMisses keeps counting cells.
+// Keys must not collide with Memo keys. A nil *Cache computes every
+// call.
+func (c *Cache) Pass(key string, fn func() any) any {
+	if c == nil {
+		return fn()
+	}
+	return c.memo(key, fn, &c.stats.PassHits, &c.stats.PassMisses)
+}
+
+// memo is the single-flight table behind Memo and Pass, counting into
+// *hits and *misses (fields of c.stats) under mu.
+func (c *Cache) memo(key string, fn func() any, hits, misses *uint64) any {
 	for {
 		c.mu.Lock()
 		if e, ok := c.memos[key]; ok {
-			c.stats.MemoHits++
+			*hits++
 			c.mu.Unlock()
 			<-e.ready
 			if e.ok {
@@ -733,7 +760,7 @@ func (c *Cache) Memo(key string, fn func() any) any {
 		}
 		e := &memoEntry{ready: make(chan struct{})}
 		c.memos[key] = e
-		c.stats.MemoMisses++
+		*misses++
 		c.mu.Unlock()
 
 		defer func() {

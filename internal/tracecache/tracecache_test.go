@@ -3,6 +3,7 @@ package tracecache
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -456,9 +457,55 @@ func TestNilCacheMemoPassthrough(t *testing.T) {
 	var calls atomic.Int64
 	for i := 0; i < 2; i++ {
 		c.Memo("k", func() any { calls.Add(1); return i })
+		c.Pass("p", func() any { calls.Add(1); return i })
 	}
-	if calls.Load() != 2 {
-		t.Fatalf("nil cache memoized; calls = %d, want 2", calls.Load())
+	if calls.Load() != 4 {
+		t.Fatalf("nil cache memoized; calls = %d, want 4", calls.Load())
+	}
+}
+
+// TestPassTablesCountApart: Pass shares Memo's single flight but counts
+// in PassHits/PassMisses, leaving the memo counters to count cells.
+func TestPassTablesCountApart(t *testing.T) {
+	c := New(0)
+	var calls atomic.Int64
+	const goroutines = 8
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer wg.Done()
+			c.Pass("ann/w/0/100", func() any { calls.Add(1); return []byte{1} })
+		}()
+	}
+	wg.Wait()
+	c.Memo("ipc/w/0/100/1/perfect", func() any { calls.Add(1); return 0 })
+	st := c.Stats()
+	if calls.Load() != 2 || st.PassMisses != 1 || st.PassHits != goroutines-1 || st.MemoMisses != 1 || st.MemoHits != 0 {
+		t.Fatalf("calls = %d, stats = %+v; want 1 pass miss, %d pass hits, 1 memo miss", calls.Load(), st, goroutines-1)
+	}
+	if !strings.Contains(st.String(), "pass=7/8") || !strings.Contains(st.Table().String(), "pass misses") {
+		t.Errorf("pass counters not rendered: %s", st.String())
+	}
+}
+
+// TestPassPanicWithdraws: a pass computation that panics is withdrawn,
+// so the next caller recomputes instead of receiving a poisoned entry.
+func TestPassPanicWithdraws(t *testing.T) {
+	c := New(0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("pass panic swallowed")
+			}
+		}()
+		c.Pass("pred/w/0/100/tage-8kb", func() any { panic("boom") })
+	}()
+	if got := c.Pass("pred/w/0/100/tage-8kb", func() any { return 7 }); got != 7 {
+		t.Fatalf("retry after a panicked pass = %v, want 7", got)
+	}
+	if st := c.Stats(); st.PassMisses != 2 {
+		t.Fatalf("pass misses = %d, want 2 (the panicked try and the retry)", st.PassMisses)
 	}
 }
 

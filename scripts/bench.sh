@@ -30,6 +30,14 @@
 #                                         position-independent (O(window))
 #   BenchmarkFig5Parallel/workers=N     - engine scaling (meaningful on multi-core hosts)
 #   BenchmarkRecordSharded/shards=N     - sharded deterministic trace recording
+#   BenchmarkPipelineALU                - timing model on a saturated 100K-instruction
+#                                         independent-ALU stream (internal/pipeline):
+#                                         the width limiters' worst case
+#   BenchmarkPipelineTAGE               - timing model with TAGE-SC-L 8KB: annotation,
+#                                         prediction and schedule passes composed
+#   BenchmarkPipelineSchedule           - the schedule pass alone on one Quick trace
+#                                         over a precomputed annotation and outcome
+#                                         stream: an IPC driver's per-cell cost
 #
 # Three regression checks run after the benchmarks:
 #   1. Intra-run gate (host-independent): the block replay loop
@@ -81,8 +89,8 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$' \
-  -benchtime "$benchtime" . | tee "$raw" >&2
+  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$' \
+  -benchtime "$benchtime" . ./internal/pipeline | tee "$raw" >&2
 
 awk -v benchtime="$benchtime" '
   /^Benchmark/ && /ns\/op/ {
@@ -126,7 +134,10 @@ BenchmarkEvictedRefill/mode=ckpt/pos=first
 BenchmarkEvictedRefill/mode=skim/pos=last
 BenchmarkEvictedRefill/mode=ckpt/pos=last
 BenchmarkFig5Parallel/workers=1
-BenchmarkRecordSharded/shards=1'
+BenchmarkRecordSharded/shards=1
+BenchmarkPipelineALU
+BenchmarkPipelineTAGE
+BenchmarkPipelineSchedule'
 missing=0
 while IFS= read -r name; do
   if ! parse "$out" | awk -v n="$name" '$1 == n { found = 1 } END { exit !found }'; then
