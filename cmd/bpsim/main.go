@@ -47,7 +47,7 @@ func main() {
 		predName     = flag.String("predictor", "tage-sc-l-8", "predictor name")
 		budget       = flag.Uint64("budget", 2_000_000, "instruction budget")
 		sliceLen     = flag.Uint64("slice", 500_000, "slice length for H2P screening")
-		pipeScales   = flag.String("pipeline", "", "pipeline scale(s), comma-separated (empty = accuracy only)")
+		pipeScales   = flag.String("pipeline", "", fmt.Sprintf("pipeline scale(s) in 1..%d, comma-separated (empty = accuracy only)", pipeline.MaxScale))
 		parallel     = flag.Int("parallel", 0, "engine workers for the pipeline sweep (0 = NumCPU)")
 		recShards    = flag.Int("recshards", 0, "record the workload trace on this many workers (<= 1 = sequential; byte-identical)")
 		cacheMB      = flag.Int64("tracecache", 0, "trace cache cap in MiB (0 = unbounded; evicted slices re-record byte-identically); setting it forces caching even for single-scale runs")
@@ -153,8 +153,12 @@ func main() {
 	}
 }
 
+// errScaleTooLarge rejects a -pipeline scale above pipeline.MaxScale.
+var errScaleTooLarge = fmt.Errorf("above the timing model's maximum of %dx", pipeline.MaxScale)
+
 // parseScales parses the -pipeline flag: "" or "0" disables the timing
-// model; "4" or "1,4,16" selects the scales to sweep.
+// model; "4" or "1,4,16" selects the scales to sweep, each in
+// 1..pipeline.MaxScale.
 func parseScales(s string) ([]int, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "0" {
@@ -165,6 +169,9 @@ func parseScales(s string) ([]int, error) {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || v < 1 {
 			return nil, fmt.Errorf("bad -pipeline scale %q", part)
+		}
+		if v > pipeline.MaxScale {
+			return nil, fmt.Errorf("-pipeline scale %d: %w", v, errScaleTooLarge)
 		}
 		out = append(out, v)
 	}

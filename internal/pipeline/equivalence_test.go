@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"branchlab/internal/bp"
@@ -129,9 +130,9 @@ func TestScheduleRejectsMismatchedAnnotation(t *testing.T) {
 
 // TestLinearProbeOracle drives the skip-pointer width limiter and the
 // linear probe it replaced with the same request sequences — saturated
-// runs, random look-backs, requests a whole window or more behind (the
-// aliased ring), jumps past the window, and a completely full ring —
-// and requires the same cycle from every reservation.
+// runs, random look-backs inside the window, jumps past the window, and
+// a completely full ring — and requires the same cycle from every
+// reservation.
 func TestLinearProbeOracle(t *testing.T) {
 	for _, limit := range []int{1, 2, 3, 6, 96} {
 		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
@@ -161,26 +162,10 @@ func TestLinearProbeOracle(t *testing.T) {
 				for i := 0; i < 300; i++ {
 					check(back(uint64(rng.Intn(widthWindow))))
 				}
-				// Aliased: a whole window or more behind.
-				for i := 0; i < 50; i++ {
-					check(back(widthWindow + uint64(rng.Intn(3*widthWindow))))
-				}
 				// Jumps ahead, some past a whole window.
 				check(slow.lastSeen + 1 + uint64(rng.Intn(2*widthWindow)))
 			}
-			// Saturate the newest cycles after a jump that cleared the
-			// ring, then probe a window behind them: the aliased probe
-			// runs off the full newest cycles and wraps onto the oldest.
-			for round := 0; round < 20; round++ {
-				top := check(slow.lastSeen + widthWindow + uint64(rng.Intn(widthWindow)))
-				for c := top; c < top+64; c++ {
-					for i := 0; i < limit; i++ {
-						check(c)
-					}
-				}
-				check(top + uint64(rng.Intn(64)) - widthWindow*uint64(1+rng.Intn(3)))
-			}
-			// Fill the whole ring, then probe it from every distance.
+			// Fill the whole ring, then probe it from across the window.
 			if limit <= 3 {
 				start := slow.lastSeen + 1
 				for c := start; c < start+widthWindow; c++ {
@@ -188,10 +173,182 @@ func TestLinearProbeOracle(t *testing.T) {
 						check(c)
 					}
 				}
-				for _, d := range []uint64{0, 1, widthWindow - 1, widthWindow, widthWindow + 1, 5 * widthWindow} {
+				for _, d := range []uint64{0, 1, widthWindow / 2, widthWindow - 1} {
 					check(back(d))
 				}
 			}
 		})
+	}
+}
+
+// TestInOrderLimiterMatchesLinearProbe drives the in-order counter and
+// the linear probe with the two request shapes the schedule feeds it —
+// nondecreasing requests trailing the last grant by less than a window
+// (fetch) and requests at or past the last grant (retire) — over
+// widths 1 to 384, with saturated runs, short steps and jumps past the
+// window, and requires the same cycle from every reservation.
+func TestInOrderLimiterMatchesLinearProbe(t *testing.T) {
+	rng := xrand.New(14)
+	limits := []int{1, 2, 3, 6, 7, 12, 96, 192, 383, 384}
+	for i := 0; i < 10; i++ {
+		limits = append(limits, 1+rng.Intn(384))
+	}
+	for _, limit := range limits {
+		for _, shape := range []string{"fetch", "retire"} {
+			fast, slow := inOrderLimiter{limit: limit}, newLinearLimiter(limit)
+			var want, grant uint64
+			for i := 0; i < 20000; i++ {
+				switch r := rng.Intn(100); {
+				case r < 60: // saturate: repeat the request
+				case r < 95:
+					want += uint64(rng.Intn(4))
+				default:
+					want += uint64(rng.Intn(2 * widthWindow))
+				}
+				switch shape {
+				case "fetch":
+					// The fetch floor: at most a window's worth behind.
+					if lag := uint64(rng.Intn(widthWindow)); grant > lag && want < grant-lag {
+						want = grant - lag
+					}
+				case "retire":
+					want = max(want, grant)
+				}
+				got, ref := fast.reserve(want), slow.reserve(want)
+				if got != ref {
+					t.Fatalf("limit %d %s #%d: reserve(%d) = %d, linear probe %d", limit, shape, i, want, got, ref)
+				}
+				grant = got
+			}
+		}
+	}
+}
+
+// TestStoreWindowMatchesScan checks the forwarding chain against a scan
+// of the last SQSize stores, with blocks drawn from a few colliding
+// buckets and the window wrapping many times.
+func TestStoreWindowMatchesScan(t *testing.T) {
+	for _, size := range []int{1, 2, 56, 57, 896} {
+		rng := xrand.New(uint64(size))
+		w := newStoreWindow(size)
+		blocks := collidingBlocks(w, 4)
+		blocks = append(blocks, 0, 1, 2)
+		var addr, done []uint64 // every store, oldest first
+		for i := 0; i < 20*size+2000; i++ {
+			b := blocks[rng.Intn(len(blocks))]
+			if rng.Intn(3) == 0 {
+				d := uint64(rng.Intn(1000))
+				w.push(b, d)
+				addr, done = append(addr, b), append(done, d)
+				continue
+			}
+			var want uint64
+			for k := max(0, len(addr)-size); k < len(addr); k++ {
+				if addr[k] == b {
+					want = max(want, done[k])
+				}
+			}
+			if got := w.forward(b); got != want {
+				t.Fatalf("SQ %d, after %d stores: forward(%d) = %d, scan %d", size, len(addr), b, got, want)
+			}
+		}
+	}
+}
+
+// collidingBlocks returns n distinct nonzero blocks sharing one bucket
+// of w's head table.
+func collidingBlocks(w storeWindow, n int) []uint64 {
+	var out []uint64
+	want := w.bucket(1)
+	for b := uint64(1); len(out) < n; b++ {
+		if w.bucket(b) == want {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// storeHeavyTrace is n instructions of stores and loads to a few blocks
+// that collide in the forwarding table of every scale up to 32x, with
+// stores fed by long- and short-latency producers so their completions
+// arrive out of program order.
+func storeHeavyTrace(n int) *trace.Buffer {
+	rng := xrand.New(32)
+	blocks := collidingBlocks(newStoreWindow(Skylake().Scaled(32).SQSize), 5)
+	blocks = append(blocks, 0x4000, 0x4001)
+	b := trace.NewBuffer(n)
+	for i := 0; i < n; i++ {
+		inst := aluInst(0x1000 + uint64(i%256)*4)
+		switch r := rng.Intn(10); {
+		case r < 5:
+			inst.Kind = trace.KindStore
+			inst.MemAddr = blocks[rng.Intn(len(blocks))]<<3 | uint64(rng.Intn(8))
+			inst.SrcRegs[0] = uint8(1 + rng.Intn(4))
+		case r < 8:
+			inst.Kind = trace.KindLoad
+			inst.MemAddr = blocks[rng.Intn(len(blocks))] << 3
+			inst.DstReg = uint8(5 + rng.Intn(4))
+			inst.SrcRegs[0] = inst.DstReg
+		case r < 9:
+			inst.Kind = trace.KindDiv
+			inst.DstReg = uint8(1 + rng.Intn(4))
+			inst.SrcRegs[0] = uint8(5 + rng.Intn(4))
+		default:
+			inst.DstReg = uint8(1 + rng.Intn(4))
+		}
+		b.Append(inst)
+	}
+	return b
+}
+
+// TestStoreForwardingChainMatchesOracle runs a store-heavy trace whose
+// blocks collide in the forwarding table through Schedule and the fused
+// oracle at 1x, 16x and 32x; the store queue wraps many times at each.
+func TestStoreForwardingChainMatchesOracle(t *testing.T) {
+	tr := storeHeavyTrace(40000)
+	ann := Annotate(tr.BlockStream(0), Skylake())
+	for _, scale := range []int{1, 16, 32} {
+		cfg := Skylake().Scaled(scale)
+		want := referenceRun(cfg, tr.BlockStream(0), Options{PerfectBP: true})
+		if got := Schedule(tr.BlockStream(0), cfg, ann, nil, Options{PerfectBP: true}); got != want {
+			t.Fatalf("%dx: Schedule %+v, oracle %+v", scale, got, want)
+		}
+	}
+}
+
+// TestMaxScaleKeepsFetchInWindow checks the bound MaxScale rests on:
+// at the largest scale a fetch request still trails the last fetch
+// grant by less than the width window.
+func TestMaxScaleKeepsFetchInWindow(t *testing.T) {
+	cfg := Skylake().Scaled(MaxScale)
+	if lag := uint64(cfg.ROBSize) + cfg.FrontDepth + widthWindow/2; lag >= widthWindow {
+		t.Errorf("%s: fetch lag bound %d >= width window %d", cfg.Name, lag, widthWindow)
+	}
+}
+
+// TestUnsupportedConfigPanics checks that New and Schedule refuse a
+// configuration past the bound instead of returning wrong timings:
+// 74x, whose ROB lag reaches the width window, and a width that
+// overflows the issue ring's 16-bit count.
+func TestUnsupportedConfigPanics(t *testing.T) {
+	if err := checkConfig(Skylake().Scaled(MaxScale)); err != nil {
+		t.Fatalf("MaxScale rejected: %v", err)
+	}
+	wide := Skylake()
+	wide.Name, wide.IssueWidth = "skylake-wide-issue", math.MaxUint16+3
+	tr := independentALUTrace(1000)
+	ann := Annotate(tr.BlockStream(0), Skylake())
+	for _, cfg := range []Config{Skylake().Scaled(74), wide} {
+		mustPanic := func(name string, run func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(%s) did not panic", name, cfg.Name)
+				}
+			}()
+			run()
+		}
+		mustPanic("New", func() { New(cfg) })
+		mustPanic("Schedule", func() { Schedule(tr.BlockStream(0), cfg, ann, nil, Options{}) })
 	}
 }

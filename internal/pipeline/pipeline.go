@@ -147,8 +147,13 @@ type Core struct {
 	btb  *btb.BTB
 }
 
-// New returns a Core for the configuration.
+// New returns a Core for the configuration. It panics on a
+// configuration the timing model does not support: a ROB too deep for
+// the width window (a scale above 73x) or an issue width over 65535.
 func New(cfg Config) *Core {
+	if err := checkConfig(cfg); err != nil {
+		panic(err)
+	}
 	c := &Core{cfg: cfg, hier: cache.NewHierarchy(cfg.Caches)}
 	if cfg.BTBMissPenalty > 0 {
 		c.btb = btb.New(cfg.BTB)

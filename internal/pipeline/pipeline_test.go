@@ -331,13 +331,20 @@ func BenchmarkPipelineTAGE(b *testing.B) {
 // workload trace at 1x, over a precomputed annotation and TAGE-SC-L 8KB
 // outcomes: the per-cell cost of an IPC driver once the pass tables are
 // built.
-func BenchmarkPipelineSchedule(b *testing.B) {
+func BenchmarkPipelineSchedule(b *testing.B) { benchSchedule(b, 1) }
+
+// BenchmarkPipelineScheduleWide is BenchmarkPipelineSchedule at 16x:
+// 96-wide with an 896-entry store queue, where a scan of the whole
+// forwarding window per load would dominate.
+func BenchmarkPipelineScheduleWide(b *testing.B) { benchSchedule(b, 16) }
+
+func benchSchedule(b *testing.B, scale int) {
 	s, _ := workload.ByName("605.mcf_s")
 	tr, err := s.RecordCtx(context.Background(), 0, quickBudget)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Skylake()
+	cfg := Skylake().Scaled(scale)
 	ann := Annotate(tr.BlockStream(0), cfg)
 	out := Predict(tr.BlockStream(0), tage.New(tage.Config8KB()))
 	b.ResetTimer()

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"branchlab/internal/trace"
 )
@@ -15,7 +17,11 @@ import (
 // regime applied over out — PerfectBP ignores out, PerfectIPs and
 // MinExecsPerfect mask it — and opt.Predictor is not consulted. The
 // result equals Core.RunBlocks with the predictor out was recorded from.
+// Like New, it panics on a cfg the model does not support (MaxScale).
 func Schedule(bs trace.BlockStream, cfg Config, ann *Annotation, out *Outcomes, opt Options) Result {
+	if err := checkConfig(cfg); err != nil {
+		panic(err)
+	}
 	if !ann.fits(cfg) {
 		panic(fmt.Sprintf("pipeline: annotation does not fit %s (caches %+v, BTB penalty %d)", cfg.Name, cfg.Caches, cfg.BTBMissPenalty))
 	}
@@ -56,15 +62,17 @@ type scheduler struct {
 	robRelease, schedRelease, lqRelease, sqRelease []uint64
 	robIdx, schedIdx, lqIdx, sqIdx                 int
 
-	fetchLim, issueLim, retireLim *widthLimiter
+	// Fetch and retire requests arrive in order (see inOrderLimiter);
+	// issue requests do not.
+	fetchLim, retireLim inOrderLimiter
+	issueLim            *widthLimiter
 
 	fetchReady uint64 // earliest cycle fetch may proceed (redirects)
 	lastRetire uint64
 	lastCycle  uint64
 
-	// Store-to-load forwarding over the most recent stores.
-	storeAddr, storeDone []uint64
-	execCounts           map[uint64]uint64 // for MinExecsPerfect
+	stores     storeWindow       // store-to-load forwarding
+	execCounts map[uint64]uint64 // for MinExecsPerfect
 
 	res Result
 }
@@ -76,11 +84,10 @@ func newScheduler(cfg Config, l1i, l1d levels, opt Options) *scheduler {
 		schedRelease: make([]uint64, cfg.SchedSize),
 		lqRelease:    make([]uint64, cfg.LQSize),
 		sqRelease:    make([]uint64, cfg.SQSize),
-		fetchLim:     newWidthLimiter(cfg.FetchWidth),
+		fetchLim:     inOrderLimiter{limit: cfg.FetchWidth},
 		issueLim:     newWidthLimiter(cfg.IssueWidth),
-		retireLim:    newWidthLimiter(cfg.RetireWidth),
-		storeAddr:    make([]uint64, cfg.SQSize),
-		storeDone:    make([]uint64, cfg.SQSize),
+		retireLim:    inOrderLimiter{limit: cfg.RetireWidth},
+		stores:       newStoreWindow(cfg.SQSize),
 	}
 	if opt.MinExecsPerfect > 0 {
 		s.execCounts = make(map[uint64]uint64)
@@ -136,18 +143,10 @@ func (s *scheduler) block(blk []trace.Inst, marks []byte, miss []uint64, base in
 		case trace.KindLoad:
 			// Store-to-load forwarding: a recent store to the same block
 			// bounds the load's completion from below.
-			block := inst.MemAddr >> 3
-			fwd := uint64(0)
-			for i, a := range s.storeAddr {
-				if a == block && s.storeDone[i] > fwd {
-					fwd = s.storeDone[i]
-				}
-			}
-			done = maxU(issue+s.l1d[m>>l1dShift&levelMask], fwd)
+			done = maxU(issue+s.l1d[m>>l1dShift&levelMask], s.stores.forward(inst.MemAddr>>3))
 		case trace.KindStore:
 			done = issue + execLatency(inst.Kind)
-			s.storeAddr[s.sqIdx] = inst.MemAddr >> 3
-			s.storeDone[s.sqIdx] = done
+			s.stores.push(inst.MemAddr>>3, done)
 		default:
 			done = issue + execLatency(inst.Kind)
 		}
@@ -236,8 +235,9 @@ func maxU(a, b uint64) uint64 {
 }
 
 // lastCycle0 bounds fetch from below so that fetch cannot fall
-// unboundedly behind retirement bookkeeping (keeps the width-limiter ring
-// windows aligned).
+// unboundedly behind retirement bookkeeping: it keeps fetch and issue
+// requests within the width window of their limiters' latest grants
+// (see checkConfig).
 func lastCycle0(lastRetire uint64, cfg *Config) uint64 {
 	if lastRetire > uint64(cfg.ROBSize)+cfg.FrontDepth+widthWindow/2 {
 		return lastRetire - uint64(cfg.ROBSize) - cfg.FrontDepth - widthWindow/2
@@ -250,19 +250,136 @@ func lastCycle0(lastRetire uint64, cfg *Config) uint64 {
 // latency chain (memory latency + penalties « window).
 const widthWindow = 1 << 15
 
+// MaxScale is the largest pipeline scale the timing model supports.
+// Skylake().Scaled(k) passes checkConfig up to 73x; MaxScale rounds
+// that down.
+const MaxScale = 64
+
+// checkConfig reports an error unless the timing model is exact for
+// cfg. A fetch or issue request is at least lastCycle0(lastRetire), and
+// every earlier fetch or issue grant is below lastRetire, so a request
+// trails its limiter's latest grant by less than ROBSize+FrontDepth+
+// widthWindow/2 cycles. The issue ring, and the linear probe the
+// in-order fetch counter matches, are exact only while that lag stays
+// below widthWindow (ROBSize is 224 per scale step). The issue width
+// must also fit the ring's 16-bit per-cycle count.
+func checkConfig(cfg Config) error {
+	if lag := uint64(cfg.ROBSize) + cfg.FrontDepth + widthWindow/2; lag >= widthWindow {
+		return fmt.Errorf("pipeline: %s unsupported: ROB %d + front depth %d + %d reaches the %d-cycle width window (scales up to %dx are supported)",
+			cfg.Name, cfg.ROBSize, cfg.FrontDepth, widthWindow/2, widthWindow, MaxScale)
+	}
+	if cfg.IssueWidth > math.MaxUint16 {
+		return fmt.Errorf("pipeline: %s unsupported: issue width %d exceeds the ring's %d per cycle", cfg.Name, cfg.IssueWidth, math.MaxUint16)
+	}
+	return nil
+}
+
+// inOrderLimiter is a width limiter for a request stream in which every
+// request is at least the previous one, or at least the previous grant.
+// For such a stream every cycle from a request up to the last grant is
+// already full, so the first free cycle at or after a request is the
+// request itself when it is past the last grant, else the last grant
+// while it has room, else the cycle after it. Two counters give that
+// answer in O(1); it equals the linear probe's whenever a request trails
+// the last grant by less than widthWindow (the ring never aliases).
+// Fetch requests never decrease — fetchReady and lastRetire only grow —
+// and stay within the window (checkConfig); each retire request is at
+// least the previous retirement.
+type inOrderLimiter struct {
+	cycle uint64 // the last granted cycle
+	n     int    // grants in cycle
+	limit int
+}
+
+// reserve claims the first cycle >= want with a free slot.
+func (w *inOrderLimiter) reserve(want uint64) uint64 {
+	switch {
+	case want > w.cycle:
+		w.cycle, w.n = want, 1
+	case w.n < w.limit:
+		w.n++
+	default:
+		w.cycle++
+		w.n = 1
+	}
+	return w.cycle
+}
+
+// storeWindow is the store-to-load forwarding window: the last SQSize
+// stores' blocks and completion cycles. Stores are numbered from 1 in
+// program order and kept in a power-of-two ring of at least SQSize
+// entries; each links to the previous store whose block hashes to the
+// same bucket of a head table of at least 4*SQSize buckets. A load
+// walks its bucket's chain newest first and stops at the first store
+// that has left the window (seq <= n-SQSize): the chain's seqs only
+// fall, and every live store's ring entry is still its own. The walk
+// visits the live stores in one bucket instead of all SQSize entries,
+// and takes the same maximum as a scan of the whole window.
+type storeWindow struct {
+	ring  []storeEntry // seq & (len-1)
+	heads []uint64     // newest seq per bucket, 0 for none
+	shift uint         // bucket = block*hashMul >> shift
+	size  uint64       // SQSize
+	n     uint64       // stores pushed, the newest seq
+}
+
+type storeEntry struct {
+	block, done uint64
+	prev        uint64 // previous seq in the same bucket, 0 for none
+}
+
+// hashMul is 2^64 divided by the golden ratio (Fibonacci hashing).
+const hashMul = 0x9e3779b97f4a7c15
+
+func newStoreWindow(size int) storeWindow {
+	b := bits.Len(uint(4*size - 1)) // 1<<b >= 4*size buckets
+	return storeWindow{
+		ring:  make([]storeEntry, 1<<bits.Len(uint(size-1))),
+		heads: make([]uint64, 1<<b),
+		shift: 64 - uint(b),
+		size:  uint64(size),
+	}
+}
+
+func (w *storeWindow) bucket(block uint64) uint64 { return block * hashMul >> w.shift }
+
+// forward returns the latest completion among the window's stores to
+// block, or 0 when none is in the window.
+func (w *storeWindow) forward(block uint64) uint64 {
+	fwd := uint64(0)
+	mask := uint64(len(w.ring) - 1)
+	for q := w.heads[w.bucket(block)]; q != 0 && w.n-q < w.size; {
+		e := &w.ring[q&mask]
+		if e.block == block && e.done > fwd {
+			fwd = e.done
+		}
+		q = e.prev
+	}
+	return fwd
+}
+
+// push records the next store in program order.
+func (w *storeWindow) push(block, done uint64) {
+	w.n++
+	h := &w.heads[w.bucket(block)]
+	w.ring[w.n&uint64(len(w.ring)-1)] = storeEntry{block: block, done: done, prev: *h}
+	*h = w.n
+}
+
 // widthLimiter is a cycle-indexed width limiter: it counts events per
 // cycle in a ring of widthWindow slots and hands out the first cycle at
 // or after a requested one with a free slot. The slots cover the cycles
-// (lastSeen-widthWindow, lastSeen]; a request beyond lastSeen clears the
-// slots of the cycles it passes, and a request a whole window or more
-// behind lastSeen reads the ring slot it aliases onto.
+// (lastSeen-widthWindow, lastSeen], and a request beyond lastSeen clears
+// the slots of the cycles it passes. A request must trail lastSeen by
+// less than widthWindow; the schedule's issue requests always do for a
+// supported Config (see MaxScale).
 //
 // A full slot carries a skip distance: every cycle in [c, c+skip) is
 // full, and c+skip <= lastSeen+1. Reserve follows skips instead of
 // probing cycle by cycle and compresses the path it took, so a
 // saturated stream costs amortized O(1) per reservation where a linear
 // probe costs O(backlog). It returns exactly the cycle the linear probe
-// returns, aliasing included.
+// returns.
 type widthLimiter struct {
 	slots    []widthSlot
 	limit    uint16
@@ -280,35 +397,16 @@ func newWidthLimiter(limit int) *widthLimiter {
 
 // reserve finds the first cycle >= want with a free slot and claims it.
 func (w *widthLimiter) reserve(want uint64) uint64 {
+	x := want
 	if want > w.lastSeen {
 		w.advance(want)
-		w.claim(want)
-		return want
-	}
-	// c is the in-window cycle want's slot holds: want itself unless
-	// want fell a whole window behind, when a probe reads the slots of
-	// c, c+1, ..., lastSeen and then wraps onto the oldest cycles.
-	c := w.lastSeen - (w.lastSeen-want)&(widthWindow-1)
-	if w.slots[c&(widthWindow-1)].n < w.limit {
-		w.claim(c)
-		return want
-	}
-	x := w.nextFree(c)
-	if x > w.lastSeen && c != want {
-		oldest := w.lastSeen + 1 - widthWindow
-		if y := w.nextFree(oldest); y < c {
-			w.claim(y)
-			return want + (w.lastSeen + 1 - c) + (y - oldest)
+	} else if w.slots[want&(widthWindow-1)].n == w.limit {
+		if x = w.nextFree(want); x > w.lastSeen {
+			w.advance(x)
 		}
-		// Every slot is full: the probe runs past lastSeen.
-	}
-	if x > w.lastSeen {
-		w.advance(x)
-		w.claim(x)
-		return x
 	}
 	w.claim(x)
-	return want + (x - c)
+	return x
 }
 
 // nextFree returns the first cycle >= c (c in the window) whose slot is

@@ -38,6 +38,9 @@
 #   BenchmarkPipelineSchedule           - the schedule pass alone on one Quick trace
 #                                         over a precomputed annotation and outcome
 #                                         stream: an IPC driver's per-cell cost
+#   BenchmarkPipelineScheduleWide       - the same at 16x (96-wide, 896-entry store
+#                                         queue): the store-forwarding window's and
+#                                         width limiters' wide case
 #
 # Three regression checks run after the benchmarks:
 #   1. Intra-run gate (host-independent): the block replay loop
@@ -89,7 +92,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$' \
+  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$' \
   -benchtime "$benchtime" . ./internal/pipeline | tee "$raw" >&2
 
 awk -v benchtime="$benchtime" '
@@ -137,7 +140,8 @@ BenchmarkFig5Parallel/workers=1
 BenchmarkRecordSharded/shards=1
 BenchmarkPipelineALU
 BenchmarkPipelineTAGE
-BenchmarkPipelineSchedule'
+BenchmarkPipelineSchedule
+BenchmarkPipelineScheduleWide'
 missing=0
 while IFS= read -r name; do
   if ! parse "$out" | awk -v n="$name" '$1 == n { found = 1 } END { exit !found }'; then
