@@ -110,7 +110,10 @@ func TestFacadeHelperSaveLoad(t *testing.T) {
 // Pass misses count per-trace pass tables: one cache/BTB annotation per
 // trace (15) and one outcome stream per (trace, predictor) — TAGE-SC-L
 // 8KB and 64KB on the 9 SPECint-like traces, plus 1024KB on the 6 LCF
-// traces (36).
+// traces (36). The screenings run no predictor of their own: each
+// reads its trace's 8KB stream. So pass hits are the 390 pass requests
+// — every cell's annotation (210) and, unless perfect, its stream
+// (165), plus one stream per screening (15) — less the 51 misses.
 func TestIPCDriverPassCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four drivers end to end")
@@ -136,5 +139,8 @@ func TestIPCDriverPassCounts(t *testing.T) {
 	}
 	if st.PassMisses != 15+36 {
 		t.Errorf("pass misses = %d, want 51 (15 annotations + 36 predictor streams)", st.PassMisses)
+	}
+	if st.PassHits != 210+165+15-51 {
+		t.Errorf("pass hits = %d, want 339 (390 pass requests, 51 of them misses)", st.PassHits)
 	}
 }

@@ -33,11 +33,13 @@ func Alloc(cfg Config) *report.Artifact {
 	results := engine.MapSlice(cfg.Pool(), workload.SPECint2017Like(),
 		func(s *workload.Spec, _ int) allocResult {
 			tr := cfg.RecordTrace(s, 0)
+			rep, col := screenBranches(cfg, s, 0, tr)
+			set := rep.Set()
+			// The telemetry run needs no observer: allocations are
+			// recorded on the retire path the batch loop shares.
 			pred := tage.New(tage.Config8KB())
 			telemetry := pred.EnableAllocTracking()
-			col := core.NewCollector(cfg.SliceLen)
-			core.Run(tr.Stream(), pred, col)
-			set := core.PaperCriteria().Scaled(cfg.SliceLen).Screen(col).Set()
+			core.Run(tr.Stream(), pred)
 			var res allocResult
 			for _, b := range sortedTotals(col) {
 				if b.Execs < 32 {

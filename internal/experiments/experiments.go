@@ -328,15 +328,6 @@ func sortedTotals(col *core.Collector) []branchTotal {
 	return out
 }
 
-// screenH2Ps runs TAGE-SC-L 8KB over a trace and returns the screened
-// H2P report plus the collector.
-func screenH2Ps(tr trace.Replayable, sliceLen uint64) (*core.H2PReport, *core.Collector) {
-	col := core.NewCollector(sliceLen)
-	core.Run(tr.Stream(), tage.New(tage.Config8KB()), col)
-	rep := core.PaperCriteria().Scaled(sliceLen).Screen(col)
-	return rep, col
-}
-
 // screened pairs one screening pass's outputs for memoization.
 type screened struct {
 	rep *core.H2PReport
@@ -344,20 +335,45 @@ type screened struct {
 }
 
 // screenBranches screens one workload input under the baseline
-// predictor, memoized in the shared cache: ten drivers screen the same
-// input-0 traces under identical criteria, so one TAGE run per
-// (workload, input) serves them all. tr must be the (s, input) trace at
-// the configured budget — callers pass the buffer they already hold so
-// the uncached path records exactly as often as before. The returned
-// report and collector are shared across drivers and must be treated as
-// read-only (all their methods are).
+// predictor, TAGE-SC-L 8KB, memoized in the shared cache: ten drivers
+// screen the same input-0 traces under identical criteria, so one
+// screening per (workload, input) serves them all. The screening runs
+// no predictor of its own: it replays the trace against the 8KB
+// outcome stream (tageOutcomes), the pass table the IPC drivers'
+// tage-8kb cells schedule over, so one predictor pass per trace serves
+// both. tr must be the (s, input) trace at the configured budget —
+// callers pass the buffer they already hold so the uncached path
+// records exactly as often as before. The returned report and
+// collector are shared across drivers and must be treated as read-only
+// (all their methods are).
 func screenBranches(cfg Config, s *workload.Spec, input int, tr trace.Replayable) (*core.H2PReport, *core.Collector) {
 	key := fmt.Sprintf("h2p/%s/%d/%d/%d", s.Name, input, cfg.Budget, cfg.SliceLen)
 	v := cfg.Cache.Memo(key, func() any {
-		rep, col := screenH2Ps(tr, cfg.SliceLen)
-		return screened{rep, col}
+		col := collectOutcomes(tr, tageOutcomes(cfg, s, input, tr, 8), cfg.SliceLen)
+		return screened{core.PaperCriteria().Scaled(cfg.SliceLen).Screen(col), col}
 	}).(screened)
 	return v.rep, v.col
+}
+
+// collectOutcomes fills a collector from tr and a predictor's outcome
+// stream over it, making the calls core.Run makes with that predictor:
+// Inst for every instruction, then Branch for every conditional branch
+// with the direction the predictor predicted.
+func collectOutcomes(tr trace.Replayable, out *pipeline.Outcomes, sliceLen uint64) *core.Collector {
+	col := core.NewCollector(sliceLen)
+	i := 0
+	bs := tr.BlockStream(0)
+	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
+		for j := range blk {
+			inst := &blk[j]
+			col.Inst(uint64(i), inst)
+			if inst.Kind == trace.KindCondBr {
+				col.Branch(uint64(i), inst, inst.Taken != out.Mispredicted(i))
+			}
+			i++
+		}
+	}
+	return col
 }
 
 // regime is a pipeline cell's prediction regime: TAGE-SC-L at kb KB,
@@ -388,7 +404,7 @@ func ipcCell(cfg Config, s *workload.Spec, tr trace.Replayable, scale int, reg r
 		opt := pipeline.Options{PerfectBP: reg.kb == 0, PerfectIPs: reg.perfectIPs, MinExecsPerfect: reg.minExecs}
 		var out *pipeline.Outcomes
 		if reg.kb != 0 {
-			out = tageOutcomes(cfg, s, tr, reg.kb)
+			out = tageOutcomes(cfg, s, 0, tr, reg.kb)
 		}
 		return pipeline.Schedule(tr.BlockStream(0), pipeline.Skylake().Scaled(scale), annotation(cfg, s, tr), out, opt)
 	}).(pipeline.Result)
@@ -404,11 +420,12 @@ func annotation(cfg Config, s *workload.Spec, tr trace.Replayable) *pipeline.Ann
 	}).(*pipeline.Annotation)
 }
 
-// tageOutcomes is TAGE-SC-L kb's outcome stream over s's input-0
-// trace, a per-trace pass table shared by every scale and oracle
-// regime over that predictor.
-func tageOutcomes(cfg Config, s *workload.Spec, tr trace.Replayable, kb int) *pipeline.Outcomes {
-	key := fmt.Sprintf("pred/%s/0/%d/tage-%dkb", s.Name, cfg.Budget, kb)
+// tageOutcomes is TAGE-SC-L kb's outcome stream over tr, s's trace of
+// the given input, a per-trace pass table shared by every scale and
+// oracle regime over that predictor and, at 8KB, by the input's H2P
+// screening.
+func tageOutcomes(cfg Config, s *workload.Spec, input int, tr trace.Replayable, kb int) *pipeline.Outcomes {
+	key := fmt.Sprintf("pred/%s/%d/%d/tage-%dkb", s.Name, input, cfg.Budget, kb)
 	return cfg.Cache.Pass(key, func() any {
 		return pipeline.Predict(tr.BlockStream(0), tage.New(tage.NewConfig(kb)))
 	}).(*pipeline.Outcomes)

@@ -30,9 +30,10 @@ type Annotation struct {
 
 // Mark bits of an annotation byte.
 const (
-	levelMask = 3
-	l1dShift  = 2
-	btbBubble = 1 << 4
+	levelMask      = 3
+	l1dShift       = 2
+	btbBubbleShift = 4
+	btbBubble      = 1 << btbBubbleShift
 )
 
 // levels decodes a 2-bit level into the access latency a cache chain

@@ -214,7 +214,8 @@ func TestInOrderLimiterMatchesLinearProbe(t *testing.T) {
 				case "retire":
 					want = max(want, grant)
 				}
-				got, ref := fast.reserve(want), slow.reserve(want)
+				fast = fast.next(want)
+				got, ref := fast.cycle, slow.reserve(want)
 				if got != ref {
 					t.Fatalf("limit %d %s #%d: reserve(%d) = %d, linear probe %d", limit, shape, i, want, got, ref)
 				}

@@ -122,7 +122,7 @@ func referenceRun(cfg Config, bs trace.BlockStream, opt Options) Result {
 		res.Insts++
 
 		// --- Fetch ---------------------------------------------------
-		fetch := fetchLim.reserve(maxU(fetchReady, lastCycle0(lastRetire, &cfg)))
+		fetch := fetchLim.reserve(max(fetchReady, lastCycle0(lastRetire, cfg.fetchLag())))
 		if lat := hier.L1I.Access(inst.IP); lat > 0 {
 			fetch += lat
 		}
@@ -167,7 +167,7 @@ func referenceRun(cfg Config, bs trace.BlockStream, opt Options) Result {
 					fwd = storeDone[i]
 				}
 			}
-			done = maxU(issue+lat, fwd)
+			done = max(issue+lat, fwd)
 		case trace.KindStore:
 			done = issue + execLatency(inst.Kind)
 			storeAddr[sqIdx] = inst.MemAddr >> 3
@@ -225,9 +225,9 @@ func referenceRun(cfg Config, bs trace.BlockStream, opt Options) Result {
 		}
 
 		// --- Retire -----------------------------------------------------
-		retire := retireLim.reserve(maxU(done+1, lastRetire))
+		retire := retireLim.reserve(max(done+1, lastRetire))
 		lastRetire = retire
-		lastCycle = maxU(lastCycle, retire)
+		lastCycle = max(lastCycle, retire)
 
 		robRelease[robIdx] = retire
 		robIdx++

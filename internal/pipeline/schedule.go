@@ -48,7 +48,9 @@ func Schedule(bs trace.BlockStream, cfg Config, ann *Annotation, out *Outcomes, 
 	return s.result(ann.l1dMisses)
 }
 
-// scheduler is the timing pass's state between blocks.
+// scheduler is the timing pass's state between blocks. block copies the
+// scalars into locals for the length of a block and writes them back at
+// its end, so the per-instruction loop keeps them in registers.
 type scheduler struct {
 	cfg      Config
 	opt      Options
@@ -63,13 +65,13 @@ type scheduler struct {
 	robIdx, schedIdx, lqIdx, sqIdx                 int
 
 	// Fetch and retire requests arrive in order (see inOrderLimiter);
-	// issue requests do not.
+	// issue requests do not. The retire limiter's cycle is the last
+	// retirement, which is also the run's last cycle: retirement never
+	// goes backwards.
 	fetchLim, retireLim inOrderLimiter
 	issueLim            *widthLimiter
 
 	fetchReady uint64 // earliest cycle fetch may proceed (redirects)
-	lastRetire uint64
-	lastCycle  uint64
 
 	stores     storeWindow       // store-to-load forwarding
 	execCounts map[uint64]uint64 // for MinExecsPerfect
@@ -95,128 +97,166 @@ func newScheduler(cfg Config, l1i, l1d levels, opt Options) *scheduler {
 	return s
 }
 
+// kindRow is what the schedule kernel takes from an instruction's kind,
+// looked up once per instruction in kindTable instead of branching on
+// the kind.
+type kindRow struct {
+	lat         uint64 // execLatency
+	load, store uint64 // all ones for a load, for a store
+	cond        uint64 // 1 for a conditional branch
+}
+
+// kindTable tabulates kindRow over every Kind byte, so the latency is
+// execLatency's for any kind, valid or not.
+var kindTable = func() (t [256]kindRow) {
+	for k := range t {
+		kind := trace.Kind(k)
+		t[k].lat = execLatency(kind)
+		switch kind {
+		case trace.KindLoad:
+			t[k].load = ^uint64(0)
+		case trace.KindStore:
+			t[k].store = ^uint64(0)
+		case trace.KindCondBr:
+			t[k].cond = 1
+		}
+	}
+	return t
+}()
+
 // block schedules blk. marks[j] is blk[j]'s annotation; bit base+j of
 // miss is set when the predictor mispredicted blk[j] (miss nil: no
 // mispredictions).
+//
+// The loop is written for the host's branch predictor as much as for
+// clarity: the timestamps it compares are data, so every comparison
+// that only picks a value is a max or a mask (which the compiler turns
+// into conditional moves), and a kind test guards only work that cannot
+// be done unconditionally — the forwarding window, the register file's
+// bounds-checked slots and the oracle maps.
 func (s *scheduler) block(blk []trace.Inst, marks []byte, miss []uint64, base int) {
 	cfg := &s.cfg
-	perfectIPs, minExecs := s.opt.PerfectIPs, s.opt.MinExecsPerfect
+	frontDepth, redirect, btbPenalty := cfg.FrontDepth, cfg.RedirectPenalty, cfg.BTBMissPenalty
+	lag := cfg.fetchLag()
+	hasOracle := s.opt.PerfectIPs != nil || s.opt.MinExecsPerfect > 0
+	l1i, l1d := &s.l1i, &s.l1d
+	regReady := &s.regReady
+	issueLim, stores := s.issueLim, &s.stores
+	rob, sched, lq, sq := s.robRelease, s.schedRelease, s.lqRelease, s.sqRelease
+	robIdx, schedIdx, lqIdx, sqIdx := s.robIdx, s.schedIdx, s.lqIdx, s.sqIdx
+	fetchLim, retireLim := s.fetchLim, s.retireLim
+	fetchReady := s.fetchReady
+	var condExecs, mispreds uint64
+
+	marks = marks[:len(blk)]
 	for j := range blk {
 		inst := &blk[j]
 		m := marks[j]
-		s.res.Insts++
+		k := &kindTable[inst.Kind]
+		isLoad, isStore := k.load, k.store
 
 		// --- Fetch, delayed by the instruction-cache access ----------
-		fetch := s.fetchLim.reserve(maxU(s.fetchReady, lastCycle0(s.lastRetire, cfg))) + s.l1i[m&levelMask]
+		lastRetire := retireLim.cycle
+		fetchLim = fetchLim.next(max(fetchReady, lastCycle0(lastRetire, lag)))
+		fetch := fetchLim.cycle + l1i[m&levelMask]
 
-		// --- Dispatch: ROB + scheduler occupancy ----------------------
-		dispatch := fetch + cfg.FrontDepth
-		if r := s.robRelease[s.robIdx]; r > dispatch {
-			dispatch = r
-		}
-		if r := s.schedRelease[s.schedIdx]; r > dispatch {
-			dispatch = r
-		}
-		if inst.Kind == trace.KindLoad {
-			if r := s.lqRelease[s.lqIdx]; r > dispatch {
-				dispatch = r
-			}
-		}
-		if inst.Kind == trace.KindStore {
-			if r := s.sqRelease[s.sqIdx]; r > dispatch {
-				dispatch = r
-			}
-		}
+		// --- Dispatch: ROB, scheduler, LQ and SQ occupancy -----------
+		dispatch := max(fetch+frontDepth, rob[robIdx], sched[schedIdx], lq[lqIdx]&isLoad, sq[sqIdx]&isStore)
 
 		// --- Issue: operand readiness + issue bandwidth ---------------
 		ready := dispatch
-		for _, r := range inst.SrcRegs {
-			if r != trace.NoReg && s.regReady[r] > ready {
-				ready = s.regReady[r]
-			}
+		if r := inst.SrcRegs[0]; r != trace.NoReg {
+			ready = max(ready, regReady[r])
 		}
-		issue := s.issueLim.reserve(ready)
+		if r := inst.SrcRegs[1]; r != trace.NoReg {
+			ready = max(ready, regReady[r])
+		}
+		issue := issueLim.reserve(ready)
 
 		// --- Execute ---------------------------------------------------
-		var done uint64
-		switch inst.Kind {
-		case trace.KindLoad:
+		done := issue + k.lat
+		if isLoad != 0 {
 			// Store-to-load forwarding: a recent store to the same block
 			// bounds the load's completion from below.
-			done = maxU(issue+s.l1d[m>>l1dShift&levelMask], s.stores.forward(inst.MemAddr>>3))
-		case trace.KindStore:
-			done = issue + execLatency(inst.Kind)
-			s.stores.push(inst.MemAddr>>3, done)
-		default:
-			done = issue + execLatency(inst.Kind)
+			done = max(issue+l1d[m>>l1dShift&levelMask], stores.forward(inst.MemAddr>>3))
+		} else if isStore != 0 {
+			stores.push(inst.MemAddr>>3, done)
 		}
-		if inst.DstReg != trace.NoReg {
-			s.regReady[inst.DstReg] = done
+		if r := inst.DstReg; r != trace.NoReg {
+			regReady[r] = done
 		}
 
 		// --- Branch resolution -----------------------------------------
-		if inst.Kind == trace.KindCondBr {
-			s.res.CondExecs++
+		// Only conditional branches have a miss bit. A mispredicted one
+		// squashes wrong-path fetch when it resolves: fetch restarts
+		// after the redirect penalty. A BTB miss stalls fetch likewise.
+		var mis uint64
+		if miss != nil {
 			i := base + j
-			mis := miss != nil && miss[i>>6]&(1<<(i&63)) != 0
-			if mis && perfectIPs != nil && perfectIPs[inst.IP] {
-				mis = false
-			}
-			if minExecs > 0 {
-				n := s.execCounts[inst.IP]
-				if n >= minExecs {
-					mis = false
-				}
-				s.execCounts[inst.IP] = n + 1
-			}
-			if mis {
-				s.res.Mispreds++
-				// Wrong-path fetch is squashed when the branch resolves;
-				// fetch restarts after the redirect penalty.
-				if nr := done + cfg.RedirectPenalty; nr > s.fetchReady {
-					s.fetchReady = nr
-				}
-			}
+			mis = -(miss[i>>6] >> (i & 63) & 1)
 		}
-		if m&btbBubble != 0 {
-			if nr := fetch + cfg.BTBMissPenalty; nr > s.fetchReady {
-				s.fetchReady = nr
-			}
+		if hasOracle && k.cond != 0 {
+			mis = s.oracle(inst.IP, mis)
 		}
+		condExecs += k.cond
+		mispreds -= mis
+		bubble := -(uint64(m>>btbBubbleShift) & 1)
+		fetchReady = max(fetchReady, (done+redirect)&mis, (fetch+btbPenalty)&bubble)
 
 		// --- Retire -----------------------------------------------------
-		retire := s.retireLim.reserve(maxU(done+1, s.lastRetire))
-		s.lastRetire = retire
-		s.lastCycle = maxU(s.lastCycle, retire)
+		retireLim = retireLim.next(max(done+1, lastRetire))
+		retire := retireLim.cycle
 
 		// Release bounded structures.
-		s.robRelease[s.robIdx] = retire
-		if s.robIdx++; s.robIdx == cfg.ROBSize {
-			s.robIdx = 0
+		rob[robIdx] = retire
+		if robIdx++; robIdx == len(rob) {
+			robIdx = 0
 		}
-		s.schedRelease[s.schedIdx] = issue
-		if s.schedIdx++; s.schedIdx == cfg.SchedSize {
-			s.schedIdx = 0
+		sched[schedIdx] = issue
+		if schedIdx++; schedIdx == len(sched) {
+			schedIdx = 0
 		}
-		if inst.Kind == trace.KindLoad {
-			s.lqRelease[s.lqIdx] = done
-			if s.lqIdx++; s.lqIdx == cfg.LQSize {
-				s.lqIdx = 0
-			}
+		lq[lqIdx] = done&isLoad | lq[lqIdx]&^isLoad
+		if lqIdx += int(isLoad & 1); lqIdx == len(lq) {
+			lqIdx = 0
 		}
-		if inst.Kind == trace.KindStore {
-			s.sqRelease[s.sqIdx] = retire
-			if s.sqIdx++; s.sqIdx == cfg.SQSize {
-				s.sqIdx = 0
-			}
+		sq[sqIdx] = retire&isStore | sq[sqIdx]&^isStore
+		if sqIdx += int(isStore & 1); sqIdx == len(sq) {
+			sqIdx = 0
 		}
 	}
+
+	s.robIdx, s.schedIdx, s.lqIdx, s.sqIdx = robIdx, schedIdx, lqIdx, sqIdx
+	s.fetchLim, s.retireLim = fetchLim, retireLim
+	s.fetchReady = fetchReady
+	s.res.Insts += uint64(len(blk))
+	s.res.CondExecs += condExecs
+	s.res.Mispreds += mispreds
+}
+
+// oracle applies the oracle regimes to a conditional branch at ip whose
+// predictor outcome is mis (all ones: mispredicted) and returns the
+// outcome the schedule sees: PerfectIPs hides a misprediction on its
+// branches, and MinExecsPerfect hides one on a branch executed at least
+// that often before (counting every execution).
+func (s *scheduler) oracle(ip, mis uint64) uint64 {
+	if mis != 0 && s.opt.PerfectIPs[ip] {
+		mis = 0
+	}
+	if minExecs := s.opt.MinExecsPerfect; minExecs > 0 {
+		n := s.execCounts[ip]
+		if n >= minExecs {
+			mis = 0
+		}
+		s.execCounts[ip] = n + 1
+	}
+	return mis
 }
 
 // result finalizes the run given the L1D miss count of its hierarchy.
 func (s *scheduler) result(l1dMisses uint64) Result {
 	res := s.res
-	res.Cycles = s.lastCycle
+	res.Cycles = s.retireLim.cycle
 	if res.Cycles > 0 {
 		res.IPC = float64(res.Insts) / float64(res.Cycles)
 	}
@@ -227,23 +267,21 @@ func (s *scheduler) result(l1dMisses uint64) Result {
 	return res
 }
 
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // lastCycle0 bounds fetch from below so that fetch cannot fall
 // unboundedly behind retirement bookkeeping: it keeps fetch and issue
 // requests within the width window of their limiters' latest grants
-// (see checkConfig).
-func lastCycle0(lastRetire uint64, cfg *Config) uint64 {
-	if lastRetire > uint64(cfg.ROBSize)+cfg.FrontDepth+widthWindow/2 {
-		return lastRetire - uint64(cfg.ROBSize) - cfg.FrontDepth - widthWindow/2
+// (see checkConfig). lag is the Config's fetchLag.
+func lastCycle0(lastRetire, lag uint64) uint64 {
+	floor := lastRetire - lag
+	if lastRetire <= lag {
+		floor = 0
 	}
-	return 0
+	return floor
 }
+
+// fetchLag is how far fetch may trail the last retirement:
+// ROBSize+FrontDepth+widthWindow/2 cycles.
+func (c *Config) fetchLag() uint64 { return uint64(c.ROBSize) + c.FrontDepth + widthWindow/2 }
 
 // widthWindow is the width limiter's ring length in cycles. The window
 // must exceed any look-back distance, which is bounded by the largest
@@ -264,7 +302,7 @@ const MaxScale = 64
 // below widthWindow (ROBSize is 224 per scale step). The issue width
 // must also fit the ring's 16-bit per-cycle count.
 func checkConfig(cfg Config) error {
-	if lag := uint64(cfg.ROBSize) + cfg.FrontDepth + widthWindow/2; lag >= widthWindow {
+	if cfg.fetchLag() >= widthWindow {
 		return fmt.Errorf("pipeline: %s unsupported: ROB %d + front depth %d + %d reaches the %d-cycle width window (scales up to %dx are supported)",
 			cfg.Name, cfg.ROBSize, cfg.FrontDepth, widthWindow/2, widthWindow, MaxScale)
 	}
@@ -291,18 +329,19 @@ type inOrderLimiter struct {
 	limit int
 }
 
-// reserve claims the first cycle >= want with a free slot.
-func (w *inOrderLimiter) reserve(want uint64) uint64 {
-	switch {
-	case want > w.cycle:
-		w.cycle, w.n = want, 1
-	case w.n < w.limit:
-		w.n++
-	default:
-		w.cycle++
-		w.n = 1
+// next returns the limiter after it grants a request for want; the
+// grant is its cycle. It is written as selects, not a three-way switch:
+// which case applies depends on the timestamps, which the host's branch
+// predictor cannot learn.
+func (w inOrderLimiter) next(want uint64) inOrderLimiter {
+	cycle, n := w.cycle, w.n+1
+	if n > w.limit { // the last granted cycle is full
+		cycle, n = cycle+1, 1
 	}
-	return w.cycle
+	if want > w.cycle {
+		cycle, n = want, 1
+	}
+	return inOrderLimiter{cycle: cycle, n: n, limit: w.limit}
 }
 
 // storeWindow is the store-to-load forwarding window: the last SQSize

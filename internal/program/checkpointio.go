@@ -12,16 +12,16 @@ import (
 )
 
 // ErrBadCheckpointData is returned (wrapped) when a serialized
-// checkpoint list cannot be decoded: truncated input, or a length
-// prefix pointing past the end. Callers treat the whole blob as
-// unusable and fall back to checkpoint-free operation.
+// checkpoint list cannot be decoded: truncated input, a length prefix
+// claiming more elements than the bytes left could hold, or a field out
+// of the emitter's range. Callers treat the whole blob as unusable and
+// fall back to checkpoint-free operation.
 var ErrBadCheckpointData = errors.New("program: malformed serialized checkpoint list")
 
-// decodeCkptMax bounds the element counts a decoder will allocate for
-// before reading them, so a corrupt length prefix cannot demand
-// gigabytes. Real lists are far smaller: one checkpoint per cache
-// slice, a few dozen words of payload state each.
-const decodeCkptMax = 1 << 20
+// minCkptBytes is the shortest serialized checkpoint: nine varints (At,
+// four Rng words, CurIP, Scratch and the two length prefixes) of at
+// least one byte each.
+const minCkptBytes = 9
 
 // AppendCheckpoints appends the varint serialization of cks to b and
 // returns the extended slice. The encoding is self-delimiting:
@@ -50,9 +50,10 @@ func AppendCheckpoints(b []byte, cks []Checkpoint) []byte {
 
 // DecodeCheckpoints decodes a list serialized by AppendCheckpoints from
 // the front of b, returning the list and the number of bytes consumed.
-// Any truncation or oversized length prefix fails with a typed error
-// wrapping ErrBadCheckpointData; a partially decoded list is never
-// returned.
+// Any truncation, length prefix the remaining bytes cannot hold or
+// out-of-range scratch register fails with a typed error wrapping
+// ErrBadCheckpointData; a partially decoded list is never returned.
+// Allocations are bounded by a small multiple of len(b).
 func DecodeCheckpoints(b []byte) ([]Checkpoint, int, error) {
 	off := 0
 	next := func() (uint64, error) {
@@ -63,17 +64,23 @@ func DecodeCheckpoints(b []byte) ([]Checkpoint, int, error) {
 		off += n
 		return v, nil
 	}
-	count, err := next()
+	// length reads a length prefix and bounds it by the bytes left, at
+	// least unit bytes per element, so allocations follow the input.
+	length := func(what string, unit int) (uint64, error) {
+		v, err := next()
+		if err != nil {
+			return 0, err
+		}
+		if v > uint64((len(b)-off)/unit) {
+			return 0, fmt.Errorf("%w: %s %d exceeds the %d bytes left", ErrBadCheckpointData, what, v, len(b)-off)
+		}
+		return v, nil
+	}
+	count, err := length("checkpoint count", minCkptBytes)
 	if err != nil {
 		return nil, 0, err
 	}
-	if count > decodeCkptMax {
-		return nil, 0, fmt.Errorf("%w: implausible checkpoint count %d", ErrBadCheckpointData, count)
-	}
-	// Grow the list as elements decode rather than trusting the count
-	// for a large up-front allocation (the count is validated above,
-	// but each element still has to parse before it costs memory).
-	cks := make([]Checkpoint, 0, min(count, 4096))
+	cks := make([]Checkpoint, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var ck Checkpoint
 		if ck.At, err = next(); err != nil {
@@ -91,16 +98,14 @@ func DecodeCheckpoints(b []byte) ([]Checkpoint, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		if scratch > 0xFF {
+		// A restored emitter writes Scratch as a destination register.
+		if scratch >= scratchRegs {
 			return nil, 0, fmt.Errorf("%w: scratch register %d out of range", ErrBadCheckpointData, scratch)
 		}
 		ck.Scratch = uint8(scratch)
-		nCallers, err := next()
+		nCallers, err := length("caller count", 1)
 		if err != nil {
 			return nil, 0, err
-		}
-		if nCallers > decodeCkptMax {
-			return nil, 0, fmt.Errorf("%w: implausible caller count %d", ErrBadCheckpointData, nCallers)
 		}
 		ck.Callers = make([]uint64, nCallers)
 		for j := range ck.Callers {
@@ -108,12 +113,9 @@ func DecodeCheckpoints(b []byte) ([]Checkpoint, int, error) {
 				return nil, 0, err
 			}
 		}
-		nPayload, err := next()
+		nPayload, err := length("payload length", 1)
 		if err != nil {
 			return nil, 0, err
-		}
-		if nPayload > decodeCkptMax {
-			return nil, 0, fmt.Errorf("%w: implausible payload length %d", ErrBadCheckpointData, nPayload)
 		}
 		ck.Payload = make([]uint64, nPayload)
 		for j := range ck.Payload {

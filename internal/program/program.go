@@ -39,6 +39,7 @@ type Payload func(e *Emitter)
 const (
 	batchSize    = 8192
 	branchStride = 64 // bytes of IP space per static branch region
+	scratchRegs  = 8  // filler code rotates through registers r0..r7
 )
 
 // Emitter records the instructions a payload produces. Methods must only
@@ -193,13 +194,13 @@ func (e *Emitter) Compute(n int) {
 			kind = trace.KindFP
 		}
 		dst := e.scratch
-		e.scratch = (e.scratch + 1) & 7
+		e.scratch = (e.scratch + 1) % scratchRegs
 		e.emit(trace.Inst{
 			IP:       e.curIP,
 			Kind:     kind,
 			DstReg:   dst,
 			DstValue: e.rng.Uint64() & 0xFFFF,
-			SrcRegs:  [2]uint8{(dst + 1) & 7, (dst + 3) & 7},
+			SrcRegs:  [2]uint8{(dst + 1) % scratchRegs, (dst + 3) % scratchRegs},
 		})
 		e.curIP += 4
 	}
@@ -235,7 +236,7 @@ func (e *Emitter) SetVarLoad(v VarID, addr, value uint64) {
 // Load emits a load from addr into a scratch register.
 func (e *Emitter) Load(addr uint64) {
 	dst := e.scratch
-	e.scratch = (e.scratch + 1) & 7
+	e.scratch = (e.scratch + 1) % scratchRegs
 	e.emit(trace.Inst{
 		IP:      e.curIP,
 		Kind:    trace.KindLoad,

@@ -41,6 +41,9 @@
 #   BenchmarkPipelineScheduleWide       - the same at 16x (96-wide, 896-entry store
 #                                         queue): the store-forwarding window's and
 #                                         width limiters' wide case
+#   BenchmarkScreen                     - one Quick trace's H2P screening
+#                                         (internal/experiments): the TAGE-SC-L 8KB
+#                                         outcome stream plus the collector replay
 #
 # Three regression checks run after the benchmarks:
 #   1. Intra-run gate (host-independent): the block replay loop
@@ -92,8 +95,8 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$' \
-  -benchtime "$benchtime" . ./internal/pipeline | tee "$raw" >&2
+  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$|BenchmarkScreen$' \
+  -benchtime "$benchtime" . ./internal/pipeline ./internal/experiments | tee "$raw" >&2
 
 awk -v benchtime="$benchtime" '
   /^Benchmark/ && /ns\/op/ {
@@ -141,7 +144,8 @@ BenchmarkRecordSharded/shards=1
 BenchmarkPipelineALU
 BenchmarkPipelineTAGE
 BenchmarkPipelineSchedule
-BenchmarkPipelineScheduleWide'
+BenchmarkPipelineScheduleWide
+BenchmarkScreen'
 missing=0
 while IFS= read -r name; do
   if ! parse "$out" | awk -v n="$name" '$1 == n { found = 1 } END { exit !found }'; then
