@@ -22,6 +22,17 @@ import (
 // cmd/experiments for the full-budget versions recorded in
 // EXPERIMENTS.md.
 
+// mustRun runs a driver to completion, failing the benchmark on a run
+// error.
+func mustRun(b *testing.B, r experiments.Runner, cfg experiments.Config) *report.Artifact {
+	b.Helper()
+	art, err := r.RunCtx(context.Background(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return art
+}
+
 func benchExperiment(b *testing.B, id string) {
 	r, ok := experiments.ByID(id)
 	if !ok {
@@ -31,7 +42,7 @@ func benchExperiment(b *testing.B, id string) {
 	var sink *report.Artifact
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = r.Run(cfg)
+		sink = mustRun(b, r, cfg)
 	}
 	if sink == nil || sink.ID != id {
 		b.Fatal("experiment produced no artifact")
@@ -74,7 +85,7 @@ func BenchmarkFig5Parallel(b *testing.B) {
 			var sink *report.Artifact
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sink = r.Run(cfg)
+				sink = mustRun(b, r, cfg)
 			}
 			if sink == nil || sink.ID != "fig5" {
 				b.Fatal("experiment produced no artifact")
@@ -120,7 +131,7 @@ func BenchmarkRunAll(b *testing.B) {
 					cfg.Cache.SetStore(store)
 				}
 				for _, r := range experiments.All() {
-					sink = r.Run(cfg)
+					sink = mustRun(b, r, cfg)
 				}
 			}
 			if sink == nil {

@@ -177,13 +177,13 @@ func CloseStream(s Stream) error { return trace.CloseStream(s) }
 // RecordTrace materializes up to budget instructions from a workload
 // input. It is the facade's context-free recording root: the recording
 // cannot be cancelled, so only a payload failure can stop it, and that
-// escalates as a panic. Use RecordTraceCachedCtx to bound a recording
-// by a caller context.
+// panics with the payload's error. Use RecordTraceCachedCtx to bound a
+// recording by a caller context.
 func RecordTrace(spec *WorkloadSpec, input int, budget uint64) *Buffer {
 	//lint:ignore ctxflow RecordTrace is the facade's documented no-context root; RecordTraceCachedCtx is the bounded form
 	buf, err := spec.RecordCtx(context.Background(), input, budget)
 	if err != nil {
-		engine.Abort(err)
+		panic(err)
 	}
 	return buf
 }
@@ -334,17 +334,12 @@ type EnginePool = engine.Pool
 // NumCPU). Pools are cheap; they hold no goroutines between calls.
 func NewEnginePool(workers int) *EnginePool { return engine.New(workers) }
 
-// ParallelMap runs fn(0) .. fn(n-1) on the pool and returns the results
-// in index order — byte-identical merges regardless of worker count.
-func ParallelMap[T any](p *EnginePool, n int, fn func(i int) T) []T {
-	return engine.Map(p, n, fn)
-}
-
-// ParallelMapErr is ParallelMap with cancellation and typed failure: a
-// unit error or panic fails the run (lowest-indexed unit wins,
-// deterministically), a cancelled context stops dispatch and returns a
-// *CancelError listing the completed units. Workers never outlive the
-// call (DESIGN.md §9).
+// ParallelMapErr runs fn(ctx, 0) .. fn(ctx, n-1) on the pool and
+// returns the results in index order — byte-identical merges regardless
+// of worker count. A unit error or panic fails the run (lowest-indexed
+// unit wins, deterministically), a cancelled context stops dispatch and
+// returns a *CancelError listing the completed units. Workers never
+// outlive the call (DESIGN.md §9).
 func ParallelMapErr[T any](ctx context.Context, p *EnginePool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	return engine.MapErr(ctx, p, n, fn)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"testing"
+	"time"
 
 	"branchlab"
 )
@@ -143,4 +144,23 @@ func TestIPCDriverPassCounts(t *testing.T) {
 	if st.PassHits != 210+165+15-51 {
 		t.Errorf("pass hits = %d, want 339 (390 pass requests, 51 of them misses)", st.PassHits)
 	}
+}
+
+// TestRunExperimentAppliesDeadline: RunExperiment bounds the run by
+// cfg.Deadline, so a deadline no run can meet fails typed with no
+// artifact.
+func TestRunExperimentAppliesDeadline(t *testing.T) {
+	for _, r := range branchlab.Experiments() {
+		if r.ID != "table1" {
+			continue
+		}
+		cfg := branchlab.QuickExperimentConfig()
+		cfg.Deadline = time.Nanosecond
+		art, err := branchlab.RunExperiment(context.Background(), r, cfg)
+		if art != nil || !branchlab.IsCancel(err) {
+			t.Fatalf("RunExperiment under a 1ns deadline = %v, %v; want no artifact and a cancellation", art, err)
+		}
+		return
+	}
+	t.Fatal("table1 missing from the registry")
 }

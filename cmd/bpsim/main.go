@@ -242,7 +242,7 @@ func run(ctx context.Context, workloadName string, input int, traceFile, predNam
 			return s, func() { trace.CloseStream(s) }, nil
 		}
 		tr, err := cache.RecordCtx(ctx, spec.Name, input, budget,
-			spec.CacheSource(input, budget, engine.New(parallel).WithContext(ctx), recShards, ckptSliceInsts))
+			spec.CacheSource(input, budget, engine.New(parallel), recShards, ckptSliceInsts))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -45,6 +45,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -169,7 +170,7 @@ func main() {
 	for _, r := range runners {
 		//lint:ignore determinism progress timing goes to stderr only; the artifact on stdout never sees it
 		start := time.Now()
-		artifact, err := r.RunErr(cfg)
+		artifact, err := r.RunCtx(context.Background(), cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			var ce *engine.CancelError

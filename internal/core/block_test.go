@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"branchlab/internal/bp"
@@ -294,7 +295,12 @@ func TestCollectorShardsParallelAndAssociative(t *testing.T) {
 	const shardLen = 3 * sliceLen
 	n := (tr.Len() + shardLen - 1) / shardLen
 	build := func() []*Collector {
-		return engine.Map(engine.New(4), n, func(w int) *Collector { return shard(w, shardLen) })
+		out, err := engine.MapErr(context.Background(), engine.New(4), n,
+			func(_ context.Context, w int) (*Collector, error) { return shard(w, shardLen), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
 
 	left := build()

@@ -4,15 +4,13 @@
 // the merged output of a parallel run is byte-identical to a
 // single-worker run. The experiment drivers express their inner loops —
 // one unit per (workload, input, pipeline-scale, storage-budget) cell —
-// as Map calls over a Pool.
+// as MapErr calls over a Pool.
 //
 // Failure contract (DESIGN.md §9): a panicking or failing unit fails
 // its run, never the process. MapErr returns typed errors — a
 // *PanicError attributes a recovered panic to its work unit, a
 // *CancelError reports a cancellation or deadline along with which
-// units completed. Map keeps its no-error signature for the drivers'
-// infallible sweeps by escalating failures as an abort panic that
-// Recovered unwraps at the run boundary (experiments.Runner).
+// units completed.
 package engine
 
 import (
@@ -28,12 +26,10 @@ import (
 
 // Pool schedules independent work units onto a fixed set of workers.
 // The zero-cost construction holds no goroutines; workers are spawned
-// per Map call and torn down when it returns. A pool may carry a
-// context (WithContext) that bounds every Map/MapErr run scheduled on
-// it.
+// per MapErr call and torn down when it returns. A pool holds no
+// context: every run is bounded by the ctx its MapErr call is given.
 type Pool struct {
 	workers int
-	ctx     context.Context
 }
 
 // New returns a pool with the given worker count; workers <= 0 selects
@@ -43,21 +39,6 @@ func New(workers int) *Pool {
 		workers = runtime.NumCPU()
 	}
 	return &Pool{workers: workers}
-}
-
-// WithContext returns a pool sharing p's worker budget whose runs are
-// additionally bounded by ctx: Map aborts and MapErr returns a
-// *CancelError once ctx is done.
-func (p *Pool) WithContext(ctx context.Context) *Pool {
-	return &Pool{workers: p.workers, ctx: ctx}
-}
-
-// Context returns the context bounding this pool's runs (never nil).
-func (p *Pool) Context() context.Context {
-	if p.ctx != nil {
-		return p.ctx
-	}
-	return context.Background()
 }
 
 // Workers returns the configured worker count.
@@ -93,40 +74,6 @@ func (e *CancelError) Error() string {
 // errors.Is(err, context.DeadlineExceeded) classify CancelErrors.
 func (e *CancelError) Unwrap() error { return e.Err }
 
-// abortPanic carries a typed error across the no-error Map signature.
-// It is deliberately unexported: only Abort raises it and only
-// Recovered unwraps it, so arbitrary panics stay distinguishable.
-type abortPanic struct{ err error }
-
-// Abort escalates err through call frames that have no error return
-// (Map units, Config.RecordTrace, the context-free cache refill). The
-// nearest engine-aware recovery point — a MapErr unit or Recovered at
-// a run boundary — converts it back into the typed error, unchanged.
-func Abort(err error) {
-	if err == nil {
-		err = errors.New("engine: Abort(nil)")
-	}
-	//lint:ignore errcontract Abort is the documented escalation boundary: the typed abortPanic is recovered by MapErr/Recovered at every run boundary and converted back into the error
-	panic(abortPanic{err})
-}
-
-// Recovered returns the typed error carried by an Abort panic, or nil
-// if r is not one. Use at a recover() boundary:
-//
-//	defer func() {
-//		if r := recover(); r != nil {
-//			if err = engine.Recovered(r); err == nil {
-//				panic(r) // not ours; keep unwinding
-//			}
-//		}
-//	}()
-func Recovered(r any) error {
-	if ap, ok := r.(abortPanic); ok {
-		return ap.err
-	}
-	return nil
-}
-
 // IsCancel reports whether err is cancellation-class: caused by a
 // context being canceled or timing out rather than by the work itself
 // failing. Cancellation-class failures are retryable with a fresh
@@ -140,10 +87,10 @@ func IsCancel(err error) bool {
 // multiple goroutines; units must not depend on each other.
 //
 // The ctx passed to every unit is canceled as soon as any unit fails
-// or the caller's ctx (or the pool's, from WithContext) is done;
-// pending units are not dispatched and in-flight units can bail at
-// their next cancellation check. All workers are joined before MapErr
-// returns — no goroutines outlive the call.
+// or the caller's ctx is done; pending units are not dispatched and
+// in-flight units can bail at their next cancellation check. All
+// workers are joined before MapErr returns — no goroutines outlive the
+// call.
 //
 // On failure the result slice holds every completed unit's value and
 // the error is typed: a unit panic surfaces as *PanicError, a
@@ -158,11 +105,6 @@ func MapErr[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Cont
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if p.ctx != nil && p.ctx != ctx {
-		var cancel context.CancelFunc
-		ctx, cancel = mergeContexts(ctx, p.ctx)
-		defer cancel()
-	}
 
 	out := make([]T, n)
 	done := make([]bool, n)
@@ -171,11 +113,7 @@ func MapErr[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Cont
 	runUnit := func(ctx context.Context, i int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				if ae := Recovered(r); ae != nil {
-					err = ae // a nested Map aborted; keep its typed error
-				} else {
-					err = &PanicError{Cell: i, Value: r, Stack: debug.Stack()}
-				}
+				err = &PanicError{Cell: i, Value: r, Stack: debug.Stack()}
 			}
 		}()
 		if ferr := faultinject.Fail(faultinject.EngineDispatch); ferr != nil {
@@ -271,37 +209,6 @@ func collectErr(ctx context.Context, errs []error, done []bool, n int) error {
 		}
 	}
 	return &CancelError{Err: cancelCause, Completed: completed, Total: n}
-}
-
-// mergeContexts derives a context canceled when either parent is done,
-// carrying values and deadline from primary.
-func mergeContexts(primary, secondary context.Context) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(primary)
-	stop := context.AfterFunc(secondary, cancel)
-	return ctx, func() { stop(); cancel() }
-}
-
-// Map runs fn(0) .. fn(n-1) on the pool and returns the n results
-// indexed by submission order, regardless of completion order or
-// worker count. fn must be safe to call from multiple goroutines;
-// units must not depend on each other. A failure — unit panic, pool
-// context cancellation, injected fault — is escalated with Abort after
-// all workers have drained; the typed error is recovered by the
-// enclosing MapErr unit or by Recovered at the run boundary.
-func Map[T any](p *Pool, n int, fn func(i int) T) []T {
-	out, err := MapErr(p.Context(), p, n, func(_ context.Context, i int) (T, error) {
-		return fn(i), nil
-	})
-	if err != nil {
-		Abort(err)
-	}
-	return out
-}
-
-// MapSlice runs fn over each element of in and returns the results in
-// element order. It is Map with the common slice-of-inputs plumbing.
-func MapSlice[S, T any](p *Pool, in []S, fn func(item S, i int) T) []T {
-	return Map(p, len(in), func(i int) T { return fn(in[i], i) })
 }
 
 // MapSliceErr is MapErr with the common slice-of-inputs plumbing.

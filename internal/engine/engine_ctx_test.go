@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -27,21 +26,6 @@ func leakCheck(t *testing.T) func() {
 				return
 			}
 			time.Sleep(2 * time.Millisecond)
-		}
-	}
-}
-
-func TestMapErrMatchesMap(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		out, err := MapErr(context.Background(), New(workers), 50,
-			func(_ context.Context, i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatalf("workers=%d: MapErr = %v", workers, err)
-		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
-			}
 		}
 	}
 }
@@ -189,118 +173,6 @@ func TestMapErrDeadline(t *testing.T) {
 	}
 }
 
-// TestPoolWithContext: a pool-bound context cancels Map runs even when
-// the caller passes none, and Map escalates via Abort.
-func TestPoolWithContext(t *testing.T) {
-	defer leakCheck(t)()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p := New(4).WithContext(ctx)
-	defer func() {
-		err := Recovered(recover())
-		if err == nil {
-			t.Fatal("Map on a canceled pool did not abort")
-		}
-		var ce *CancelError
-		if !errors.As(err, &ce) {
-			t.Fatalf("abort error = %v, want *CancelError", err)
-		}
-	}()
-	Map(p, 10, func(i int) int { return i })
-	t.Fatal("Map returned normally on a canceled pool")
-}
-
-// TestPoolContextMergesWithCallCtx: cancellation of either the pool
-// context or the per-call context stops the run.
-func TestPoolContextMergesWithCallCtx(t *testing.T) {
-	defer leakCheck(t)()
-	poolCtx, cancelPool := context.WithCancel(context.Background())
-	defer cancelPool()
-	p := New(2).WithContext(poolCtx)
-	started := make(chan struct{})
-	var once atomic.Bool
-	done := make(chan error, 1)
-	go func() {
-		_, err := MapErr(context.Background(), p, 8, func(ctx context.Context, i int) (int, error) {
-			if once.CompareAndSwap(false, true) {
-				close(started)
-			}
-			<-ctx.Done()
-			return 0, ctx.Err()
-		})
-		done <- err
-	}()
-	<-started
-	cancelPool()
-	select {
-	case err := <-done:
-		if !IsCancel(err) {
-			t.Fatalf("MapErr = %v, want cancellation", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("pool-context cancel did not stop the run")
-	}
-}
-
-// TestNestedMapAbortSurfacesInOuterUnit: an abort raised inside a
-// nested Map is converted to the outer unit's typed error, not wrapped
-// in a fresh PanicError.
-func TestNestedMapAbortSurfacesInOuterUnit(t *testing.T) {
-	defer leakCheck(t)()
-	inner := errors.New("inner unit failed")
-	_, err := MapErr(context.Background(), New(2), 4,
-		func(_ context.Context, i int) (int, error) {
-			sum := 0
-			for _, v := range Map(New(2), 3, func(j int) int {
-				if i == 2 && j == 1 {
-					Abort(fmt.Errorf("cell (%d,%d): %w", i, j, inner))
-				}
-				return j
-			}) {
-				sum += v
-			}
-			return sum, nil
-		})
-	if !errors.Is(err, inner) {
-		t.Fatalf("nested abort surfaced as %v, want %v", err, inner)
-	}
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		t.Fatalf("nested abort wrapped in PanicError: %v", err)
-	}
-}
-
-// TestRecoveredIgnoresForeignPanics: Recovered must not swallow panics
-// it does not own.
-func TestRecoveredIgnoresForeignPanics(t *testing.T) {
-	if err := Recovered("some panic"); err != nil {
-		t.Fatalf("Recovered(foreign) = %v, want nil", err)
-	}
-	if err := Recovered(nil); err != nil {
-		t.Fatalf("Recovered(nil) = %v, want nil", err)
-	}
-	want := errors.New("x")
-	func() {
-		defer func() {
-			if got := Recovered(recover()); !errors.Is(got, want) {
-				t.Fatalf("Recovered(Abort(x)) = %v, want %v", got, want)
-			}
-		}()
-		Abort(want)
-	}()
-}
-
-// TestAbortNil: Abort(nil) must still unwind with a non-nil error so
-// a buggy call site cannot silently resume.
-func TestAbortNil(t *testing.T) {
-	defer func() {
-		if err := Recovered(recover()); err == nil {
-			t.Fatal("Abort(nil) recovered to nil error")
-		}
-	}()
-	Abort(nil)
-}
-
 // TestMapErrDeterministicErrorSelection: with several failing units,
 // the lowest-indexed non-cancellation error is reported regardless of
 // scheduling.
@@ -329,18 +201,43 @@ func TestMapErrDeterministicErrorSelection(t *testing.T) {
 	}
 }
 
-// TestMapSliceErr mirrors TestMapSlice for the error-returning shape.
-func TestMapSliceErr(t *testing.T) {
+// TestMapSliceErr: MapSliceErr hands each unit its element and index
+// at any worker count, and maps an empty slice to nil.
+// TestMapSlice: MapSliceErr hands each unit its item and index and
+// returns the results in input order, at any worker count.
+func TestMapSlice(t *testing.T) {
 	in := []string{"a", "bb", "ccc"}
-	out, err := MapSliceErr(context.Background(), New(4), in,
-		func(_ context.Context, s string, i int) (int, error) { return len(s) + i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 3, 5}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("out[%d] = %d, want %d", i, out[i], want[i])
+	for _, workers := range []int{1, 4} {
+		out, err := MapSliceErr(context.Background(), New(workers), in,
+			func(_ context.Context, s string, i int) (int, error) { return len(s) + i, nil })
+		if err != nil {
+			t.Fatal(err)
 		}
+		want := []int{1, 3, 5}
+		for i := range want {
+			if out[i] != want[i] {
+				t.Errorf("workers=%d: out[%d] = %d, want %d", workers, i, out[i], want[i])
+			}
+		}
+	}
+}
+
+// TestMapSliceErr: an empty input yields nil, nil, and a unit's error
+// is returned to the caller.
+func TestMapSliceErr(t *testing.T) {
+	if out, err := MapSliceErr(context.Background(), New(4), []string(nil),
+		func(context.Context, string, int) (int, error) { return 1, nil }); out != nil || err != nil {
+		t.Errorf("MapSliceErr(nil) = %v, %v, want nil, nil", out, err)
+	}
+	boom := errors.New("item failure")
+	_, err := MapSliceErr(context.Background(), New(4), []string{"a", "bb", "ccc"},
+		func(_ context.Context, s string, _ int) (int, error) {
+			if s == "bb" {
+				return 0, boom
+			}
+			return len(s), nil
+		})
+	if !errors.Is(err, boom) {
+		t.Errorf("MapSliceErr = %v, want %v", err, boom)
 	}
 }

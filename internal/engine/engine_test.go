@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"strings"
@@ -20,16 +21,26 @@ func TestNewDefaultsToNumCPU(t *testing.T) {
 	}
 }
 
+// mapInts runs fn over n units on p with the background context and
+// reports a run error as a test failure.
+func mapInts(t *testing.T, p *Pool, n int, fn func(i int) int) []int {
+	t.Helper()
+	out, err := MapErr(context.Background(), p, n, func(_ context.Context, i int) (int, error) { return fn(i), nil })
+	if err != nil {
+		t.Errorf("MapErr = %v", err)
+	}
+	return out
+}
+
 func TestMapEmpty(t *testing.T) {
-	if out := Map(New(4), 0, func(int) int { return 1 }); out != nil {
-		t.Errorf("Map over 0 units = %v, want nil", out)
+	if out := mapInts(t, New(4), 0, func(int) int { return 1 }); out != nil {
+		t.Errorf("MapErr over 0 units = %v, want nil", out)
 	}
 }
 
 func TestMapPreservesSubmissionOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
-		p := New(workers)
-		out := Map(p, 100, func(i int) int { return i * i })
+		out := mapInts(t, New(workers), 100, func(i int) int { return i * i })
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
@@ -40,9 +51,9 @@ func TestMapPreservesSubmissionOrder(t *testing.T) {
 
 func TestMapRunsEveryUnitExactlyOnce(t *testing.T) {
 	var calls [200]int32
-	Map(New(8), len(calls), func(i int) struct{} {
+	mapInts(t, New(8), len(calls), func(i int) int {
 		atomic.AddInt32(&calls[i], 1)
-		return struct{}{}
+		return 0
 	})
 	for i, c := range calls {
 		if c != 1 {
@@ -58,12 +69,12 @@ func TestMapActuallyRunsConcurrently(t *testing.T) {
 	barrier.Add(2)
 	done := make(chan struct{})
 	go func() {
-		Map(New(2), 2, func(i int) struct{} {
+		defer close(done)
+		mapInts(t, New(2), 2, func(int) int {
 			barrier.Done()
 			barrier.Wait()
-			return struct{}{}
+			return 0
 		})
-		close(done)
 	}()
 	<-done
 }
@@ -72,9 +83,9 @@ func TestMapSingleWorkerIsSequential(t *testing.T) {
 	// With one worker the units must run in index order on the calling
 	// goroutine, so unsynchronized writes to shared state are safe.
 	order := make([]int, 0, 50)
-	Map(New(1), 50, func(i int) struct{} {
+	mapInts(t, New(1), 50, func(i int) int {
 		order = append(order, i)
-		return struct{}{}
+		return 0
 	})
 	for i, v := range order {
 		if v != i {
@@ -85,51 +96,26 @@ func TestMapSingleWorkerIsSequential(t *testing.T) {
 
 func TestMapPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Errorf("workers=%d: panic did not propagate", workers)
-					return
-				}
-				err := Recovered(r)
-				if err == nil {
-					t.Errorf("workers=%d: panic value %v is not an engine abort", workers, r)
-					return
-				}
-				var pe *PanicError
-				if !errors.As(err, &pe) {
-					t.Errorf("workers=%d: abort error %v is not a *PanicError", workers, err)
-					return
-				}
-				if pe.Cell != 7 {
-					t.Errorf("workers=%d: panic attributed to cell %d, want 7", workers, pe.Cell)
-				}
-				//lint:ignore errcontract asserts the panic value's text survives into the message; the panic value is a string, not a sentinel
-				if !strings.Contains(err.Error(), "boom") {
-					t.Errorf("workers=%d: panic error %v lost the cause", workers, err)
-				}
-				if len(pe.Stack) == 0 {
-					t.Errorf("workers=%d: panic error carries no stack", workers)
-				}
-			}()
-			Map(New(workers), 10, func(i int) int {
-				if i == 7 {
-					panic("boom")
-				}
-				return i
-			})
-		}()
-	}
-}
-
-func TestMapSlice(t *testing.T) {
-	in := []string{"a", "bb", "ccc"}
-	out := MapSlice(New(4), in, func(s string, i int) int { return len(s) + i })
-	want := []int{1, 3, 5}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("out[%d] = %d, want %d", i, out[i], want[i])
+		_, err := MapErr(context.Background(), New(workers), 10, func(_ context.Context, i int) (int, error) {
+			if i == 7 {
+				panic("boom")
+			}
+			return i, nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Errorf("workers=%d: MapErr = %v, want a *PanicError", workers, err)
+			continue
+		}
+		if pe.Cell != 7 {
+			t.Errorf("workers=%d: panic attributed to cell %d, want 7", workers, pe.Cell)
+		}
+		//lint:ignore errcontract asserts the panic value's text survives into the message; the panic value is a string, not a sentinel
+		if !strings.Contains(err.Error(), "boom") {
+			t.Errorf("workers=%d: panic error %v lost the cause", workers, err)
+		}
+		if len(pe.Stack) == 0 {
+			t.Errorf("workers=%d: panic error carries no stack", workers)
 		}
 	}
 }

@@ -62,23 +62,3 @@ func TestDispatchFaultFailsRunTyped(t *testing.T) {
 		}
 	}
 }
-
-// TestDispatchFaultThroughMapAborts: the no-error Map surface
-// escalates the same injected fault via Abort instead of crashing.
-func TestDispatchFaultThroughMapAborts(t *testing.T) {
-	seed := findDispatchSeed(t, 64)
-	if err := faultinject.Activate(seed); err != nil {
-		t.Fatal(err)
-	}
-	defer faultinject.Deactivate()
-	defer func() {
-		err := Recovered(recover())
-		if err == nil {
-			t.Fatal("Map under an armed dispatch fault returned normally")
-		}
-		if !errors.Is(err, faultinject.ErrInjected) {
-			t.Fatalf("Map abort error = %v, want injected fault", err)
-		}
-	}()
-	Map(New(4), 64, func(i int) int { return i })
-}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"branchlab/internal/cnn"
@@ -9,6 +10,7 @@ import (
 	"branchlab/internal/report"
 	"branchlab/internal/stats"
 	"branchlab/internal/tage"
+	"branchlab/internal/trace"
 	"branchlab/internal/workload"
 )
 
@@ -17,7 +19,7 @@ import (
 // 13,093 allocations against 3,990 unique entries per H2P, versus 4 and 4
 // for ordinary branches, with each H2P claiming ~3.6% of all allocation
 // events versus <0.01%).
-func Alloc(cfg Config) *report.Artifact {
+func Alloc(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	a := &report.Artifact{ID: "alloc", Title: "TAGE tagged-entry allocation churn: H2P vs non-H2P"}
 	var h2pAllocs, h2pUnique, otherAllocs, otherUnique []uint64
 	var h2pShare, otherShare []float64
@@ -30,16 +32,15 @@ func Alloc(cfg Config) *report.Artifact {
 		share          []float64
 	}
 	type allocResult struct{ h2p, other allocClass }
-	results := engine.MapSlice(cfg.Pool(), workload.SPECint2017Like(),
-		func(s *workload.Spec, _ int) allocResult {
-			tr := cfg.RecordTrace(s, 0)
+	results, err := perTrace(ctx, cfg, workload.SPECint2017Like(),
+		func(s *workload.Spec, tr trace.Replayable) allocResult {
 			rep, col := screenBranches(cfg, s, 0, tr)
 			set := rep.Set()
 			// The telemetry run needs no observer: allocations are
 			// recorded on the retire path the batch loop shares.
 			pred := tage.New(tage.Config8KB())
 			telemetry := pred.EnableAllocTracking()
-			core.Run(tr.Stream(), pred)
+			core.RunBlocks(tr.BlockStream(0), pred)
 			var res allocResult
 			for _, b := range sortedTotals(col) {
 				if b.Execs < 32 {
@@ -55,6 +56,9 @@ func Alloc(cfg Config) *report.Artifact {
 			}
 			return res
 		})
+	if err != nil {
+		return nil, err
+	}
 	for _, res := range results {
 		h2pAllocs = append(h2pAllocs, res.h2p.allocs...)
 		h2pUnique = append(h2pUnique, res.h2p.unique...)
@@ -74,14 +78,14 @@ func Alloc(cfg Config) *report.Artifact {
 	a.Tables = append(a.Tables, tab)
 	a.Notes = append(a.Notes,
 		"paper medians: 13,093 allocations / 3,990 unique entries per H2P vs 4 / 4 per ordinary branch; shares 3.6% vs <0.01% (absolute counts scale with trace length)")
-	return a
+	return a, nil
 }
 
 // CNN reproduces the §V-C demonstration: offline-trained 2-bit CNN helper
 // predictors, trained on traces from multiple application inputs, beat
 // the online TAGE-SC-L baseline on the specific H2Ps they target when
 // deployed on an unseen input.
-func CNN(cfg Config) *report.Artifact {
+func CNN(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	a := &report.Artifact{ID: "cnn", Title: "CNN helper predictors on H2P heavy hitters"}
 	mcfg := cnn.DefaultConfig()
 	tab := report.NewTable("", "benchmark", "H2P", "TAGE acc", "helper acc", "improvement")
@@ -93,16 +97,19 @@ func CNN(cfg Config) *report.Artifact {
 		cells  []string
 		better bool
 	}
-	rows := engine.MapSlice(cfg.Pool(), []string{"605.mcf_s", "657.xz_s", "641.leela_s"},
-		func(s string, _ int) *cnnRow {
+	rows, err := engine.MapSliceErr(ctx, cfg.Pool(), []string{"605.mcf_s", "657.xz_s", "641.leela_s"},
+		func(ctx context.Context, s string, _ int) (*cnnRow, error) {
 			spec, ok := workload.ByName(s)
 			if !ok {
-				return nil
+				return nil, nil
 			}
-			tr0 := cfg.RecordTrace(spec, 0)
+			tr0, err := cfg.RecordTrace(ctx, spec, 0)
+			if err != nil {
+				return nil, err
+			}
 			target := topHeavyHitter(cfg, spec, tr0)
 			if target == 0 {
-				return nil
+				return nil, nil
 			}
 			// Offline training: samples aggregated over the first two
 			// inputs, replaying the already-recorded input-0 trace.
@@ -114,12 +121,14 @@ func CNN(cfg Config) *report.Artifact {
 			for in := 0; in < trainInputs; in++ {
 				tr := tr0
 				if in > 0 {
-					tr = cfg.RecordTrace(spec, in)
+					if tr, err = cfg.RecordTrace(ctx, spec, in); err != nil {
+						return nil, err
+					}
 				}
 				// The history collector reads resolved directions only
 				// (its Branch callback is a no-op): no predictor needed.
 				hc := cnn.NewHistoryCollector(mcfg, target)
-				core.Observe(tr.Stream(), hc)
+				core.ObserveBlocks(tr.BlockStream(0), hc)
 				samples = append(samples, hc.Samples...)
 			}
 			model := cnn.NewModel(mcfg)
@@ -127,20 +136,23 @@ func CNN(cfg Config) *report.Artifact {
 
 			// Deployment: an input never seen during training.
 			evalInput := trainInputs % spec.NumInputs
-			evalTrace := cfg.RecordTrace(spec, evalInput)
+			evalTrace, err := cfg.RecordTrace(ctx, spec, evalInput)
+			if err != nil {
+				return nil, err
+			}
 
 			// The baseline eval pass is exactly a screening run of the
 			// eval input; the memoized collector serves it.
 			_, colBase := screenBranches(cfg, spec, evalInput, evalTrace)
 			baseStats := colBase.Totals()[target]
 			if baseStats == nil || baseStats.Execs == 0 {
-				return nil
+				return nil, nil
 			}
 
 			overlay := cnn.NewOverlay(mcfg, tage.New(tage.Config8KB()))
 			overlay.Attach(target, model)
 			colHelper := core.NewCollector(cfg.SliceLen)
-			core.Run(evalTrace.Stream(), overlay, colHelper)
+			core.RunBlocks(evalTrace.BlockStream(0), overlay, colHelper)
 			helperStats := colHelper.Totals()[target]
 
 			baseAcc := baseStats.Accuracy()
@@ -149,8 +161,11 @@ func CNN(cfg Config) *report.Artifact {
 				cells: []string{s, fmt.Sprintf("%#x", target), f3(baseAcc), f3(helperAcc),
 					fmt.Sprintf("%+.1f%%", 100*(helperAcc-baseAcc))},
 				better: helperAcc > baseAcc,
-			}
+			}, nil
 		})
+	if err != nil {
+		return nil, err
+	}
 	for _, r := range rows {
 		if r == nil {
 			continue
@@ -165,5 +180,5 @@ func CNN(cfg Config) *report.Artifact {
 	a.Notes = append(a.Notes, fmt.Sprintf(
 		"%d/%d helpers beat the online baseline on an unseen input; weights quantized to 2-bit magnitudes for deployment",
 		improved, total))
-	return a
+	return a, nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,38 +11,38 @@ import (
 	"branchlab/internal/report"
 )
 
-// TestRunErrExpiredDeadlineFailsTyped: a deadline that cannot possibly
+// TestRunCtxExpiredDeadlineFailsTyped: a deadline that cannot possibly
 // be met fails the run with a typed deadline error and no artifact.
-func TestRunErrExpiredDeadlineFailsTyped(t *testing.T) {
+func TestRunCtxExpiredDeadlineFailsTyped(t *testing.T) {
 	r, ok := ByID("table1")
 	if !ok {
 		t.Fatal("table1 missing from the registry")
 	}
 	cfg := quickCfg()
 	cfg.Deadline = time.Nanosecond
-	art, err := r.RunErr(cfg)
+	art, err := r.RunCtx(context.Background(), cfg)
 	if art != nil {
 		t.Fatal("expired run still produced an artifact")
 	}
 	if !engine.IsCancel(err) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunErr = %v, want a deadline cancellation", err)
+		t.Fatalf("RunCtx = %v, want a deadline cancellation", err)
 	}
 }
 
-// TestRunErrGenerousDeadlineByteIdentical: a deadline the run meets
+// TestRunCtxGenerousDeadlineByteIdentical: a deadline the run meets
 // changes no artifact byte relative to the unbounded run.
-func TestRunErrGenerousDeadlineByteIdentical(t *testing.T) {
+func TestRunCtxGenerousDeadlineByteIdentical(t *testing.T) {
 	r, ok := ByID("table2")
 	if !ok {
 		t.Fatal("table2 missing from the registry")
 	}
 	cfg := quickCfg()
-	want, err := r.RunErr(cfg)
+	want, err := r.RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Deadline = time.Hour
-	got, err := r.RunErr(cfg)
+	got, err := r.RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("generous deadline failed the run: %v", err)
 	}
@@ -53,7 +54,7 @@ func TestRunErrGenerousDeadlineByteIdentical(t *testing.T) {
 // TestRunCtxRecoversDriverPanic: a panicking driver becomes a typed
 // error naming the driver; the process survives.
 func TestRunCtxRecoversDriverPanic(t *testing.T) {
-	r := Runner{ID: "boom", Title: "panics", Run: func(Config) *report.Artifact {
+	r := Runner{ID: "boom", Title: "panics", Run: func(context.Context, Config) (*report.Artifact, error) {
 		panic("driver bug")
 	}}
 	art, err := r.RunCtx(context.Background(), quickCfg())
@@ -65,26 +66,30 @@ func TestRunCtxRecoversDriverPanic(t *testing.T) {
 	}
 }
 
-// TestRunCtxConvertsEngineAborts: an engine.Abort raised anywhere in a
-// driver surfaces as the run's typed error.
-func TestRunCtxConvertsEngineAborts(t *testing.T) {
+// TestRunCtxWrapsDriverError: a driver's returned error fails the run
+// with no artifact, wrapped with the driver's ID and still matching
+// the original under errors.Is.
+func TestRunCtxWrapsDriverError(t *testing.T) {
 	boom := errors.New("cell failure")
-	r := Runner{ID: "abort", Title: "aborts", Run: func(Config) *report.Artifact {
-		engine.Abort(boom)
-		return nil
+	r := Runner{ID: "failing", Title: "fails", Run: func(context.Context, Config) (*report.Artifact, error) {
+		return &report.Artifact{ID: "failing"}, boom
 	}}
-	_, err := r.RunCtx(context.Background(), quickCfg())
-	if !errors.Is(err, boom) {
-		t.Fatalf("RunCtx(aborting driver) = %v, want %v", err, boom)
+	art, err := r.RunCtx(context.Background(), quickCfg())
+	if art != nil || !errors.Is(err, boom) {
+		t.Fatalf("RunCtx(failing driver) = %v, %v, want no artifact and %v", art, err, boom)
+	}
+	//lint:ignore errcontract asserts the driver ID is prepended to the message; the ID is not a sentinel
+	if !strings.HasPrefix(err.Error(), "experiments failing: ") {
+		t.Fatalf("RunCtx error %q does not name the driver", err)
 	}
 }
 
 // TestRunCtxPreCancelled: an already-cancelled run context fails fast
 // with a typed error, before any driver work.
 func TestRunCtxPreCancelled(t *testing.T) {
-	r := Runner{ID: "never", Title: "never runs", Run: func(Config) *report.Artifact {
+	r := Runner{ID: "never", Title: "never runs", Run: func(context.Context, Config) (*report.Artifact, error) {
 		t.Error("driver ran under a pre-cancelled context")
-		return nil
+		return nil, nil
 	}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"branchlab/internal/core"
 	"branchlab/internal/depgraph"
-	"branchlab/internal/engine"
 	"branchlab/internal/phase"
 	"branchlab/internal/report"
 	"branchlab/internal/stats"
@@ -37,7 +37,7 @@ func depAnalysis(cfg Config, s *workload.Spec, tr trace.Replayable, target uint6
 		s.Name, cfg.Budget, depgraph.DefaultWindow, 4000, target)
 	return cfg.Cache.Memo(key, func() any {
 		an := depgraph.New(depgraph.DefaultWindow, 4000, target)
-		core.Observe(tr.Stream(), an)
+		core.ObserveBlocks(tr.BlockStream(0), an)
 		return an
 	}).(*depgraph.Analyzer)
 }
@@ -45,14 +45,13 @@ func depAnalysis(cfg Config, s *workload.Spec, tr trace.Replayable, target uint6
 // Table3 reproduces Table III: for the top H2P heavy hitter of each
 // SPECint-like benchmark, the number of distinct dependency branches and
 // the minimum/maximum global-history positions at which they appear.
-func Table3(cfg Config) *report.Artifact {
+func Table3(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	a := &report.Artifact{ID: "table3", Title: "Dependency branches of top H2P heavy hitters (5000-instruction window)"}
 	tab := report.NewTable("", "benchmark", "target", "dep branches", "min pos", "max pos", "positions/dep")
 	// One work unit per benchmark: screen for the top H2P, then walk the
 	// same trace through the dependency analyzer.
-	rows := engine.MapSlice(cfg.Pool(), workload.SPECint2017Like(),
-		func(s *workload.Spec, _ int) []string {
-			tr := cfg.RecordTrace(s, 0)
+	rows, err := perTrace(ctx, cfg, workload.SPECint2017Like(),
+		func(s *workload.Spec, tr trace.Replayable) []string {
 			target := topHeavyHitter(cfg, s, tr)
 			if target == 0 {
 				return []string{s.Name, "-", "0", "-", "-", "-"}
@@ -62,24 +61,30 @@ func Table3(cfg Config) *report.Artifact {
 			return []string{s.Name, fmt.Sprintf("%#x", target), d(sum.DepBranches),
 				d(sum.MinPos), d(sum.MaxPos), f2(sum.PositionsPerDep)}
 		})
+	if err != nil {
+		return nil, err
+	}
 	for _, row := range rows {
 		tab.AddRow(row...)
 	}
 	a.Tables = append(a.Tables, tab)
 	a.Notes = append(a.Notes,
 		"paper: dependency counts 3-484; max positions 34-1,879 — within TAGE-SC-L 64KB's 3,000-bit history, yet poorly predicted")
-	return a
+	return a, nil
 }
 
 // Fig6 reproduces Fig 6: the distribution of history positions at which
 // each dependency branch of a top H2P appears. High spread per dependency
 // branch is the paper's explanation for why exact pattern matching fails.
-func Fig6(cfg Config) *report.Artifact {
+func Fig6(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	a := &report.Artifact{ID: "fig6", Title: "History-position distributions of dependency branches"}
 	// One work unit per benchmark producing its whole table (nil when the
 	// benchmark has no H2P to analyze).
-	tables := engine.MapSlice(cfg.Pool(), workload.SPECint2017Like()[:4],
-		func(s *workload.Spec, _ int) *report.Table { return fig6Table(s, cfg) })
+	tables, err := perTrace(ctx, cfg, workload.SPECint2017Like()[:4],
+		func(s *workload.Spec, tr trace.Replayable) *report.Table { return fig6Table(cfg, s, tr) })
+	if err != nil {
+		return nil, err
+	}
 	for _, tab := range tables {
 		if tab != nil {
 			a.Tables = append(a.Tables, tab)
@@ -87,12 +92,11 @@ func Fig6(cfg Config) *report.Artifact {
 	}
 	a.Notes = append(a.Notes,
 		"each dependency branch appears at many positions with non-uniform recurrence — position-specific correlation cannot pin it down")
-	return a
+	return a, nil
 }
 
 // fig6Table builds one benchmark's dependency-position table.
-func fig6Table(s *workload.Spec, cfg Config) *report.Table {
-	tr := cfg.RecordTrace(s, 0)
+func fig6Table(cfg Config, s *workload.Spec, tr trace.Replayable) *report.Table {
 	target := topHeavyHitter(cfg, s, tr)
 	if target == 0 {
 		return nil
@@ -151,7 +155,7 @@ func fig6Table(s *workload.Spec, cfg Config) *report.Table {
 // Fig9 reproduces Fig 9: the distribution of per-branch median recurrence
 // intervals over the LCF dataset, whose mass at 100K-1M instructions is
 // the paper's evidence for exploitable long-timescale phases.
-func Fig9(cfg Config) *report.Artifact {
+func Fig9(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	a := &report.Artifact{ID: "fig9", Title: "Median recurrence interval (MRI) distribution, LCF"}
 	// One tracker per workload. Sharing a single tracker across the suite
 	// (as this driver originally did) is wrong as well as unparallelizable:
@@ -161,13 +165,15 @@ func Fig9(cfg Config) *report.Artifact {
 	// the overflow bin. Per-workload trackers keep each (workload, IP)
 	// distribution separate; the merge bins every median into one
 	// suite-wide histogram.
-	trackers := engine.MapSlice(cfg.Pool(), workload.LCFLike(),
-		func(s *workload.Spec, _ int) *phase.RecurrenceTracker {
+	trackers, err := perTrace(ctx, cfg, workload.LCFLike(),
+		func(_ *workload.Spec, tr trace.Replayable) *phase.RecurrenceTracker {
 			tracker := phase.NewRecurrenceTracker()
-			tr := cfg.RecordTrace(s, 0)
-			core.Observe(tr.Stream(), tracker)
+			core.ObserveBlocks(tr.BlockStream(0), tracker)
 			return tracker
 		})
+	if err != nil {
+		return nil, err
+	}
 	h := stats.NewHistogram(phase.MRIBins...)
 	for _, tracker := range trackers {
 		for _, m := range tracker.MedianIntervals() {
@@ -188,18 +194,21 @@ func Fig9(cfg Config) *report.Artifact {
 	a.Notes = append(a.Notes, fmt.Sprintf(
 		"non-singleton peak at bin %s (paper: 100K-1M at its 30M budget; bins scale with trace length)",
 		h.BinLabel(peakIdx)))
-	return a
+	return a, nil
 }
 
 // Fig10 reproduces Fig 10: the distribution of values written to the
 // tracked registers immediately before executions of the top H2P of each
 // benchmark — branch-specific, structured distributions that motivate
 // value-aware helper predictors.
-func Fig10(cfg Config) *report.Artifact {
+func Fig10(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	a := &report.Artifact{ID: "fig10", Title: "Register values preceding top H2P executions (18 tracked registers)"}
 	// One work unit per benchmark producing its whole table.
-	tables := engine.MapSlice(cfg.Pool(), workload.SPECint2017Like()[:6],
-		func(s *workload.Spec, _ int) *report.Table { return fig10Table(s, cfg) })
+	tables, err := perTrace(ctx, cfg, workload.SPECint2017Like()[:6],
+		func(s *workload.Spec, tr trace.Replayable) *report.Table { return fig10Table(cfg, s, tr) })
+	if err != nil {
+		return nil, err
+	}
 	for _, tab := range tables {
 		if tab != nil {
 			a.Tables = append(a.Tables, tab)
@@ -207,18 +216,17 @@ func Fig10(cfg Config) *report.Artifact {
 	}
 	a.Notes = append(a.Notes,
 		"distributions differ drastically across branches and carry recognizable structure (clustered values), as in the paper")
-	return a
+	return a, nil
 }
 
 // fig10Table builds one benchmark's register-value table.
-func fig10Table(s *workload.Spec, cfg Config) *report.Table {
-	tr := cfg.RecordTrace(s, 0)
+func fig10Table(cfg Config, s *workload.Spec, tr trace.Replayable) *report.Table {
 	target := topHeavyHitter(cfg, s, tr)
 	if target == 0 {
 		return nil
 	}
 	tracker := core.NewRegValueTracker(target, 8, 18)
-	core.Observe(tr.Stream(), tracker)
+	core.ObserveBlocks(tr.BlockStream(0), tracker)
 	pts := tracker.Points()
 	tab := report.NewTable(fmt.Sprintf("%s target %#x (%d executions)", s.Name, target, tracker.Execs()),
 		"register", "distinct values", "top value", "top count")

@@ -41,8 +41,8 @@ func TestParallelArtifactsByteIdentical(t *testing.T) {
 			seq.Workers = 1
 			par := quickCfg()
 			par.Workers = parallelWorkers()
-			want := r.Run(seq).String()
-			got := r.Run(par).String()
+			want := mustRun(t, r.Run, seq).String()
+			got := mustRun(t, r.Run, par).String()
 			if want != got {
 				t.Errorf("parallel artifact differs from sequential:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
 					want, par.Workers, got)
@@ -67,10 +67,10 @@ func TestCacheRunAllByteIdenticalAndRecordsOnce(t *testing.T) {
 	cfg.Budget = 100_000
 	cfg.SliceLen = 50_000
 
-	runAll := func(cfg Config) string {
+	runAll := func(t testing.TB, cfg Config) string {
 		var b strings.Builder
 		for _, r := range All() {
-			b.WriteString(r.Run(cfg).String())
+			b.WriteString(mustRun(t, r.Run, cfg).String())
 			b.WriteByte('\n')
 		}
 		return b.String()
@@ -78,7 +78,7 @@ func TestCacheRunAllByteIdenticalAndRecordsOnce(t *testing.T) {
 
 	uncached := cfg
 	uncached.Workers = 1
-	want := runAll(uncached)
+	want := runAll(t, uncached)
 
 	for _, tc := range []struct {
 		name    string
@@ -96,7 +96,7 @@ func TestCacheRunAllByteIdenticalAndRecordsOnce(t *testing.T) {
 			cached.Workers = tc.workers
 			cached.RecordShards = tc.shards
 			cached.Cache = tracecache.New(0)
-			if got := runAll(cached); got != want {
+			if got := runAll(t, cached); got != want {
 				t.Errorf("cached artifacts differ from uncached (workers=%d)", tc.workers)
 			}
 			st := cached.Cache.Stats()
@@ -130,10 +130,10 @@ func TestSliceEvictionRunAllByteIdentical(t *testing.T) {
 	cfg.Budget = 100_000
 	cfg.SliceLen = 50_000
 
-	runAll := func(cfg Config) string {
+	runAll := func(t testing.TB, cfg Config) string {
 		var b strings.Builder
 		for _, r := range All() {
-			b.WriteString(r.Run(cfg).String())
+			b.WriteString(mustRun(t, r.Run, cfg).String())
 			b.WriteByte('\n')
 		}
 		return b.String()
@@ -141,7 +141,7 @@ func TestSliceEvictionRunAllByteIdentical(t *testing.T) {
 
 	uncached := cfg
 	uncached.Workers = 1
-	want := runAll(uncached)
+	want := runAll(t, uncached)
 
 	for _, tc := range []struct {
 		name       string
@@ -165,7 +165,7 @@ func TestSliceEvictionRunAllByteIdentical(t *testing.T) {
 			capped.CacheSlice = tc.sliceInsts
 			capped.CkptSlice = tc.ckptInsts
 			capped.Cache = tracecache.NewSliced(tc.capInsts*instBytes, tc.sliceInsts)
-			if got := runAll(capped); got != want {
+			if got := runAll(t, capped); got != want {
 				t.Errorf("capped slice-cache artifacts differ from uncached reference")
 			}
 			st := capped.Cache.Stats()
@@ -201,7 +201,7 @@ func TestSequentialArtifactsReproducible(t *testing.T) {
 			}
 			cfg := quickCfg()
 			cfg.Workers = 1
-			if a, b := r.Run(cfg).String(), r.Run(cfg).String(); a != b {
+			if a, b := mustRun(t, r.Run, cfg).String(), mustRun(t, r.Run, cfg).String(); a != b {
 				t.Errorf("two sequential runs differ:\n%s\n---\n%s", a, b)
 			}
 		})

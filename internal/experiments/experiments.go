@@ -82,26 +82,13 @@ type Config struct {
 	CkptSlice uint64
 
 	// Deadline bounds one driver run end to end (0 = none). It is
-	// applied by Runner.RunErr: the run's pools and recordings share a
-	// context that expires after this duration, and an expired run
-	// fails with a typed cancellation error (engine.CancelError, which
-	// lists the work units that did complete) instead of partial or
-	// wrong artifacts. A deadline generous enough for the run to finish
+	// applied by Runner.RunCtx: the run's work units and recordings
+	// share a context that expires after this duration, and an expired
+	// run fails with a typed cancellation error (engine.CancelError,
+	// which lists the work units that did complete) instead of partial
+	// or wrong artifacts. A deadline generous enough for the run to finish
 	// changes no artifact byte (DESIGN.md §9).
 	Deadline time.Duration
-
-	// ctx, when non-nil, bounds every pool and recording built from
-	// this configuration. It is set by Runner.RunCtx/RunErr; drivers
-	// never touch it directly.
-	ctx context.Context
-}
-
-// Context returns the run-bounding context (Background when none).
-func (c Config) Context() context.Context {
-	if c.ctx == nil {
-		return context.Background()
-	}
-	return c.ctx
 }
 
 // NewCache constructs the shared trace cache for this configuration:
@@ -115,16 +102,8 @@ func (c Config) NewCache(maxBytes int64) *tracecache.Cache {
 	return cache
 }
 
-// Pool returns the engine pool the experiment's work units run on,
-// bound to the run context: cancelling or timing out the run stops
-// every Map dispatched on it with a typed error.
-func (c Config) Pool() *engine.Pool {
-	p := engine.New(c.Workers)
-	if c.ctx != nil {
-		p = p.WithContext(c.ctx)
-	}
-	return p
-}
+// Pool returns the engine pool the experiment's work units run on.
+func (c Config) Pool() *engine.Pool { return engine.New(c.Workers) }
 
 // RecordTrace materializes one workload input's trace at the configured
 // budget through Cache.RecordCtx — the one recording path. All drivers
@@ -135,16 +114,11 @@ func (c Config) Pool() *engine.Pool {
 // (nil cache: the slices recorded and joined) or a cache view
 // re-materializing evicted slices on demand (Spec.RecordRangeFrom,
 // resuming from a checkpoint or skimming from zero).
-// Recording honours the run context: a cancelled or expired run fails
-// with a typed error escalated to the Runner.RunErr boundary — a
-// truncated trace is never returned.
-func (c Config) RecordTrace(s *workload.Spec, input int) trace.Replayable {
-	tr, err := c.Cache.RecordCtx(c.Context(), s.Name, input, c.Budget,
+// ctx bounds the recording: a cancelled or expired run returns a typed
+// error — a truncated trace is never returned.
+func (c Config) RecordTrace(ctx context.Context, s *workload.Spec, input int) (trace.Replayable, error) {
+	return c.Cache.RecordCtx(ctx, s.Name, input, c.Budget,
 		s.CacheSource(input, c.Budget, c.Pool(), c.RecordShards, c.CkptSlice))
-	if err != nil {
-		engine.Abort(err)
-	}
-	return tr
 }
 
 // Default returns the configuration used for EXPERIMENTS.md.
@@ -173,56 +147,43 @@ func Quick() Config {
 	}
 }
 
-// Runner is a named experiment driver.
+// Runner is a named experiment driver. Run returns the artifact, or
+// a typed error and no artifact: a failed work unit, a cancelled or
+// expired ctx, a failed recording.
 type Runner struct {
 	ID    string
 	Title string
-	Run   func(Config) *report.Artifact
+	Run   func(context.Context, Config) (*report.Artifact, error)
 }
 
-// RunCtx runs the driver bounded by ctx, converting every in-band
-// failure into the error return: engine aborts (typed unit errors,
-// cancellations, injected faults) unwind here, and an arbitrary driver
-// panic is isolated into an error naming the driver instead of killing
-// the process. A nil error means the artifact is complete and
+// RunCtx runs the driver bounded by ctx and, when set, cfg.Deadline. A
+// failure comes back as an error naming the driver that wraps the
+// driver's typed error (engine.CancelError for a cancelled or expired
+// run, which lists the work units that did complete), and an arbitrary
+// driver panic is isolated into such an error instead of killing the
+// process. A nil error means the artifact is complete and
 // byte-identical to an unbounded run.
 func (r Runner) RunCtx(ctx context.Context, cfg Config) (art *report.Artifact, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg.ctx = ctx
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			return
-		}
-		art = nil
-		if aerr := engine.Recovered(rec); aerr != nil {
-			err = fmt.Errorf("experiments %s: %w", r.ID, aerr)
-			return
-		}
-		err = fmt.Errorf("experiments %s: driver panicked: %v\n%s", r.ID, rec, debug.Stack())
-	}()
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, fmt.Errorf("experiments %s: %w", r.ID, cerr)
-	}
-	return r.Run(cfg), nil
-}
-
-// RunErr is RunCtx under cfg.Deadline: with a deadline set the whole
-// driver — recording, screening, timing — must finish within it or
-// fail with a typed deadline error (partial results are reported
-// through engine.CancelError's completed-unit list, never as partial
-// artifacts).
-func (r Runner) RunErr(cfg Config) (*report.Artifact, error) {
-	//lint:ignore ctxflow RunErr is the deadline root: it mints the run context from cfg.Deadline, there is no caller context to thread
-	ctx := context.Background()
 	if cfg.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
 		defer cancel()
 	}
-	return r.RunCtx(ctx, cfg)
+	defer func() {
+		if rec := recover(); rec != nil {
+			art, err = nil, fmt.Errorf("experiments %s: driver panicked: %v\n%s", r.ID, rec, debug.Stack())
+		}
+	}()
+	if err = ctx.Err(); err == nil {
+		art, err = r.Run(ctx, cfg)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiments %s: %w", r.ID, err)
+	}
+	return art, nil
 }
 
 // All returns every experiment in paper order.
@@ -259,17 +220,18 @@ func ByID(id string) (Runner, bool) {
 
 // --- shared helpers ----------------------------------------------------
 
-// recordSuite materializes one trace per workload (input 0), one engine
-// work unit per workload, through the configured trace cache.
-func recordSuite(cfg Config, pool *engine.Pool, specs []*workload.Spec) map[string]trace.Replayable {
-	bufs := engine.MapSlice(pool, specs, func(s *workload.Spec, _ int) trace.Replayable {
-		return cfg.RecordTrace(s, 0)
+// perTrace runs fn over each spec's input-0 trace, recorded through
+// the configured trace cache, one engine work unit per spec, and
+// returns the results in spec order.
+func perTrace[T any](ctx context.Context, cfg Config, specs []*workload.Spec, fn func(s *workload.Spec, tr trace.Replayable) T) ([]T, error) {
+	return engine.MapSliceErr(ctx, cfg.Pool(), specs, func(ctx context.Context, s *workload.Spec, _ int) (T, error) {
+		tr, err := cfg.RecordTrace(ctx, s, 0)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return fn(s, tr), nil
 	})
-	out := make(map[string]trace.Replayable, len(specs))
-	for i, s := range specs {
-		out[s.Name] = bufs[i]
-	}
-	return out
 }
 
 // observeSliced replays a recorded trace through predictor-free
@@ -280,7 +242,7 @@ func recordSuite(cfg Config, pool *engine.Pool, specs []*workload.Spec) map[stri
 // observers — BBV collectors, slice collectors — byte-identical to a
 // sequential core.Observe pass at any worker count, which is what lets
 // one long trace's analysis use every worker instead of one.
-func observeSliced[O core.Observer](cfg Config, pool *engine.Pool, tr trace.Replayable, mk func() O, merge func(dst, src O)) O {
+func observeSliced[O core.Observer](ctx context.Context, cfg Config, pool *engine.Pool, tr trace.Replayable, mk func() O, merge func(dst, src O)) (O, error) {
 	sliceLen := int(cfg.SliceLen)
 	nSlices := (tr.Len() + sliceLen - 1) / sliceLen
 	shards := pool.Workers()
@@ -289,22 +251,26 @@ func observeSliced[O core.Observer](cfg Config, pool *engine.Pool, tr trace.Repl
 	}
 	if shards <= 1 {
 		o := mk()
-		core.Observe(tr.Stream(), o)
-		return o
+		core.ObserveBlocks(tr.BlockStream(0), o)
+		return o, nil
 	}
 	per := (nSlices + shards - 1) / shards
-	parts := engine.Map(pool, shards, func(w int) O {
+	parts, err := engine.MapErr(ctx, pool, shards, func(_ context.Context, w int) (O, error) {
 		lo := w * per * sliceLen
 		hi := lo + per*sliceLen
 		o := mk()
 		core.ObserveFrom(tr.Range(lo, hi).Stream(), uint64(lo), o)
-		return o
+		return o, nil
 	})
+	if err != nil {
+		var zero O
+		return zero, err
+	}
 	acc := parts[0]
 	for _, p := range parts[1:] {
 		merge(acc, p)
 	}
-	return acc
+	return acc, nil
 }
 
 // branchTotal pairs a static branch IP with its whole-run counters.

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
+
+	"branchlab/internal/report"
+	"branchlab/internal/trace"
+	"branchlab/internal/workload"
 )
 
 // The experiment drivers are integration tests of the whole system: each
@@ -15,6 +20,28 @@ func quickCfg() Config {
 	c.Budget = 300_000
 	c.SliceLen = 150_000
 	return c
+}
+
+// mustRun runs a driver under the background context, failing the test
+// on a run error.
+func mustRun(t testing.TB, run func(context.Context, Config) (*report.Artifact, error), cfg Config) *report.Artifact {
+	t.Helper()
+	a, err := run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// mustRecord records one workload input's trace through cfg, failing
+// the test on a recording error.
+func mustRecord(t testing.TB, cfg Config, s *workload.Spec, input int) trace.Replayable {
+	t.Helper()
+	tr, err := cfg.RecordTrace(context.Background(), s, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -70,7 +97,7 @@ func TestFig1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	a := Fig1(quickCfg())
+	a := mustRun(t, Fig1, quickCfg())
 	if len(a.Tables) == 0 {
 		t.Fatal("no tables")
 	}
@@ -110,8 +137,8 @@ func TestFig5H2PShareSmallerThanSPEC(t *testing.T) {
 		t.Skip("integration experiment")
 	}
 	cfg := quickCfg()
-	spec := Fig1(cfg)
-	lcf := Fig5(cfg)
+	spec := mustRun(t, Fig1, cfg)
+	lcf := mustRun(t, Fig5, cfg)
 	shareOf := func(tabStr string) float64 {
 		base := parseRel(t, tabStr, "TAGE-SC-L 8KB", 0)
 		h2p := parseRel(t, tabStr, "Perfect H2Ps", 0)
@@ -134,7 +161,7 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	a := Table2(quickCfg())
+	a := mustRun(t, Table2, quickCfg())
 	s := a.Tables[0].String()
 	if !strings.Contains(s, "game") || !strings.Contains(s, "MEAN") {
 		t.Fatalf("table2 missing rows:\n%s", s)
@@ -152,7 +179,7 @@ func TestFig3Distributions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	a := Fig3(quickCfg())
+	a := mustRun(t, Fig3, quickCfg())
 	if len(a.Tables) != 3 {
 		t.Fatalf("fig3 should render 3 distributions, got %d", len(a.Tables))
 	}
@@ -167,7 +194,7 @@ func TestFig4SpreadShrinksWithExecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	a := Fig4(quickCfg())
+	a := mustRun(t, Fig4, quickCfg())
 	if len(a.Notes) == 0 {
 		t.Fatal("fig4 missing note")
 	}
@@ -189,7 +216,7 @@ func TestTable3AndFig6DependencyVariation(t *testing.T) {
 		t.Skip("integration experiment")
 	}
 	cfg := quickCfg()
-	a := Table3(cfg)
+	a := mustRun(t, Table3, cfg)
 	s := a.Tables[0].String()
 	mcfFound := false
 	for _, line := range strings.Split(s, "\n") {
@@ -222,7 +249,7 @@ func TestFig9HasLongIntervals(t *testing.T) {
 	// Recurrence across phase revisits needs at least two full passes
 	// through the phase schedule.
 	cfg.Budget = 900_000
-	a := Fig9(cfg)
+	a := mustRun(t, Fig9, cfg)
 	s := a.Tables[0].String()
 	// Long-interval bins (>=10K) must hold a meaningful fraction of IPs.
 	long := 0.0
@@ -243,7 +270,7 @@ func TestAllocChurnContrast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	a := Alloc(quickCfg())
+	a := mustRun(t, Alloc, quickCfg())
 	s := a.Tables[0].String()
 	h2pMed := parseRel(t, s, "H2P", 1)
 	otherMed := parseRel(t, s, "non-H2P", 1)

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"branchlab/internal/engine"
 	"branchlab/internal/report"
+	"branchlab/internal/trace"
 	"branchlab/internal/workload"
 )
 
@@ -12,58 +14,63 @@ import (
 // (TAGE-SC-L 8KB at 1x) as pipeline capacity scales, for four prediction
 // regimes: TAGE-SC-L 8KB, TAGE-SC-L 64KB, perfect prediction of the H2P
 // set, and perfect prediction of everything.
-func Fig1(cfg Config) *report.Artifact {
-	return ipcScalingFigure("fig1",
+func Fig1(ctx context.Context, cfg Config) (*report.Artifact, error) {
+	return ipcScalingFigure(ctx, "fig1",
 		"IPC vs pipeline capacity scaling (SPECint-like, relative to TAGE-SC-L 8KB at 1x)",
 		workload.SPECint2017Like(), cfg)
 }
 
 // Fig5 reproduces Fig 5: the same study on the LCF suite, where perfect
 // H2P prediction captures a much smaller share of the opportunity.
-func Fig5(cfg Config) *report.Artifact {
-	return ipcScalingFigure("fig5",
+func Fig5(ctx context.Context, cfg Config) (*report.Artifact, error) {
+	return ipcScalingFigure(ctx, "fig5",
 		"IPC vs pipeline capacity scaling (LCF, relative to TAGE-SC-L 8KB at 1x)",
 		workload.LCFLike(), cfg)
 }
 
-func ipcScalingFigure(id, title string, specs []*workload.Spec, cfg Config) *report.Artifact {
-	pool := cfg.Pool()
-	traces := recordSuite(cfg, pool, specs)
+// screenedTrace is a workload's input-0 trace with its H2P set.
+type screenedTrace struct {
+	tr   trace.Replayable
+	h2ps map[uint64]bool
+}
 
-	// Screen the H2P set per workload under the baseline predictor
-	// (memoized: table drivers screen the same traces).
-	sets := engine.MapSlice(pool, specs, func(s *workload.Spec, _ int) map[uint64]bool {
-		rep, _ := screenBranches(cfg, s, 0, traces[s.Name])
-		return rep.Set()
+func ipcScalingFigure(ctx context.Context, id, title string, specs []*workload.Spec, cfg Config) (*report.Artifact, error) {
+	// Record each workload and screen its H2P set under the baseline
+	// predictor (memoized: table drivers screen the same traces).
+	traces, err := perTrace(ctx, cfg, specs, func(s *workload.Spec, tr trace.Replayable) screenedTrace {
+		rep, _ := screenBranches(cfg, s, 0, tr)
+		return screenedTrace{tr, rep.Set()}
 	})
-	h2pSets := make(map[string]map[uint64]bool, len(specs))
-	for i, s := range specs {
-		h2pSets[s.Name] = sets[i]
+	if err != nil {
+		return nil, err
 	}
 
 	regimes := []struct {
 		name string
-		reg  func(s *workload.Spec) regime
+		reg  func(st screenedTrace) regime
 	}{
-		{"TAGE-SC-L 8KB", func(*workload.Spec) regime { return tageRegime(8) }},
-		{"TAGE-SC-L 64KB", func(*workload.Spec) regime { return tageRegime(64) }},
+		{"TAGE-SC-L 8KB", func(screenedTrace) regime { return tageRegime(8) }},
+		{"TAGE-SC-L 64KB", func(screenedTrace) regime { return tageRegime(64) }},
 		// The H2P set depends on the screening slice length, so it is
 		// part of the regime signature.
-		{"Perfect H2Ps", func(s *workload.Spec) regime {
-			return regime{sig: fmt.Sprintf("perfh2p/slice=%d", cfg.SliceLen), kb: 8, perfectIPs: h2pSets[s.Name]}
+		{"Perfect H2Ps", func(st screenedTrace) regime {
+			return regime{sig: fmt.Sprintf("perfh2p/slice=%d", cfg.SliceLen), kb: 8, perfectIPs: st.h2ps}
 		}},
-		{"Perfect BP", func(*workload.Spec) regime { return perfectRegime }},
+		{"Perfect BP", func(screenedTrace) regime { return perfectRegime }},
 	}
 
 	// One work unit per (regime, scale, workload) cell; cell index order
 	// matches the sequential triple loop so the geomean folds see
 	// workloads in suite order.
 	nS, nW := len(cfg.PipeScales), len(specs)
-	cells := engine.Map(pool, len(regimes)*nS*nW, func(i int) float64 {
+	cells, err := engine.MapErr(ctx, cfg.Pool(), len(regimes)*nS*nW, func(_ context.Context, i int) (float64, error) {
 		ri, si, wi := i/(nS*nW), (i/nW)%nS, i%nW
-		s := specs[wi]
-		return ipcCell(cfg, s, traces[s.Name], cfg.PipeScales[si], regimes[ri].reg(s)).IPC
+		st := traces[wi]
+		return ipcCell(cfg, specs[wi], st.tr, cfg.PipeScales[si], regimes[ri].reg(st)).IPC, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	// ipc[regime][scale] = geomean IPC.
 	ipc := make([][]float64, len(regimes))
@@ -114,16 +121,18 @@ func ipcScalingFigure(id, title string, specs []*workload.Spec, cfg Config) *rep
 	extra := ipc[1][0]/ipc[0][0] - 1
 	a.Notes = append(a.Notes, fmt.Sprintf(
 		"TAGE-SC-L 64KB over 8KB at 1x: %s additional IPC", pct(extra)))
-	return a
+	return a, nil
 }
 
 // Fig7 reproduces Fig 7: for each LCF application, the fraction of the
 // TAGE-8KB-to-perfect IPC gap closed by TAGE-SC-L at 8KB..1024KB, across
 // pipeline scales.
-func Fig7(cfg Config) *report.Artifact {
-	pool := cfg.Pool()
+func Fig7(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	specs := workload.LCFLike()
-	traces := recordSuite(cfg, pool, specs)
+	traces, err := perTrace(ctx, cfg, specs, func(_ *workload.Spec, tr trace.Replayable) trace.Replayable { return tr })
+	if err != nil {
+		return nil, err
+	}
 	a := &report.Artifact{ID: "fig7",
 		Title: "Fraction of TAGE8->perfect IPC gap closed vs TAGE-SC-L storage"}
 
@@ -131,9 +140,8 @@ func Fig7(cfg Config) *report.Artifact {
 	// budgets against its own base/perfect gap. Cells are memoized, so
 	// the TAGE-8KB/64KB and perfect runs shared with fig5 time once.
 	nW := len(specs)
-	rows := engine.Map(pool, len(cfg.PipeScales)*nW, func(i int) []float64 {
-		scale, s := cfg.PipeScales[i/nW], specs[i%nW]
-		tr := traces[s.Name]
+	rows, err := engine.MapErr(ctx, cfg.Pool(), len(cfg.PipeScales)*nW, func(_ context.Context, i int) ([]float64, error) {
+		scale, s, tr := cfg.PipeScales[i/nW], specs[i%nW], traces[i%nW]
 		base := ipcCell(cfg, s, tr, scale, tageRegime(8))
 		perfect := ipcCell(cfg, s, tr, scale, perfectRegime)
 		gap := perfect.IPC - base.IPC
@@ -145,8 +153,11 @@ func Fig7(cfg Config) *report.Artifact {
 			res := ipcCell(cfg, s, tr, scale, tageRegime(kb))
 			fracs[ki] = (res.IPC - base.IPC) / gap
 		}
-		return fracs
+		return fracs, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	for si, scale := range cfg.PipeScales {
 		tab := report.NewTable(fmt.Sprintf("pipeline %dx", scale),
@@ -166,17 +177,15 @@ func Fig7(cfg Config) *report.Artifact {
 		a.Notes = append(a.Notes, fmt.Sprintf(
 			"at %dx the best storage scaling closes %s of the gap", scale, pct(maxClose)))
 	}
-	return a
+	return a, nil
 }
 
 // Fig8 reproduces Fig 8: with the largest (1024KB) TAGE-SC-L, the
 // fraction of the remaining IPC opportunity that survives even after
 // perfectly predicting every branch with more than 1000 (and 100)
 // dynamic executions — i.e. the share owed to rare branches.
-func Fig8(cfg Config) *report.Artifact {
-	pool := cfg.Pool()
+func Fig8(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	specs := workload.LCFLike()
-	traces := recordSuite(cfg, pool, specs)
 	kb := cfg.StorageKB[len(cfg.StorageKB)-1]
 	a := &report.Artifact{ID: "fig8",
 		Title: fmt.Sprintf("IPC opportunity remaining after perfecting frequent branches (TAGE-SC-L %dKB, 1x)", kb)}
@@ -186,8 +195,7 @@ func Fig8(cfg Config) *report.Artifact {
 	// One work unit per workload, each timing its four pipeline runs;
 	// the base and perfect cells are memo hits when fig7 ran first.
 	type fig8Row struct{ r1000, r100 float64 }
-	results := engine.MapSlice(pool, specs, func(s *workload.Spec, _ int) fig8Row {
-		tr := traces[s.Name]
+	results, err := perTrace(ctx, cfg, specs, func(s *workload.Spec, tr trace.Replayable) fig8Row {
 		base := ipcCell(cfg, s, tr, 1, tageRegime(kb))
 		perfect := ipcCell(cfg, s, tr, 1, perfectRegime)
 		gap := perfect.IPC - base.IPC
@@ -210,6 +218,9 @@ func Fig8(cfg Config) *report.Artifact {
 		}
 		return fig8Row{r1000: rem(scaleN(1000)), r100: rem(scaleN(100))}
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	var sum1000, sum100 float64
 	for i, s := range specs {
@@ -221,7 +232,7 @@ func Fig8(cfg Config) *report.Artifact {
 	a.Tables = append(a.Tables, tab)
 	a.Notes = append(a.Notes,
 		"paper: on average 34.3% of the opportunity is due to branches with <1000 execs, 27.4% to <100")
-	return a
+	return a, nil
 }
 
 func scaleHeaders(scales []int) []string {

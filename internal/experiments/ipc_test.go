@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"branchlab/internal/pipeline"
+	"branchlab/internal/report"
 	"branchlab/internal/workload"
 )
 
@@ -21,11 +23,8 @@ func TestIPCCellsRespectRetireBound(t *testing.T) {
 	}
 	cfg := Quick()
 	cfg.Cache = cfg.NewCache(0)
-	for _, run := range []func(Config) any{
-		func(c Config) any { return Fig1(c) }, func(c Config) any { return Fig5(c) },
-		func(c Config) any { return Fig7(c) }, func(c Config) any { return Fig8(c) },
-	} {
-		run(cfg)
+	for _, run := range []func(context.Context, Config) (*report.Artifact, error){Fig1, Fig5, Fig7, Fig8} {
+		mustRun(t, run, cfg)
 	}
 	before := cfg.Cache.Stats()
 
@@ -34,7 +33,7 @@ func TestIPCCellsRespectRetireBound(t *testing.T) {
 	check := func(s *workload.Spec, scale int, reg regime) {
 		t.Helper()
 		cells++
-		res := ipcCell(cfg, s, cfg.RecordTrace(s, 0), scale, reg)
+		res := ipcCell(cfg, s, mustRecord(t, cfg, s, 0), scale, reg)
 		width := uint64(pipeline.Skylake().Scaled(scale).RetireWidth)
 		if res.Insts != cfg.Budget || res.Cycles*width < res.Insts {
 			t.Errorf("%s %dx %s: %d instructions in %d cycles at retire width %d",
@@ -43,7 +42,7 @@ func TestIPCCellsRespectRetireBound(t *testing.T) {
 	}
 	for _, suite := range [][]*workload.Spec{workload.SPECint2017Like(), workload.LCFLike()} {
 		for _, s := range suite {
-			rep, _ := screenBranches(cfg, s, 0, cfg.RecordTrace(s, 0))
+			rep, _ := screenBranches(cfg, s, 0, mustRecord(t, cfg, s, 0))
 			h2p := regime{sig: fmt.Sprintf("perfh2p/slice=%d", cfg.SliceLen), kb: 8, perfectIPs: rep.Set()}
 			for _, scale := range cfg.PipeScales {
 				for _, reg := range []regime{tageRegime(8), tageRegime(64), h2p, perfectRegime} {

@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"branchlab/internal/bp"
 	"branchlab/internal/core"
-	"branchlab/internal/engine"
 	"branchlab/internal/phase"
 	"branchlab/internal/report"
+	"branchlab/internal/trace"
 	"branchlab/internal/workload"
 )
 
@@ -18,7 +19,7 @@ import (
 // table replicated per detected phase, on the LCF suite where rare
 // branches dominate, and reports the accuracy specifically over
 // low-execution-count branches.
-func PhaseCond(cfg Config) *report.Artifact {
+func PhaseCond(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	a := &report.Artifact{ID: "phasecond",
 		Title: "Extension (§V-B): phase-conditioned statistics for rare branches"}
 	tab := report.NewTable("", "application",
@@ -41,17 +42,15 @@ func PhaseCond(cfg Config) *report.Artifact {
 		condRare         float64
 		phases           int
 	}
-	rows := engine.MapSlice(cfg.Pool(), workload.LCFLike(),
-		func(s *workload.Spec, _ int) pcRow {
-			tr := cfg.RecordTrace(s, 0)
-
+	rows, err := perTrace(ctx, cfg, workload.LCFLike(),
+		func(_ *workload.Spec, tr trace.Replayable) pcRow {
 			flatCol := core.NewCollector(cfg.SliceLen)
-			core.Run(tr.Stream(), bp.NewBimodal(14), flatCol)
+			core.RunBlocks(tr.BlockStream(0), bp.NewBimodal(14), flatCol)
 
 			cond := phase.NewConditionedPredictor(1024, 16,
 				func() bp.Predictor { return bp.NewBimodal(14) })
 			condCol := core.NewCollector(cfg.SliceLen)
-			core.Run(tr.Stream(), cond, condCol)
+			core.RunBlocks(tr.BlockStream(0), cond, condCol)
 
 			rareAcc := func(col *core.Collector) float64 {
 				var execs, miss uint64
@@ -74,6 +73,9 @@ func PhaseCond(cfg Config) *report.Artifact {
 				phases:   cond.NumPhases(),
 			}
 		})
+	if err != nil {
+		return nil, err
+	}
 	for i, s := range workload.LCFLike() {
 		r := rows[i]
 		flatRareSum += r.flatRare
@@ -91,5 +93,5 @@ func PhaseCond(cfg Config) *report.Artifact {
 	a.Notes = append(a.Notes,
 		"this is the paper's proposed direction, not a published figure; bimodal tables isolate the conditioning effect from history-based mechanisms",
 		"boundary result: naive whole-predictor conditioning does not pay at this scale — per-phase cold start eats the gains and the signature detector under-segments LCF phases; internal/phase tests show the win when phases are detectable and per-phase visits are short, matching the paper's note that the deployment mechanics are future work")
-	return a
+	return a, nil
 }

@@ -23,7 +23,7 @@ func TestRecordTraceNilCacheShardedByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := cfg.RecordTrace(s, 0)
+		got := mustRecord(t, cfg, s, 0)
 		if got.Len() != want.Len() {
 			t.Fatalf("%s: length %d, want %d", s.Name, got.Len(), want.Len())
 		}

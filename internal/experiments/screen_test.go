@@ -30,7 +30,7 @@ func TestScreenReplayMatchesFused(t *testing.T) {
 		specs = specs[:3]
 	}
 	for _, s := range specs {
-		tr := cfg.RecordTrace(s, 0)
+		tr := mustRecord(t, cfg, s, 0)
 		rep, col := screenBranches(cfg, s, 0, tr)
 		wantRep, wantCol := screenFused(tr, cfg.SliceLen)
 		if !reflect.DeepEqual(col.Slices, wantCol.Slices) {
@@ -57,7 +57,7 @@ var screenSink *core.H2PReport
 func BenchmarkScreen(b *testing.B) {
 	cfg := Quick()
 	s, _ := workload.ByName("605.mcf_s")
-	tr := cfg.RecordTrace(s, 0)
+	tr := mustRecord(b, cfg, s, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		screenSink, _ = screenBranches(cfg, s, 0, tr)

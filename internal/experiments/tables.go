@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"branchlab/internal/core"
@@ -8,6 +9,7 @@ import (
 	"branchlab/internal/report"
 	"branchlab/internal/simpoint"
 	"branchlab/internal/stats"
+	"branchlab/internal/trace"
 	"branchlab/internal/workload"
 )
 
@@ -15,7 +17,7 @@ import (
 // footprint, TAGE-SC-L 8KB accuracy (overall and excluding H2Ps), H2P
 // populations and their appearance across application inputs, and the
 // share of mispredictions concentrated in H2Ps.
-func Table1(cfg Config) *report.Artifact {
+func Table1(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	a := &report.Artifact{ID: "table1", Title: "SPECint-like suite summary (TAGE-SC-L 8KB)"}
 	tab := report.NewTable("",
 		"benchmark", "phases", "static", "med/slice", "acc", "acc-xH2P",
@@ -56,14 +58,20 @@ func Table1(cfg Config) *report.Artifact {
 	// instead of nesting another full pool per in-flight cell.
 	pool := cfg.Pool()
 	innerPool := engine.New(max(1, pool.Workers()/max(1, len(keys))))
-	cells := engine.MapSlice(pool, keys, func(k t1Key, _ int) t1Cell {
-		tr := cfg.RecordTrace(specs[k.bench], k.input)
+	cells, err := engine.MapSliceErr(ctx, pool, keys, func(ctx context.Context, k t1Key, _ int) (t1Cell, error) {
+		tr, err := cfg.RecordTrace(ctx, specs[k.bench], k.input)
+		if err != nil {
+			return t1Cell{}, err
+		}
 		rep, col := screenBranches(cfg, specs[k.bench], k.input, tr)
-		bbv := observeSliced(cfg, innerPool, tr,
+		bbv, err := observeSliced(ctx, cfg, innerPool, tr,
 			func() *simpoint.BBVCollector {
 				return simpoint.NewBBVCollector(cfg.SliceLen, simpoint.DefaultDim)
 			},
 			(*simpoint.BBVCollector).Merge)
+		if err != nil {
+			return t1Cell{}, err
+		}
 		c := t1Cell{
 			rep:    rep,
 			phases: simpoint.ChooseK(bbv.Vectors(), 20, 1).K,
@@ -72,8 +80,11 @@ func Table1(cfg Config) *report.Artifact {
 		if k.input == 0 {
 			c.col = col
 		}
-		return c
+		return c, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	perBench := make([][]t1Cell, len(specs))
 	for i, k := range keys {
@@ -122,12 +133,12 @@ func Table1(cfg Config) *report.Artifact {
 	a.Tables = append(a.Tables, tab)
 	a.Notes = append(a.Notes,
 		"paper means: 9.5 phases, acc 0.952, acc-xH2P 0.984, 10 H2Ps/slice causing 55.3% of mispredictions")
-	return a
+	return a, nil
 }
 
 // Fig2 reproduces Fig 2: the cumulative fraction of each benchmark's
 // mispredictions covered by its H2Ps ranked by dynamic execution count.
-func Fig2(cfg Config) *report.Artifact {
+func Fig2(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	a := &report.Artifact{ID: "fig2", Title: "Cumulative misprediction fraction of ranked H2P heavy hitters"}
 	chart := report.NewChart("cumulative fraction vs n-th heavy hitter")
 	tab := report.NewTable("", "benchmark", "H2Ps", "top1", "top5", "top10", "all")
@@ -135,11 +146,13 @@ func Fig2(cfg Config) *report.Artifact {
 	var nBench int
 	specs := workload.SPECint2017Like()
 	// One work unit per benchmark: record, screen, rank heavy hitters.
-	hitters := engine.MapSlice(cfg.Pool(), specs, func(s *workload.Spec, _ int) []core.HeavyHitter {
-		tr := cfg.RecordTrace(s, 0)
+	hitters, err := perTrace(ctx, cfg, specs, func(s *workload.Spec, tr trace.Replayable) []core.HeavyHitter {
 		rep, _ := screenBranches(cfg, s, 0, tr)
 		return rep.HeavyHitters()
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, s := range specs {
 		hh := hitters[i]
 		if len(hh) == 0 {
@@ -170,13 +183,13 @@ func Fig2(cfg Config) *report.Artifact {
 			"top-5 heavy hitters cover %s of mispredictions on average (paper: 37%%)",
 			pct(top5sum/float64(nBench))))
 	}
-	return a
+	return a, nil
 }
 
 // Table2 reproduces Table II: LCF static branch IPs, average dynamic
 // executions per static branch, average per-branch accuracy, and H2P
 // counts under TAGE-SC-L 8KB.
-func Table2(cfg Config) *report.Artifact {
+func Table2(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	a := &report.Artifact{ID: "table2", Title: "LCF summary branch statistics (TAGE-SC-L 8KB)"}
 	tab := report.NewTable("", "application", "static IPs", "execs/branch", "acc/branch", "H2Ps")
 	var sumStatic, sumExecs, sumAcc, sumH2P float64
@@ -189,8 +202,7 @@ func Table2(cfg Config) *report.Artifact {
 		accPer   float64
 		h2ps     float64
 	}
-	rows := engine.MapSlice(cfg.Pool(), specs, func(s *workload.Spec, _ int) t2Row {
-		tr := cfg.RecordTrace(s, 0)
+	rows, err := perTrace(ctx, cfg, specs, func(s *workload.Spec, tr trace.Replayable) t2Row {
 		rep, col := screenBranches(cfg, s, 0, tr)
 		totals := sortedTotals(col)
 		var execs uint64
@@ -207,6 +219,9 @@ func Table2(cfg Config) *report.Artifact {
 			h2ps:     rep.AvgPerSlice(),
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 	for i, s := range specs {
 		r := rows[i]
 		tab.AddRow(s.Name, d(r.n), f2(r.execsPer), f3(r.accPer), f2(r.h2ps))
@@ -220,24 +235,23 @@ func Table2(cfg Config) *report.Artifact {
 	a.Tables = append(a.Tables, tab)
 	a.Notes = append(a.Notes,
 		"paper means (per 30M-instruction trace): 14,072 static IPs, 612.8 execs/branch, 0.85 accuracy, 5.2 H2Ps; static counts here scale with the configured budget")
-	return a
+	return a, nil
 }
 
 // Fig3 reproduces Fig 3: the LCF-wide distributions of per-branch dynamic
 // mispredictions, dynamic executions, and prediction accuracy.
-func Fig3(cfg Config) *report.Artifact {
+func Fig3(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	a := &report.Artifact{ID: "fig3", Title: "LCF per-branch distributions (TAGE-SC-L 8KB)"}
 	mispredH := stats.NewHistogram(0, 1, 10, 50, 100, 500, 1000, 5000)
 	execH := stats.NewHistogram(0, 100, 1000, 10000, 100000, 1000000)
 	accH := stats.NewHistogram(0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1.0000001)
 	// One work unit per application returning its per-branch totals; the
 	// shared histograms are filled during the in-order merge.
-	for _, totals := range engine.MapSlice(cfg.Pool(), workload.LCFLike(),
-		func(s *workload.Spec, _ int) []branchTotal {
-			tr := cfg.RecordTrace(s, 0)
-			_, col := screenBranches(cfg, s, 0, tr)
-			return sortedTotals(col)
-		}) {
+	all, err := lcfTotals(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, totals := range all {
 		for _, b := range totals {
 			mispredH.Add(float64(b.Mispreds))
 			execH.Add(float64(b.Execs))
@@ -266,24 +280,32 @@ func Fig3(cfg Config) *report.Artifact {
 		fmt.Sprintf("branches with <100 execs: %s (paper: 85%% at 30M budget)", pct(under100)),
 		fmt.Sprintf("branches with accuracy >= 0.99: %s (paper: 55%%)", pct(highAcc)),
 		fmt.Sprintf("branches with accuracy <= 0.10: %s (paper: 12%%)", pct(lowAcc)))
-	return a
+	return a, nil
+}
+
+// lcfTotals is each LCF application's screening totals in IP order
+// (sortedTotals), one work unit per application.
+func lcfTotals(ctx context.Context, cfg Config) ([][]branchTotal, error) {
+	return perTrace(ctx, cfg, workload.LCFLike(), func(s *workload.Spec, tr trace.Replayable) []branchTotal {
+		_, col := screenBranches(cfg, s, 0, tr)
+		return sortedTotals(col)
+	})
 }
 
 // Fig4 reproduces Fig 4: rare branches have a wide accuracy spread. (a)
 // is the accuracy-vs-executions scatter (summarized here by bin); (b) is
 // the standard deviation of accuracy in 100-execution bins.
-func Fig4(cfg Config) *report.Artifact {
+func Fig4(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	a := &report.Artifact{ID: "fig4", Title: "Accuracy spread vs dynamic execution count (LCF)"}
 	bs := stats.NewBinnedStdDev(100)
 	// Per-application work units; the merge feeds the binned accumulator
 	// in application order over IP-sorted branches, making the per-bin
 	// float folds deterministic.
-	for _, totals := range engine.MapSlice(cfg.Pool(), workload.LCFLike(),
-		func(s *workload.Spec, _ int) []branchTotal {
-			tr := cfg.RecordTrace(s, 0)
-			_, col := screenBranches(cfg, s, 0, tr)
-			return sortedTotals(col)
-		}) {
+	all, err := lcfTotals(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, totals := range all {
 		for _, b := range totals {
 			bs.Add(float64(b.Execs), b.Accuracy())
 		}
@@ -318,5 +340,5 @@ func Fig4(cfg Config) *report.Artifact {
 	}
 	chart.Add("stddev", xs, ys)
 	a.Charts = append(a.Charts, chart)
-	return a
+	return a, nil
 }

@@ -38,7 +38,7 @@ type Point string
 const (
 	// EngineDispatch fails one work unit as the engine dispatches it
 	// (internal/engine.MapErr): the unit reports a typed error instead
-	// of running, and the whole Map aborts with it.
+	// of running, and the whole MapErr run fails with it.
 	EngineDispatch Point = "engine/dispatch"
 	// CacheRecord fails a singleflight leader's recording
 	// (tracecache.Cache.RecordCtx): the typed error propagates to every

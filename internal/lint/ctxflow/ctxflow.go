@@ -25,9 +25,6 @@
 //   - the legacy bridge: a function F whose own Ctx sibling exists
 //     (program.Run calling RunCtx(context.Background(), ...)) is the
 //     designated compatibility shim;
-//   - the defaulting accessor: a function whose result type is
-//     context.Context (Pool.Context, Config.Context) exists to give
-//     callers a never-nil context;
 //   - the nil guard: `ctx = context.Background()` assigning over an
 //     existing context variable (the documented no-context fast path).
 //
@@ -124,7 +121,7 @@ func checkFile(pass *analysis.Pass, file *ast.File, isMain, isTest bool) {
 				pass.Reportf(call.Pos(), "context.%s() inside a function that already receives a context.Context: pass the parameter through (DESIGN.md §9)", name)
 			case isMain || isTest:
 				// Roots belong at the process edge.
-			case bridgeIdiom(pass, encl) || accessorIdiom(pass, encl):
+			case bridgeIdiom(pass, encl):
 				// Recognized threading idioms.
 			default:
 				pass.Reportf(call.Pos(), "context.%s() in library code: thread a context from the caller, add a Ctx variant, or justify with //lint:ignore ctxflow (DESIGN.md §9)", name)
@@ -195,21 +192,6 @@ func bridgeIdiom(pass *analysis.Pass, encl *ast.FuncDecl) bool {
 	}
 	var fact HasCtxVariant
 	return pass.ImportObjectFact(fn, &fact)
-}
-
-// accessorIdiom reports whether the enclosing declaration returns a
-// context.Context — a defaulting accessor whose whole purpose is to
-// hand back a never-nil context.
-func accessorIdiom(pass *analysis.Pass, encl *ast.FuncDecl) bool {
-	if encl == nil || encl.Type.Results == nil {
-		return false
-	}
-	for _, r := range encl.Type.Results.List {
-		if isContextType(pass.TypesInfo.Types[r.Type].Type) {
-			return true
-		}
-	}
-	return false
 }
 
 // nilGuardIdiom reports whether the fresh root is the right-hand side

@@ -1,5 +1,5 @@
 // Package a exercises ctxflow's intra-package checks: fresh roots in
-// library code, roots minted despite a context parameter, the three
+// library code, roots minted despite a context parameter, the two
 // clean idioms, and the Ctx-variant preference within one package.
 package a
 
@@ -52,11 +52,11 @@ func (p *Pool) RecordCtx(ctx context.Context) error {
 	return nil
 }
 
-// --- clean idiom: defaulting accessor (returns a context) ---
+// --- not an idiom: a defaulting accessor over a stored context ---
 
 func (p *Pool) Context() context.Context {
 	if p.ctx == nil {
-		return context.Background()
+		return context.Background() // want `context.Background\(\) in library code`
 	}
 	return p.ctx
 }

@@ -20,8 +20,8 @@
 //     is its own panic boundary. A //lint:ignore errcontract on the
 //     panic (or call) line suppresses the site and stops propagation,
 //     so one justified suppression at a deliberate escalation point
-//     (engine's abortPanic, program's typed unwinds) keeps every
-//     transitive caller clean.
+//     (program's typed payload unwinds, the trace cache's skim-refill
+//     invariant) keeps every transitive caller clean.
 //
 //  2. Sentinel discrimination. Comparing an error against a
 //     package-level sentinel with == or !=, or matching on the

@@ -72,10 +72,6 @@ type CheckpointPayload interface {
 	CheckpointRestore(state []uint64) bool
 }
 
-// resumeAbort unwinds the payload goroutine when a resume turns out to
-// be impossible mid-flight; recording converts it to an error.
-type resumeAbort struct{ err error }
-
 // Checkpointable registers the payload's state object for
 // checkpointing. Payloads call it once, before their first emission or
 // RNG draw. When the emitter is resuming from a checkpoint this is
@@ -85,9 +81,8 @@ func (e *Emitter) Checkpointable(p CheckpointPayload) {
 	e.ckptOwner = p
 	if e.resuming {
 		if !p.CheckpointRestore(e.resumeState) {
-			//lint:ignore errcontract resumeAbort is a typed unwind recovered at the Record* run boundary and surfaced as ErrBadCheckpoint, never escaping to callers
-			panic(resumeAbort{fmt.Errorf("%w: payload rejected the saved state (%d words)",
-				ErrBadCheckpoint, len(e.resumeState))})
+			e.Abort(fmt.Errorf("%w: payload rejected the saved state (%d words)",
+				ErrBadCheckpoint, len(e.resumeState)))
 		}
 		e.resuming = false
 		e.resumeState = nil

@@ -14,6 +14,7 @@ package program
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -99,6 +100,12 @@ type Emitter struct {
 // stream early.
 type stopSignal struct{}
 
+// payloadAbort unwinds the payload with a typed error (Emitter.Abort,
+// cancellation, a checkpoint resume that cannot proceed). Only the two
+// recording entry points (RunCtx's producer, recordSegments) recover
+// it, turning it back into their error return.
+type payloadAbort struct{ err error }
+
 // Rand returns the emitter's deterministic random source. Payloads must
 // draw all randomness from it.
 func (e *Emitter) Rand() *xrand.Rand { return e.rng }
@@ -113,7 +120,13 @@ func (e *Emitter) Running() bool { return e.emitted < e.budget }
 // partially generated bytes are discarded, never returned. Payloads
 // use it for unreachable-configuration guards that should fail the run
 // loudly without killing the process.
-func (e *Emitter) Abort(err error) { engine.Abort(err) }
+func (e *Emitter) Abort(err error) {
+	if err == nil {
+		err = errors.New("program: Abort(nil)")
+	}
+	//lint:ignore errcontract payloadAbort is a typed unwind recovered at the Record* run boundary and returned as the recording's error, never escaping to callers
+	panic(payloadAbort{err})
+}
 
 // InstCount returns the number of instructions emitted so far.
 func (e *Emitter) InstCount() uint64 { return e.emitted }
@@ -129,8 +142,7 @@ func (e *Emitter) emit(inst trace.Inst) {
 		// saved state via Checkpointable would silently generate wrong
 		// bytes: the payload restarted from its zero state while the
 		// counters and RNG continued mid-trace. Abort to the skim path.
-		//lint:ignore errcontract resumeAbort is a typed unwind recovered at the Record* run boundary and surfaced as ErrBadCheckpoint, never escaping to callers
-		panic(resumeAbort{fmt.Errorf("%w: payload emitted before Checkpointable", ErrBadCheckpoint)})
+		e.Abort(fmt.Errorf("%w: payload emitted before Checkpointable", ErrBadCheckpoint))
 	}
 	if e.emitted >= e.budget {
 		return
@@ -398,8 +410,8 @@ func RunCtx(ctx context.Context, seed, budget uint64, payload Payload) *Stream {
 			if _, ok := r.(stopSignal); ok {
 				return // consumer closed the stream; clean early stop
 			}
-			if err := engine.Recovered(r); err != nil {
-				s.err = err // cancellation or payload Abort
+			if pa, ok := r.(payloadAbort); ok {
+				s.err = pa.err // cancellation or payload Abort
 				return
 			}
 			s.err = fmt.Errorf("program: payload panicked: %v\n%s", r, debug.Stack())
@@ -514,12 +526,8 @@ func recordSegments(ctx context.Context, seed, budget uint64, payload Payload, l
 				if _, ok := r.(stopSignal); ok {
 					return
 				}
-				if ra, ok := r.(resumeAbort); ok {
-					err = ra.err
-					return
-				}
-				if aerr := engine.Recovered(r); aerr != nil {
-					err = aerr // cancellation or payload Abort
+				if pa, ok := r.(payloadAbort); ok {
+					err = pa.err // cancellation, payload Abort or failed resume
 					return
 				}
 				panic(r)

@@ -99,8 +99,10 @@ type Source struct {
 	// cannot resume) makes the cache retry with ck == nil. A nil ck
 	// means generate from instruction 0, skimming the prefix — the
 	// refill of last resort. Refills are context-free: a replay must be
-	// able to finish after the recording context is gone, so a nil-ck
-	// failure escalates to the run boundary (engine.Abort).
+	// able to finish after the recording context is gone. A nil-ck
+	// refill re-runs a payload whose recording already succeeded, so
+	// its failure is a broken invariant and panics; the enclosing
+	// engine unit or run boundary reports it as a typed error.
 	Refill func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error)
 
 	// CkptSpacing is the checkpoint spacing Record captures at (0 =
@@ -168,10 +170,10 @@ func (e *entry) refill(lo, hi uint64) (data []trace.Inst, resumed bool) {
 	}
 	data, err := e.src.Refill(nil, lo, hi)
 	if err != nil {
-		// A skim cannot be cancelled (refills are context-free), so
-		// only a payload abort lands here; escalate it to the run
-		// boundary rather than serve nothing.
-		engine.Abort(err)
+		// A skim is context-free and replays a deterministic payload
+		// that already recorded these bytes once, so it cannot fail.
+		//lint:ignore errcontract invariant: a skim of an already-recorded deterministic payload never fails; engine.MapErr units and experiments.Runner.RunCtx recover the panic into a typed error
+		panic(fmt.Errorf("tracecache: skim refill of %s input %d [%d, %d): %w", e.key.name, e.key.input, lo, hi, err))
 	}
 	return data, false
 }

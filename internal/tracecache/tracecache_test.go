@@ -2,12 +2,14 @@ package tracecache
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"branchlab/internal/engine"
 	"branchlab/internal/program"
 	"branchlab/internal/trace"
 )
@@ -728,5 +730,40 @@ func TestBudgetSensitiveNotServedPrefix(t *testing.T) {
 	}
 	if stt := c.Stats(); stt.Entries != 2 {
 		t.Fatalf("entries = %d, want 2 (one per budget)", stt.Entries)
+	}
+}
+
+// TestSkimRefillFailurePanicsTyped: a nil-checkpoint refill that fails
+// breaks the cache's invariant (a recorded deterministic payload always
+// regenerates), so it panics instead of serving nothing. Inside an
+// engine work unit that panic fails the run with a *PanicError naming
+// the trace; the process survives.
+func TestSkimRefillFailurePanicsTyped(t *testing.T) {
+	inner := (&source{n: 100}).Source()
+	src := Source{
+		Record: inner.Record,
+		Refill: func(*program.Checkpoint, uint64, uint64) ([]trace.Inst, error) {
+			return nil, errors.New("payload diverged")
+		},
+	}
+	c := NewSliced(10*instBytes, 10) // one-slice cap: slice 0 is evicted after recording
+	v := record(t, c, "skimfail", 3, 100, src)
+	for _, workers := range []int{1, 4} {
+		_, err := engine.MapErr(context.Background(), engine.New(workers), 2,
+			func(context.Context, int) (int, error) {
+				n := 0
+				bs := v.BlockStream(0)
+				for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
+					n += len(blk)
+				}
+				return n, nil
+			})
+		var pe *engine.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: replay over a failing skim refill = %v, want *engine.PanicError", workers, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "skimfail input 3") || !strings.Contains(msg, "payload diverged") {
+			t.Fatalf("workers=%d: panic error %q does not name the trace and cause", workers, msg)
+		}
 	}
 }
