@@ -98,8 +98,8 @@ func (h *HistoryCollector) Branch(uint64, *trace.Inst, bool) {}
 type Model struct {
 	Cfg Config
 	// Float weights (training).
-	w1 [][]float32 // [2*Buckets][Filters]
-	w2 []float32   // [Segments*Filters]
+	w1 []float32 // [2*Buckets][Filters], row-major
+	w2 []float32 // [Segments*Filters]
 	b  float32
 	// Quantized weights (deployment): 2-bit magnitudes with per-row
 	// (embedding) and per-tensor (output) scale factors, the
@@ -119,10 +119,7 @@ func NewModel(cfg Config) *Model {
 	// contribute nothing at inference (and quantize to the dead zone);
 	// the random output layer breaks filter symmetry, and the ReLU
 	// subgradient at zero lets embedding gradients flow from the start.
-	m.w1 = make([][]float32, 2*cfg.Buckets)
-	for i := range m.w1 {
-		m.w1[i] = make([]float32, cfg.Filters)
-	}
+	m.w1 = make([]float32, 2*cfg.Buckets*cfg.Filters)
 	m.w2 = make([]float32, cfg.Segments*cfg.Filters)
 	for i := range m.w2 {
 		m.w2[i] = float32(rng.NormFloat64() * 0.1)
@@ -130,29 +127,47 @@ func NewModel(cfg Config) *Model {
 	return m
 }
 
+// segment returns the history slots [lo, hi) pooled into segment seg:
+// segLen-slot runs, the last one clamped to the history's end.
+func segment(seg, segLen, n int) (lo, hi int) {
+	lo = min(seg*segLen, n)
+	return lo, min(lo+segLen, n)
+}
+
 // pooled computes the raw (pre-ReLU) segment-pooled feature vector for
-// one sample under the given embedding weights.
-func (m *Model) pooled(w1 [][]float32, slots []uint16, out []float32) {
-	for i := range out {
-		out[i] = 0
-	}
+// one sample under the given embedding weights (row-major, as w1).
+func (m *Model) pooled(w1 []float32, slots []uint16, out []float32) {
+	nf := m.Cfg.Filters
 	segLen := (len(slots) + m.Cfg.Segments - 1) / m.Cfg.Segments
-	for t, slot := range slots {
-		seg := t / segLen
-		if seg >= m.Cfg.Segments {
-			seg = m.Cfg.Segments - 1
+	for seg := 0; seg < m.Cfg.Segments; seg++ {
+		o := out[seg*nf : (seg+1)*nf]
+		clear(o)
+		lo, hi := segment(seg, segLen, len(slots))
+		ss := slots[lo:hi]
+		// Four rows per pass: o[f] + a[f] + b[f] + c[f] + d[f] adds
+		// left to right, the order of four single-row passes, with one
+		// load and store of o[f] instead of four.
+		for ; len(ss) >= 4; ss = ss[4:] {
+			a := w1[int(ss[0])*nf:][:len(o)]
+			b := w1[int(ss[1])*nf:][:len(o)]
+			c := w1[int(ss[2])*nf:][:len(o)]
+			d := w1[int(ss[3])*nf:][:len(o)]
+			for f := range o {
+				o[f] = o[f] + a[f] + b[f] + c[f] + d[f]
+			}
 		}
-		w := w1[slot]
-		base := seg * m.Cfg.Filters
-		for f := 0; f < m.Cfg.Filters; f++ {
-			out[base+f] += w[f]
+		for _, slot := range ss {
+			w := w1[int(slot)*nf:][:len(o)]
+			for f, x := range w {
+				o[f] += x
+			}
 		}
 	}
 }
 
 // forward returns the pre-sigmoid logit under the given weights, filling
 // raw with the pre-ReLU pooled features.
-func (m *Model) forward(w1 [][]float32, w2 []float32, slots []uint16, raw []float32) float32 {
+func (m *Model) forward(w1, w2 []float32, slots []uint16, raw []float32) float32 {
 	m.pooled(w1, slots, raw)
 	z := m.b
 	for i, r := range raw {
@@ -202,13 +217,17 @@ func (m *Model) Train(samples []Sample) {
 // dequantized weights (refreshed every steRefresh samples so the forward
 // function tracks the drifting float shadows) while updates flow to the
 // float weights — the straight-through estimator.
+//
+// Each weight receives its updates in a fixed order (by sample, then
+// feature, then history slot), so training is bit-reproducible.
 func (m *Model) epoch(samples []Sample, order []int, rng *xrand.Rand, lr float32, ste bool) {
 	const steRefresh = 256
 	feat := make([]float32, m.Cfg.Segments*m.Cfg.Filters)
 	fw1, fw2 := m.w1, m.w2
 	if ste {
-		fw1 = dequant2D(m.q1, m.scale1)
-		fw2 = dequant1D(m.q2, m.scale2)
+		fw1 = make([]float32, len(m.w1))
+		fw2 = make([]float32, len(m.w2))
+		m.dequant(fw1, fw2)
 	}
 	// Fisher-Yates shuffle for SGD.
 	for i := len(order) - 1; i > 0; i-- {
@@ -218,8 +237,7 @@ func (m *Model) epoch(samples []Sample, order []int, rng *xrand.Rand, lr float32
 	for step, idx := range order {
 		if ste && step > 0 && step%steRefresh == 0 {
 			m.quantize()
-			fw1 = dequant2D(m.q1, m.scale1)
-			fw2 = dequant1D(m.q2, m.scale2)
+			m.dequant(fw1, fw2)
 		}
 		s := samples[idx]
 		z := m.forward(fw1, fw2, s.Slots, feat)
@@ -244,36 +262,28 @@ func (m *Model) epoch(samples []Sample, order []int, rng *xrand.Rand, lr float32
 	}
 }
 
-func dequant2D(q [][]int8, scales []float32) [][]float32 {
-	out := make([][]float32, len(q))
-	for i, row := range q {
-		out[i] = make([]float32, len(row))
+// dequant fills w1 (row-major, as Model.w1) and w2 with the float
+// values of the quantized weights.
+func (m *Model) dequant(w1, w2 []float32) {
+	nf := m.Cfg.Filters
+	for i, row := range m.q1 {
+		out := w1[i*nf:][:len(row)]
 		for j, v := range row {
-			out[i][j] = float32(v) * scales[i]
+			out[j] = float32(v) * m.scale1[i]
 		}
 	}
-	return out
-}
-
-func dequant1D(q []int8, scale float32) []float32 {
-	out := make([]float32, len(q))
-	for i, v := range q {
-		out[i] = float32(v) * scale
+	for i, v := range m.q2 {
+		w2[i] = float32(v) * m.scale2
 	}
-	return out
 }
 
 // w1grad applies the embedding gradient for pooled feature i.
 func (m *Model) w1grad(slots []uint16, segLen, i int, delta float32) {
-	seg := i / m.Cfg.Filters
-	f := i % m.Cfg.Filters
-	lo := seg * segLen
-	hi := lo + segLen
-	if hi > len(slots) {
-		hi = len(slots)
-	}
-	for t := lo; t < hi; t++ {
-		m.w1[slots[t]][f] -= delta
+	nf := m.Cfg.Filters
+	lo, hi := segment(i/nf, segLen, len(slots))
+	col := m.w1[i%nf:]
+	for _, slot := range slots[lo:hi] {
+		col[int(slot)*nf] -= delta
 	}
 }
 
@@ -321,9 +331,12 @@ func (m *Model) quantize() {
 	if m.scale2 == 0 {
 		return
 	}
-	m.scale1 = make([]float32, len(m.w1))
-	m.q1 = make([][]int8, len(m.w1))
-	for i, row := range m.w1 {
+	nf := m.Cfg.Filters
+	rows := len(m.w1) / nf
+	m.scale1 = make([]float32, rows)
+	m.q1 = make([][]int8, rows)
+	for i := range rows {
+		row := m.w1[i*nf : (i+1)*nf]
 		s := scaleOf(row)
 		m.scale1[i] = s
 		m.q1[i] = make([]int8, len(row))

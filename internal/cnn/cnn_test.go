@@ -39,7 +39,7 @@ func correlatedTrace(seed uint64, n int, noise float64) *trace.Buffer {
 
 const h2pIP = 0xAAA0
 
-func collect(t *testing.T, cfg Config, seed uint64, n int) []Sample {
+func collect(t testing.TB, cfg Config, seed uint64, n int) []Sample {
 	t.Helper()
 	col := NewHistoryCollector(cfg, h2pIP)
 	tr := correlatedTrace(seed, n, 0.1)

@@ -23,13 +23,11 @@ const DefaultWindow = 5000
 // value-identity information: every register/memory write creates a new
 // value named by the writer's sequence number.
 type ringEntry struct {
-	seq    uint64
 	ip     uint64
 	isCond bool
 	// srcVals are the value IDs (writer sequence numbers) the
 	// instruction read; 0 = unknown/outside window.
 	srcVals [3]uint64
-	dstsSeq bool // whether this instruction defined a value
 }
 
 // Analyzer tracks dependency branches for a set of target IPs. It
@@ -57,8 +55,13 @@ type Analyzer struct {
 	memWriter map[uint64]uint64     //lint:ignore mergecomplete whole-trace value-identity state, identical across target-set shards
 	seq       uint64                //lint:ignore mergecomplete whole-trace sequence counter, identical across target-set shards
 
-	// scratch reused across analyses
-	closure map[uint64]struct{} //lint:ignore mergecomplete per-call scratch, cleared at the top of every analyze
+	// The dataflow closure of one analyze call, reused across calls. A
+	// closure value whose writer is still in the window is marked by
+	// stamping the writer's ring slot with gen; an older value goes in
+	// old. A new call bumps gen instead of clearing mark.
+	mark []uint32 //lint:ignore mergecomplete per-call scratch, reset by the generation bump at the top of every analyze
+	gen  uint32   //lint:ignore mergecomplete per-call scratch generation, bumped at the top of every analyze
+	old  []uint64 //lint:ignore mergecomplete per-call scratch, truncated at the top of every analyze
 }
 
 // targetState accumulates per-target results.
@@ -80,7 +83,7 @@ func New(window, maxSamples int, targets ...uint64) *Analyzer {
 		targets:    make(map[uint64]*targetState, len(targets)),
 		ring:       make([]ringEntry, window),
 		memWriter:  make(map[uint64]uint64),
-		closure:    make(map[uint64]struct{}),
+		mark:       make([]uint32, window),
 	}
 	for _, t := range targets {
 		a.targets[t] = &targetState{positions: make(map[uint64]map[int]uint64)}
@@ -91,7 +94,7 @@ func New(window, maxSamples int, targets ...uint64) *Analyzer {
 // Inst implements the observer contract.
 func (a *Analyzer) Inst(_ uint64, inst *trace.Inst) {
 	a.seq++
-	e := ringEntry{seq: a.seq, ip: inst.IP, isCond: inst.Kind == trace.KindCondBr}
+	e := ringEntry{ip: inst.IP, isCond: inst.Kind == trace.KindCondBr}
 	for k, r := range inst.SrcRegs {
 		if r != trace.NoReg {
 			e.srcVals[k] = a.regWriter[r]
@@ -173,70 +176,105 @@ func (a *Analyzer) Merge(other *Analyzer) {
 // conditional branch that reads a closure value at its history position
 // (1 = the branch immediately before the target).
 func (a *Analyzer) analyze(st *targetState, target ringEntry) {
-	closure := a.closure
-	for k := range closure {
-		delete(closure, k)
-	}
-	for _, v := range target.srcVals {
-		if v != 0 {
-			closure[v] = struct{}{}
-		}
-	}
-	if len(closure) == 0 {
+	if target.srcVals == [3]uint64{} {
 		return
 	}
-	minSeq := uint64(1)
-	if a.seq > uint64(a.Window) {
-		minSeq = a.seq - uint64(a.Window)
+	a.gen++
+	if a.gen == 0 {
+		clear(a.mark)
+		a.gen = 1
 	}
+	a.old = a.old[:0]
+	for _, v := range target.srcVals {
+		a.join(v)
+	}
+	// The window holds instructions a.seq-1 down to a.seq-a.size; the
+	// walk stops Window instructions back.
+	depth := min(a.size, a.Window)
 	histPos := 0
 	// Walk newest -> oldest. Because values are writer sequence numbers
 	// and writers precede readers, one backward pass expands the closure
 	// transitively: when we reach a writer, its own sources join the
 	// closure before any older instruction is visited.
-	for k := 1; k <= a.size; k++ {
-		idx := a.head - k
-		if idx < 0 {
-			idx += len(a.ring)
+	idx := a.head
+	for k := 0; k < depth; k++ {
+		if idx == 0 {
+			idx = len(a.ring)
 		}
+		idx--
 		e := &a.ring[idx]
-		if e.seq < minSeq {
-			break
-		}
-		if e.isCond {
-			histPos++
-		}
-		_, inClosure := closure[e.seq]
-		if inClosure {
+		if a.mark[idx] == a.gen {
 			// This instruction defined a closure value: its inputs are
 			// also ground-truth-relevant.
 			for _, v := range e.srcVals {
-				if v != 0 {
-					closure[v] = struct{}{}
-				}
+				a.join(v)
 			}
 		}
-		if e.isCond {
-			reads := false
-			for _, v := range e.srcVals {
-				if v == 0 {
-					continue
-				}
-				if _, ok := closure[v]; ok {
-					reads = true
-					break
-				}
+		if !e.isCond {
+			continue
+		}
+		histPos++
+		if a.readsClosure(e) {
+			m := st.positions[e.ip]
+			if m == nil {
+				m = make(map[int]uint64)
+				st.positions[e.ip] = m
 			}
-			if reads {
-				m := st.positions[e.ip]
-				if m == nil {
-					m = make(map[int]uint64)
-					st.positions[e.ip] = m
-				}
-				m[histPos]++
+			m[histPos]++
+		}
+	}
+}
+
+// join adds value v (a writer sequence number; 0 = unknown) to the
+// closure. The window entry d instructions back sits d slots before
+// head, so a writer still in the window is marked at its own slot; an
+// older writer is never visited by the walk and only matters to
+// readsClosure, so it goes in the side list.
+func (a *Analyzer) join(v uint64) {
+	if v == 0 {
+		return
+	}
+	if d := a.seq - v; d <= uint64(a.size) {
+		a.mark[a.slot(d)] = a.gen
+		return
+	}
+	for _, o := range a.old {
+		if o == v {
+			return
+		}
+	}
+	a.old = append(a.old, v)
+}
+
+// readsClosure reports whether e reads a closure value.
+func (a *Analyzer) readsClosure(e *ringEntry) bool {
+	for _, v := range e.srcVals {
+		if v == 0 {
+			continue
+		}
+		if d := a.seq - v; d <= uint64(a.size) {
+			if a.mark[a.slot(d)] == a.gen {
+				return true
+			}
+			continue
+		}
+		for _, o := range a.old {
+			if o == v {
+				return true
 			}
 		}
 	}
+	return false
+}
+
+// slot returns the ring index of the entry d instructions before the
+// current one, 1 <= d <= size.
+func (a *Analyzer) slot(d uint64) int {
+	i := a.head - int(d)
+	if i < 0 {
+		i += len(a.ring)
+	}
+	return i
 }
 
 // PosCount is one (dependency branch, history position) observation

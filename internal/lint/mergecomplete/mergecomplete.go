@@ -19,7 +19,7 @@
 // state whose sharding mode never splits it) is declared with a
 // suppression on its own line:
 //
-//	closure map[uint64]struct{} //lint:ignore mergecomplete scratch, rebuilt per analyze call
+//	mark []uint32 //lint:ignore mergecomplete per-call scratch, reset by the generation bump at the top of every analyze
 //
 // which doubles as documentation of why the field may be dropped.
 package mergecomplete

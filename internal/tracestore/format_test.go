@@ -66,3 +66,52 @@ func FuzzStoreHeader(f *testing.F) {
 		}
 	})
 }
+
+// sealSlice re-seals a slice file whose 8-byte header trailer was cut
+// out: body holds header bytes [0,56) followed by the payload, and the
+// FNV-1a of the first 56 bytes goes back in between. A body too short
+// to hold those bytes passes through as a truncated file.
+func sealSlice(body []byte) []byte {
+	if len(body) < sliceHeaderSize-8 {
+		return body
+	}
+	file := seal(body[:sliceHeaderSize-8])
+	return append(file, body[sliceHeaderSize-8:]...)
+}
+
+// FuzzSliceFile: a slice file with a valid header trailer either
+// rejects with a typed ErrReject or verifies, and verifies only when it
+// is byte for byte the file the store writes for that slice: the
+// canonical header over a payload of exactly the wanted instruction
+// count. Verification never panics.
+func FuzzSliceFile(f *testing.F) {
+	const idx, wantCount = 1, 3
+	keyHash := testKey().hash64()
+	payload := payloadBytes(testInsts(wantCount, 5))
+	cut := func(h [sliceHeaderSize]byte, payload []byte) []byte {
+		return append(append([]byte(nil), h[:sliceHeaderSize-8]...), payload...)
+	}
+	f.Add(cut(encodeSliceHeader(keyHash, idx, wantCount, fnv1a(payload)), payload))
+	f.Add(cut(encodeSliceHeader(keyHash, idx+1, wantCount, fnv1a(payload)), payload))
+	f.Add(cut(encodeSliceHeader(keyHash, idx, wantCount-1, fnv1a(payload[:2*instBytes])), payload[:2*instBytes]))
+	f.Add(cut(encodeSliceHeader(keyHash^1, idx, wantCount, fnv1a(payload)), payload))
+	f.Add([]byte("BLSS"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		file := sealSlice(in)
+		err := verifySliceFile("slice", file, keyHash, idx, wantCount)
+		if err != nil {
+			if !errors.Is(err, ErrReject) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		body := file[sliceHeaderSize:]
+		h := encodeSliceHeader(keyHash, idx, wantCount, fnv1a(body))
+		if !bytes.Equal(file[:sliceHeaderSize], h[:]) || uint64(len(body)) != wantCount*instBytes {
+			t.Fatalf("verified a %d-byte slice file that is not the canonical encoding", len(file))
+		}
+		if got := payloadInsts(body, wantCount); len(got) != wantCount {
+			t.Fatalf("verified payload decodes to %d instructions, want %d", len(got), wantCount)
+		}
+	})
+}

@@ -44,6 +44,12 @@
 #   BenchmarkScreen                     - one Quick trace's H2P screening
 #                                         (internal/experiments): the TAGE-SC-L 8KB
 #                                         outcome stream plus the collector replay
+#   BenchmarkDepgraph                   - Table III's dependency analysis of one Quick
+#                                         trace's top H2P (internal/depgraph): window
+#                                         5000, at most 4000 analyzed executions
+#   BenchmarkCNNTrain                   - training one §V-C helper model at the
+#                                         experiment configuration on a fixed
+#                                         sample set (internal/cnn)
 #
 # Three regression checks run after the benchmarks:
 #   1. Intra-run gate (host-independent): the block replay loop
@@ -95,8 +101,8 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$|BenchmarkScreen$' \
-  -benchtime "$benchtime" . ./internal/pipeline ./internal/experiments | tee "$raw" >&2
+  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$|BenchmarkScreen$|BenchmarkDepgraph$|BenchmarkCNNTrain$' \
+  -benchtime "$benchtime" . ./internal/pipeline ./internal/experiments ./internal/depgraph ./internal/cnn | tee "$raw" >&2
 
 awk -v benchtime="$benchtime" '
   /^Benchmark/ && /ns\/op/ {
@@ -145,7 +151,9 @@ BenchmarkPipelineALU
 BenchmarkPipelineTAGE
 BenchmarkPipelineSchedule
 BenchmarkPipelineScheduleWide
-BenchmarkScreen'
+BenchmarkScreen
+BenchmarkDepgraph
+BenchmarkCNNTrain'
 missing=0
 while IFS= read -r name; do
   if ! parse "$out" | awk -v n="$name" '$1 == n { found = 1 } END { exit !found }'; then
