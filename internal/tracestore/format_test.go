@@ -10,13 +10,22 @@ import (
 	"branchlab/internal/program"
 )
 
-// seal appends the FNV-1a trailer that decodeHeader verifies first, so
-// a fuzzed body reaches the field decoder instead of stopping at the
+// seal appends the checksum trailer that decodeHeader verifies first,
+// so a fuzzed body reaches the field decoder instead of stopping at the
 // checksum.
 func seal(body []byte) []byte {
 	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], fnv1a(body))
+	binary.LittleEndian.PutUint64(sum[:], checksum(body))
 	return append(append([]byte(nil), body...), sum[:]...)
+}
+
+// TestChecksumIsCRC32C pins the integrity sum to CRC-32C through its
+// standard check value, so stored files stay readable across builds of
+// the same FormatVersion.
+func TestChecksumIsCRC32C(t *testing.T) {
+	if got := checksum([]byte("123456789")); got != 0xe3069283 {
+		t.Fatalf("checksum(\"123456789\") = %#x, want the CRC-32C check value 0xe3069283", got)
+	}
 }
 
 // allocated reports the bytes fn allocates.
@@ -69,7 +78,7 @@ func FuzzStoreHeader(f *testing.F) {
 
 // sealSlice re-seals a slice file whose 8-byte header trailer was cut
 // out: body holds header bytes [0,56) followed by the payload, and the
-// FNV-1a of the first 56 bytes goes back in between. A body too short
+// checksum of the first 56 bytes goes back in between. A body too short
 // to hold those bytes passes through as a truncated file.
 func sealSlice(body []byte) []byte {
 	if len(body) < sliceHeaderSize-8 {
@@ -79,26 +88,58 @@ func sealSlice(body []byte) []byte {
 	return append(file, body[sliceHeaderSize-8:]...)
 }
 
+// fuzzSliceIdx and fuzzSliceCount are the slice index and instruction
+// count FuzzSliceFile verifies its inputs against.
+const fuzzSliceIdx, fuzzSliceCount = 1, 3
+
+// sliceSeeds returns FuzzSliceFile's seed corpus in its cut form (see
+// sealSlice). The first seed is the canonical file the store writes for
+// slice fuzzSliceIdx of testKey; every other seed must reject.
+func sliceSeeds() [][]byte {
+	keyHash := testKey().hash64()
+	payload := payloadBytes(testInsts(fuzzSliceCount, 5))
+	short := payload[:(fuzzSliceCount-1)*instBytes]
+	cut := func(h [sliceHeaderSize]byte, payload []byte) []byte {
+		return append(append([]byte(nil), h[:sliceHeaderSize-8]...), payload...)
+	}
+	return [][]byte{
+		cut(encodeSliceHeader(keyHash, fuzzSliceIdx, fuzzSliceCount, checksum(payload)), payload),
+		cut(encodeSliceHeader(keyHash, fuzzSliceIdx+1, fuzzSliceCount, checksum(payload)), payload),
+		cut(encodeSliceHeader(keyHash, fuzzSliceIdx, fuzzSliceCount-1, checksum(short)), short),
+		cut(encodeSliceHeader(keyHash^1, fuzzSliceIdx, fuzzSliceCount, checksum(payload)), payload),
+		[]byte("BLSS"),
+	}
+}
+
+// TestSliceSeedsVerify pins FuzzSliceFile's accept path: the canonical
+// seed verifies, so the fuzz target's round-trip branch is reachable,
+// and each deliberately wrong seed rejects typed.
+func TestSliceSeedsVerify(t *testing.T) {
+	keyHash := testKey().hash64()
+	for i, in := range sliceSeeds() {
+		err := verifySliceFile("slice", sealSlice(in), keyHash, fuzzSliceIdx, fuzzSliceCount)
+		if i == 0 && err != nil {
+			t.Fatalf("canonical seed rejected: %v", err)
+		}
+		if i > 0 && !errors.Is(err, ErrReject) {
+			t.Fatalf("seed %d: err = %v, want ErrReject", i, err)
+		}
+	}
+}
+
 // FuzzSliceFile: a slice file with a valid header trailer either
 // rejects with a typed ErrReject or verifies, and verifies only when it
 // is byte for byte the file the store writes for that slice: the
 // canonical header over a payload of exactly the wanted instruction
 // count. Verification never panics.
 func FuzzSliceFile(f *testing.F) {
-	const idx, wantCount = 1, 3
 	keyHash := testKey().hash64()
-	payload := payloadBytes(testInsts(wantCount, 5))
-	cut := func(h [sliceHeaderSize]byte, payload []byte) []byte {
-		return append(append([]byte(nil), h[:sliceHeaderSize-8]...), payload...)
+	for _, seed := range sliceSeeds() {
+		f.Add(seed)
 	}
-	f.Add(cut(encodeSliceHeader(keyHash, idx, wantCount, fnv1a(payload)), payload))
-	f.Add(cut(encodeSliceHeader(keyHash, idx+1, wantCount, fnv1a(payload)), payload))
-	f.Add(cut(encodeSliceHeader(keyHash, idx, wantCount-1, fnv1a(payload[:2*instBytes])), payload[:2*instBytes]))
-	f.Add(cut(encodeSliceHeader(keyHash^1, idx, wantCount, fnv1a(payload)), payload))
-	f.Add([]byte("BLSS"))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		file := sealSlice(in)
-		err := verifySliceFile("slice", file, keyHash, idx, wantCount)
+		err := verifySliceFile("slice", file, keyHash, fuzzSliceIdx, fuzzSliceCount)
 		if err != nil {
 			if !errors.Is(err, ErrReject) {
 				t.Fatalf("untyped error: %v", err)
@@ -106,12 +147,12 @@ func FuzzSliceFile(f *testing.F) {
 			return
 		}
 		body := file[sliceHeaderSize:]
-		h := encodeSliceHeader(keyHash, idx, wantCount, fnv1a(body))
-		if !bytes.Equal(file[:sliceHeaderSize], h[:]) || uint64(len(body)) != wantCount*instBytes {
+		h := encodeSliceHeader(keyHash, fuzzSliceIdx, fuzzSliceCount, checksum(body))
+		if !bytes.Equal(file[:sliceHeaderSize], h[:]) || uint64(len(body)) != fuzzSliceCount*instBytes {
 			t.Fatalf("verified a %d-byte slice file that is not the canonical encoding", len(file))
 		}
-		if got := payloadInsts(body, wantCount); len(got) != wantCount {
-			t.Fatalf("verified payload decodes to %d instructions, want %d", len(got), wantCount)
+		if got := payloadInsts(body, fuzzSliceCount); len(got) != fuzzSliceCount {
+			t.Fatalf("verified payload decodes to %d instructions, want %d", len(got), fuzzSliceCount)
 		}
 	})
 }

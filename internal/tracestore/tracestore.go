@@ -360,7 +360,7 @@ func (s *Store) WriteSlice(k Key, idx int, insts []trace.Inst) error {
 		return err
 	}
 	payload := payloadBytes(insts)
-	hdr := encodeSliceHeader(k.hash64(), idx, uint64(len(insts)), fnv1a(payload))
+	hdr := encodeSliceHeader(k.hash64(), idx, uint64(len(insts)), checksum(payload))
 	corrupt := len(payload) > 0 && faultinject.Chaos(faultinject.StoreCorrupt)
 	err := s.atomicWrite(dir, path, func(f *os.File) error {
 		if _, err := f.Write(hdr[:]); err != nil {

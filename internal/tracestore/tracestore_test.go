@@ -3,8 +3,10 @@ package tracestore
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -45,7 +47,7 @@ func testCkpts() []program.Checkpoint {
 	}
 }
 
-func mustOpen(t *testing.T, dir string, cap int64) *Store {
+func mustOpen(t testing.TB, dir string, cap int64) *Store {
 	t.Helper()
 	s, err := Open(dir, cap)
 	if err != nil {
@@ -299,14 +301,72 @@ func TestVersionMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint32(b[4:8], FormatVersion+1)
-	binary.LittleEndian.PutUint64(b[56:64], fnv1a(b[:56]))
+	binary.LittleEndian.PutUint64(b[56:64], checksum(b[:56]))
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2 := mustOpen(t, dir, 0)
 	_, err = s2.PinSlice(k, 0, 64)
-	if !errors.Is(err, ErrReject) {
-		t.Fatalf("future-version slice accepted: %v", err)
+	//lint:ignore errcontract asserts which check fired (version, not checksum); every reject shares the ErrReject sentinel and names its failed check only in the message
+	if !errors.Is(err, ErrReject) || !strings.Contains(err.Error(), "format version") {
+		t.Fatalf("future-version slice: err = %v, want a format-version reject", err)
+	}
+}
+
+// quickSliceInsts is the slice length of the Quick experiment
+// configuration: the size of the files a quick run stores.
+const quickSliceInsts = 200_000
+
+// TestChecksumDetection: on one Quick-sized slice file, single-bit
+// flips at every header byte and at sampled payload bytes, 4-byte
+// bursts, a file one instruction short and a file with one extra
+// trailing byte all reject typed.
+func TestChecksumDetection(t *testing.T) {
+	k := testKey()
+	insts := testInsts(quickSliceInsts, 12)
+	payload := payloadBytes(insts)
+	hdr := encodeSliceHeader(k.hash64(), 0, quickSliceInsts, checksum(payload))
+	file := append(hdr[:], payload...)
+	verify := func(b []byte) error {
+		return verifySliceFile("slice", b, k.hash64(), 0, quickSliceInsts)
+	}
+	if err := verify(file); err != nil {
+		t.Fatalf("pristine file rejected: %v", err)
+	}
+	mustReject := func(what string, b []byte) {
+		t.Helper()
+		if err := verify(b); !errors.Is(err, ErrReject) {
+			t.Fatalf("%s: err = %v, want ErrReject", what, err)
+		}
+	}
+
+	var offsets []int
+	for off := 0; off < sliceHeaderSize; off++ {
+		offsets = append(offsets, off)
+	}
+	for i := 0; i < 64; i++ {
+		offsets = append(offsets, sliceHeaderSize+i*(len(payload)-1)/63)
+	}
+	for _, off := range offsets {
+		for bit := 0; bit < 8; bit++ {
+			file[off] ^= 1 << bit
+			mustReject(fmt.Sprintf("bit %d of byte %d flipped", bit, off), file)
+			file[off] ^= 1 << bit
+		}
+	}
+	for _, off := range []int{20, 52, sliceHeaderSize, sliceHeaderSize + len(payload)/2 + 1, len(file) - 4} {
+		for i := off; i < off+4; i++ {
+			file[i] ^= 0xA5
+		}
+		mustReject(fmt.Sprintf("4-byte burst at %d", off), file)
+		for i := off; i < off+4; i++ {
+			file[i] ^= 0xA5
+		}
+	}
+	mustReject("truncated by one instruction", file[:len(file)-int(instBytes)])
+	mustReject("one trailing byte", append(file[:len(file):len(file)], 0))
+	if err := verify(file); err != nil {
+		t.Fatalf("restored file rejected: %v", err)
 	}
 }
 

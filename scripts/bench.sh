@@ -50,6 +50,12 @@
 #   BenchmarkCNNTrain                   - training one §V-C helper model at the
 #                                         experiment configuration on a fixed
 #                                         sample set (internal/cnn)
+#   BenchmarkStoreSlice/{write,verify}  - the persistent trace store on one
+#                                         200k-instruction slice
+#                                         (internal/tracestore): writing the
+#                                         file, and cold-pinning it through a
+#                                         fresh store (map plus full checksum
+#                                         verification); reported in MB/s too
 #
 # Three regression checks run after the benchmarks:
 #   1. Intra-run gate (host-independent): the block replay loop
@@ -101,8 +107,8 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$|BenchmarkScreen$|BenchmarkDepgraph$|BenchmarkCNNTrain$' \
-  -benchtime "$benchtime" . ./internal/pipeline ./internal/experiments ./internal/depgraph ./internal/cnn | tee "$raw" >&2
+  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$|BenchmarkScreen$|BenchmarkDepgraph$|BenchmarkCNNTrain$|BenchmarkStoreSlice$' \
+  -benchtime "$benchtime" . ./internal/pipeline ./internal/experiments ./internal/depgraph ./internal/cnn ./internal/tracestore | tee "$raw" >&2
 
 awk -v benchtime="$benchtime" '
   /^Benchmark/ && /ns\/op/ {
@@ -153,7 +159,9 @@ BenchmarkPipelineSchedule
 BenchmarkPipelineScheduleWide
 BenchmarkScreen
 BenchmarkDepgraph
-BenchmarkCNNTrain'
+BenchmarkCNNTrain
+BenchmarkStoreSlice/write
+BenchmarkStoreSlice/verify'
 missing=0
 while IFS= read -r name; do
   if ! parse "$out" | awk -v n="$name" '$1 == n { found = 1 } END { exit !found }'; then
