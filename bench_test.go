@@ -148,30 +148,36 @@ func BenchmarkRunAll(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreRun isolates the core.Run replay loop: the no-observer
-// fast path (pure MPKI measurement) against the fan-out path with a
-// collector attached, plus the pre-PR3 per-instruction reference loop
-// — the block-vs-per-instruction contrast recorded in EXPERIMENTS.md.
-// All replay the same recorded trace through TAGE-SC-L 8KB.
+// BenchmarkCoreRun isolates the core.RunBlocks replay loop: the
+// no-observer fast path (pure MPKI measurement) against the fan-out
+// path with a collector attached, plus the pre-block per-instruction
+// reference loop — the block-vs-per-instruction contrast recorded in
+// EXPERIMENTS.md and gated by scripts/bench.sh. All replay the same
+// recorded trace through TAGE-SC-L 8KB.
 func BenchmarkCoreRun(b *testing.B) {
 	spec, _ := branchlab.Workload("605.mcf_s")
 	tr := branchlab.RecordTrace(spec, 0, 500_000)
 	b.Run("observers=off", func(b *testing.B) {
 		b.SetBytes(500_000)
 		for i := 0; i < b.N; i++ {
-			branchlab.Run(tr.Stream(), branchlab.NewTAGESCL(8))
+			branchlab.Run(tr.BlockStream(0), branchlab.NewTAGESCL(8))
 		}
 	})
 	b.Run("observers=on", func(b *testing.B) {
 		b.SetBytes(500_000)
 		for i := 0; i < b.N; i++ {
-			branchlab.Run(tr.Stream(), branchlab.NewTAGESCL(8), branchlab.NewCollector(125_000))
+			branchlab.Run(tr.BlockStream(0), branchlab.NewTAGESCL(8), branchlab.NewCollector(125_000))
 		}
 	})
 	b.Run("perinst-reference", func(b *testing.B) {
+		insts := make([]branchlab.Inst, tr.Len())
+		for i := range insts {
+			insts[i] = tr.At(i)
+		}
 		b.SetBytes(500_000)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			runPerInstReference(tr.Stream(), branchlab.NewTAGESCL(8))
+			runPerInstReference(&perInstReader{insts: insts}, branchlab.NewTAGESCL(8))
 		}
 	})
 }
@@ -185,11 +191,32 @@ type branchObserverRef interface {
 	ObserveBranch(ip, target uint64, kind branchlab.Kind, taken bool)
 }
 
+// instReader is the per-instruction read contract the block path
+// replaced. It survives only here, as the baseline's shape.
+type instReader interface {
+	Next(inst *branchlab.Inst) bool
+}
+
+// perInstReader serves a recorded trace one instruction at a time:
+// each Next copies one 40-byte record out of the array.
+type perInstReader struct {
+	insts []branchlab.Inst
+	pos   int
+}
+
+func (r *perInstReader) Next(inst *branchlab.Inst) bool {
+	if r.pos >= len(r.insts) {
+		return false
+	}
+	*inst = r.insts[r.pos]
+	r.pos++
+	return true
+}
+
 // runPerInstReference is the pre-block measurement loop — one
-// Stream.Next virtual call and one 40-byte copy per instruction —
-// kept as the benchmark baseline the block pipeline is measured
-// against.
-func runPerInstReference(s branchlab.Stream, p branchlab.Predictor) branchlab.RunStats {
+// interface Next call and one 40-byte copy per instruction — kept as
+// the benchmark baseline the block pipeline is measured against.
+func runPerInstReference(s instReader, p branchlab.Predictor) branchlab.RunStats {
 	tt, _ := p.(targetTrainerRef)
 	bo, _ := p.(branchObserverRef)
 	var st branchlab.RunStats
@@ -214,53 +241,6 @@ func runPerInstReference(s branchlab.Stream, p branchlab.Predictor) branchlab.Ru
 		st.Insts++
 	}
 	return st
-}
-
-// BenchmarkTAGEPredictTrain isolates the TAGE-SC-L engine itself — no
-// measurement loop, no stream dispatch: the branch events of a recorded
-// trace are extracted once and replayed straight through the predict/
-// train/observe calls. The packed sub-benchmark is the bit-packed
-// struct-of-arrays engine, tage-reference the scalar array-of-structs
-// engine it replaced (mirroring BenchmarkCoreRun's perinst-reference
-// pattern); their ratio is the engine-level win recorded in
-// EXPERIMENTS.md. MB/s reads as M branch events/s.
-func BenchmarkTAGEPredictTrain(b *testing.B) {
-	spec, _ := branchlab.Workload("605.mcf_s")
-	tr := branchlab.RecordTrace(spec, 0, 500_000)
-	var events []branchlab.Inst
-	var inst branchlab.Inst
-	s := tr.Stream()
-	for s.Next(&inst) {
-		if inst.IsBranch() {
-			events = append(events, inst)
-		}
-	}
-	for _, e := range []struct {
-		name string
-		mk   func() branchlab.Predictor
-	}{
-		{"packed", func() branchlab.Predictor { return tage.New(tage.Config8KB()) }},
-		{"tage-reference", func() branchlab.Predictor { return tage.NewReference(tage.Config8KB()) }},
-	} {
-		b.Run(e.name, func(b *testing.B) {
-			p := e.mk()
-			tt := p.(targetTrainerRef)
-			bo := p.(branchObserverRef)
-			b.SetBytes(int64(len(events)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range events {
-					ev := &events[j]
-					if ev.IsCondBranch() {
-						pred := p.Predict(ev.IP)
-						tt.TrainWithTarget(ev.IP, ev.Target, ev.Taken, pred)
-					} else {
-						bo.ObserveBranch(ev.IP, ev.Target, ev.Kind, ev.Taken)
-					}
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkRecordSharded contrasts sequential trace recording with
@@ -342,7 +322,7 @@ func BenchmarkTraceCacheSlicedReplay(b *testing.B) {
 			b.ResetTimer()
 			var peak int64
 			for i := 0; i < b.N; i++ {
-				branchlab.Run(tr.Stream(), branchlab.NewTAGESCL(8))
+				branchlab.Run(tr.BlockStream(0), branchlab.NewTAGESCL(8))
 				if st := cache.Stats(); st.BytesInUse > peak {
 					peak = st.BytesInUse
 				}
@@ -420,7 +400,7 @@ func BenchmarkAblationHistoryLengths(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := tage.Config8KB()
 				cfg.NumTables = tables
-				st := branchlab.Run(tr.Stream(), tage.New(cfg))
+				st := branchlab.Run(tr.BlockStream(0), tage.New(cfg))
 				b.ReportMetric(st.Accuracy(), "accuracy")
 			}
 		})
@@ -444,7 +424,7 @@ func BenchmarkAblationSC(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := tage.Config8KB()
 				cfg.UseSC = useSC
-				st := branchlab.Run(tr.Stream(), tage.New(cfg))
+				st := branchlab.Run(tr.BlockStream(0), tage.New(cfg))
 				b.ReportMetric(st.Accuracy(), "accuracy")
 			}
 		})
@@ -464,7 +444,7 @@ func BenchmarkAblationLoop(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := tage.Config8KB()
 				cfg.UseLoop = useLoop
-				st := branchlab.Run(tr.Stream(), tage.New(cfg))
+				st := branchlab.Run(tr.BlockStream(0), tage.New(cfg))
 				b.ReportMetric(st.Accuracy(), "accuracy")
 			}
 		})
@@ -486,7 +466,7 @@ func BenchmarkPredictorZoo(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				st := branchlab.Run(tr.Stream(), p)
+				st := branchlab.Run(tr.BlockStream(0), p)
 				b.ReportMetric(st.Accuracy(), "accuracy")
 			}
 		})
@@ -501,7 +481,7 @@ func BenchmarkPipelineScalePerfectBP(b *testing.B) {
 	for _, scale := range []int{1, 4, 16} {
 		b.Run(byScale(scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := branchlab.SimulateIPC(tr.Stream(),
+				res := branchlab.SimulateIPC(tr.BlockStream(0),
 					branchlab.SkylakeConfig().Scaled(scale),
 					branchlab.PipelineOptions{PerfectBP: true})
 				b.ReportMetric(res.IPC, "IPC")
@@ -522,6 +502,6 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	b.SetBytes(500_000) // one "byte" per instruction: MB/s == M instrs/s
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		branchlab.Run(tr.Stream(), branchlab.NewTAGESCL(8))
+		branchlab.Run(tr.BlockStream(0), branchlab.NewTAGESCL(8))
 	}
 }

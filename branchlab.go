@@ -12,12 +12,15 @@
 // use:
 //
 //	spec, _ := branchlab.Workload("605.mcf_s")
-//	stream := spec.Stream(0, 2_000_000)
-//	defer branchlab.CloseStream(stream)
+//	stream := spec.Stream(ctx, 0, 2_000_000)
+//	defer stream.Close()
 //
 //	pred := branchlab.NewTAGESCL(8)
 //	col := branchlab.NewCollector(500_000)
 //	stats := branchlab.Run(stream, pred, col)
+//	if err := stream.Err(); err != nil {
+//		return err // cancelled or failed: the run saw a truncated prefix
+//	}
 //	report := branchlab.ScreenH2Ps(col, 500_000)
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -50,10 +53,8 @@ import (
 type (
 	// Inst is one dynamic instruction record.
 	Inst = trace.Inst
-	// Stream is a forward-only instruction producer.
-	Stream = trace.Stream
-	// BlockStream is a forward-only producer of instruction batches,
-	// the replay hot path (see Blocks/RunBlocks).
+	// BlockStream is a forward-only producer of instruction batches:
+	// the one read path every replay takes.
 	BlockStream = trace.BlockStream
 	// Buffer is a materialized, replayable trace.
 	Buffer = trace.Buffer
@@ -128,34 +129,25 @@ func SPECint2017Like() []*WorkloadSpec { return workload.SPECint2017Like() }
 // LCFLike returns the six Table II large-code-footprint workloads.
 func LCFLike() []*WorkloadSpec { return workload.LCFLike() }
 
-// Run drives a stream through a predictor, fanning events to observers.
-// The replay iterates the trace in blocks — zero-copy when the stream
-// serves them natively, as every Buffer replay does.
-func Run(s Stream, p Predictor, obs ...Observer) RunStats { return core.Run(s, p, obs...) }
-
-// RunBlocks is Run over an explicit block stream (see Blocks).
-func RunBlocks(bs BlockStream, p Predictor, obs ...Observer) RunStats {
+// Run drives a block stream through a predictor, fanning events to
+// observers. Buffer and cache replays serve their blocks zero-copy.
+func Run(bs BlockStream, p Predictor, obs ...Observer) RunStats {
 	return core.RunBlocks(bs, p, obs...)
 }
 
-// Blocks adapts a stream to block iteration with blocks of at most n
-// instructions; block-native streams are better passed to RunBlocks via
-// their own serving (Buffer.BlockStream).
-func Blocks(s Stream, n int) BlockStream { return trace.Blocks(s, n) }
-
-// Observe replays a stream through observers with no predictor — the
-// fast path for analysis passes (dependency graphs, recurrence
+// Observe replays a block stream through observers with no predictor —
+// the fast path for analysis passes (dependency graphs, recurrence
 // tracking, BBV collection, register values, helper-training history)
 // whose observers ignore predictions.
-func Observe(s Stream, obs ...Observer) RunStats { return core.Observe(s, obs...) }
+func Observe(bs BlockStream, obs ...Observer) RunStats { return core.ObserveBlocks(bs, obs...) }
 
 // ObserveFrom is Observe with observers numbered from a base global
 // instruction index — the shard replay entry point: index-keyed
 // observers over slice-aligned ranges of one long trace (Buffer.Slice)
 // can run on separate workers and Merge back to the exact sequential
 // result (Collector.Merge, RecurrenceTracker.Merge, BBV merging).
-func ObserveFrom(s Stream, base uint64, obs ...Observer) RunStats {
-	return core.ObserveFrom(s, base, obs...)
+func ObserveFrom(bs BlockStream, base uint64, obs ...Observer) RunStats {
+	return core.ObserveBlocksFrom(bs, base, obs...)
 }
 
 // NewCollector returns a Collector with the given slice length.
@@ -170,9 +162,6 @@ func PaperCriteria() Criteria { return core.PaperCriteria() }
 func ScreenH2Ps(col *Collector, sliceLen uint64) *H2PReport {
 	return core.PaperCriteria().Scaled(sliceLen).Screen(col)
 }
-
-// CloseStream releases a stream's resources if it holds any.
-func CloseStream(s Stream) error { return trace.CloseStream(s) }
 
 // RecordTrace materializes up to budget instructions from a workload
 // input. It is the facade's context-free recording root: the recording
@@ -265,14 +254,14 @@ func RecordTraceCachedCtx(ctx context.Context, c *TraceCache, spec *WorkloadSpec
 // with Scaled for the paper's 2x-32x studies.
 func SkylakeConfig() PipelineConfig { return pipeline.Skylake() }
 
-// SimulateIPC times a stream on the pipeline model.
-func SimulateIPC(s Stream, cfg PipelineConfig, opt PipelineOptions) PipelineResult {
-	return pipeline.New(cfg).Run(s, opt)
+// SimulateIPC times a block stream on the pipeline model.
+func SimulateIPC(bs BlockStream, cfg PipelineConfig, opt PipelineOptions) PipelineResult {
+	return pipeline.New(cfg).RunBlocks(bs, opt)
 }
 
-// CountPhases runs SimPoint-style phase analysis over a stream.
-func CountPhases(s Stream, sliceLen uint64, maxK int) int {
-	return simpoint.Phases(s, sliceLen, maxK).K
+// CountPhases runs SimPoint-style phase analysis over a block stream.
+func CountPhases(bs BlockStream, sliceLen uint64, maxK int) int {
+	return simpoint.Phases(bs, sliceLen, maxK).K
 }
 
 // NewRecurrenceTracker returns the Fig 9 recurrence-interval observer.
@@ -288,7 +277,7 @@ func TrainHelper(cfg HelperConfig, target uint64, traces ...*Buffer) *HelperMode
 	var samples []cnn.Sample
 	for _, tr := range traces {
 		hc := cnn.NewHistoryCollector(cfg, target)
-		core.Observe(tr.Stream(), hc)
+		core.ObserveBlocks(tr.BlockStream(0), hc)
 		samples = append(samples, hc.Samples...)
 	}
 	m := cnn.NewModel(cfg)

@@ -24,7 +24,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	pred := branchlab.NewTAGESCL(8)
 	col := branchlab.NewCollector(budget / 2)
-	stats := branchlab.Run(tr.Stream(), pred, col)
+	stats := branchlab.Run(tr.BlockStream(0), pred, col)
 	if stats.Insts != budget {
 		t.Errorf("Insts = %d", stats.Insts)
 	}
@@ -37,9 +37,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Error("no H2Ps screened on mcf-like workload")
 	}
 
-	res := branchlab.SimulateIPC(tr.Stream(), branchlab.SkylakeConfig(),
+	res := branchlab.SimulateIPC(tr.BlockStream(0), branchlab.SkylakeConfig(),
 		branchlab.PipelineOptions{Predictor: branchlab.NewTAGESCL(8)})
-	perfect := branchlab.SimulateIPC(tr.Stream(), branchlab.SkylakeConfig(),
+	perfect := branchlab.SimulateIPC(tr.BlockStream(0), branchlab.SkylakeConfig(),
 		branchlab.PipelineOptions{PerfectBP: true})
 	if !(res.IPC > 0 && res.IPC < perfect.IPC) {
 		t.Errorf("IPC ordering: predicted %v vs perfect %v", res.IPC, perfect.IPC)
@@ -70,9 +70,12 @@ func TestFacadeSuites(t *testing.T) {
 
 func TestFacadePhases(t *testing.T) {
 	spec, _ := branchlab.Workload("620.omnetpp_s")
-	s := spec.Stream(0, 400_000)
-	defer branchlab.CloseStream(s)
+	s := spec.Stream(context.Background(), 0, 400_000)
+	defer s.Close()
 	k := branchlab.CountPhases(s, 50_000, 16)
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if k < 2 {
 		t.Errorf("phases = %d, want >= 2 for a phased workload", k)
 	}
@@ -85,7 +88,7 @@ func TestFacadeHelperSaveLoad(t *testing.T) {
 	tr := branchlab.RecordTrace(spec, 0, 200_000)
 
 	col := branchlab.NewCollector(100_000)
-	branchlab.Run(tr.Stream(), branchlab.NewTAGESCL(8), col)
+	branchlab.Run(tr.BlockStream(0), branchlab.NewTAGESCL(8), col)
 	hh := branchlab.ScreenH2Ps(col, 100_000).HeavyHitters()
 	if len(hh) == 0 {
 		t.Skip("no H2P at this budget")

@@ -225,7 +225,7 @@ func run(ctx context.Context, workloadName string, input int, traceFile, predNam
 			}
 		}
 	}
-	open := func() (trace.Stream, func(), error) {
+	open := func() (trace.BlockStream, func(), error) {
 		if traceFile != "" {
 			f, err := os.Open(traceFile)
 			if err != nil {
@@ -238,15 +238,15 @@ func run(ctx context.Context, workloadName string, input int, traceFile, predNam
 			return nil, nil, fmt.Errorf("unknown workload %q (use -list)", workloadName)
 		}
 		if cache == nil {
-			s := spec.StreamCtx(ctx, input, budget)
-			return s, func() { trace.CloseStream(s) }, nil
+			s := spec.Stream(ctx, input, budget)
+			return s, func() { s.Close() }, nil
 		}
 		tr, err := cache.RecordCtx(ctx, spec.Name, input, budget,
 			spec.CacheSource(input, budget, engine.New(parallel), recShards, ckptSliceInsts))
 		if err != nil {
 			return nil, nil, err
 		}
-		return tr.Stream(), func() {}, nil
+		return tr.BlockStream(0), func() {}, nil
 	}
 
 	s, cleanup, err := open()
@@ -256,7 +256,7 @@ func run(ctx context.Context, workloadName string, input int, traceFile, predNam
 	defer cleanup()
 
 	col := core.NewCollector(sliceLen)
-	st := core.Run(s, pred, col)
+	st := core.RunBlocks(s, pred, col)
 	// A stream that ended early (cancellation, payload failure) delivered
 	// a truncated prefix: fail before printing anything computed from it.
 	if err := trace.StreamErr(s); err != nil {
@@ -330,7 +330,7 @@ func run(ctx context.Context, workloadName string, input int, traceFile, predNam
 					return pipeline.Result{}, err
 				}
 				res := pipeline.New(pipeline.Skylake().Scaled(scale)).
-					Run(s2, pipeline.Options{Predictor: pred2})
+					RunBlocks(s2, pipeline.Options{Predictor: pred2})
 				// A truncated stream times a prefix, not the run: fail the
 				// cell rather than report a wrong IPC.
 				if serr := trace.StreamErr(s2); serr != nil {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -16,7 +17,6 @@ import (
 
 	"branchlab/internal/core"
 	"branchlab/internal/report"
-	"branchlab/internal/trace"
 	"branchlab/internal/workload"
 	"branchlab/internal/zoo"
 )
@@ -28,13 +28,13 @@ func main() {
 		predictors = flag.String("predictors", "", "comma list (default: all)")
 	)
 	flag.Parse()
-	if err := run(*suite, *budget, *predictors); err != nil {
+	if err := run(context.Background(), *suite, *budget, *predictors); err != nil {
 		fmt.Fprintln(os.Stderr, "cbp:", err)
 		os.Exit(1)
 	}
 }
 
-func run(suite string, budget uint64, predictorList string) error {
+func run(ctx context.Context, suite string, budget uint64, predictorList string) error {
 	var specs []*workload.Spec
 	switch suite {
 	case "specint2017":
@@ -71,9 +71,12 @@ func run(suite string, budget uint64, predictorList string) error {
 			if err != nil {
 				return err
 			}
-			st := s.Stream(0, budget)
-			stats := core.Run(st, p)
-			trace.CloseStream(st)
+			st := s.Stream(ctx, 0, budget)
+			stats := core.RunBlocks(st, p)
+			st.Close()
+			if err := st.Err(); err != nil {
+				return err
+			}
 			row = append(row, fmt.Sprintf("%.2f", stats.MPKI()))
 			total += stats.MPKI()
 		}

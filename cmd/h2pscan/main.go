@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -16,7 +17,6 @@ import (
 
 	"branchlab/internal/core"
 	"branchlab/internal/tage"
-	"branchlab/internal/trace"
 	"branchlab/internal/workload"
 )
 
@@ -28,13 +28,13 @@ func main() {
 		slice  = flag.Uint64("slice", 500_000, "slice length")
 	)
 	flag.Parse()
-	if err := run(*name, *inputs, *budget, *slice); err != nil {
+	if err := run(context.Background(), *name, *inputs, *budget, *slice); err != nil {
 		fmt.Fprintln(os.Stderr, "h2pscan:", err)
 		os.Exit(1)
 	}
 }
 
-func run(name string, inputs int, budget, slice uint64) error {
+func run(ctx context.Context, name string, inputs int, budget, slice uint64) error {
 	spec, ok := workload.ByName(name)
 	if !ok {
 		return fmt.Errorf("unknown workload %q", name)
@@ -48,10 +48,13 @@ func run(name string, inputs int, budget, slice uint64) error {
 
 	var reports []*core.H2PReport
 	for in := 0; in < inputs; in++ {
-		s := spec.Stream(in, budget)
+		s := spec.Stream(ctx, in, budget)
 		col := core.NewCollector(slice)
-		stats := core.Run(s, tage.New(tage.Config8KB()), col)
-		trace.CloseStream(s)
+		stats := core.RunBlocks(s, tage.New(tage.Config8KB()), col)
+		s.Close()
+		if err := s.Err(); err != nil {
+			return err
+		}
 		rep := crit.Screen(col)
 		reports = append(reports, rep)
 		fmt.Printf("input %d: accuracy %.4f, %d H2Ps (%.1f/slice), %.1f%% of mispredictions\n",

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,13 +25,13 @@ func main() {
 		out    = flag.String("o", "", "output file (default <workload>.<input>.blt)")
 	)
 	flag.Parse()
-	if err := run(*name, *input, *budget, *out); err != nil {
+	if err := run(context.Background(), *name, *input, *budget, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(name string, input int, budget uint64, out string) error {
+func run(ctx context.Context, name string, input int, budget uint64, out string) error {
 	spec, ok := workload.ByName(name)
 	if !ok {
 		return fmt.Errorf("unknown workload %q", name)
@@ -44,16 +45,20 @@ func run(name string, input int, budget uint64, out string) error {
 	}
 	defer f.Close()
 
-	s := spec.Stream(input, budget)
-	defer trace.CloseStream(s)
+	s := spec.Stream(ctx, input, budget)
+	defer s.Close()
 	w := trace.NewWriter(f)
-	var inst trace.Inst
 	var n uint64
-	for s.Next(&inst) {
-		if err := w.WriteInst(&inst); err != nil {
-			return err
+	for blk := s.NextBlock(); len(blk) > 0; blk = s.NextBlock() {
+		for i := range blk {
+			if err := w.WriteInst(&blk[i]); err != nil {
+				return err
+			}
 		}
-		n++
+		n += uint64(len(blk))
+	}
+	if err := s.Err(); err != nil {
+		return err
 	}
 	if err := w.Flush(); err != nil {
 		return err

@@ -29,7 +29,7 @@ func main() {
 	pred := tage.New(tage.Config8KB())
 	telemetry := pred.EnableAllocTracking()
 	col := branchlab.NewCollector(sliceLen)
-	branchlab.Run(tr.Stream(), pred, col)
+	branchlab.Run(tr.BlockStream(0), pred, col)
 	rep := branchlab.ScreenH2Ps(col, sliceLen)
 	hh := rep.HeavyHitters()
 	if len(hh) == 0 {
@@ -46,7 +46,7 @@ func main() {
 	// Pass 2: dependency-graph analysis over the prior 5,000 instructions
 	// of each execution (paper §IV-A, Table III, Fig 6).
 	an := depgraph.New(depgraph.DefaultWindow, 5000, target)
-	branchlab.Run(tr.Stream(), tage.New(tage.Config8KB()), an)
+	branchlab.Run(tr.BlockStream(0), tage.New(tage.Config8KB()), an)
 	sum := an.Summarize(target)
 	fmt.Printf("\ndependency branches: %d, history positions %d..%d (%.1f positions per dependency)\n",
 		sum.DepBranches, sum.MinPos, sum.MaxPos, sum.PositionsPerDep)
@@ -80,7 +80,7 @@ func main() {
 
 	// Register values immediately preceding the H2P (paper Fig 10).
 	rv := core.NewRegValueTracker(target, 8, 18)
-	branchlab.Run(tr.Stream(), tage.New(tage.Config8KB()), rv)
+	branchlab.Run(tr.BlockStream(0), tage.New(tage.Config8KB()), rv)
 	fmt.Printf("\nregister values before %d executions:\n", rv.Execs())
 	for r := uint8(8); r < 12; r++ {
 		if n := rv.DistinctValues(r); n > 0 {

@@ -22,7 +22,7 @@ func main() {
 	// Find the H2P to target (screened on input 0).
 	scout := branchlab.RecordTrace(spec, 0, budget)
 	col := branchlab.NewCollector(sliceLen)
-	branchlab.Run(scout.Stream(), branchlab.NewTAGESCL(8), col)
+	branchlab.Run(scout.BlockStream(0), branchlab.NewTAGESCL(8), col)
 	hh := branchlab.ScreenH2Ps(col, sliceLen).HeavyHitters()
 	if len(hh) == 0 {
 		log.Fatal("no H2P found")
@@ -42,13 +42,13 @@ func main() {
 	eval := branchlab.RecordTrace(spec, 2, budget)
 
 	baseCol := branchlab.NewCollector(sliceLen)
-	branchlab.Run(eval.Stream(), branchlab.NewTAGESCL(8), baseCol)
+	branchlab.Run(eval.BlockStream(0), branchlab.NewTAGESCL(8), baseCol)
 	baseAcc := baseCol.Totals()[target].Accuracy()
 
 	overlay := branchlab.NewHelperOverlay(cfg, branchlab.NewTAGESCL(8))
 	overlay.Attach(target, model)
 	helpCol := branchlab.NewCollector(sliceLen)
-	branchlab.Run(eval.Stream(), overlay, helpCol)
+	branchlab.Run(eval.BlockStream(0), overlay, helpCol)
 	helpAcc := helpCol.Totals()[target].Accuracy()
 
 	fmt.Printf("on unseen input: TAGE-SC-L %.3f -> helper %.3f (%+.1f%%), %d predictions served by the helper\n",

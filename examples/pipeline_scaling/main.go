@@ -21,9 +21,9 @@ func main() {
 	fmt.Printf("%-8s %12s %12s %14s\n", "scale", "TAGE8 IPC", "perfect IPC", "opportunity")
 	for _, scale := range []int{1, 2, 4, 8, 16, 32} {
 		cfg := branchlab.SkylakeConfig().Scaled(scale)
-		base := branchlab.SimulateIPC(tr.Stream(), cfg,
+		base := branchlab.SimulateIPC(tr.BlockStream(0), cfg,
 			branchlab.PipelineOptions{Predictor: branchlab.NewTAGESCL(8)})
-		perfect := branchlab.SimulateIPC(tr.Stream(), cfg,
+		perfect := branchlab.SimulateIPC(tr.BlockStream(0), cfg,
 			branchlab.PipelineOptions{PerfectBP: true})
 		fmt.Printf("%-8s %12.3f %12.3f %13.1f%%\n",
 			fmt.Sprintf("%dx", scale), base.IPC, perfect.IPC,

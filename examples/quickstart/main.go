@@ -26,7 +26,7 @@ func main() {
 	// per-slice, per-branch statistics.
 	pred := branchlab.NewTAGESCL(8)
 	col := branchlab.NewCollector(sliceLen)
-	stats := branchlab.Run(tr.Stream(), pred, col)
+	stats := branchlab.Run(tr.BlockStream(0), pred, col)
 	fmt.Printf("accuracy %.4f (%.2f MPKI) over %d conditional branches\n",
 		stats.Accuracy(), stats.MPKI(), stats.CondExecs)
 
@@ -43,9 +43,9 @@ func main() {
 	}
 
 	// Close the loop to IPC on the Skylake-like pipeline model.
-	base := branchlab.SimulateIPC(tr.Stream(), branchlab.SkylakeConfig(),
+	base := branchlab.SimulateIPC(tr.BlockStream(0), branchlab.SkylakeConfig(),
 		branchlab.PipelineOptions{Predictor: branchlab.NewTAGESCL(8)})
-	perfect := branchlab.SimulateIPC(tr.Stream(), branchlab.SkylakeConfig(),
+	perfect := branchlab.SimulateIPC(tr.BlockStream(0), branchlab.SkylakeConfig(),
 		branchlab.PipelineOptions{PerfectBP: true})
 	fmt.Printf("IPC %.3f with TAGE-SC-L 8KB, %.3f with perfect prediction (%.1f%% opportunity)\n",
 		base.IPC, perfect.IPC, 100*(perfect.IPC/base.IPC-1))

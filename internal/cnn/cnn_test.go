@@ -43,7 +43,7 @@ func collect(t testing.TB, cfg Config, seed uint64, n int) []Sample {
 	t.Helper()
 	col := NewHistoryCollector(cfg, h2pIP)
 	tr := correlatedTrace(seed, n, 0.1)
-	core.Run(tr.Stream(), bp.NewStatic(true), col)
+	core.RunBlocks(tr.BlockStream(0), bp.NewStatic(true), col)
 	if len(col.Samples) == 0 {
 		t.Fatal("no samples collected")
 	}
@@ -112,14 +112,14 @@ func TestHelperBeatsTAGEOnH2P(t *testing.T) {
 	// Baseline TAGE accuracy on the H2P in a fresh trace.
 	tr := correlatedTrace(123, 150000, 0.1)
 	col := core.NewCollector(uint64(tr.Len()))
-	core.Run(tr.Stream(), tage.New(tage.Config8KB()), col)
+	core.RunBlocks(tr.BlockStream(0), tage.New(tage.Config8KB()), col)
 	tageAcc := col.Totals()[h2pIP].Accuracy()
 
 	// Overlay accuracy on the same trace.
 	overlay := NewOverlay(cfg, tage.New(tage.Config8KB()))
 	overlay.Attach(h2pIP, m)
 	col2 := core.NewCollector(uint64(tr.Len()))
-	core.Run(tr.Stream(), overlay, col2)
+	core.RunBlocks(tr.BlockStream(0), overlay, col2)
 	helperAcc := col2.Totals()[h2pIP].Accuracy()
 
 	if overlay.HelperPredictions == 0 {
@@ -136,8 +136,8 @@ func TestOverlayLeavesOtherBranchesToBase(t *testing.T) {
 	overlay := NewOverlay(cfg, bp.NewBimodal(12))
 	tr := correlatedTrace(5, 50000, 0.1)
 	// No helpers attached: behaves exactly like the base.
-	st := core.Run(tr.Stream(), overlay)
-	base := core.Run(tr.Stream(), bp.NewBimodal(12))
+	st := core.RunBlocks(tr.BlockStream(0), overlay)
+	base := core.RunBlocks(tr.BlockStream(0), bp.NewBimodal(12))
 	if st.Mispreds != base.Mispreds {
 		t.Errorf("empty overlay diverges from base: %d vs %d", st.Mispreds, base.Mispreds)
 	}

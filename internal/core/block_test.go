@@ -82,17 +82,17 @@ func randomTrace(n int, seed uint64) *trace.Buffer {
 	return b
 }
 
-// runPerInst is the pre-block reference loop: one Stream.Next per
-// instruction, semantics identical to RunBlocks by construction.
-func runPerInst(s trace.Stream, p bp.Predictor, obs ...Observer) RunStats {
+// runPerInst is the pre-block reference loop: one instruction copy per
+// step, semantics identical to RunBlocks by construction.
+func runPerInst(tr *trace.Buffer, p bp.Predictor, obs ...Observer) RunStats {
 	tt, _ := p.(interface {
 		TrainWithTarget(ip, target uint64, taken, pred bool)
 	})
 	bo, _ := p.(bp.BranchObserver)
 	var st RunStats
-	var inst trace.Inst
 	var i uint64
-	for s.Next(&inst) {
+	for ; i < uint64(tr.Len()); i++ {
+		inst := tr.At(int(i))
 		for _, o := range obs {
 			o.Inst(i, &inst)
 		}
@@ -115,7 +115,6 @@ func runPerInst(s trace.Stream, p bp.Predictor, obs ...Observer) RunStats {
 				bo.ObserveBranch(inst.IP, inst.Target, inst.Kind, inst.Taken)
 			}
 		}
-		i++
 	}
 	st.Insts = i
 	return st
@@ -154,14 +153,14 @@ func TestRunBlocksEquivalentToPerInstruction(t *testing.T) {
 	tr := randomTrace(20_000, 7)
 	wantCol := NewCollector(3_000)
 	wantPred := &histPredictor{}
-	want := runPerInst(tr.Stream(), wantPred, wantCol)
+	want := runPerInst(tr, wantPred, wantCol)
 	if want.CondExecs == 0 || want.Mispreds == 0 {
 		t.Fatal("degenerate reference run")
 	}
 	for _, n := range []int{1, 3, 17, 255, 4096, 30_000} {
 		col := NewCollector(3_000)
 		pred := &histPredictor{}
-		got := RunBlocks(trace.Blocks(tr.Stream(), n), pred, col)
+		got := RunBlocks(tr.BlockStream(n), pred, col)
 		if got != want {
 			t.Fatalf("block=%d: stats %+v != %+v", n, got, want)
 		}
@@ -171,10 +170,9 @@ func TestRunBlocksEquivalentToPerInstruction(t *testing.T) {
 		}
 		assertCollectorsEqual(t, col, wantCol, "block run")
 	}
-	// Run over the buffer's native block serving, and the no-observer
-	// fast path, agree too.
+	// The default block size and the no-observer fast path agree too.
 	pred := &histPredictor{}
-	if got := Run(tr.Stream(), pred); got != want {
+	if got := RunBlocks(tr.BlockStream(0), pred); got != want {
 		t.Fatalf("native fast path: stats %+v != %+v", got, want)
 	}
 	if pred.hist != wantPred.hist {
@@ -185,10 +183,10 @@ func TestRunBlocksEquivalentToPerInstruction(t *testing.T) {
 func TestObserveBlocksEquivalent(t *testing.T) {
 	tr := randomTrace(10_000, 11)
 	wantCol := NewCollector(1_000)
-	want := Observe(tr.Stream(), wantCol)
+	want := ObserveBlocks(tr.BlockStream(0), wantCol)
 	for _, n := range []int{1, 7, 1024} {
 		col := NewCollector(1_000)
-		got := ObserveBlocks(trace.Blocks(tr.Stream(), n), col)
+		got := ObserveBlocks(tr.BlockStream(n), col)
 		if got != want {
 			t.Fatalf("block=%d: stats %+v != %+v", n, got, want)
 		}
@@ -203,7 +201,7 @@ func TestCollectorMergeMatchesSequential(t *testing.T) {
 	const sliceLen = 1_000
 	tr := randomTrace(10_500, 13) // deliberately not slice-aligned overall
 	want := NewCollector(sliceLen)
-	Observe(tr.Stream(), want)
+	ObserveBlocks(tr.BlockStream(0), want)
 
 	for _, shardLen := range []int{sliceLen, 3 * sliceLen, 4_000} {
 		var parts []*Collector
@@ -213,7 +211,7 @@ func TestCollectorMergeMatchesSequential(t *testing.T) {
 				hi = tr.Len()
 			}
 			c := NewCollector(sliceLen)
-			st := ObserveFrom(tr.Slice(lo, hi).Stream(), uint64(lo), c)
+			st := ObserveBlocksFrom(tr.Slice(lo, hi).BlockStream(0), uint64(lo), c)
 			if st.Insts != uint64(hi-lo) {
 				t.Fatalf("shard stats counted %d insts, want %d", st.Insts, hi-lo)
 			}
@@ -228,8 +226,8 @@ func TestCollectorMergeMatchesSequential(t *testing.T) {
 
 	// Mid-slice splits overlap a slice index; Merge must sum them.
 	a, b := NewCollector(sliceLen), NewCollector(sliceLen)
-	ObserveFrom(tr.Slice(0, 2_500).Stream(), 0, a)
-	ObserveFrom(tr.Slice(2_500, tr.Len()).Stream(), 2_500, b)
+	ObserveBlocksFrom(tr.Slice(0, 2_500).BlockStream(0), 0, a)
+	ObserveBlocksFrom(tr.Slice(2_500, tr.Len()).BlockStream(0), 2_500, b)
 	a.Merge(b)
 	assertCollectorsEqual(t, a, want, "mid-slice split")
 }
@@ -242,13 +240,13 @@ func TestCollectorMergeThenObserve(t *testing.T) {
 	const sliceLen = 1_000
 	tr := randomTrace(6_000, 17)
 	want := NewCollector(sliceLen)
-	Observe(tr.Stream(), want)
+	ObserveBlocks(tr.BlockStream(0), want)
 
 	a, b := NewCollector(sliceLen), NewCollector(sliceLen)
-	ObserveFrom(tr.Slice(0, 2_000).Stream(), 0, a)
-	ObserveFrom(tr.Slice(2_000, 4_000).Stream(), 2_000, b)
+	ObserveBlocksFrom(tr.Slice(0, 2_000).BlockStream(0), 0, a)
+	ObserveBlocksFrom(tr.Slice(2_000, 4_000).BlockStream(0), 2_000, b)
 	a.Merge(b)
-	ObserveFrom(tr.Slice(4_000, 6_000).Stream(), 4_000, a)
+	ObserveBlocksFrom(tr.Slice(4_000, 6_000).BlockStream(0), 4_000, a)
 	assertCollectorsEqual(t, a, want, "merge then observe")
 
 	// Out-of-order shard arrival: the merged collector already holds
@@ -256,10 +254,10 @@ func TestCollectorMergeThenObserve(t *testing.T) {
 	// must fold into the existing slice-2 entry and insert slice 3 in
 	// sorted position.
 	c, d := NewCollector(sliceLen), NewCollector(sliceLen)
-	ObserveFrom(tr.Slice(0, 2_500).Stream(), 0, c)
-	ObserveFrom(tr.Slice(4_000, 6_000).Stream(), 4_000, d)
+	ObserveBlocksFrom(tr.Slice(0, 2_500).BlockStream(0), 0, c)
+	ObserveBlocksFrom(tr.Slice(4_000, 6_000).BlockStream(0), 4_000, d)
 	c.Merge(d)
-	ObserveFrom(tr.Slice(2_500, 4_000).Stream(), 2_500, c)
+	ObserveBlocksFrom(tr.Slice(2_500, 4_000).BlockStream(0), 2_500, c)
 	assertCollectorsEqual(t, c, want, "observe into merged gap")
 }
 
@@ -280,7 +278,7 @@ func TestCollectorShardsParallelAndAssociative(t *testing.T) {
 	const sliceLen = 500
 	tr := randomTrace(12_000, 23)
 	want := NewCollector(sliceLen)
-	Observe(tr.Stream(), want)
+	ObserveBlocks(tr.BlockStream(0), want)
 
 	shard := func(w, shardLen int) *Collector {
 		lo := w * shardLen
@@ -289,7 +287,7 @@ func TestCollectorShardsParallelAndAssociative(t *testing.T) {
 			hi = tr.Len()
 		}
 		c := NewCollector(sliceLen)
-		ObserveFrom(tr.Slice(lo, hi).Stream(), uint64(lo), c)
+		ObserveBlocksFrom(tr.Slice(lo, hi).BlockStream(0), uint64(lo), c)
 		return c
 	}
 	const shardLen = 3 * sliceLen

@@ -129,7 +129,7 @@ func (c *Collector) Branch(i uint64, inst *trace.Inst, pred bool) {
 
 // Merge folds other's slices into c, combining slices that share an
 // index by summing their counters. Both collectors must have been fed
-// global instruction indices (core.ObserveFrom for shard replays) and
+// global instruction indices (ObserveBlocksFrom for shard replays) and
 // use the same slice length.
 //
 // Merging is exact: per-slice counters are order-independent sums, so
@@ -268,26 +268,19 @@ func (r RunStats) MPKI() float64 {
 
 // targetTrainer is the optional predictor extension trained with the
 // branch target as well as the direction (TAGE-SC-L's IMLI component
-// keys on it). Run resolves the assertion once per run, not once per
+// keys on it). RunBlocks resolves the assertion once per run, not once per
 // branch: this is the simulator's innermost loop.
 type targetTrainer interface {
 	TrainWithTarget(ip, target uint64, taken, pred bool)
 }
 
-// Run drives the stream through the predictor (the CBP-style measurement
-// loop: predict at fetch, train at retire, observe all control flow) and
-// fans events out to the observers. The loop iterates the trace in
-// blocks (zero-copy when the stream serves them natively, e.g. any
-// Buffer replay), so the per-instruction cost is the predictor and the
-// observers, not stream dispatch. Runs with no observers — the
-// pure-MPKI sweeps — take a specialized loop with no fan-out work.
-func Run(s trace.Stream, p bp.Predictor, obs ...Observer) RunStats {
-	return RunBlocks(trace.AsBlocks(s, trace.DefaultBlockLen), p, obs...)
-}
-
-// RunBlocks is Run over an explicit block stream. Callers that already
-// hold a BlockStream (or need to control the block size, e.g. the
-// equivalence tests) use it directly; Run is RunBlocks over AsBlocks.
+// RunBlocks drives the stream through the predictor (the CBP-style
+// measurement loop: predict at fetch, train at retire, observe all
+// control flow) and fans events out to the observers. The loop iterates
+// the trace in blocks (zero-copy for every Buffer and cache replay), so
+// the per-instruction cost is the predictor and the observers, not
+// stream dispatch. Runs with no observers — the pure-MPKI sweeps — take
+// a specialized loop with no fan-out work.
 func RunBlocks(bs trace.BlockStream, p bp.Predictor, obs ...Observer) RunStats {
 	tt, _ := p.(targetTrainer)
 	bo, _ := p.(bp.BranchObserver)
@@ -328,35 +321,25 @@ func RunBlocks(bs trace.BlockStream, p bp.Predictor, obs ...Observer) RunStats {
 	return st
 }
 
-// Observe replays a stream through observers with no predictor at all.
-// The analysis substrates (dependency graphs, recurrence tracking, BBV
-// collection, register-value tracking, CNN history collection) consume
-// only trace-visible signals — their Branch callbacks ignore the
-// prediction — so analysis passes that used to drag a predictor through
-// the trace for nothing skip prediction work entirely. Branch callbacks
-// receive the resolved direction as the prediction (never counted as a
-// misprediction).
-func Observe(s trace.Stream, obs ...Observer) RunStats {
-	return ObserveFrom(s, 0, obs...)
-}
-
-// ObserveFrom is Observe with observers numbered from a base global
-// index: instruction k of the stream is reported as base+k. It is the
-// shard replay entry point — index-keyed observers (slice collectors,
-// BBV windows, recurrence trackers) over a slice-aligned range of a
-// long trace see the same indices they would in a whole-trace pass, so
-// per-shard results Merge back exactly. The returned stats count only
-// this stream's instructions.
-func ObserveFrom(s trace.Stream, base uint64, obs ...Observer) RunStats {
-	return observeBlocks(trace.AsBlocks(s, trace.DefaultBlockLen), base, obs...)
-}
-
-// ObserveBlocks is Observe over an explicit block stream.
+// ObserveBlocks replays a stream through observers with no predictor at
+// all. The analysis substrates (dependency graphs, recurrence tracking,
+// BBV collection, register-value tracking, CNN history collection)
+// consume only trace-visible signals — their Branch callbacks ignore
+// the prediction — so analysis passes skip prediction work entirely.
+// Branch callbacks receive the resolved direction as the prediction
+// (never counted as a misprediction).
 func ObserveBlocks(bs trace.BlockStream, obs ...Observer) RunStats {
-	return observeBlocks(bs, 0, obs...)
+	return ObserveBlocksFrom(bs, 0, obs...)
 }
 
-func observeBlocks(bs trace.BlockStream, base uint64, obs ...Observer) RunStats {
+// ObserveBlocksFrom is ObserveBlocks with observers numbered from a
+// base global index: instruction k of the stream is reported as
+// base+k. It is the shard replay entry point — index-keyed observers
+// (slice collectors, BBV windows, recurrence trackers) over a
+// slice-aligned range of a long trace see the same indices they would
+// in a whole-trace pass, so per-shard results Merge back exactly. The
+// returned stats count only this stream's instructions.
+func ObserveBlocksFrom(bs trace.BlockStream, base uint64, obs ...Observer) RunStats {
 	var st RunStats
 	i := base
 	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
@@ -378,7 +361,7 @@ func observeBlocks(bs trace.BlockStream, base uint64, obs ...Observer) RunStats 
 	return st
 }
 
-// runNoObservers is Run's fast path for pure-MPKI measurement: identical
+// runNoObservers is RunBlocks' fast path for pure-MPKI measurement: identical
 // prediction/training semantics, no observer fan-out in the loop body.
 // Predictors that implement bp.BlockRunner (TAGE-SC-L) consume whole
 // blocks in one call — the innermost loop then lives inside the

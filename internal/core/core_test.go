@@ -36,7 +36,7 @@ func buildTrace(branchPairs int, fillerPer int) *trace.Buffer {
 
 func TestRunCountsAndAccuracy(t *testing.T) {
 	tr := buildTrace(1000, 3)
-	st := Run(tr.Stream(), fixedPredictor{dir: true})
+	st := RunBlocks(tr.BlockStream(0), fixedPredictor{dir: true})
 	if st.Insts != uint64(tr.Len()) {
 		t.Errorf("Insts = %d, want %d", st.Insts, tr.Len())
 	}
@@ -57,7 +57,7 @@ func TestRunCountsAndAccuracy(t *testing.T) {
 func TestCollectorSlices(t *testing.T) {
 	tr := buildTrace(1000, 3) // 5 insts per pair = 5000 insts
 	col := NewCollector(1000)
-	Run(tr.Stream(), fixedPredictor{dir: true}, col)
+	RunBlocks(tr.BlockStream(0), fixedPredictor{dir: true}, col)
 	if len(col.Slices) != 5 {
 		t.Fatalf("slices = %d, want 5", len(col.Slices))
 	}
@@ -123,7 +123,7 @@ func TestCriteriaScaling(t *testing.T) {
 func TestScreeningFindsOnlyQualifyingBranches(t *testing.T) {
 	tr := buildTrace(1000, 3)
 	col := NewCollector(1000)
-	Run(tr.Stream(), fixedPredictor{dir: true}, col)
+	RunBlocks(tr.BlockStream(0), fixedPredictor{dir: true}, col)
 	crit := Criteria{MaxAccuracy: 0.99, MinExecs: 100, MinMispreds: 50, SliceLen: 1000}
 	rep := crit.Screen(col)
 	set := rep.Set()
@@ -152,7 +152,7 @@ func TestScreeningExecThreshold(t *testing.T) {
 	// how inaccurate: that is the rare-branch category by definition.
 	tr := buildTrace(1000, 3)
 	col := NewCollector(1000)
-	Run(tr.Stream(), fixedPredictor{dir: true}, col)
+	RunBlocks(tr.BlockStream(0), fixedPredictor{dir: true}, col)
 	crit := Criteria{MaxAccuracy: 0.99, MinExecs: 1000, MinMispreds: 50, SliceLen: 1000}
 	if rep := crit.Screen(col); len(rep.Set()) != 0 {
 		t.Errorf("nothing should qualify with MinExecs=1000/slice, got %v", rep.Set())
@@ -173,7 +173,7 @@ func TestHeavyHitters(t *testing.T) {
 	add(0x2, 3000)
 	add(0x3, 1000)
 	col := NewCollector(100000)
-	Run(b.Stream(), fixedPredictor{dir: true}, col)
+	RunBlocks(b.BlockStream(0), fixedPredictor{dir: true}, col)
 	crit := Criteria{MaxAccuracy: 0.99, MinExecs: 500, MinMispreds: 10, SliceLen: 100000}
 	hh := crit.Screen(col).HeavyHitters()
 	if len(hh) != 3 {
@@ -238,7 +238,7 @@ func TestRegValueTracker(t *testing.T) {
 	branch()
 
 	tr := NewRegValueTracker(0xAA, 8, 18)
-	Run(b.Stream(), fixedPredictor{dir: true}, tr)
+	RunBlocks(b.BlockStream(0), fixedPredictor{dir: true}, tr)
 	if tr.Execs() != 3 {
 		t.Fatalf("Execs = %d", tr.Execs())
 	}
@@ -282,7 +282,7 @@ func TestRunWithRealPredictor(t *testing.T) {
 	// all-taken branch and the all-not-taken branch perfectly.
 	tr := buildTrace(2000, 2)
 	col := NewCollector(2000)
-	st := Run(tr.Stream(), bp.NewGShare(12, 8), col)
+	st := RunBlocks(tr.BlockStream(0), bp.NewGShare(12, 8), col)
 	if st.Accuracy() < 0.95 {
 		t.Errorf("gshare on trivial branches: %v", st.Accuracy())
 	}
@@ -317,7 +317,7 @@ func TestCollectorConservation(t *testing.T) {
 			Target: ip + 64, DstReg: trace.NoReg, SrcRegs: [2]uint8{trace.NoReg, trace.NoReg}})
 	}
 	col := NewCollector(3000)
-	Run(b.Stream(), fixedPredictor{dir: true}, col)
+	RunBlocks(b.BlockStream(0), fixedPredictor{dir: true}, col)
 	for _, s := range col.Slices {
 		var execs, miss uint64
 		for _, bs := range s.PerBranch {

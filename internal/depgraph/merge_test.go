@@ -38,12 +38,9 @@ func depTrace(n int, seed uint64) *trace.Buffer {
 
 func runAnalyzer(tr *trace.Buffer, targets ...uint64) *Analyzer {
 	a := New(200, 0, targets...)
-	s := tr.Stream()
-	var inst trace.Inst
-	var i uint64
-	for s.Next(&inst) {
-		a.Inst(i, &inst)
-		i++
+	for i := 0; i < tr.Len(); i++ {
+		inst := tr.At(i)
+		a.Inst(uint64(i), &inst)
 	}
 	return a
 }

@@ -137,7 +137,7 @@ func quickTopH2P(tb testing.TB, s *workload.Spec) (*trace.Buffer, uint64) {
 		tb.Fatal(err)
 	}
 	col := core.NewCollector(sliceLen)
-	core.Run(tr.Stream(), tage.New(tage.Config8KB()), col)
+	core.RunBlocks(tr.BlockStream(0), tage.New(tage.Config8KB()), col)
 	hh := core.PaperCriteria().Scaled(sliceLen).Screen(col).HeavyHitters()
 	if len(hh) == 0 {
 		return tr, 0

@@ -8,7 +8,6 @@ import (
 	"branchlab/internal/core"
 	"branchlab/internal/pipeline"
 	"branchlab/internal/tage"
-	"branchlab/internal/trace"
 	"branchlab/internal/workload"
 )
 
@@ -34,14 +33,14 @@ func TestBlockSizeSweepByteIdentical(t *testing.T) {
 	const sliceLen = 50_000
 
 	wantCol := core.NewCollector(sliceLen)
-	wantStats := core.Run(tr.Stream(), tage.New(tage.Config8KB()), wantCol)
+	wantStats := core.RunBlocks(tr.BlockStream(0), tage.New(tage.Config8KB()), wantCol)
 	wantRep := core.PaperCriteria().Scaled(sliceLen).Screen(wantCol)
-	wantIPC := pipeline.New(pipeline.Skylake()).Run(tr.Stream(),
+	wantIPC := pipeline.New(pipeline.Skylake()).RunBlocks(tr.BlockStream(0),
 		pipeline.Options{Predictor: tage.New(tage.Config8KB())})
 
 	for _, n := range []int{1, 37, 1_000, 8_192, 200_000} {
 		col := core.NewCollector(sliceLen)
-		st := core.RunBlocks(trace.Blocks(tr.Stream(), n), tage.New(tage.Config8KB()), col)
+		st := core.RunBlocks(tr.BlockStream(n), tage.New(tage.Config8KB()), col)
 		if st != wantStats {
 			t.Fatalf("block=%d: run stats %+v != %+v", n, st, wantStats)
 		}
@@ -56,7 +55,7 @@ func TestBlockSizeSweepByteIdentical(t *testing.T) {
 			t.Fatalf("block=%d: per-branch totals differ", n)
 		}
 		res := pipeline.New(pipeline.Skylake()).RunBlocks(
-			trace.Blocks(tr.Stream(), n),
+			tr.BlockStream(n),
 			pipeline.Options{Predictor: tage.New(tage.Config8KB())})
 		if res != wantIPC {
 			t.Fatalf("block=%d: pipeline result %+v != %+v", n, res, wantIPC)

@@ -238,9 +238,9 @@ func perTrace[T any](ctx context.Context, cfg Config, specs []*workload.Spec, fn
 // observers split at slice boundaries across pool workers, merging the
 // shard observers in trace order. mk builds one observer per shard;
 // merge folds src (the later shard) into dst. Splitting at slice
-// boundaries with global indices (core.ObserveFrom) makes exact-merge
-// observers — BBV collectors, slice collectors — byte-identical to a
-// sequential core.Observe pass at any worker count, which is what lets
+// boundaries with global indices (core.ObserveBlocksFrom) makes
+// exact-merge observers — BBV collectors, slice collectors —
+// byte-identical to a sequential core.ObserveBlocks pass at any worker count, which is what lets
 // one long trace's analysis use every worker instead of one.
 func observeSliced[O core.Observer](ctx context.Context, cfg Config, pool *engine.Pool, tr trace.Replayable, mk func() O, merge func(dst, src O)) (O, error) {
 	sliceLen := int(cfg.SliceLen)
@@ -259,7 +259,7 @@ func observeSliced[O core.Observer](ctx context.Context, cfg Config, pool *engin
 		lo := w * per * sliceLen
 		hi := lo + per*sliceLen
 		o := mk()
-		core.ObserveFrom(tr.Range(lo, hi).Stream(), uint64(lo), o)
+		core.ObserveBlocksFrom(tr.Range(lo, hi).BlockStream(0), uint64(lo), o)
 		return o, nil
 	})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"branchlab/internal/trace"
 	"branchlab/internal/tracecache"
 	"branchlab/internal/workload"
 )
@@ -27,11 +26,14 @@ func TestRecordTraceNilCacheShardedByteIdentical(t *testing.T) {
 		if got.Len() != want.Len() {
 			t.Fatalf("%s: length %d, want %d", s.Name, got.Len(), want.Len())
 		}
-		var inst trace.Inst
-		st := got.Stream()
-		for i := 0; st.Next(&inst); i++ {
-			if inst != want.At(i) {
-				t.Fatalf("%s: instruction %d differs from RecordCtx", s.Name, i)
+		i := 0
+		st := got.BlockStream(0)
+		for blk := st.NextBlock(); len(blk) > 0; blk = st.NextBlock() {
+			for _, inst := range blk {
+				if inst != want.At(i) {
+					t.Fatalf("%s: instruction %d differs from RecordCtx", s.Name, i)
+				}
+				i++
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // core.Run pass of TAGE-SC-L 8KB with the collector as its observer.
 func screenFused(tr trace.Replayable, sliceLen uint64) (*core.H2PReport, *core.Collector) {
 	col := core.NewCollector(sliceLen)
-	core.Run(tr.Stream(), tage.New(tage.Config8KB()), col)
+	core.RunBlocks(tr.BlockStream(0), tage.New(tage.Config8KB()), col)
 	return core.PaperCriteria().Scaled(sliceLen).Screen(col), col
 }
 

@@ -21,9 +21,8 @@
 // which covers every trace.BlockStream implementation and
 // tracestore.Pin without needing either type in scope. Functions
 // themselves named NextBlock or PinnedInsts are exempt from the return
-// check: stream adapters and pin accessors legitimately hand blocks
-// through (trace.Limit, trace.Concat, the cache's view streams, the
-// pin type itself).
+// check: block producers and pin accessors legitimately hand blocks out
+// (the cache's view streams, the pin type itself).
 //
 // The fix is always one of: consume the block before the next call (or
 // before the pin can be released), or copy it

@@ -20,13 +20,10 @@
 //     "HasCtxVariant" fact when F's package is analyzed, so the check
 //     sees variants through the import graph.
 //
-// Recognized clean idioms for check 1:
-//
-//   - the legacy bridge: a function F whose own Ctx sibling exists
-//     (program.Run calling RunCtx(context.Background(), ...)) is the
-//     designated compatibility shim;
-//   - the nil guard: `ctx = context.Background()` assigning over an
-//     existing context variable (the documented no-context fast path).
+// Check 1 recognizes one clean idiom, the nil guard:
+// `ctx = context.Background()` assigning over an existing context
+// variable (the documented no-context fast path). A context-free shim
+// F that mints a root to call its FCtx sibling is not exempt.
 //
 // Everything else needs a justified //lint:ignore ctxflow — the
 // deliberately context-free cache refill (program.RecordRangeFrom)
@@ -111,7 +108,7 @@ func checkFile(pass *analysis.Pass, file *ast.File, isMain, isTest bool) {
 		if !ok {
 			return true
 		}
-		encl, hasCtx := enclosingFunc(pass, stack)
+		hasCtx := enclosingHasContext(pass, stack)
 		if name, fresh := freshRootCall(pass, call); fresh {
 			switch {
 			case nilGuardIdiom(pass, stack):
@@ -121,8 +118,6 @@ func checkFile(pass *analysis.Pass, file *ast.File, isMain, isTest bool) {
 				pass.Reportf(call.Pos(), "context.%s() inside a function that already receives a context.Context: pass the parameter through (DESIGN.md §9)", name)
 			case isMain || isTest:
 				// Roots belong at the process edge.
-			case bridgeIdiom(pass, encl):
-				// Recognized threading idioms.
 			default:
 				pass.Reportf(call.Pos(), "context.%s() in library code: thread a context from the caller, add a Ctx variant, or justify with //lint:ignore ctxflow (DESIGN.md §9)", name)
 			}
@@ -140,18 +135,18 @@ func checkFile(pass *analysis.Pass, file *ast.File, isMain, isTest bool) {
 	})
 }
 
-// enclosingFunc returns the nearest enclosing function declaration or
-// literal on the stack and whether it has a context.Context parameter.
-func enclosingFunc(pass *analysis.Pass, stack []ast.Node) (*ast.FuncDecl, bool) {
+// enclosingHasContext reports whether the nearest enclosing function
+// declaration or literal on the stack has a context.Context parameter.
+func enclosingHasContext(pass *analysis.Pass, stack []ast.Node) bool {
 	for i := len(stack) - 2; i >= 0; i-- {
 		switch f := stack[i].(type) {
 		case *ast.FuncLit:
-			return nil, fieldListHasContext(pass, f.Type.Params)
+			return fieldListHasContext(pass, f.Type.Params)
 		case *ast.FuncDecl:
-			return f, fieldListHasContext(pass, f.Type.Params)
+			return fieldListHasContext(pass, f.Type.Params)
 		}
 	}
-	return nil, false
+	return false
 }
 
 func fieldListHasContext(pass *analysis.Pass, params *ast.FieldList) bool {
@@ -177,21 +172,6 @@ func freshRootCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		return name, true
 	}
 	return "", false
-}
-
-// bridgeIdiom reports whether the enclosing declaration is the legacy
-// compatibility shim: a function whose own Ctx sibling exists, whose
-// body is the sanctioned place to mint the default root.
-func bridgeIdiom(pass *analysis.Pass, encl *ast.FuncDecl) bool {
-	if encl == nil {
-		return false
-	}
-	fn, ok := pass.TypesInfo.Defs[encl.Name].(*types.Func)
-	if !ok {
-		return false
-	}
-	var fact HasCtxVariant
-	return pass.ImportObjectFact(fn, &fact)
 }
 
 // nilGuardIdiom reports whether the fresh root is the right-hand side

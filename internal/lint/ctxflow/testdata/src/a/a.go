@@ -1,6 +1,7 @@
 // Package a exercises ctxflow's intra-package checks: fresh roots in
-// library code, roots minted despite a context parameter, the two
-// clean idioms, and the Ctx-variant preference within one package.
+// library code (context-free shims over a Ctx sibling included), roots
+// minted despite a context parameter, the nil-guard idiom, and the
+// Ctx-variant preference within one package.
 package a
 
 import "context"
@@ -30,10 +31,10 @@ func litWithCtx() {
 	_ = f
 }
 
-// --- clean idiom: legacy bridge (Run has a RunCtx sibling) ---
+// --- not an idiom: a context-free shim over its Ctx sibling ---
 
 func Run() error {
-	return RunCtx(context.Background())
+	return RunCtx(context.Background()) // want `context.Background\(\) in library code`
 }
 
 func RunCtx(ctx context.Context) error {
@@ -44,7 +45,7 @@ func RunCtx(ctx context.Context) error {
 type Pool struct{ ctx context.Context }
 
 func (p *Pool) Record() error {
-	return p.RecordCtx(context.Background())
+	return p.RecordCtx(context.Background()) // want `context.Background\(\) in library code`
 }
 
 func (p *Pool) RecordCtx(ctx context.Context) error {

@@ -1,12 +1,11 @@
-// Package bpkg declares a function with a Ctx sibling; the
-// HasCtxVariant fact it exports must reach importers.
+// Package bpkg declares functions with Ctx siblings; the HasCtxVariant
+// facts it exports must reach importers. The pairing depends only on
+// the signatures, so the context-free halves need no body of note.
 package bpkg
 
 import "context"
 
-func Process() error {
-	return ProcessCtx(context.Background())
-}
+func Process() error { return nil }
 
 func ProcessCtx(ctx context.Context) error {
 	_ = ctx
@@ -15,9 +14,7 @@ func ProcessCtx(ctx context.Context) error {
 
 type Store struct{}
 
-func (s *Store) Flush() error {
-	return s.FlushCtx(context.Background())
-}
+func (s *Store) Flush() error { return nil }
 
 func (s *Store) FlushCtx(ctx context.Context) error {
 	_ = ctx

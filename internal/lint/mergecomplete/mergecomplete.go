@@ -38,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // observationMethods are the method names that mark a type as an
-// ObserveFrom-style sharded collector.
+// ObserveBlocksFrom-style sharded collector.
 var observationMethods = map[string]bool{
 	"Inst": true, "Branch": true, "Observe": true, "Add": true,
 }

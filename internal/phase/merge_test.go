@@ -58,7 +58,7 @@ func assertTrackersEqual(t *testing.T, got, want *RecurrenceTracker, label strin
 func TestRecurrenceTrackerMergeExact(t *testing.T) {
 	tr := branchTrace(40_000, 300, 3)
 	want := NewRecurrenceTracker()
-	core.Observe(tr.Stream(), want)
+	core.ObserveBlocks(tr.BlockStream(0), want)
 
 	for _, shards := range []int{2, 3, 5} {
 		per := (tr.Len() + shards - 1) / shards
@@ -70,7 +70,7 @@ func TestRecurrenceTrackerMergeExact(t *testing.T) {
 				hi = tr.Len()
 			}
 			part := NewRecurrenceTracker()
-			core.ObserveFrom(tr.Slice(lo, hi).Stream(), uint64(lo), part)
+			core.ObserveBlocksFrom(tr.Slice(lo, hi).BlockStream(0), uint64(lo), part)
 			if acc == nil {
 				acc = part
 			} else {
@@ -111,13 +111,13 @@ func TestRecurrenceTrackerMergeBoundary(t *testing.T) {
 		DstReg: trace.NoReg, SrcRegs: [2]uint8{trace.NoReg, trace.NoReg}})
 
 	want := NewRecurrenceTracker()
-	core.Observe(tr.Stream(), want)
+	core.ObserveBlocks(tr.BlockStream(0), want)
 
 	parts := make([]*RecurrenceTracker, 3)
 	bounds := [][2]int{{0, 2}, {2, 5}, {5, 7}}
 	for i, bd := range bounds {
 		parts[i] = NewRecurrenceTracker()
-		core.ObserveFrom(tr.Slice(bd[0], bd[1]).Stream(), uint64(bd[0]), parts[i])
+		core.ObserveBlocksFrom(tr.Slice(bd[0], bd[1]).BlockStream(0), uint64(bd[0]), parts[i])
 	}
 	parts[0].Merge(parts[1])
 	parts[0].Merge(parts[2])

@@ -63,7 +63,7 @@ func (t *RecurrenceTracker) sampler(ip uint64) *stats.Reservoir {
 func (t *RecurrenceTracker) Branch(uint64, *trace.Inst, bool) {}
 
 // Merge folds other — a tracker that observed the instructions
-// immediately following t's, with global indices (core.ObserveFrom) —
+// immediately following t's, with global indices (core.ObserveBlocksFrom) —
 // into t, stitching the boundary: a branch seen on both sides
 // contributes the interval from t's last sighting to other's first, as
 // a sequential pass would have recorded. other must not be used

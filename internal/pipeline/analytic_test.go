@@ -19,8 +19,8 @@ func TestIndependentALURetiresAtWidth(t *testing.T) {
 		cfg := Skylake().Scaled(k)
 		w := cfg.RetireWidth
 		warm, n := 2000*w, 3000*w
-		short := New(cfg).Run(independentALUTrace(warm).Stream(), Options{PerfectBP: true})
-		long := New(cfg).Run(independentALUTrace(warm+n).Stream(), Options{PerfectBP: true})
+		short := New(cfg).RunBlocks(independentALUTrace(warm).BlockStream(0), Options{PerfectBP: true})
+		long := New(cfg).RunBlocks(independentALUTrace(warm+n).BlockStream(0), Options{PerfectBP: true})
 		if got := long.Cycles - short.Cycles; got*uint64(w) != uint64(n) {
 			t.Errorf("%dx: %d more instructions took %d more cycles, want %d (IPC %d)",
 				k, n, got, n/w, w)
@@ -40,7 +40,7 @@ func TestDependencyChainTakesOneCyclePerOp(t *testing.T) {
 		core := New(cfg)
 		lats := core.Hierarchy().L1I.Latencies()
 		coldFetch := lats[len(lats)-1]
-		res := core.Run(chainedALUTrace(n).Stream(), Options{PerfectBP: true})
+		res := core.RunBlocks(chainedALUTrace(n).BlockStream(0), Options{PerfectBP: true})
 		if want := n + cfg.FrontDepth + coldFetch + 1; res.Cycles != want {
 			t.Errorf("%dx: %d-op chain took %d cycles, want %d", k, n, res.Cycles, want)
 		}

@@ -44,7 +44,7 @@ func TestPassesMatchFusedOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			col := core.NewCollector(quickSlice)
-			core.Run(tr.Stream(), tage.New(tage.Config8KB()), col)
+			core.RunBlocks(tr.BlockStream(0), tage.New(tage.Config8KB()), col)
 			h2ps := core.PaperCriteria().Scaled(quickSlice).Screen(col).Set()
 
 			ann := Annotate(tr.BlockStream(0), Skylake())
@@ -80,7 +80,7 @@ func TestPassesMatchFusedOracle(t *testing.T) {
 						t.Fatalf("%dx %s: Schedule %+v, oracle %+v", scale, reg.name, got, want)
 					}
 					n := blockLens[(si+ri)%len(blockLens)]
-					if got := New(cfg).RunBlocks(trace.Blocks(tr.Stream(), n), withPred()); got != want {
+					if got := New(cfg).RunBlocks(tr.BlockStream(n), withPred()); got != want {
 						t.Fatalf("%dx %s block %d: RunBlocks %+v, oracle %+v", scale, reg.name, n, got, want)
 					}
 				}

@@ -190,15 +190,8 @@ func execLatency(kind trace.Kind) uint64 {
 	}
 }
 
-// Run simulates the stream to completion and returns timing results.
-// The stream is consumed in blocks (zero-copy for Buffer replays), the
-// same batching discipline as core.Run.
-func (c *Core) Run(s trace.Stream, opt Options) Result {
-	return c.RunBlocks(trace.AsBlocks(s, trace.DefaultBlockLen), opt)
-}
-
-// RunBlocks is Run over an explicit block stream: the three passes
-// composed block by block. Each block is annotated against the core's
+// RunBlocks simulates the stream to completion and returns timing
+// results: the three passes composed block by block. Each block is annotated against the core's
 // cache hierarchy and BTB, run through the predictor (unless PerfectBP),
 // then scheduled. The passes share no state, so this equals
 // Schedule(Annotate(bs), Predict(bs)) over a fresh core.

@@ -59,7 +59,7 @@ func branchyTrace(n int, seed uint64, takenProb float64) *trace.Buffer {
 
 func TestIndependentALUReachesWidth(t *testing.T) {
 	core := New(Skylake())
-	res := core.Run(independentALUTrace(100000).Stream(), Options{PerfectBP: true})
+	res := core.RunBlocks(independentALUTrace(100000).BlockStream(0), Options{PerfectBP: true})
 	if res.IPC < 5.0 || res.IPC > 6.01 {
 		t.Errorf("independent ALU IPC = %v, want ~6 (machine width)", res.IPC)
 	}
@@ -70,7 +70,7 @@ func TestIndependentALUReachesWidth(t *testing.T) {
 
 func TestDependencyChainSerializes(t *testing.T) {
 	core := New(Skylake())
-	res := core.Run(chainedALUTrace(50000).Stream(), Options{PerfectBP: true})
+	res := core.RunBlocks(chainedALUTrace(50000).BlockStream(0), Options{PerfectBP: true})
 	if res.IPC > 1.05 {
 		t.Errorf("chained ALU IPC = %v, want <= ~1", res.IPC)
 	}
@@ -81,8 +81,8 @@ func TestDependencyChainSerializes(t *testing.T) {
 
 func TestMispredictionsCostIPC(t *testing.T) {
 	// Same trace; random branches (unpredictable) vs perfect prediction.
-	perfect := New(Skylake()).Run(branchyTrace(200000, 1, 0.5).Stream(), Options{PerfectBP: true})
-	predicted := New(Skylake()).Run(branchyTrace(200000, 1, 0.5).Stream(),
+	perfect := New(Skylake()).RunBlocks(branchyTrace(200000, 1, 0.5).BlockStream(0), Options{PerfectBP: true})
+	predicted := New(Skylake()).RunBlocks(branchyTrace(200000, 1, 0.5).BlockStream(0),
 		Options{Predictor: bp.NewGShare(14, 12)})
 	if predicted.Mispreds == 0 {
 		t.Fatal("random branches should mispredict")
@@ -99,8 +99,8 @@ func TestMispredictionsCostIPC(t *testing.T) {
 func TestPredictableBranchesNearPerfect(t *testing.T) {
 	// Always-taken branches are learned immediately; IPC should approach
 	// the perfect-BP IPC.
-	perfect := New(Skylake()).Run(branchyTrace(100000, 2, 1.0).Stream(), Options{PerfectBP: true})
-	predicted := New(Skylake()).Run(branchyTrace(100000, 2, 1.0).Stream(),
+	perfect := New(Skylake()).RunBlocks(branchyTrace(100000, 2, 1.0).BlockStream(0), Options{PerfectBP: true})
+	predicted := New(Skylake()).RunBlocks(branchyTrace(100000, 2, 1.0).BlockStream(0),
 		Options{Predictor: bp.NewBimodal(14)})
 	if predicted.IPC < perfect.IPC*0.97 {
 		t.Errorf("biased branches: predicted IPC %v « perfect %v", predicted.IPC, perfect.IPC)
@@ -111,7 +111,7 @@ func TestPipelineScalingHelpsWithPerfectBP(t *testing.T) {
 	tr := branchyTrace(200000, 3, 0.5)
 	prev := 0.0
 	for _, k := range []int{1, 4, 16} {
-		res := New(Skylake().Scaled(k)).Run(tr.Stream(), Options{PerfectBP: true})
+		res := New(Skylake().Scaled(k)).RunBlocks(tr.BlockStream(0), Options{PerfectBP: true})
 		if res.IPC <= prev {
 			t.Errorf("scale %dx: IPC %v did not improve on %v", k, res.IPC, prev)
 		}
@@ -123,9 +123,9 @@ func TestMispredictGapGrowsWithScale(t *testing.T) {
 	// The paper's central Fig 1 observation: the relative IPC opportunity
 	// from perfect prediction grows as the pipeline scales.
 	gapAt := func(k int) float64 {
-		perfect := New(Skylake().Scaled(k)).Run(branchyTrace(200000, 4, 0.5).Stream(),
+		perfect := New(Skylake().Scaled(k)).RunBlocks(branchyTrace(200000, 4, 0.5).BlockStream(0),
 			Options{PerfectBP: true})
-		pred := New(Skylake().Scaled(k)).Run(branchyTrace(200000, 4, 0.5).Stream(),
+		pred := New(Skylake().Scaled(k)).RunBlocks(branchyTrace(200000, 4, 0.5).BlockStream(0),
 			Options{Predictor: bp.NewGShare(14, 12)})
 		return perfect.IPC / pred.IPC
 	}
@@ -137,12 +137,11 @@ func TestMispredictGapGrowsWithScale(t *testing.T) {
 
 func TestPerfectIPsSubsetBetweenBaselineAndPerfect(t *testing.T) {
 	mkTrace := func() *trace.Buffer { return branchyTrace(150000, 5, 0.5) }
-	base := New(Skylake()).Run(mkTrace().Stream(), Options{Predictor: bp.NewBimodal(12)})
+	base := New(Skylake()).RunBlocks(mkTrace().BlockStream(0), Options{Predictor: bp.NewBimodal(12)})
 	all := map[uint64]bool{}
-	var inst trace.Inst
-	s := mkTrace().Stream()
-	for s.Next(&inst) {
-		if inst.Kind == trace.KindCondBr {
+	tr := mkTrace()
+	for i := 0; i < tr.Len(); i++ {
+		if inst := tr.At(i); inst.Kind == trace.KindCondBr {
 			all[inst.IP] = true
 		}
 	}
@@ -155,9 +154,9 @@ func TestPerfectIPsSubsetBetweenBaselineAndPerfect(t *testing.T) {
 		}
 		i++
 	}
-	partial := New(Skylake()).Run(mkTrace().Stream(),
+	partial := New(Skylake()).RunBlocks(mkTrace().BlockStream(0),
 		Options{Predictor: bp.NewBimodal(12), PerfectIPs: half})
-	full := New(Skylake()).Run(mkTrace().Stream(), Options{PerfectBP: true})
+	full := New(Skylake()).RunBlocks(mkTrace().BlockStream(0), Options{PerfectBP: true})
 	if !(base.IPC < partial.IPC && partial.IPC < full.IPC) {
 		t.Errorf("ordering violated: base %v, partial %v, perfect %v",
 			base.IPC, partial.IPC, full.IPC)
@@ -169,9 +168,9 @@ func TestPerfectIPsSubsetBetweenBaselineAndPerfect(t *testing.T) {
 }
 
 func TestMinExecsPerfectOracle(t *testing.T) {
-	base := New(Skylake()).Run(branchyTrace(150000, 6, 0.5).Stream(),
+	base := New(Skylake()).RunBlocks(branchyTrace(150000, 6, 0.5).BlockStream(0),
 		Options{Predictor: bp.NewBimodal(12)})
-	oracled := New(Skylake()).Run(branchyTrace(150000, 6, 0.5).Stream(),
+	oracled := New(Skylake()).RunBlocks(branchyTrace(150000, 6, 0.5).BlockStream(0),
 		Options{Predictor: bp.NewBimodal(12), MinExecsPerfect: 100})
 	if oracled.Mispreds >= base.Mispreds {
 		t.Errorf("exec-count oracle should cut mispredictions: %d >= %d",
@@ -185,7 +184,7 @@ func TestMinExecsPerfectOracle(t *testing.T) {
 func TestOutcomesSeeEveryCondBranch(t *testing.T) {
 	tr := branchyTrace(80000, 7, 0.7)
 	out := Predict(tr.BlockStream(0), bp.NewBimodal(10))
-	res := New(Skylake()).Run(tr.Stream(), Options{Predictor: bp.NewBimodal(10)})
+	res := New(Skylake()).RunBlocks(tr.BlockStream(0), Options{Predictor: bp.NewBimodal(10)})
 	if out.Len() != tr.Len() {
 		t.Errorf("outcomes cover %d of %d instructions", out.Len(), tr.Len())
 	}
@@ -224,8 +223,8 @@ func TestLoadLatencyMatters(t *testing.T) {
 		}
 		return b
 	}
-	hot := New(Skylake()).Run(mk(0).Stream(), Options{PerfectBP: true})      // same line: hits
-	cold := New(Skylake()).Run(mk(1<<20).Stream(), Options{PerfectBP: true}) // new region: misses
+	hot := New(Skylake()).RunBlocks(mk(0).BlockStream(0), Options{PerfectBP: true})      // same line: hits
+	cold := New(Skylake()).RunBlocks(mk(1<<20).BlockStream(0), Options{PerfectBP: true}) // new region: misses
 	if cold.IPC >= hot.IPC {
 		t.Errorf("cache misses should hurt: cold %v >= hot %v", cold.IPC, hot.IPC)
 	}
@@ -242,7 +241,7 @@ func TestStoreForwardingBoundsLoad(t *testing.T) {
 		DstReg: trace.NoReg, SrcRegs: [2]uint8{trace.NoReg, trace.NoReg}})
 	b.Append(trace.Inst{IP: 0x2, Kind: trace.KindLoad, MemAddr: 0x100,
 		DstReg: 1, SrcRegs: [2]uint8{trace.NoReg, trace.NoReg}})
-	res := New(Skylake()).Run(b.Stream(), Options{PerfectBP: true})
+	res := New(Skylake()).RunBlocks(b.BlockStream(0), Options{PerfectBP: true})
 	if res.Insts != 2 || res.Cycles == 0 {
 		t.Errorf("tiny trace failed: %+v", res)
 	}
@@ -292,8 +291,8 @@ func TestTAGEDrivenRun(t *testing.T) {
 	// End-to-end: TAGE-SC-L through the pipeline on a predictable trace
 	// should land within a few percent of perfect.
 	tr := branchyTrace(150000, 8, 0.9)
-	perfect := New(Skylake()).Run(tr.Stream(), Options{PerfectBP: true})
-	pred := New(Skylake()).Run(tr.Stream(), Options{Predictor: tage.New(tage.Config8KB())})
+	perfect := New(Skylake()).RunBlocks(tr.BlockStream(0), Options{PerfectBP: true})
+	pred := New(Skylake()).RunBlocks(tr.BlockStream(0), Options{Predictor: tage.New(tage.Config8KB())})
 	if pred.Accuracy() < 0.85 {
 		t.Errorf("TAGE accuracy on 90%%-biased branches = %v", pred.Accuracy())
 	}
@@ -312,7 +311,7 @@ func BenchmarkPipelineALU(b *testing.B) {
 	core := New(Skylake())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = core.Run(trace.Limit(tr.Stream(), 100000), Options{PerfectBP: true})
+		sink = core.RunBlocks(tr.BlockStream(0), Options{PerfectBP: true})
 	}
 }
 
@@ -323,7 +322,7 @@ func BenchmarkPipelineTAGE(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core := New(Skylake())
-		sink = core.Run(tr.Stream(), Options{Predictor: tage.New(tage.Config8KB())})
+		sink = core.RunBlocks(tr.BlockStream(0), Options{Predictor: tage.New(tage.Config8KB())})
 	}
 }
 
@@ -375,13 +374,13 @@ func TestBTBMissesCostFetchBubbles(t *testing.T) {
 	on := Skylake()
 	off := Skylake()
 	off.BTBMissPenalty = 0
-	resOn := New(on).Run(mk().Stream(), Options{PerfectBP: true})
-	resOff := New(off).Run(mk().Stream(), Options{PerfectBP: true})
+	resOn := New(on).RunBlocks(mk().BlockStream(0), Options{PerfectBP: true})
+	resOff := New(off).RunBlocks(mk().BlockStream(0), Options{PerfectBP: true})
 	if resOn.IPC > resOff.IPC {
 		t.Errorf("BTB modeling should not raise IPC: %v > %v", resOn.IPC, resOff.IPC)
 	}
 	core := New(on)
-	core.Run(mk().Stream(), Options{PerfectBP: true})
+	core.RunBlocks(mk().BlockStream(0), Options{PerfectBP: true})
 	st := core.BTBStats()
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("BTB stats look wrong: %+v", st)
@@ -396,7 +395,7 @@ func TestBTBStatsDisabled(t *testing.T) {
 	cfg := Skylake()
 	cfg.BTBMissPenalty = 0
 	core := New(cfg)
-	core.Run(independentALUTrace(100).Stream(), Options{PerfectBP: true})
+	core.RunBlocks(independentALUTrace(100).BlockStream(0), Options{PerfectBP: true})
 	if core.BTBStats() != (btb.Stats{}) {
 		t.Error("disabled BTB should report zero stats")
 	}

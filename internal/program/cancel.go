@@ -1,7 +1,7 @@
 // Cancellation: the recording half of the failure contract
 // (DESIGN.md §9).
 //
-// A context threaded into a recording entry point (RunCtx, RecordCtx,
+// A context threaded into a recording entry point (Run, RecordCtx,
 // RecordSlicesCtx) bounds the generation. The
 // emitter checks it only at points where stopping is provably safe —
 // payload checkpoint safe points (Emitter.Checkpoint), slice-window

@@ -57,8 +57,8 @@ func TestRunCtxCancelEndsStreamTyped(t *testing.T) {
 	defer leakCheck(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s := RunCtx(ctx, 1, 10_000_000, selfCancelPayload(cancel, 100_000, false))
-	n := trace.Count(s)
+	s := Run(ctx, 1, 10_000_000, selfCancelPayload(cancel, 100_000, false))
+	n := count(s)
 	if err := s.Err(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Stream.Err() = %v, want ErrCanceled", err)
 	}
@@ -70,16 +70,16 @@ func TestRunCtxCancelEndsStreamTyped(t *testing.T) {
 	}
 }
 
-// TestRunCtxUncancelledIsByteIdentical: running under a context that
-// never fires changes nothing — same bytes as the context-free path.
+// TestRunCtxUncancelledIsByteIdentical: streaming under a context that
+// never fires changes nothing — same bytes as the recording path.
 func TestRunCtxUncancelledIsByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	want := mustRecord(t, 7, 50_000, countingPayload)
-	s := RunCtx(ctx, 7, 50_000, countingPayload)
+	s := Run(ctx, 7, 50_000, countingPayload)
 	got := trace.RecordSized(s, 50_000)
 	if err := s.Err(); err != nil {
-		t.Fatalf("uncancelled RunCtx stream erred: %v", err)
+		t.Fatalf("uncancelled Run stream erred: %v", err)
 	}
 	if got.Len() != want.Len() {
 		t.Fatalf("lengths differ: %d vs %d", got.Len(), want.Len())
@@ -205,18 +205,18 @@ func TestRecordSlicesCtxShardedUncancelledByteIdentical(t *testing.T) {
 }
 
 // TestStreamErrHelper: trace.StreamErr surfaces the typed error through
-// the generic stream plumbing (block adapters included).
+// the generic BlockStream plumbing a mixed-producer consumer holds.
 func TestStreamErrHelper(t *testing.T) {
 	defer leakCheck(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s := RunCtx(ctx, 1, 10_000_000, selfCancelPayload(cancel, 50_000, false))
-	trace.Count(s)
-	if err := trace.StreamErr(s); !errors.Is(err, ErrCanceled) {
+	var bs trace.BlockStream = Run(ctx, 1, 10_000_000, selfCancelPayload(cancel, 50_000, false))
+	count(bs)
+	if err := trace.StreamErr(bs); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("trace.StreamErr = %v, want ErrCanceled", err)
 	}
-	var plain any = s
-	if err := trace.StreamErr(plain); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("StreamErr through any = %v, want ErrCanceled", err)
+	// A producer without an Err method reports none.
+	if err := trace.StreamErr(trace.NewBuffer(0).BlockStream(0)); err != nil {
+		t.Fatalf("StreamErr on a Buffer stream = %v, want nil", err)
 	}
 }

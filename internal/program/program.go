@@ -102,7 +102,7 @@ type stopSignal struct{}
 
 // payloadAbort unwinds the payload with a typed error (Emitter.Abort,
 // cancellation, a checkpoint resume that cannot proceed). Only the two
-// recording entry points (RunCtx's producer, recordSegments) recover
+// recording entry points (Run's producer, recordSegments) recover
 // it, turning it back into their error return.
 type payloadAbort struct{ err error }
 
@@ -351,12 +351,10 @@ func (e *Emitter) Jump(id int) {
 }
 
 // Stream is the consumer side of a running payload. It implements
-// trace.Stream and trace.Closer.
+// trace.BlockStream; Close releases the producer goroutine.
 type Stream struct {
 	out    chan []trace.Inst
 	cancel chan struct{}
-	cur    []trace.Inst
-	idx    int
 	once   sync.Once
 	err    error
 }
@@ -364,8 +362,8 @@ type Stream struct {
 // Err returns the typed error that terminated the producer: a
 // cancellation (matching ErrCanceled), a payload Abort, or a payload
 // panic converted to an error. It is nil for a clean end of stream or
-// a consumer-initiated Close. Valid only after Next/NextBlock report
-// end of stream or after Close — a stream that ended early with a
+// a consumer-initiated Close. Valid only after NextBlock reports end
+// of stream or after Close — a stream that ended early with a
 // non-nil Err delivered a truncated prefix, and its bytes must be
 // discarded.
 func (s *Stream) Err() error { return s.err }
@@ -373,16 +371,11 @@ func (s *Stream) Err() error { return s.err }
 // Run starts payload in a producer goroutine and returns the consuming
 // stream. The stream yields at most budget instructions. Callers should
 // Close the stream if they stop early; draining it fully also releases
-// the producer.
-func Run(seed, budget uint64, payload Payload) *Stream {
-	return RunCtx(context.Background(), seed, budget, payload)
-}
-
-// RunCtx is Run bounded by ctx: when ctx is done the producer unwinds
-// at its next byte-safe point, the stream ends, and Err reports a
-// typed cancellation. A panicking payload likewise ends the stream
-// with Err set instead of crashing the process.
-func RunCtx(ctx context.Context, seed, budget uint64, payload Payload) *Stream {
+// the producer. ctx bounds the run: when it is done the producer
+// unwinds at its next byte-safe point, the stream ends, and Err
+// reports a typed cancellation. A panicking payload likewise ends the
+// stream with Err set instead of crashing the process.
+func Run(ctx context.Context, seed, budget uint64, payload Payload) *Stream {
 	s := &Stream{
 		out:    make(chan []trace.Inst, 2),
 		cancel: make(chan struct{}),
@@ -422,40 +415,14 @@ func RunCtx(ctx context.Context, seed, budget uint64, payload Payload) *Stream {
 	return s
 }
 
-// Next implements trace.Stream.
-func (s *Stream) Next(inst *trace.Inst) bool {
-	for s.idx >= len(s.cur) {
-		batch, ok := <-s.out
-		if !ok {
-			return false
-		}
-		s.cur = batch
-		s.idx = 0
-	}
-	*inst = s.cur[s.idx]
-	s.idx++
-	return true
-}
-
 // NextBlock implements trace.BlockStream: it hands the producer's
 // batches to the consumer directly, so a block-based replay of a live
 // generator copies no instructions at all.
 func (s *Stream) NextBlock() []trace.Inst {
-	if s.idx < len(s.cur) {
-		blk := s.cur[s.idx:]
-		s.idx = len(s.cur)
-		return blk
-	}
-	batch, ok := <-s.out
-	if !ok {
-		return nil
-	}
-	s.cur = batch
-	s.idx = len(batch)
-	return batch
+	return <-s.out
 }
 
-// Close implements trace.Closer: it releases the producer goroutine.
+// Close releases the producer goroutine.
 func (s *Stream) Close() error {
 	s.once.Do(func() {
 		close(s.cancel)
@@ -472,7 +439,7 @@ func (s *Stream) Close() error {
 // payloads that return early. On cancellation or payload failure it
 // returns (nil, err) with a typed error — never a truncated buffer.
 func RecordCtx(ctx context.Context, seed, budget uint64, payload Payload) (*trace.Buffer, error) {
-	s := RunCtx(ctx, seed, budget, payload)
+	s := Run(ctx, seed, budget, payload)
 	defer s.Close()
 	buf := trace.RecordSized(s, budget)
 	if err := s.Err(); err != nil {

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"context"
 	"testing"
 
 	"branchlab/internal/trace"
@@ -13,11 +14,20 @@ func countingPayload(e *Emitter) {
 	}
 }
 
+// count drains bs and returns the number of instructions it produced.
+func count(bs trace.BlockStream) uint64 {
+	var n uint64
+	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
+		n += uint64(len(blk))
+	}
+	return n
+}
+
 func TestBudgetExact(t *testing.T) {
 	for _, budget := range []uint64{0, 1, 100, 12345} {
-		s := Run(1, budget, countingPayload)
-		n := trace.Count(s)
-		trace.CloseStream(s)
+		s := Run(context.Background(), 1, budget, countingPayload)
+		n := count(s)
+		s.Close()
 		if n != budget {
 			t.Errorf("budget %d: yielded %d instructions", budget, n)
 		}
@@ -51,10 +61,9 @@ func TestEarlyCloseReleasesProducer(t *testing.T) {
 	// A huge budget with an early Close must not leak or deadlock; run
 	// many to amplify leaks.
 	for i := 0; i < 50; i++ {
-		s := Run(uint64(i), 1<<40, countingPayload)
-		var inst trace.Inst
-		for j := 0; j < 10; j++ {
-			s.Next(&inst)
+		s := Run(context.Background(), uint64(i), 1<<40, countingPayload)
+		for j := 0; j < 3; j++ {
+			s.NextBlock()
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)

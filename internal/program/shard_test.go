@@ -53,19 +53,18 @@ func mustSlices(t *testing.T, seed, budget uint64, payload Payload, sliceLen uin
 	return arrs, cks
 }
 
-// trace.Limit used to re-wrap streams in a FuncStream that dropped the
-// Closer, so CloseStream on the limited stream silently leaked the
-// generator goroutine behind it. The wrapper must release the producer.
+// A consumer that stops after its first block — the shape of a run
+// limited to a prefix of a live generator — must release the producer
+// goroutine with Close, which otherwise blocks forever on its next send.
 func TestLimitedStreamCloseReleasesProducer(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		s := Run(uint64(i), 1<<40, countingPayload)
-		limited := trace.Limit(s, 10)
-		var inst trace.Inst
-		for limited.Next(&inst) {
+		s := Run(context.Background(), uint64(i), 1<<40, countingPayload)
+		if blk := s.NextBlock(); len(blk) == 0 {
+			t.Fatal("live generator served no first block")
 		}
-		if err := trace.CloseStream(limited); err != nil {
-			t.Fatalf("CloseStream: %v", err)
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
 		}
 	}
 	// Producers exit asynchronously after the cancel; give them a beat.

@@ -40,7 +40,7 @@ func TestBBVMergeMatchesSequential(t *testing.T) {
 	const sliceLen = 1_000
 	tr := phasedTrace(10_500, sliceLen, 3) // trailing partial slice included
 	want := NewBBVCollector(sliceLen, DefaultDim)
-	core.Observe(tr.Stream(), want)
+	core.ObserveBlocks(tr.BlockStream(0), want)
 	wantVecs := want.Vectors()
 	if len(wantVecs) != 11 {
 		t.Fatalf("expected 11 slices, got %d", len(wantVecs))
@@ -55,7 +55,7 @@ func TestBBVMergeMatchesSequential(t *testing.T) {
 				hi = tr.Len()
 			}
 			c := NewBBVCollector(sliceLen, DefaultDim)
-			core.ObserveFrom(tr.Slice(lo, hi).Stream(), uint64(lo), c)
+			core.ObserveBlocksFrom(tr.Slice(lo, hi).BlockStream(0), uint64(lo), c)
 			if acc == nil {
 				acc = c
 			} else {

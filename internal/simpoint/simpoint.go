@@ -99,7 +99,7 @@ func (c *BBVCollector) Vectors() [][]float64 {
 
 // Merge appends other's slice vectors after c's. When a trace is split
 // at SliceLen boundaries across workers — each shard observed with its
-// global instruction indices (core.ObserveFrom) — every slice lands
+// global instruction indices (core.ObserveBlocksFrom) — every slice lands
 // wholly in one shard, so merging the shard collectors in trace order
 // reproduces exactly the vector sequence of a sequential whole-trace
 // pass. other must not be used afterwards.
@@ -279,9 +279,8 @@ func ChooseK(vectors [][]float64, maxK int, seed uint64) KMeansResult {
 // Phases counts the distinct phases of a trace: it collects BBVs at the
 // given slice length and clusters them. It is the Table I "Avg # Phases"
 // instrument.
-func Phases(s trace.Stream, sliceLen uint64, maxK int) KMeansResult {
+func Phases(bs trace.BlockStream, sliceLen uint64, maxK int) KMeansResult {
 	col := NewBBVCollector(sliceLen, DefaultDim)
-	bs := trace.AsBlocks(s, trace.DefaultBlockLen)
 	var i uint64
 	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
 		for j := range blk {

@@ -157,7 +157,7 @@ func TestPhasesEndToEnd(t *testing.T) {
 			b.Append(trace.Inst{Kind: trace.KindCondBr, IP: base + uint64(i%7)*64})
 		}
 	}
-	res := Phases(b.Stream(), 500, 5)
+	res := Phases(b.BlockStream(0), 500, 5)
 	if res.K != 2 {
 		t.Errorf("Phases found K=%d, want 2", res.K)
 	}

@@ -56,7 +56,7 @@ func lockstep(t *testing.T, name string, buf *trace.Buffer, a, b engine) uint64 
 
 // record is Spec.RecordCtx under the background context, failing the
 // test on error.
-func record(t *testing.T, spec *workload.Spec, budget uint64) *trace.Buffer {
+func record(t testing.TB, spec *workload.Spec, budget uint64) *trace.Buffer {
 	t.Helper()
 	buf, err := spec.RecordCtx(context.Background(), 0, budget)
 	if err != nil {

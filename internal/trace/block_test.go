@@ -1,25 +1,12 @@
 package trace
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 // drainBlocks enumerates bs into a flat slice.
 func drainBlocks(bs BlockStream) []Inst {
 	var out []Inst
 	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
 		out = append(out, blk...)
-	}
-	return out
-}
-
-// drainStream enumerates s via Next.
-func drainStream(s Stream) []Inst {
-	var out []Inst
-	var inst Inst
-	for s.Next(&inst) {
-		out = append(out, inst)
 	}
 	return out
 }
@@ -44,42 +31,20 @@ func sameInsts(t *testing.T, got, want []Inst, label string) {
 	}
 }
 
-// Any block size must enumerate exactly the per-instruction sequence,
-// including sizes that do not divide the trace length and sizes larger
-// than the trace.
-func TestBlocksAdapterMatchesStream(t *testing.T) {
-	insts := synthetic(1000)
-	b := bufferOf(insts)
-	for _, n := range []int{1, 3, 7, 256, 1000, 5000} {
-		got := drainBlocks(Blocks(b.Stream(), n))
-		sameInsts(t, got, insts, "adapter")
-	}
-	// n <= 0 selects the default block length.
-	sameInsts(t, drainBlocks(Blocks(b.Stream(), 0)), insts, "default size")
-}
-
 func TestBufferServesNativeZeroCopyBlocks(t *testing.T) {
 	insts := synthetic(100)
 	b := bufferOf(insts)
-	s := b.Stream()
-	bs, ok := s.(BlockStream)
-	if !ok {
-		t.Fatal("Buffer.Stream should serve blocks natively")
-	}
-	if AsBlocks(s, 8) != bs {
-		t.Error("AsBlocks should return the native block stream, not wrap it")
-	}
-	blk := bs.NextBlock()
+	blk := b.BlockStream(0).NextBlock()
 	if len(blk) != 100 {
 		t.Fatalf("expected the whole buffer in one block, got %d", len(blk))
 	}
 	if &blk[0] != &b.insts[0] {
 		t.Error("native block is not a zero-copy view of the buffer")
 	}
-	// Prefix views serve blocks of the same backing array.
-	pblk := b.Prefix(10).Stream().(BlockStream).NextBlock()
-	if len(pblk) != 10 || &pblk[0] != &b.insts[0] {
-		t.Error("prefix block is not a zero-copy view of the parent")
+	// Slice views serve blocks of the same backing array.
+	sblk := b.Slice(10, 20).BlockStream(0).NextBlock()
+	if len(sblk) != 10 || &sblk[0] != &b.insts[10] {
+		t.Error("slice block is not a zero-copy view of the parent")
 	}
 }
 
@@ -100,25 +65,18 @@ func TestBufferBlockStreamSizes(t *testing.T) {
 			t.Fatalf("block sizes %v, want %v", sizes, want)
 		}
 	}
-	sameInsts(t, drainBlocks(b.BlockStream(32)), insts, "sized blocks")
-}
-
-// Mixing Next and NextBlock on one reader walks a single cursor.
-func TestBufferStreamMixedIteration(t *testing.T) {
-	insts := synthetic(50)
-	s := bufferOf(insts).Stream()
-	var first Inst
-	if !s.Next(&first) || first != insts[0] {
-		t.Fatal("Next failed")
+	// Any block size enumerates exactly the recorded sequence, including
+	// sizes that do not divide the trace length, sizes larger than the
+	// trace, and n <= 0 (the default length).
+	for _, n := range []int{1, 3, 7, 32, 256, 5000, 0} {
+		sameInsts(t, drainBlocks(b.BlockStream(n)), insts, "sized blocks")
 	}
-	blk := s.(BlockStream).NextBlock()
-	sameInsts(t, blk, insts[1:], "tail block after Next")
 }
 
 func TestSliceView(t *testing.T) {
 	insts := synthetic(100)
 	b := bufferOf(insts)
-	sameInsts(t, drainStream(b.Slice(10, 40).Stream()), insts[10:40], "slice")
+	sameInsts(t, drainBlocks(b.Slice(10, 40).BlockStream(0)), insts[10:40], "slice")
 	if b.Slice(-5, 1000).Len() != 100 {
 		t.Error("Slice should clamp out-of-range bounds")
 	}
@@ -136,104 +94,14 @@ func TestSliceView(t *testing.T) {
 	}
 }
 
-// closeSpy is a plain stream recording Close calls.
-type closeSpy struct {
-	s      Stream
-	closed int
-	err    error
-}
-
-func (c *closeSpy) Next(inst *Inst) bool { return c.s.Next(inst) }
-func (c *closeSpy) Close() error         { c.closed++; return c.err }
-
-// blockCloseSpy additionally serves blocks natively.
-type blockCloseSpy struct {
-	closeSpy
-	bs BlockStream
-}
-
-func (c *blockCloseSpy) NextBlock() []Inst { return c.bs.NextBlock() }
-
-// Limit used to re-wrap streams in a FuncStream, silently dropping the
-// underlying Closer — CloseStream on the wrapper leaked the program
-// generator's goroutine. It must forward Close now, on both the plain
-// and the block-native path.
-func TestLimitPropagatesClose(t *testing.T) {
-	b := bufferOf(synthetic(100))
-	plain := &closeSpy{s: FuncStream(b.Stream().Next)}
-	if err := CloseStream(Limit(plain, 10)); err != nil || plain.closed != 1 {
-		t.Errorf("plain Limit did not forward Close: closed=%d err=%v", plain.closed, err)
-	}
-	inner := b.Stream()
-	native := &blockCloseSpy{closeSpy: closeSpy{s: inner}, bs: inner.(BlockStream)}
-	if err := CloseStream(Limit(native, 10)); err != nil || native.closed != 1 {
-		t.Errorf("block Limit did not forward Close: closed=%d err=%v", native.closed, err)
-	}
-	wantErr := errors.New("boom")
-	failing := &closeSpy{s: FuncStream(b.Stream().Next), err: wantErr}
-	if err := CloseStream(Limit(failing, 10)); !errors.Is(err, wantErr) {
-		t.Errorf("Limit swallowed the Close error: %v", err)
-	}
-}
-
-func TestLimitBlocks(t *testing.T) {
-	insts := synthetic(100)
-	b := bufferOf(insts)
-	// Block-native limit, cut mid-block.
-	l := Limit(b.Stream(), 37)
-	if _, ok := l.(BlockStream); !ok {
-		t.Fatal("Limit over a block-native stream should serve blocks")
-	}
-	sameInsts(t, drainBlocks(l.(BlockStream)), insts[:37], "limited blocks")
-	// Per-instruction iteration agrees.
-	sameInsts(t, drainStream(Limit(b.Stream(), 37)), insts[:37], "limited stream")
-	// Limit beyond the end yields the whole trace.
-	sameInsts(t, drainBlocks(Limit(b.Stream(), 1000).(BlockStream)), insts, "over-limit")
-}
-
-func TestConcatPropagatesClose(t *testing.T) {
-	b := bufferOf(synthetic(30))
-	spies := []*closeSpy{
-		{s: FuncStream(b.Stream().Next)},
-		{s: FuncStream(b.Stream().Next), err: errors.New("first")},
-		{s: FuncStream(b.Stream().Next), err: errors.New("second")},
-	}
-	c := Concat(spies[0], spies[1], spies[2])
-	// Drain the first substream only, then close.
-	var inst Inst
-	for i := 0; i < 35; i++ {
-		c.Next(&inst)
-	}
-	err := CloseStream(c)
-	for i, sp := range spies {
-		if sp.closed != 1 {
-			t.Errorf("substream %d closed %d times, want 1", i, sp.closed)
+func TestEmptyStreamsYieldNoBlocks(t *testing.T) {
+	bs := bufferOf(nil).BlockStream(16)
+	for i := 0; i < 2; i++ {
+		if blk := bs.NextBlock(); len(blk) != 0 {
+			t.Errorf("empty buffer produced a block on call %d", i)
 		}
 	}
-	//lint:ignore errcontract asserts which spy's Close error won by its distinguishing message; the spies mint ad-hoc errors, not sentinels
-	if err == nil || err.Error() != "first" {
-		t.Errorf("Concat should return the first Close error, got %v", err)
-	}
-}
-
-func TestConcatBlocks(t *testing.T) {
-	a, b := synthetic(85), synthetic(40)
-	c := Concat(bufferOf(a).Stream(), bufferOf(b).Stream())
-	bs, ok := c.(BlockStream)
-	if !ok {
-		t.Fatal("Concat should serve blocks")
-	}
-	sameInsts(t, drainBlocks(bs), append(append([]Inst{}, a...), b...), "concat blocks")
-}
-
-func TestEmptyStreamsYieldNoBlocks(t *testing.T) {
-	if blk := bufferOf(nil).Stream().(BlockStream).NextBlock(); len(blk) != 0 {
-		t.Error("empty buffer produced a block")
-	}
-	if blk := Blocks(bufferOf(nil).Stream(), 16).NextBlock(); len(blk) != 0 {
-		t.Error("adapter over empty stream produced a block")
-	}
-	if blk := Concat().(BlockStream).NextBlock(); len(blk) != 0 {
-		t.Error("empty concat produced a block")
+	if blk := bufferOf(synthetic(5)).Slice(3, 3).BlockStream(0).NextBlock(); len(blk) != 0 {
+		t.Error("empty slice view produced a block")
 	}
 }

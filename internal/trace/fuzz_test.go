@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"branchlab/internal/trace"
@@ -30,14 +31,18 @@ func tracegenSeed(f *testing.F) []byte {
 	if !ok {
 		f.Fatal("605.mcf_s not registered")
 	}
-	s := spec.Stream(0, 200)
-	defer trace.CloseStream(s)
-	var insts []trace.Inst
-	var inst trace.Inst
-	for s.Next(&inst) {
-		insts = append(insts, inst)
+	s := spec.Stream(context.Background(), 0, 200)
+	defer s.Close()
+	return encode(f, drain(s))
+}
+
+// drain enumerates bs into a flat slice.
+func drain(bs trace.BlockStream) []trace.Inst {
+	var out []trace.Inst
+	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
+		out = append(out, blk...)
 	}
-	return encode(f, insts)
+	return out
 }
 
 // FuzzReader feeds arbitrary bytes to the BLT1 decoder. Decoding must
@@ -50,10 +55,8 @@ func FuzzReader(f *testing.F) {
 	f.Add(tracegenSeed(f))
 	f.Add([]byte("BLT1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := trace.NewReader(bytes.NewReader(data))
-		var decoded []trace.Inst
-		var inst trace.Inst
-		for r.Next(&inst) {
+		decoded := drain(trace.NewReader(bytes.NewReader(data)))
+		for _, inst := range decoded {
 			if !inst.Kind.Valid() {
 				t.Fatalf("decoded invalid kind %d", inst.Kind)
 			}
@@ -62,19 +65,19 @@ func FuzzReader(f *testing.F) {
 					t.Fatalf("decoded register %d outside the register file: %+v", reg, inst)
 				}
 			}
-			decoded = append(decoded, inst)
 		}
 		again := trace.NewReader(bytes.NewReader(encode(t, decoded)))
-		for i, want := range decoded {
-			if !again.Next(&inst) {
-				t.Fatalf("re-encoded trace ended at %d of %d: %v", i, len(decoded), again.Err())
-			}
-			if inst != want {
-				t.Fatalf("inst %d: re-encoded as %+v, decoded %+v", i, inst, want)
-			}
+		redecoded := drain(again)
+		if again.Err() != nil {
+			t.Fatalf("re-encoded trace failed to decode: %v", again.Err())
 		}
-		if again.Next(&inst) || again.Err() != nil {
-			t.Fatalf("re-encoded trace has trailing data or error: %v", again.Err())
+		if len(redecoded) != len(decoded) {
+			t.Fatalf("re-encoded trace decoded %d of %d instructions", len(redecoded), len(decoded))
+		}
+		for i, want := range decoded {
+			if redecoded[i] != want {
+				t.Fatalf("inst %d: re-encoded as %+v, decoded %+v", i, redecoded[i], want)
+			}
 		}
 	})
 }

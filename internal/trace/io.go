@@ -32,8 +32,8 @@ var ErrBadMagic = errors.New("trace: bad magic (not a BLT1 trace file)")
 // carry: an invalid kind, a register outside the register file (other
 // than NoReg), or — on decode — presence flags the Writer never sets (a
 // memory operand on a non-memory kind, a destination flag with NoReg).
-// Writer.WriteInst refuses such instructions and Reader.Next stops on
-// such records, so every decoded instruction is safe to index
+// Writer.WriteInst refuses such instructions and Reader.NextBlock stops
+// on such records, so every decoded instruction is safe to index
 // per-register state with and re-encodes to itself.
 var ErrBadRecord = errors.New("trace: malformed BLT1 record")
 
@@ -131,19 +131,22 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
-// Reader decodes a BLT1 trace. It implements Stream; decoding errors are
-// reported via Err after Next returns false.
+// Reader decodes a BLT1 trace. It implements BlockStream, decoding up
+// to DefaultBlockLen records per NextBlock into a block it owns;
+// decoding errors are reported via Err once NextBlock returns an empty
+// block.
 type Reader struct {
 	r      *bufio.Reader
 	lastIP uint64
 	opened bool
 	err    error
+	blk    []Inst
 }
 
 // NewReader returns a Reader over r. The header is validated on the first
-// Next call.
+// NextBlock call.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 1<<16)}
+	return &Reader{r: bufio.NewReaderSize(r, 1<<16), blk: make([]Inst, DefaultBlockLen)}
 }
 
 // Err returns the first error encountered while decoding, excluding a clean
@@ -167,8 +170,20 @@ func (r *Reader) fail(err error) bool {
 	return false
 }
 
-// Next implements Stream.
-func (r *Reader) Next(inst *Inst) bool {
+// NextBlock implements BlockStream. A block stops short at a record
+// that fails to decode: the records before it are served, every later
+// call returns an empty block, and Err reports the typed cause.
+func (r *Reader) NextBlock() []Inst {
+	n := 0
+	for n < len(r.blk) && r.decode(&r.blk[n]) {
+		n++
+	}
+	return r.blk[:n]
+}
+
+// decode reads the next record into *inst, returning false at a clean
+// end of trace or after recording a decoding error in r.err.
+func (r *Reader) decode(inst *Inst) bool {
 	if r.err != nil {
 		return false
 	}

@@ -27,20 +27,50 @@ func TestIORoundTrip(t *testing.T) {
 	}
 
 	r := NewReader(&buf)
-	var got Inst
-	for i := range insts {
-		if !r.Next(&got) {
-			t.Fatalf("reader ended early at %d: %v", i, r.Err())
-		}
-		if got != insts[i] {
-			t.Fatalf("inst %d: got %+v want %+v", i, got, insts[i])
-		}
+	if r.Err() != nil {
+		t.Fatalf("unexpected error: %v", r.Err())
 	}
-	if r.Next(&got) {
+	sameInsts(t, drainBlocks(r), insts, "round trip")
+	if blk := r.NextBlock(); len(blk) != 0 {
 		t.Error("reader should be exhausted")
 	}
 	if r.Err() != nil {
 		t.Errorf("unexpected error: %v", r.Err())
+	}
+}
+
+// TestIOBadRecordPastFirstBlock: a malformed record beyond the first
+// decode batch stops the Reader there. Every record before it is served
+// intact across the block boundary, later calls return empty blocks,
+// and Err reports the typed cause.
+func TestIOBadRecordPastFirstBlock(t *testing.T) {
+	insts := synthetic(DefaultBlockLen + 500)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := range insts {
+		if err := w.WriteInst(&insts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("\x80\x00\x28\xff") // an ALU record reading register 40
+	buf.WriteString("\x00\x08\x00\x08") // two well-formed ALU records after it
+
+	r := NewReader(&buf)
+	if first := r.NextBlock(); len(first) != DefaultBlockLen {
+		t.Fatalf("first block has %d records, want %d", len(first), DefaultBlockLen)
+	}
+	rest := drainBlocks(r)
+	sameInsts(t, rest, insts[DefaultBlockLen:], "records after the first block")
+	for i := 0; i < 2; i++ {
+		if blk := r.NextBlock(); len(blk) != 0 {
+			t.Fatalf("reader served %d records past the bad one", len(blk))
+		}
+	}
+	if !errors.Is(r.Err(), ErrBadRecord) {
+		t.Errorf("err = %v, want ErrBadRecord", r.Err())
 	}
 }
 
@@ -51,8 +81,7 @@ func TestIOEmptyTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReader(&buf)
-	var inst Inst
-	if r.Next(&inst) {
+	if blk := r.NextBlock(); len(blk) != 0 {
 		t.Error("empty trace yielded an instruction")
 	}
 	if r.Err() != nil {
@@ -62,8 +91,7 @@ func TestIOEmptyTrace(t *testing.T) {
 
 func TestIOBadMagic(t *testing.T) {
 	r := NewReader(bytes.NewReader([]byte("NOPE....")))
-	var inst Inst
-	if r.Next(&inst) {
+	if blk := r.NextBlock(); len(blk) != 0 {
 		t.Fatal("bad magic accepted")
 	}
 	if !errors.Is(r.Err(), ErrBadMagic) {
@@ -88,12 +116,7 @@ func TestIOTruncated(t *testing.T) {
 	// stop with an error, not hang or fabricate instructions.
 	data := buf.Bytes()[:buf.Len()-1]
 	r := NewReader(bytes.NewReader(data))
-	var inst Inst
-	n := 0
-	for r.Next(&inst) {
-		n++
-	}
-	if n >= 100 {
+	if n := len(drainBlocks(r)); n >= 100 {
 		t.Errorf("read %d instructions from truncated trace", n)
 	}
 	if r.Err() == nil {
@@ -143,9 +166,8 @@ func TestIOHostileRecordsRejected(t *testing.T) {
 		{"second src register", "BLT1\x80\x00\x01\x80"},
 	} {
 		r := NewReader(bytes.NewReader([]byte(tc.data)))
-		var inst Inst
-		if r.Next(&inst) {
-			t.Errorf("%s: hostile record decoded as %+v", tc.name, inst)
+		if blk := r.NextBlock(); len(blk) != 0 {
+			t.Errorf("%s: hostile record decoded as %+v", tc.name, blk[0])
 			continue
 		}
 		if !errors.Is(r.Err(), ErrBadRecord) {
@@ -206,12 +228,11 @@ func TestIORandomInstProperty(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(&buf)
-	var got Inst
+	got := drainBlocks(NewReader(&buf))
+	if len(got) != len(insts) {
+		t.Fatalf("decoded %d of %d instructions", len(got), len(insts))
+	}
 	for i := range insts {
-		if !r.Next(&got) {
-			t.Fatalf("ended early at %d: %v", i, r.Err())
-		}
 		want := insts[i]
 		// Taken is only encoded for conditional branches; mem only for
 		// loads/stores; target only for branches.
@@ -229,8 +250,8 @@ func TestIORandomInstProperty(t *testing.T) {
 		if want.DstReg == NoReg {
 			want.DstValue = 0
 		}
-		if got != want {
-			t.Fatalf("inst %d: got %+v want %+v", i, got, want)
+		if got[i] != want {
+			t.Fatalf("inst %d: got %+v want %+v", i, got[i], want)
 		}
 	}
 }

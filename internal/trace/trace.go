@@ -1,11 +1,11 @@
 // Package trace defines the instruction-trace model shared by the whole
-// simulator: instruction records, trace streams, in-memory trace buffers,
-// and a compact binary file format.
+// simulator: instruction records, block streams, in-memory trace
+// buffers, and a compact binary file format.
 //
 // A trace is the only interface between workload generation and measurement:
 // every analysis in this repository (prediction, pipeline timing, H2P
-// screening, dependency graphs, phase detection) consumes a Stream and
-// nothing else, mirroring the deployment assumptions of CBP2016 and
+// screening, dependency graphs, phase detection) consumes a BlockStream
+// and nothing else, mirroring the deployment assumptions of CBP2016 and
 // ChampSim that the paper builds on.
 package trace
 
@@ -93,245 +93,41 @@ func (i *Inst) Reads(r uint8) bool {
 // Writes reports whether the instruction writes register r.
 func (i *Inst) Writes(r uint8) bool { return r != NoReg && i.DstReg == r }
 
-// Stream is a forward-only producer of instructions.
-//
-// Next fills *inst and returns true, or returns false at end of trace.
-// After Next returns false, further calls must also return false.
-type Stream interface {
-	Next(inst *Inst) bool
-}
-
-// BlockStream is a forward-only producer of instruction batches, the
-// replay hot path: iterating a []Inst block amortizes the per-call
-// interface dispatch of Stream.Next over thousands of instructions.
+// BlockStream is the forward-only instruction producer every replay
+// consumes: the BLT1 Reader, the live program generator, a Buffer and a
+// trace-cache view all serve it. Iterating a []Inst block amortizes the
+// per-call interface dispatch over thousands of instructions.
 //
 // NextBlock returns the next run of instructions in trace order, or an
 // empty slice at end of trace (after which further calls must also
 // return an empty slice). The returned slice is valid only until the
 // next NextBlock call, and callers must not modify or retain it: block
-// producers serve zero-copy views of shared backing storage (a cached
-// Buffer, a generator batch, or — when the cache has a persistent
-// store attached — a slice file mmap'd from disk, whose mapping the
-// store keeps alive until it is closed). The blockalias analyzer
+// producers serve views of storage they own or share (a cached Buffer,
+// a generator batch, the Reader's decode block, or — when the cache has
+// a persistent store attached — a slice file mmap'd from disk, whose
+// mapping the store keeps alive until it is closed). The blockalias analyzer
 // enforces the no-retention rule statically (DESIGN.md §8).
 type BlockStream interface {
 	NextBlock() []Inst
 }
 
-// DefaultBlockLen is the block size the measurement loops use when
-// adapting a plain Stream to block iteration. Large enough to amortize
-// the per-block dispatch to nothing, small enough that an adapter's
-// scratch block stays cache-resident.
+// DefaultBlockLen is the block size of a Buffer replay and of the BLT1
+// Reader's decode batches. Large enough to amortize the per-block
+// dispatch to nothing, small enough that a decoded block stays
+// cache-resident.
 const DefaultBlockLen = 4096
 
-// blockAdapter batches a plain Stream into blocks of at most cap(buf)
-// instructions through an owned scratch buffer.
-type blockAdapter struct {
-	s   Stream
-	buf []Inst
-}
-
-// NextBlock implements BlockStream.
-func (a *blockAdapter) NextBlock() []Inst {
-	buf := a.buf[:0]
-	for len(buf) < cap(buf) {
-		var inst Inst
-		if !a.s.Next(&inst) {
-			break
-		}
-		buf = append(buf, inst)
-	}
-	return buf
-}
-
-// Close implements Closer by forwarding to the underlying stream.
-func (a *blockAdapter) Close() error { return CloseStream(a.s) }
-
-// Err forwards the underlying stream's terminal error, so StreamErr
-// sees through the block adaptation.
-func (a *blockAdapter) Err() error { return StreamErr(a.s) }
-
-// Blocks adapts s to block iteration with blocks of at most n
-// instructions (DefaultBlockLen if n <= 0). The adapter copies through
-// a scratch buffer; block-native producers (Buffer streams, program
-// generators) are better consumed via AsBlocks, which serves their
-// storage zero-copy.
-func Blocks(s Stream, n int) BlockStream {
-	if n <= 0 {
-		n = DefaultBlockLen
-	}
-	return &blockAdapter{s: s, buf: make([]Inst, 0, n)}
-}
-
-// AsBlocks returns s's native block serving when it has one, and
-// Blocks(s, n) otherwise. The measurement loops call this once per run,
-// so a Buffer replay iterates the recorded array directly with no
-// per-instruction virtual calls or copies.
-func AsBlocks(s Stream, n int) BlockStream {
-	if bs, ok := s.(BlockStream); ok {
-		return bs
-	}
-	return Blocks(s, n)
-}
-
-// Closer is implemented by streams that hold resources (files, generator
-// goroutines). Callers that receive a Stream should close it if it
-// implements Closer.
-type Closer interface {
-	Close() error
-}
-
-// CloseStream closes s if it implements Closer.
-func CloseStream(s Stream) error {
-	if c, ok := s.(Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
 // StreamErr returns the typed error that terminated s, if s tracks one
-// (program generator streams do: cancellation, payload failure). A
-// stream that ended with a non-nil StreamErr delivered a truncated
-// prefix; consumers must discard what they read. Check after the
+// (the program generator does: cancellation, payload failure; so does
+// the BLT1 Reader: a malformed or truncated record). A stream that
+// ended with a non-nil StreamErr delivered a truncated prefix;
+// consumers must discard what they read. Check after the
 // stream reports end of trace.
 func StreamErr(s any) error {
 	if e, ok := s.(interface{ Err() error }); ok {
 		return e.Err()
 	}
 	return nil
-}
-
-// FuncStream adapts a function to the Stream interface.
-type FuncStream func(*Inst) bool
-
-// Next implements Stream.
-func (f FuncStream) Next(inst *Inst) bool { return f(inst) }
-
-// limitStream yields at most remaining instructions from s and
-// forwards Close to it, so limiting a resource-holding stream (e.g. a
-// program generator) does not leak its resources.
-type limitStream struct {
-	s         Stream
-	remaining uint64
-}
-
-// Next implements Stream.
-func (l *limitStream) Next(inst *Inst) bool {
-	if l.remaining == 0 {
-		return false
-	}
-	if !l.s.Next(inst) {
-		l.remaining = 0
-		return false
-	}
-	l.remaining--
-	return true
-}
-
-// Close implements Closer by forwarding to the underlying stream.
-func (l *limitStream) Close() error { return CloseStream(l.s) }
-
-// limitBlockStream is limitStream over a block-native underlying
-// stream: blocks are served zero-copy and truncated at the limit.
-type limitBlockStream struct {
-	*limitStream
-	bs BlockStream
-}
-
-// NextBlock implements BlockStream. It may read ahead of the limit by
-// up to one block from the underlying stream; the overshoot is
-// discarded (Limit owns the remainder of the stream either way).
-func (l *limitBlockStream) NextBlock() []Inst {
-	if l.remaining == 0 {
-		return nil
-	}
-	blk := l.bs.NextBlock()
-	if len(blk) == 0 {
-		l.remaining = 0
-		return nil
-	}
-	if uint64(len(blk)) > l.remaining {
-		blk = blk[:l.remaining]
-	}
-	l.remaining -= uint64(len(blk))
-	return blk
-}
-
-// Limit returns a stream that yields at most n instructions from s.
-// The result forwards Close to s, and serves blocks natively when s
-// does.
-func Limit(s Stream, n uint64) Stream {
-	l := &limitStream{s: s, remaining: n}
-	if bs, ok := s.(BlockStream); ok {
-		return &limitBlockStream{limitStream: l, bs: bs}
-	}
-	return l
-}
-
-// concatStream yields all instructions of each stream in turn. Closing
-// it closes every underlying stream (including already-drained ones:
-// Close on a drained stream is the producer's no-op).
-type concatStream struct {
-	streams []Stream
-	idx     int
-	cur     BlockStream // block view of streams[idx], built lazily
-}
-
-// Next implements Stream.
-func (c *concatStream) Next(inst *Inst) bool {
-	for c.idx < len(c.streams) {
-		if c.streams[c.idx].Next(inst) {
-			return true
-		}
-		c.idx++
-		c.cur = nil
-	}
-	return false
-}
-
-// NextBlock implements BlockStream, delegating to each substream's
-// native block serving where available.
-func (c *concatStream) NextBlock() []Inst {
-	for c.idx < len(c.streams) {
-		if c.cur == nil {
-			c.cur = AsBlocks(c.streams[c.idx], DefaultBlockLen)
-		}
-		if blk := c.cur.NextBlock(); len(blk) > 0 {
-			return blk
-		}
-		c.idx++
-		c.cur = nil
-	}
-	return nil
-}
-
-// Close implements Closer: it closes every underlying stream and
-// returns the first error.
-func (c *concatStream) Close() error {
-	var first error
-	for _, s := range c.streams {
-		if err := CloseStream(s); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Concat returns a stream that yields all instructions of each stream
-// in turn. The result forwards Close to every underlying stream and
-// serves blocks natively.
-func Concat(streams ...Stream) Stream {
-	return &concatStream{streams: streams}
-}
-
-// Count drains s and returns the number of instructions it produced.
-func Count(s Stream) uint64 {
-	bs := AsBlocks(s, DefaultBlockLen)
-	var n uint64
-	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
-		n += uint64(len(blk))
-	}
-	return n
 }
 
 // Replayable is a materialized trace servable any number of times: the
@@ -347,8 +143,6 @@ func Count(s Stream) uint64 {
 type Replayable interface {
 	// Len returns the trace length in instructions.
 	Len() int
-	// Stream returns a new independent reader over the trace.
-	Stream() Stream
 	// BlockStream returns a new independent block reader with blocks of
 	// at most n instructions (an implementation-chosen size if n <= 0).
 	BlockStream(n int) BlockStream
@@ -378,17 +172,10 @@ func NewBuffer(n int) *Buffer {
 // machine's memory.
 const recordCapMax = 1 << 24
 
-// Record drains s into a new Buffer. Callers that know the expected
-// instruction count (e.g. a generation budget) should use RecordSized to
-// avoid repeated slice regrowth on large recordings.
-func Record(s Stream) *Buffer {
-	return RecordSized(s, 1<<16)
-}
-
-// RecordSized drains s into a new Buffer whose capacity is sized from
+// RecordSized drains bs into a new Buffer whose capacity is sized from
 // sizeHint, the expected instruction count. The hint only tunes the
 // initial allocation; the recording is complete regardless.
-func RecordSized(s Stream, sizeHint uint64) *Buffer {
+func RecordSized(bs BlockStream, sizeHint uint64) *Buffer {
 	hint := sizeHint
 	if hint < 1<<10 {
 		hint = 1 << 10
@@ -397,9 +184,8 @@ func RecordSized(s Stream, sizeHint uint64) *Buffer {
 		hint = recordCapMax
 	}
 	b := NewBuffer(int(hint))
-	var inst Inst
-	for s.Next(&inst) {
-		b.insts = append(b.insts, inst)
+	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
+		b.insts = append(b.insts, blk...)
 	}
 	return b
 }
@@ -420,24 +206,13 @@ func FromSlice(insts []Inst) *Buffer {
 	return &Buffer{insts: insts}
 }
 
-// bufferStream reads a buffer's backing array. It serves both the
-// per-instruction Stream contract and zero-copy blocks: NextBlock
-// returns subslices of the recorded array directly, so a buffer replay
-// has no per-instruction virtual calls and no copies.
+// bufferStream reads a buffer's backing array in zero-copy blocks:
+// NextBlock returns subslices of the recorded array directly, so a
+// buffer replay has no per-instruction virtual calls and no copies.
 type bufferStream struct {
 	insts []Inst
 	pos   int
 	block int
-}
-
-// Next implements Stream.
-func (s *bufferStream) Next(inst *Inst) bool {
-	if s.pos >= len(s.insts) {
-		return false
-	}
-	*inst = s.insts[s.pos]
-	s.pos++
-	return true
 }
 
 // NextBlock implements BlockStream.
@@ -454,12 +229,6 @@ func (s *bufferStream) NextBlock() []Inst {
 	return blk
 }
 
-// Stream returns a new independent reader over the buffer. The reader
-// serves blocks natively (zero-copy views of the recorded array).
-func (b *Buffer) Stream() Stream {
-	return &bufferStream{insts: b.insts, block: DefaultBlockLen}
-}
-
 // BlockStream returns a new independent block reader over the buffer
 // with blocks of at most n instructions (DefaultBlockLen if n <= 0).
 // Blocks are zero-copy views of the recorded array.
@@ -471,8 +240,8 @@ func (b *Buffer) BlockStream(n int) BlockStream {
 }
 
 // Slice returns a zero-copy view of instructions [lo, hi) (clamped to
-// the buffer). Like Prefix, the view shares the backing array with its
-// capacity capped, so appends cannot corrupt the parent. Replaying
+// the buffer). The view shares the backing array with its capacity
+// capped, so appends cannot corrupt the parent. Replaying
 // slice-aligned ranges is how one trace splits across engine workers.
 func (b *Buffer) Slice(lo, hi int) *Buffer {
 	if lo < 0 {
@@ -492,66 +261,3 @@ func (b *Buffer) Slice(lo, hi int) *Buffer {
 
 // Range implements Replayable via Slice.
 func (b *Buffer) Range(lo, hi int) Replayable { return b.Slice(lo, hi) }
-
-// Prefix returns a zero-copy view of the buffer's first n instructions
-// (the whole buffer when n >= Len). The view shares the parent's backing
-// array but caps its capacity, so appending to either afterwards cannot
-// corrupt the other. Replaying a prefix is how the trace cache serves a
-// smaller instruction budget from a longer recording of the same run.
-func (b *Buffer) Prefix(n int) *Buffer {
-	if n < 0 {
-		n = 0
-	}
-	if n > len(b.insts) {
-		n = len(b.insts)
-	}
-	return &Buffer{insts: b.insts[:n:n]}
-}
-
-// PrefixStream returns a reader over the buffer's first n instructions
-// without materializing a view.
-func (b *Buffer) PrefixStream(n int) Stream {
-	return b.Prefix(n).Stream()
-}
-
-// Summary holds aggregate counts describing a trace.
-type Summary struct {
-	Insts        uint64 // total instructions
-	CondBranches uint64 // dynamic conditional branches
-	Branches     uint64 // all dynamic branches
-	Loads        uint64 // dynamic loads
-	Stores       uint64 // dynamic stores
-	StaticCondBr int    // distinct conditional-branch IPs
-	TakenRate    float64
-}
-
-// Summarize drains s and returns aggregate statistics.
-func Summarize(s Stream) Summary {
-	var sum Summary
-	var inst Inst
-	taken := uint64(0)
-	static := make(map[uint64]struct{})
-	for s.Next(&inst) {
-		sum.Insts++
-		switch {
-		case inst.Kind == KindCondBr:
-			sum.CondBranches++
-			sum.Branches++
-			static[inst.IP] = struct{}{}
-			if inst.Taken {
-				taken++
-			}
-		case inst.Kind.IsBranch():
-			sum.Branches++
-		case inst.Kind == KindLoad:
-			sum.Loads++
-		case inst.Kind == KindStore:
-			sum.Stores++
-		}
-	}
-	sum.StaticCondBr = len(static)
-	if sum.CondBranches > 0 {
-		sum.TakenRate = float64(taken) / float64(sum.CondBranches)
-	}
-	return sum
-}

@@ -81,60 +81,17 @@ func TestBufferRoundTrip(t *testing.T) {
 	if b.Len() != len(insts) {
 		t.Fatalf("Len = %d, want %d", b.Len(), len(insts))
 	}
-	s := b.Stream()
-	var got Inst
-	for i := range insts {
-		if !s.Next(&got) {
-			t.Fatalf("stream ended early at %d", i)
-		}
-		if got != insts[i] {
-			t.Fatalf("inst %d mismatch: %+v != %+v", i, got, insts[i])
-		}
-	}
-	if s.Next(&got) {
-		t.Error("stream should be exhausted")
+	bs := b.BlockStream(64)
+	sameInsts(t, drainBlocks(bs), insts, "round trip")
+	if blk := bs.NextBlock(); len(blk) != 0 {
+		t.Error("stream should stay exhausted")
 	}
 	// Two streams over one buffer are independent.
-	s1, s2 := b.Stream(), b.Stream()
-	var a, c Inst
-	s1.Next(&a)
-	s1.Next(&a)
-	s2.Next(&c)
-	if c != insts[0] {
+	s1, s2 := b.BlockStream(10), b.BlockStream(10)
+	s1.NextBlock()
+	s1.NextBlock()
+	if blk := s2.NextBlock(); blk[0] != insts[0] {
 		t.Error("second stream not independent")
-	}
-}
-
-func TestLimit(t *testing.T) {
-	b := NewBuffer(0)
-	for _, inst := range synthetic(100) {
-		b.Append(inst)
-	}
-	if n := Count(Limit(b.Stream(), 37)); n != 37 {
-		t.Errorf("Limit(37) yielded %d", n)
-	}
-	if n := Count(Limit(b.Stream(), 1000)); n != 100 {
-		t.Errorf("Limit(1000) over 100 insts yielded %d", n)
-	}
-	if n := Count(Limit(b.Stream(), 0)); n != 0 {
-		t.Errorf("Limit(0) yielded %d", n)
-	}
-}
-
-func TestConcat(t *testing.T) {
-	b1, b2 := NewBuffer(0), NewBuffer(0)
-	for i, inst := range synthetic(10) {
-		if i < 4 {
-			b1.Append(inst)
-		} else {
-			b2.Append(inst)
-		}
-	}
-	if n := Count(Concat(b1.Stream(), b2.Stream())); n != 10 {
-		t.Errorf("Concat yielded %d, want 10", n)
-	}
-	if n := Count(Concat()); n != 0 {
-		t.Errorf("empty Concat yielded %d", n)
 	}
 }
 
@@ -143,51 +100,18 @@ func TestRecord(t *testing.T) {
 	for _, inst := range synthetic(50) {
 		b.Append(inst)
 	}
-	copied := Record(b.Stream())
+	copied := RecordSized(b.BlockStream(7), 0)
 	if copied.Len() != 50 {
-		t.Fatalf("Record copied %d, want 50", copied.Len())
+		t.Fatalf("RecordSized copied %d, want 50", copied.Len())
 	}
 	for i := 0; i < 50; i++ {
 		if copied.At(i) != b.At(i) {
-			t.Fatalf("inst %d differs after Record", i)
+			t.Fatalf("inst %d differs after RecordSized", i)
 		}
 	}
-}
-
-func TestSummarize(t *testing.T) {
-	b := NewBuffer(0)
-	for _, inst := range synthetic(1000) {
-		b.Append(inst)
-	}
-	sum := Summarize(b.Stream())
-	if sum.Insts != 1000 {
-		t.Errorf("Insts = %d", sum.Insts)
-	}
-	if sum.CondBranches != 200 {
-		t.Errorf("CondBranches = %d, want 200", sum.CondBranches)
-	}
-	if sum.Loads != 200 || sum.Stores != 200 {
-		t.Errorf("Loads/Stores = %d/%d, want 200/200", sum.Loads, sum.Stores)
-	}
-	if sum.TakenRate != 0.5 {
-		t.Errorf("TakenRate = %v, want 0.5", sum.TakenRate)
-	}
-	if sum.StaticCondBr != 200 {
-		t.Errorf("StaticCondBr = %d, want 200", sum.StaticCondBr)
+	// The recording owns its storage: it does not alias the source.
+	copied.insts[0].IP++
+	if copied.At(0) == b.At(0) {
+		t.Error("RecordSized aliased the source blocks")
 	}
 }
-
-func TestCloseStream(t *testing.T) {
-	if err := CloseStream(FuncStream(func(*Inst) bool { return false })); err != nil {
-		t.Errorf("CloseStream on plain stream: %v", err)
-	}
-	cs := &closableStream{}
-	if err := CloseStream(cs); err != nil || !cs.closed {
-		t.Errorf("CloseStream did not close: err=%v closed=%v", err, cs.closed)
-	}
-}
-
-type closableStream struct{ closed bool }
-
-func (c *closableStream) Next(*Inst) bool { return false }
-func (c *closableStream) Close() error    { c.closed = true; return nil }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"branchlab/internal/trace"
 	"branchlab/internal/tracestore"
 )
 
@@ -247,15 +246,16 @@ func TestStoreConcurrentPromoteDemote(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 4; rep++ {
-				var inst trace.Inst
 				i := 0
-				s := v.Stream()
-				for s.Next(&inst) {
-					if inst.DstValue != uint64(i) {
-						errs <- fmt.Sprintf("rep %d inst %d: got %d", rep, i, inst.DstValue)
-						return
+				s := v.BlockStream(0)
+				for blk := s.NextBlock(); len(blk) > 0; blk = s.NextBlock() {
+					for _, inst := range blk {
+						if inst.DstValue != uint64(i) {
+							errs <- fmt.Sprintf("rep %d inst %d: got %d", rep, i, inst.DstValue)
+							return
+						}
+						i++
 					}
-					i++
 				}
 				if i != 256 {
 					errs <- fmt.Sprintf("rep %d: short replay (%d insts)", rep, i)

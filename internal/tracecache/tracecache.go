@@ -895,10 +895,6 @@ func (v *view) Range(lo, hi int) trace.Replayable {
 	return &view{c: v.c, e: v.e, off: v.off + lo, n: hi - lo}
 }
 
-// Stream implements trace.Replayable. The reader serves blocks natively
-// (zero-copy views of resident slice arrays, one pin per slice).
-func (v *view) Stream() trace.Stream { return &viewStream{v: v} }
-
 // BlockStream implements trace.Replayable: blocks of at most n
 // instructions (up to a whole slice per block when n <= 0).
 func (v *view) BlockStream(n int) trace.BlockStream {
@@ -908,20 +904,18 @@ func (v *view) BlockStream(n int) trace.BlockStream {
 	return &viewStream{v: v, blockCap: n}
 }
 
-// viewStream reads a view in trace order. It implements trace.Stream
-// and trace.BlockStream; blocks are zero-copy windows of one slice
-// array, clipped to the view and to blockCap when set.
+// viewStream reads a view in trace order. It implements
+// trace.BlockStream; blocks are zero-copy windows of one slice array,
+// clipped to the view and to blockCap when set.
 type viewStream struct {
 	v        *view
 	pos      int // next unserved view-relative index
 	blockCap int
-	cur      []trace.Inst // block handed out by fill, consumed by Next
-	curIdx   int
 }
 
-// nextWindow pins the slice containing the next instruction and returns
-// the largest servable window of it.
-func (s *viewStream) nextWindow() []trace.Inst {
+// NextBlock implements trace.BlockStream: it pins the slice containing
+// the next instruction and returns the largest servable window of it.
+func (s *viewStream) NextBlock() []trace.Inst {
 	if s.pos >= s.v.n {
 		return nil
 	}
@@ -940,29 +934,4 @@ func (s *viewStream) nextWindow() []trace.Inst {
 	blk := data[so:end:end]
 	s.pos += len(blk)
 	return blk
-}
-
-// NextBlock implements trace.BlockStream.
-func (s *viewStream) NextBlock() []trace.Inst {
-	if s.curIdx < len(s.cur) {
-		// Hand out the remainder of a window partially consumed by Next.
-		blk := s.cur[s.curIdx:]
-		s.cur, s.curIdx = nil, 0
-		return blk
-	}
-	s.cur, s.curIdx = nil, 0
-	return s.nextWindow()
-}
-
-// Next implements trace.Stream.
-func (s *viewStream) Next(inst *trace.Inst) bool {
-	for s.curIdx >= len(s.cur) {
-		s.cur, s.curIdx = s.nextWindow(), 0
-		if len(s.cur) == 0 {
-			return false
-		}
-	}
-	*inst = s.cur[s.curIdx]
-	s.curIdx++
-	return true
 }

@@ -70,14 +70,21 @@ func record(t *testing.T, c *Cache, name string, input int, budget uint64, src S
 	return v
 }
 
+// values enumerates tr's DstValue fields in trace order.
+func values(tr trace.Replayable) []uint64 {
+	var out []uint64
+	s := tr.BlockStream(0)
+	for blk := s.NextBlock(); len(blk) > 0; blk = s.NextBlock() {
+		for i := range blk {
+			out = append(out, blk[i].DstValue)
+		}
+	}
+	return out
+}
+
 func drain(t *testing.T, tr trace.Replayable) []uint64 {
 	t.Helper()
-	var out []uint64
-	var inst trace.Inst
-	s := tr.Stream()
-	for s.Next(&inst) {
-		out = append(out, inst.DstValue)
-	}
+	out := values(tr)
 	if len(out) != tr.Len() {
 		t.Fatalf("stream yielded %d insts, Len() says %d", len(out), tr.Len())
 	}
@@ -96,7 +103,7 @@ func checkIdentity(t *testing.T, vals []uint64, lo int) {
 
 func TestBufferPrefixIsZeroCopyAndAppendSafe(t *testing.T) {
 	parent := mkBuffer(10)
-	view := parent.Prefix(4)
+	view := parent.Slice(0, 4) // a prefix view
 	if view.Len() != 4 {
 		t.Fatalf("view len %d, want 4", view.Len())
 	}
@@ -109,8 +116,8 @@ func TestBufferPrefixIsZeroCopyAndAppendSafe(t *testing.T) {
 		t.Fatalf("view append lost: view[4].DstValue = %d, want 999", got)
 	}
 	// Out-of-range prefixes clamp.
-	if parent.Prefix(99).Len() != 10 || parent.Prefix(-1).Len() != 0 {
-		t.Fatal("Prefix must clamp to [0, Len]")
+	if parent.Slice(0, 99).Len() != 10 || parent.Slice(0, -1).Len() != 0 {
+		t.Fatal("a prefix view must clamp to [0, Len]")
 	}
 }
 
@@ -328,11 +335,9 @@ func TestConcurrentEvictedReplay(t *testing.T) {
 			defer wg.Done()
 			lo := (g * 13) % 200
 			sub := v.Range(lo, lo+56)
-			var inst trace.Inst
-			s := sub.Stream()
-			for i := 0; s.Next(&inst); i++ {
-				if inst.DstValue != uint64(lo+i) {
-					t.Errorf("goroutine %d: inst %d = %d, want %d", g, i, inst.DstValue, lo+i)
+			for i, val := range values(sub) {
+				if val != uint64(lo+i) {
+					t.Errorf("goroutine %d: inst %d = %d, want %d", g, i, val, lo+i)
 					return
 				}
 			}
@@ -383,10 +388,8 @@ func TestConcurrentMixedKeys(t *testing.T) {
 func TestMemoFromRematerializedSlices(t *testing.T) {
 	sum := func(tr trace.Replayable) uint64 {
 		var s uint64
-		var inst trace.Inst
-		st := tr.Stream()
-		for st.Next(&inst) {
-			s += inst.DstValue
+		for _, val := range values(tr) {
+			s += val
 		}
 		return s
 	}
@@ -650,11 +653,9 @@ func TestConcurrentCheckpointResume(t *testing.T) {
 			defer wg.Done()
 			lo := (g * 29) % 200
 			sub := v.Range(lo, lo+56)
-			var inst trace.Inst
-			s := sub.Stream()
-			for i := 0; s.Next(&inst); i++ {
-				if inst.DstValue != uint64(lo+i) {
-					t.Errorf("goroutine %d: inst %d = %d, want %d", g, i, inst.DstValue, lo+i)
+			for i, val := range values(sub) {
+				if val != uint64(lo+i) {
+					t.Errorf("goroutine %d: inst %d = %d, want %d", g, i, val, lo+i)
 					return
 				}
 			}
@@ -714,12 +715,10 @@ func TestBudgetSensitiveNotServedPrefix(t *testing.T) {
 	if half.Len() != 50 {
 		t.Fatalf("smaller-budget trace has %d insts, want 50", half.Len())
 	}
-	var inst trace.Inst
-	st := half.Stream()
-	for i := 0; st.Next(&inst); i++ {
-		if want := uint64(50)<<32 | uint64(i); inst.DstValue != want {
+	for i, val := range values(half) {
+		if want := uint64(50)<<32 | uint64(i); val != want {
 			t.Fatalf("inst %d = %#x, want %#x (the budget-50 synthesis, not the budget-100 prefix)",
-				i, inst.DstValue, want)
+				i, val, want)
 		}
 	}
 	// Each budget is its own entry; repeat requests at either budget hit.

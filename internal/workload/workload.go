@@ -60,17 +60,12 @@ func (s *Spec) Payload(input int) program.Payload {
 }
 
 // Stream starts the workload for one input with the given instruction
-// budget. Callers should close the stream via trace.CloseStream when
-// abandoning it early.
-func (s *Spec) Stream(input int, budget uint64) trace.Stream {
-	return program.Run(s.seed(input), budget, s.Payload(input))
-}
-
-// StreamCtx is Stream bounded by ctx: when ctx is done the generator
-// unwinds at its next byte-safe point and trace.StreamErr reports a
-// typed cancellation (a truncated prefix is never silently served).
-func (s *Spec) StreamCtx(ctx context.Context, input int, budget uint64) trace.Stream {
-	return program.RunCtx(ctx, s.seed(input), budget, s.Payload(input))
+// budget as a live block stream. Callers Close it when abandoning it
+// early. When ctx is done the generator unwinds at its next byte-safe
+// point and Err reports a typed cancellation (a truncated prefix is
+// never silently served).
+func (s *Spec) Stream(ctx context.Context, input int, budget uint64) *program.Stream {
+	return program.Run(ctx, s.seed(input), budget, s.Payload(input))
 }
 
 // RecordCtx materializes the trace for one input; on cancellation or

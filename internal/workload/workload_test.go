@@ -111,9 +111,12 @@ func TestInputOutOfRangePanics(t *testing.T) {
 
 func TestBudgetRespected(t *testing.T) {
 	s, _ := ByName("641.leela_s")
-	st := s.Stream(0, 123456)
-	n := trace.Count(st)
-	trace.CloseStream(st)
+	st := s.Stream(context.Background(), 0, 123456)
+	defer st.Close()
+	var n int
+	for blk := st.NextBlock(); len(blk) > 0; blk = st.NextBlock() {
+		n += len(blk)
+	}
 	if n != 123456 {
 		t.Errorf("stream yielded %d instructions, want 123456", n)
 	}
@@ -123,7 +126,7 @@ func TestTraceShape(t *testing.T) {
 	for _, s := range append(SPECint2017Like(), LCFLike()...) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			sum := trace.Summarize(trace.FuncStream(mkNext(s, 200000)))
+			sum := summarize(t, s, 200000)
 			if sum.Insts != 200000 {
 				t.Fatalf("insts = %d", sum.Insts)
 			}
@@ -144,9 +147,47 @@ func TestTraceShape(t *testing.T) {
 	}
 }
 
-func mkNext(s *Spec, budget uint64) func(*trace.Inst) bool {
-	st := s.Stream(0, budget)
-	return st.Next
+// shape holds the aggregate counts TestTraceShape bounds.
+type shape struct {
+	Insts, CondBranches, Loads, Stores uint64
+	StaticCondBr                       int
+	TakenRate                          float64
+}
+
+// summarize streams input 0 of s and aggregates its shape.
+func summarize(t *testing.T, s *Spec, budget uint64) shape {
+	t.Helper()
+	st := s.Stream(context.Background(), 0, budget)
+	defer st.Close()
+	var sum shape
+	var taken uint64
+	static := make(map[uint64]bool)
+	for blk := st.NextBlock(); len(blk) > 0; blk = st.NextBlock() {
+		for i := range blk {
+			inst := &blk[i]
+			sum.Insts++
+			switch inst.Kind {
+			case trace.KindCondBr:
+				sum.CondBranches++
+				static[inst.IP] = true
+				if inst.Taken {
+					taken++
+				}
+			case trace.KindLoad:
+				sum.Loads++
+			case trace.KindStore:
+				sum.Stores++
+			}
+		}
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sum.StaticCondBr = len(static)
+	if sum.CondBranches > 0 {
+		sum.TakenRate = float64(taken) / float64(sum.CondBranches)
+	}
+	return sum
 }
 
 // TestLCFHasLargerFootprintAndLowerAccuracy checks the paper's defining
@@ -158,10 +199,10 @@ func TestLCFHasLargerFootprintAndLowerAccuracy(t *testing.T) {
 	}
 	const budget = 600000
 	measure := func(s *Spec) (float64, int) {
-		st := s.Stream(0, budget)
-		defer trace.CloseStream(st)
+		st := s.Stream(context.Background(), 0, budget)
+		defer st.Close()
 		col := core.NewCollector(budget)
-		run := core.Run(st, tage.New(tage.Config8KB()), col)
+		run := core.RunBlocks(st, tage.New(tage.Config8KB()), col)
 		return run.Accuracy(), col.StaticBranches()
 	}
 	gameAcc, gameStatic := measure(mustSpec(t, "game"))
@@ -188,9 +229,9 @@ func TestCalibrationBands(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			st := s.Stream(0, budget)
-			defer trace.CloseStream(st)
-			run := core.Run(st, tage.New(tage.Config8KB()))
+			st := s.Stream(context.Background(), 0, budget)
+			defer st.Close()
+			run := core.RunBlocks(st, tage.New(tage.Config8KB()))
 			if diff := run.Accuracy() - s.Paper.Accuracy; diff > tolerance || diff < -tolerance {
 				t.Errorf("accuracy %.4f vs paper %.4f (|Δ| > %.2f)",
 					run.Accuracy(), s.Paper.Accuracy, tolerance)
@@ -221,10 +262,10 @@ func TestH2PCountsNearPaper(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			s := mustSpec(t, c.name)
-			st := s.Stream(0, budget)
-			defer trace.CloseStream(st)
+			st := s.Stream(context.Background(), 0, budget)
+			defer st.Close()
 			col := core.NewCollector(sliceLen)
-			core.Run(st, tage.New(tage.Config8KB()), col)
+			core.RunBlocks(st, tage.New(tage.Config8KB()), col)
 			rep := core.PaperCriteria().Scaled(sliceLen).Screen(col)
 			avg := rep.AvgPerSlice()
 			if avg < float64(c.min) || avg > float64(c.max) {
@@ -245,10 +286,10 @@ func TestH2PsRecurAcrossInputs(t *testing.T) {
 	const budget = 600000
 	var reports []*core.H2PReport
 	for input := 0; input < 3; input++ {
-		st := s.Stream(input, budget)
+		st := s.Stream(context.Background(), input, budget)
 		col := core.NewCollector(budget / 2)
-		core.Run(st, tage.New(tage.Config8KB()), col)
-		trace.CloseStream(st)
+		core.RunBlocks(st, tage.New(tage.Config8KB()), col)
+		st.Close()
 		reports = append(reports, core.PaperCriteria().Scaled(budget/2).Screen(col))
 	}
 	agg := core.Aggregate(reports)
@@ -297,9 +338,8 @@ func TestTraceFileRoundTrip(t *testing.T) {
 
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	st := orig.Stream()
-	var inst trace.Inst
-	for st.Next(&inst) {
+	for i := 0; i < orig.Len(); i++ {
+		inst := orig.At(i)
 		if err := w.WriteInst(&inst); err != nil {
 			t.Fatal(err)
 		}
@@ -308,8 +348,8 @@ func TestTraceFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	direct := core.Run(orig.Stream(), tage.New(tage.Config8KB()))
-	decoded := core.Run(trace.NewReader(&buf), tage.New(tage.Config8KB()))
+	direct := core.RunBlocks(orig.BlockStream(0), tage.New(tage.Config8KB()))
+	decoded := core.RunBlocks(trace.NewReader(&buf), tage.New(tage.Config8KB()))
 	if direct != decoded {
 		t.Errorf("decoded trace diverges: %+v vs %+v", direct, decoded)
 	}
@@ -339,10 +379,9 @@ func TestStoreRestartReuseAllWorkloads(t *testing.T) {
 				t.Fatalf("%s: %v", s.Name, err)
 			}
 			insts := make([]trace.Inst, 0, v.Len())
-			var inst trace.Inst
-			st := v.Stream()
-			for st.Next(&inst) {
-				insts = append(insts, inst)
+			st := v.BlockStream(0)
+			for blk := st.NextBlock(); len(blk) > 0; blk = st.NextBlock() {
+				insts = append(insts, blk...)
 			}
 			out[s.Name] = insts
 		}

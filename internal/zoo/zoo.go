@@ -17,8 +17,6 @@ import (
 //
 //	tage-sc-l-<kb>      TAGE-SC-L with a <kb> KB budget (8, 64, 128, ... 1024)
 //	tage-<kb>           shorthand for the above
-//	tage-reference-<kb> scalar reference TAGE-SC-L engine (test oracle /
-//	                    benchmark baseline; predicts identically)
 //	bimodal         4K-entry bimodal
 //	gshare          16K-entry gshare, 12 history bits
 //	gselect         gselect, 6 IP bits + 8 history bits
@@ -51,17 +49,6 @@ func New(name string) (bp.Predictor, error) {
 	case "static-not-taken":
 		return bp.NewStatic(false), nil
 	}
-	// The reference prefix must be checked before the generic "tage-"
-	// prefixes, or "tage-reference-8" would parse "reference-8" as a
-	// budget and fail.
-	if strings.HasPrefix(name, "tage-reference-") {
-		kbStr := strings.TrimSuffix(strings.TrimPrefix(name, "tage-reference-"), "kb")
-		kb, err := strconv.Atoi(kbStr)
-		if err != nil || kb <= 0 {
-			return nil, fmt.Errorf("zoo: bad TAGE budget in %q", name)
-		}
-		return tage.NewReference(tage.NewConfig(kb)), nil
-	}
 	for _, prefix := range []string{"tage-sc-l-", "tage-"} {
 		if strings.HasPrefix(name, prefix) {
 			kbStr := strings.TrimSuffix(strings.TrimPrefix(name, prefix), "kb")
@@ -81,7 +68,6 @@ func Names() []string {
 		"bimodal", "gshare", "gselect", "local", "perceptron", "ppm",
 		"loop", "tournament", "static-taken", "static-not-taken",
 		"tage-sc-l-8", "tage-sc-l-64", "tage-sc-l-256", "tage-sc-l-1024",
-		"tage-reference-8",
 	}
 	sort.Strings(names)
 	return names

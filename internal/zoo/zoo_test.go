@@ -42,23 +42,6 @@ func TestTAGEBudgetParsing(t *testing.T) {
 	}
 }
 
-func TestTAGEReferenceParsing(t *testing.T) {
-	// The reference prefix must not fall through to the generic "tage-"
-	// budget parser ("reference-8" is not a budget).
-	p, err := New("tage-reference-8")
-	if err != nil {
-		t.Fatalf("New(tage-reference-8): %v", err)
-	}
-	if p.Name() != "tage-sc-l-8KB-reference" {
-		t.Errorf("Name() = %q", p.Name())
-	}
-	for _, bad := range []string{"tage-reference-", "tage-reference-0", "tage-reference-abc"} {
-		if _, err := New(bad); err == nil {
-			t.Errorf("New(%q) accepted", bad)
-		}
-	}
-}
-
 func TestUnknownNameError(t *testing.T) {
 	_, err := New("frobnicator")
 	if err == nil {

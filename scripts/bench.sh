@@ -12,11 +12,15 @@
 #                                         store hit rate lands in the JSON as
 #                                         store_hit_rate
 #   BenchmarkCoreRun/observers={off,on} - block replay loop, fast path vs fan-out
-#   BenchmarkCoreRun/perinst-reference  - pre-block per-instruction loop (baseline)
+#   BenchmarkCoreRun/perinst-reference  - pre-block per-instruction loop (baseline):
+#                                         one interface Next call and one 40-byte
+#                                         copy per instruction, over an iterator
+#                                         local to bench_test.go
 #   BenchmarkTAGEPredictTrain/{packed,tage-reference}
-#                                       - the TAGE-SC-L engine alone: bit-packed
-#                                         struct-of-arrays vs the scalar
-#                                         array-of-structs engine it replaced
+#                                       - the TAGE-SC-L engine alone (internal/tage):
+#                                         bit-packed struct-of-arrays vs the scalar
+#                                         array-of-structs engine it replaced, the
+#                                         test-only Reference oracle
 #   BenchmarkTraceCacheHit              - cache serve-from-memory cost
 #   BenchmarkTraceCacheSlicedReplay/{resident,evicted}
 #                                       - slice-cache replay: zero-copy resident
@@ -108,7 +112,7 @@ trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
   -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$|BenchmarkScreen$|BenchmarkDepgraph$|BenchmarkCNNTrain$|BenchmarkStoreSlice$' \
-  -benchtime "$benchtime" . ./internal/pipeline ./internal/experiments ./internal/depgraph ./internal/cnn ./internal/tracestore | tee "$raw" >&2
+  -benchtime "$benchtime" . ./internal/tage ./internal/pipeline ./internal/experiments ./internal/depgraph ./internal/cnn ./internal/tracestore | tee "$raw" >&2
 
 awk -v benchtime="$benchtime" '
   /^Benchmark/ && /ns\/op/ {
