@@ -36,11 +36,9 @@ func Alloc(ctx context.Context, cfg Config) (*report.Artifact, error) {
 		func(s *workload.Spec, tr trace.Replayable) allocResult {
 			rep, col := screenBranches(cfg, s, 0, tr)
 			set := rep.Set()
-			// The telemetry run needs no observer: allocations are
-			// recorded on the retire path the batch loop shares.
-			pred := tage.New(tage.Config8KB())
-			telemetry := pred.EnableAllocTracking()
-			core.RunBlocks(tr.BlockStream(0), pred)
+			// The 8KB pass behind the screening collected the
+			// telemetry: no predictor runs here.
+			telemetry := allocTelemetry(cfg, s, tr)
 			var res allocResult
 			for _, b := range sortedTotals(col) {
 				if b.Execs < 32 {
@@ -81,88 +79,62 @@ func Alloc(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	return a, nil
 }
 
+// cnnBenchmarks are the §V-C helper targets: each benchmark's top H2P
+// heavy hitter gets one helper.
+var cnnBenchmarks = []string{"605.mcf_s", "657.xz_s", "641.leela_s"}
+
 // CNN reproduces the §V-C demonstration: offline-trained 2-bit CNN helper
 // predictors, trained on traces from multiple application inputs, beat
 // the online TAGE-SC-L baseline on the specific H2Ps they target when
 // deployed on an unseen input.
+//
+// It runs as two engine stages, so no unit ever waits on another. Stage
+// 1 runs the trainings (units 0..n-1, the longest, dispatched first)
+// and then the unseen-input preparations (units n..2n-1), which replay
+// the deployment with no helper attached. Stage 2 scores each trained
+// model on its preparation's history snapshots and runs no predictor.
 func CNN(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	a := &report.Artifact{ID: "cnn", Title: "CNN helper predictors on H2P heavy hitters"}
 	mcfg := cnn.DefaultConfig()
 	tab := report.NewTable("", "benchmark", "H2P", "TAGE acc", "helper acc", "improvement")
 	var improved, total int
 
-	// One work unit per benchmark: train offline on early inputs, deploy
-	// on an unseen one. Units that find no usable H2P return nil.
+	// Units for a benchmark with no usable H2P return nil.
+	type cnnPart struct {
+		model  *cnn.Model
+		deploy *cnnDeploy
+	}
+	n := len(cnnBenchmarks)
+	parts, err := engine.MapErr(ctx, cfg.Pool(), 2*n, func(ctx context.Context, i int) (cnnPart, error) {
+		if i < n {
+			m, err := cnnTrain(ctx, cfg, mcfg, cnnBenchmarks[i])
+			return cnnPart{model: m}, err
+		}
+		dep, err := cnnPrepare(ctx, cfg, mcfg, cnnBenchmarks[i-n])
+		return cnnPart{deploy: dep}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	type cnnRow struct {
 		cells  []string
 		better bool
 	}
-	rows, err := engine.MapSliceErr(ctx, cfg.Pool(), []string{"605.mcf_s", "657.xz_s", "641.leela_s"},
-		func(ctx context.Context, s string, _ int) (*cnnRow, error) {
-			spec, ok := workload.ByName(s)
-			if !ok {
-				return nil, nil
-			}
-			tr0, err := cfg.RecordTrace(ctx, spec, 0)
-			if err != nil {
-				return nil, err
-			}
-			target := topHeavyHitter(cfg, spec, tr0)
-			if target == 0 {
-				return nil, nil
-			}
-			// Offline training: samples aggregated over the first two
-			// inputs, replaying the already-recorded input-0 trace.
-			var samples []cnn.Sample
-			trainInputs := 2
-			if spec.NumInputs < 2 {
-				trainInputs = 1
-			}
-			for in := 0; in < trainInputs; in++ {
-				tr := tr0
-				if in > 0 {
-					if tr, err = cfg.RecordTrace(ctx, spec, in); err != nil {
-						return nil, err
-					}
-				}
-				// The history collector reads resolved directions only
-				// (its Branch callback is a no-op): no predictor needed.
-				hc := cnn.NewHistoryCollector(mcfg, target)
-				core.ObserveBlocks(tr.BlockStream(0), hc)
-				samples = append(samples, hc.Samples...)
-			}
-			model := cnn.NewModel(mcfg)
-			model.Train(samples)
-
-			// Deployment: an input never seen during training.
-			evalInput := trainInputs % spec.NumInputs
-			evalTrace, err := cfg.RecordTrace(ctx, spec, evalInput)
-			if err != nil {
-				return nil, err
-			}
-
-			// The baseline eval pass is exactly a screening run of the
-			// eval input; the memoized collector serves it.
-			_, colBase := screenBranches(cfg, spec, evalInput, evalTrace)
-			baseStats := colBase.Totals()[target]
-			if baseStats == nil || baseStats.Execs == 0 {
-				return nil, nil
-			}
-
-			overlay := cnn.NewOverlay(mcfg, tage.New(tage.Config8KB()))
-			overlay.Attach(target, model)
-			colHelper := core.NewCollector(cfg.SliceLen)
-			core.RunBlocks(evalTrace.BlockStream(0), overlay, colHelper)
-			helperStats := colHelper.Totals()[target]
-
-			baseAcc := baseStats.Accuracy()
-			helperAcc := helperStats.Accuracy()
-			return &cnnRow{
-				cells: []string{s, fmt.Sprintf("%#x", target), f3(baseAcc), f3(helperAcc),
-					fmt.Sprintf("%+.1f%%", 100*(helperAcc-baseAcc))},
-				better: helperAcc > baseAcc,
-			}, nil
-		})
+	rows, err := engine.MapErr(ctx, cfg.Pool(), n, func(_ context.Context, i int) (*cnnRow, error) {
+		m, dep := parts[i].model, parts[n+i].deploy
+		if m == nil || dep == nil {
+			return nil, nil
+		}
+		helper := dep.score(m)
+		baseAcc := dep.base.Accuracy()
+		helperAcc := helper.Accuracy()
+		return &cnnRow{
+			cells: []string{cnnBenchmarks[i], fmt.Sprintf("%#x", dep.hist.Target), f3(baseAcc), f3(helperAcc),
+				fmt.Sprintf("%+.1f%%", 100*(helperAcc-baseAcc))},
+			better: helperAcc > baseAcc,
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -181,4 +153,135 @@ func CNN(ctx context.Context, cfg Config) (*report.Artifact, error) {
 		"%d/%d helpers beat the online baseline on an unseen input; weights quantized to 2-bit magnitudes for deployment",
 		improved, total))
 	return a, nil
+}
+
+// cnnTarget is the named benchmark's top H2P heavy hitter on input 0,
+// from the memoized screening (0 when the benchmark is unknown or has
+// none). Both stage-1 units of a benchmark ask for it. The memo
+// computes it once; a unit that finds it in flight waits only on that
+// computation, which the unit running it finishes.
+func cnnTarget(ctx context.Context, cfg Config, name string) (*workload.Spec, trace.Replayable, uint64, error) {
+	spec, ok := workload.ByName(name)
+	if !ok {
+		return nil, nil, 0, nil
+	}
+	tr0, err := cfg.RecordTrace(ctx, spec, 0)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return spec, tr0, topHeavyHitter(cfg, spec, tr0), nil
+}
+
+// cnnInputs returns how many inputs a helper trains on (the first two,
+// or one) and the unseen input it is deployed on.
+func cnnInputs(spec *workload.Spec) (train, eval int) {
+	train = 2
+	if spec.NumInputs < 2 {
+		train = 1
+	}
+	return train, train % spec.NumInputs
+}
+
+// cnnTrain trains the named benchmark's helper offline: samples
+// aggregated over the training inputs, replaying the already-recorded
+// input-0 trace. It returns nil when there is no target.
+func cnnTrain(ctx context.Context, cfg Config, mcfg cnn.Config, name string) (*cnn.Model, error) {
+	spec, tr0, target, err := cnnTarget(ctx, cfg, name)
+	if err != nil || target == 0 {
+		return nil, err
+	}
+	trainInputs, _ := cnnInputs(spec)
+	var samples []cnn.Sample
+	for in := 0; in < trainInputs; in++ {
+		tr := tr0
+		if in > 0 {
+			if tr, err = cfg.RecordTrace(ctx, spec, in); err != nil {
+				return nil, err
+			}
+		}
+		// The history collector reads resolved directions only (its
+		// Branch callback is a no-op): no predictor needed.
+		hc := cnn.NewHistoryCollector(mcfg, target)
+		core.ObserveBlocks(tr.BlockStream(0), hc)
+		samples = append(samples, hc.Samples...)
+	}
+	model := cnn.NewModel(mcfg)
+	model.Train(samples)
+	return model, nil
+}
+
+// cnnPrepare prepares the named benchmark's deployment on its unseen
+// input: the baseline statistics, and a replay of the overlay
+// deployment with no helper attached. It returns nil when there is no
+// target or the target never executes on that input.
+func cnnPrepare(ctx context.Context, cfg Config, mcfg cnn.Config, name string) (*cnnDeploy, error) {
+	spec, _, target, err := cnnTarget(ctx, cfg, name)
+	if err != nil || target == 0 {
+		return nil, err
+	}
+	_, evalInput := cnnInputs(spec)
+	evalTrace, err := cfg.RecordTrace(ctx, spec, evalInput)
+	if err != nil {
+		return nil, err
+	}
+	// The baseline eval pass is exactly a screening run of the eval
+	// input; the memoized collector serves it.
+	_, colBase := screenBranches(cfg, spec, evalInput, evalTrace)
+	base := colBase.Totals()[target]
+	if base == nil || base.Execs == 0 {
+		return nil, nil
+	}
+	// A helper changes neither the overlay's base predictor (Train
+	// always trains it with its own prediction) nor its history, so a
+	// helper-free replay sees every base prediction and history window
+	// the deployment does.
+	dep := &cnnDeploy{base: *base, hist: cnn.NewHistoryCollector(mcfg, target)}
+	core.RunBlocks(evalTrace.BlockStream(0), cnn.NewOverlay(mcfg, tage.New(tage.Config8KB())), dep)
+	return dep, nil
+}
+
+// cnnDeploy is one helper's prepared deployment: the target's baseline
+// statistics, and an observer of the helper-free overlay replay. Its
+// HistoryCollector keeps the overlay's history bookkeeping and
+// snapshots the HistLen window at each target execution that has one;
+// execs holds every target execution's base prediction and outcome.
+type cnnDeploy struct {
+	base  core.BranchStats
+	hist  *cnn.HistoryCollector
+	execs []deployExec
+}
+
+type deployExec struct{ base, taken bool }
+
+// Inst implements core.Observer.
+func (d *cnnDeploy) Inst(i uint64, inst *trace.Inst) { d.hist.Inst(i, inst) }
+
+// Branch implements core.Observer.
+func (d *cnnDeploy) Branch(_ uint64, inst *trace.Inst, pred bool) {
+	if inst.IP == d.hist.Target {
+		d.execs = append(d.execs, deployExec{pred, inst.Taken})
+	}
+}
+
+// score returns the target's statistics with m attached: what a
+// core.Collector records for it over the overlay deployment. The
+// overlay consults a helper once its history holds HistLen branches,
+// and the history never shrinks below that again, so the snapshots
+// belong to the last len(Samples) executions; the earlier ones keep the
+// base prediction.
+func (d *cnnDeploy) score(m *cnn.Model) core.BranchStats {
+	var st core.BranchStats
+	samples := d.hist.Samples
+	first := len(d.execs) - len(samples)
+	for k, e := range d.execs {
+		pred := e.base
+		if k >= first {
+			pred = m.Predict(samples[k-first].Slots)
+		}
+		st.Execs++
+		if pred != e.taken {
+			st.Mispreds++
+		}
+	}
+	return st
 }

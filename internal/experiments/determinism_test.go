@@ -16,7 +16,9 @@ const instBytes = int64(unsafe.Sizeof(trace.Inst{}))
 // The engine's contract is that a parallel run merges work-unit results
 // in submission order, so the rendered artifact of every experiment is
 // byte-identical to a 1-worker run. fig5 exercises the trace-sharing
-// IPC sweeps, table3 the per-benchmark analysis units.
+// IPC sweeps, table3 the per-benchmark analysis units, alloc the
+// telemetry read from the shared 8KB pass, and cnn the two-stage
+// driver whose units run in a different order at every worker count.
 
 func parallelWorkers() int {
 	if n := runtime.NumCPU(); n > 1 {
@@ -31,7 +33,7 @@ func TestParallelArtifactsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	for _, id := range []string{"fig5", "table3"} {
+	for _, id := range []string{"fig5", "table3", "alloc", "cnn"} {
 		t.Run(id, func(t *testing.T) {
 			r, ok := ByID(id)
 			if !ok {

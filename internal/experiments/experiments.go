@@ -391,10 +391,39 @@ func annotation(cfg Config, s *workload.Spec, tr trace.Replayable) *pipeline.Ann
 // oracle regime over that predictor and, at 8KB, by the input's H2P
 // screening.
 func tageOutcomes(cfg Config, s *workload.Spec, input int, tr trace.Replayable, kb int) *pipeline.Outcomes {
+	return tagePass(cfg, s, input, tr, kb).out
+}
+
+// allocTelemetry is TAGE-SC-L 8KB's tagged-entry allocation telemetry
+// over tr, s's input-0 trace. The pass that computes the 8KB outcome
+// stream collects it, so the alloc driver reads the stream the
+// screening and the tage-8kb cells share and runs no predictor of its
+// own. s must be a SPECint workload.
+func allocTelemetry(cfg Config, s *workload.Spec, tr trace.Replayable) *tage.AllocStats {
+	return tagePass(cfg, s, 0, tr, 8).allocs
+}
+
+// tageStream is one TAGE-SC-L prediction pass: its outcome stream and,
+// on the streams alloc reads (SPECint input 0 at 8KB), the allocation
+// telemetry collected along the way (nil elsewhere).
+type tageStream struct {
+	out    *pipeline.Outcomes
+	allocs *tage.AllocStats
+}
+
+// tagePass is the pass table behind tageOutcomes and allocTelemetry.
+// Tracking allocations changes no prediction, so the outcome stream is
+// the same with or without it.
+func tagePass(cfg Config, s *workload.Spec, input int, tr trace.Replayable, kb int) tageStream {
 	key := fmt.Sprintf("pred/%s/%d/%d/tage-%dkb", s.Name, input, cfg.Budget, kb)
 	return cfg.Cache.Pass(key, func() any {
-		return pipeline.Predict(tr.BlockStream(0), tage.New(tage.NewConfig(kb)))
-	}).(*pipeline.Outcomes)
+		pred := tage.New(tage.NewConfig(kb))
+		var allocs *tage.AllocStats
+		if kb == 8 && input == 0 && s.Suite == "specint2017" {
+			allocs = pred.EnableAllocTracking()
+		}
+		return tageStream{pipeline.Predict(tr.BlockStream(0), pred), allocs}
+	}).(tageStream)
 }
 
 // geomean of a slice (positives assumed).

@@ -54,6 +54,10 @@
 #   BenchmarkCNNTrain                   - training one §V-C helper model at the
 #                                         experiment configuration on a fixed
 #                                         sample set (internal/cnn)
+#   BenchmarkCNNHelper                  - the whole §V-C cnn driver on the Quick
+#                                         configuration, uncached: its training
+#                                         and deployment-replay stage, then its
+#                                         scoring stage
 #   BenchmarkStoreSlice/{write,verify}  - the persistent trace store on one
 #                                         200k-instruction slice
 #                                         (internal/tracestore): writing the
@@ -111,7 +115,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$|BenchmarkScreen$|BenchmarkDepgraph$|BenchmarkCNNTrain$|BenchmarkStoreSlice$' \
+  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$|BenchmarkScreen$|BenchmarkDepgraph$|BenchmarkCNNTrain$|BenchmarkCNNHelper$|BenchmarkStoreSlice$' \
   -benchtime "$benchtime" . ./internal/tage ./internal/pipeline ./internal/experiments ./internal/depgraph ./internal/cnn ./internal/tracestore | tee "$raw" >&2
 
 awk -v benchtime="$benchtime" '
@@ -164,6 +168,7 @@ BenchmarkPipelineScheduleWide
 BenchmarkScreen
 BenchmarkDepgraph
 BenchmarkCNNTrain
+BenchmarkCNNHelper
 BenchmarkStoreSlice/write
 BenchmarkStoreSlice/verify'
 missing=0
