@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -16,10 +15,11 @@ import (
 	"branchlab/internal/workload"
 )
 
-// TestAllocTelemetryMatchesStandaloneRun: the allocation telemetry the
-// shared 8KB pass collects is the telemetry of a standalone TAGE-SC-L
-// 8KB run over the same trace — the run the alloc driver made itself
-// before it read the shared stream — on every SPECint input-0 trace.
+// TestAllocTelemetryMatchesStandaloneRun: the allocation summary the
+// shared 8KB pass keeps reads exactly as the telemetry of a standalone
+// TAGE-SC-L 8KB run over the same trace — the run the alloc driver made
+// itself before it read the shared stream — through every accessor the
+// driver calls, for every allocating IP, on every SPECint input-0 trace.
 func TestAllocTelemetryMatchesStandaloneRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
@@ -35,9 +35,17 @@ func TestAllocTelemetryMatchesStandaloneRun(t *testing.T) {
 		if got == nil {
 			t.Fatalf("%s: the shared 8KB pass collected no allocation telemetry", s.Name)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: shared-pass telemetry differs from the standalone run (%d vs %d allocations)",
-				s.Name, got.TotalAllocs, want.TotalAllocs)
+		if got.total != want.TotalAllocs || len(got.perIP) != len(want.AllocsPerIP) {
+			t.Fatalf("%s: summary has %d allocations over %d IPs, the standalone run %d over %d",
+				s.Name, got.total, len(got.perIP), want.TotalAllocs, len(want.AllocsPerIP))
+		}
+		for ip := range want.AllocsPerIP {
+			if got.Allocs(ip) != want.Allocs(ip) || got.UniqueEntries(ip) != want.UniqueEntries(ip) ||
+				got.ShareOfAllocs(ip) != want.ShareOfAllocs(ip) {
+				t.Errorf("%s: IP %#x: summary (%d allocs, %d unique, share %v), standalone (%d, %d, %v)",
+					s.Name, ip, got.Allocs(ip), got.UniqueEntries(ip), got.ShareOfAllocs(ip),
+					want.Allocs(ip), want.UniqueEntries(ip), want.ShareOfAllocs(ip))
+			}
 		}
 	}
 }

@@ -399,7 +399,7 @@ func tageOutcomes(cfg Config, s *workload.Spec, input int, tr trace.Replayable, 
 // stream collects it, so the alloc driver reads the stream the
 // screening and the tage-8kb cells share and runs no predictor of its
 // own. s must be a SPECint workload.
-func allocTelemetry(cfg Config, s *workload.Spec, tr trace.Replayable) *tage.AllocStats {
+func allocTelemetry(cfg Config, s *workload.Spec, tr trace.Replayable) *allocSummary {
 	return tagePass(cfg, s, 0, tr, 8).allocs
 }
 
@@ -408,7 +408,7 @@ func allocTelemetry(cfg Config, s *workload.Spec, tr trace.Replayable) *tage.All
 // telemetry collected along the way (nil elsewhere).
 type tageStream struct {
 	out    *pipeline.Outcomes
-	allocs *tage.AllocStats
+	allocs *allocSummary
 }
 
 // tagePass is the pass table behind tageOutcomes and allocTelemetry.
@@ -418,12 +418,51 @@ func tagePass(cfg Config, s *workload.Spec, input int, tr trace.Replayable, kb i
 	key := fmt.Sprintf("pred/%s/%d/%d/tage-%dkb", s.Name, input, cfg.Budget, kb)
 	return cfg.Cache.Pass(key, func() any {
 		pred := tage.New(tage.NewConfig(kb))
-		var allocs *tage.AllocStats
-		if kb == 8 && input == 0 && s.Suite == "specint2017" {
-			allocs = pred.EnableAllocTracking()
+		if kb != 8 || input != 0 || s.Suite != "specint2017" {
+			return tageStream{out: pipeline.Predict(tr.BlockStream(0), pred)}
 		}
-		return tageStream{pipeline.Predict(tr.BlockStream(0), pred), allocs}
+		allocs := pred.EnableAllocTracking()
+		out := pipeline.Predict(tr.BlockStream(0), pred)
+		return tageStream{out, summarizeAllocs(allocs)}
 	}).(tageStream)
+}
+
+// allocSummary is the part of a pass's tage.AllocStats the alloc driver
+// reads, kept for the cache's lifetime in place of the collector: per
+// IP, the allocation count and the number of distinct slots allocated
+// (not the slot sets themselves), plus the total.
+type allocSummary struct {
+	perIP map[uint64]allocCount
+	total uint64
+}
+
+// allocCount is one IP's entry in an allocSummary.
+type allocCount struct {
+	allocs uint64
+	unique int
+}
+
+// summarizeAllocs reduces a finished pass's collector to its summary.
+func summarizeAllocs(a *tage.AllocStats) *allocSummary {
+	sum := &allocSummary{perIP: make(map[uint64]allocCount, len(a.AllocsPerIP)), total: a.TotalAllocs}
+	for ip, n := range a.AllocsPerIP {
+		sum.perIP[ip] = allocCount{allocs: n, unique: a.UniqueEntries(ip)}
+	}
+	return sum
+}
+
+// Allocs is tage.AllocStats.Allocs over the summary.
+func (a *allocSummary) Allocs(ip uint64) uint64 { return a.perIP[ip].allocs }
+
+// UniqueEntries is tage.AllocStats.UniqueEntries over the summary.
+func (a *allocSummary) UniqueEntries(ip uint64) int { return a.perIP[ip].unique }
+
+// ShareOfAllocs is tage.AllocStats.ShareOfAllocs over the summary.
+func (a *allocSummary) ShareOfAllocs(ip uint64) float64 {
+	if a.total == 0 {
+		return 0
+	}
+	return float64(a.perIP[ip].allocs) / float64(a.total)
 }
 
 // geomean of a slice (positives assumed).

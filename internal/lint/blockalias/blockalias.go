@@ -8,8 +8,9 @@
 // shared backing storage (a cached trace's slice array, a generator's
 // batch buffer) that is valid only until the next NextBlock call.
 // The tracestore.Pin contract is the same bug with a longer fuse:
-// PinnedInsts hands out a window into an mmap'd store file that is
-// valid only until the pin's store is closed. Storing either slice
+// PinnedInsts hands out a window into an mmap'd store file that may be
+// read only until the pin's Unpin (the store releases the mapping's
+// pages after its last pin and unmaps it at Close). Storing either slice
 // anywhere that outlives the call site — a struct field, a channel, an
 // element of a longer-lived slice or map, a package-level variable, a
 // return value — aliases storage the stream will overwrite or the
@@ -47,7 +48,7 @@ var Analyzer = &analysis.Analyzer{
 // alias shared storage with a bounded lifetime.
 var sourceMethods = map[string]bool{
 	"NextBlock":   true, // valid until the next NextBlock call
-	"PinnedInsts": true, // valid until the pin's store is closed
+	"PinnedInsts": true, // valid until the pin's Unpin
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

@@ -44,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"unsafe"
 
@@ -188,10 +189,25 @@ type sliceEnt struct {
 	bytes int64
 	elem  *list.Element // LRU position; nil while evicted or in flight
 	ready chan struct{}
-	// pin holds the store pin when insts is a disk-promoted mmap view;
-	// eviction unpins it (the bytes themselves stay valid until the
-	// store closes, so streams already holding blocks are unaffected).
+	// pin is the RAM tier's store reference when insts is a
+	// disk-promoted mmap view; eviction unpins it. Streams reading the
+	// slice hold references of their own, so eviction never pulls bytes
+	// from under a replay.
 	pin *tracestore.Pin
+}
+
+// heldPins is the set of store pins the RAM tier holds for its resident
+// promoted slices (under Cache.mu). It lives apart from the Cache so
+// that a cleanup can release the pins once the cache is collected
+// without keeping the cache reachable; by then no other goroutine can
+// reach the set.
+type heldPins map[*tracestore.Pin]struct{}
+
+// release unpins every held pin: the cleanup of a collected cache.
+func (h heldPins) release() {
+	for p := range h {
+		p.Unpin()
+	}
 }
 
 // lo returns the global index of the slice's first instruction.
@@ -313,6 +329,7 @@ type Cache struct {
 	entries    map[key]*entry
 	memos      map[string]*memoEntry
 	lru        list.List // front = least recently used slice
+	held       heldPins  // store pins of resident promoted slices
 	stats      Stats
 }
 
@@ -333,8 +350,12 @@ func NewSliced(maxBytes int64, sliceInsts uint64) *Cache {
 		sliceInsts: sliceInsts,
 		entries:    make(map[key]*entry),
 		memos:      make(map[string]*memoEntry),
+		held:       make(heldPins),
 	}
 	c.lru.Init()
+	// A dropped cache releases its resident slices' store pins, so their
+	// mappings' pages can go even if the store outlives the cache.
+	runtime.AddCleanup(c, heldPins.release, c.held)
 	return c
 }
 
@@ -602,9 +623,12 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 }
 
 // pin returns slice si's instruction array, re-materializing it under
-// per-slice singleflight if it was evicted. The caller keeps the array
-// alive independently of any subsequent eviction.
-func (c *Cache) pin(e *entry, si int) []trace.Inst {
+// per-slice singleflight if it was evicted, plus the caller's own store
+// reference when the array is a store mapping (nil otherwise). The
+// caller keeps the array alive independently of any subsequent
+// eviction — a heap array by holding it, a mapping by holding the pin —
+// and unpins once it is done with the array.
+func (c *Cache) pin(e *entry, si int) ([]trace.Inst, *tracestore.Pin) {
 	c.mu.Lock()
 	for {
 		se := e.slices[si]
@@ -613,9 +637,9 @@ func (c *Cache) pin(e *entry, si int) []trace.Inst {
 			if se.elem != nil {
 				c.lru.MoveToBack(se.elem)
 			}
-			data := se.insts
+			data, ref := se.insts, se.ref()
 			c.mu.Unlock()
-			return data
+			return data, ref
 		}
 		if se.ready != nil {
 			// Re-record in flight on another goroutine; wait and retry
@@ -670,12 +694,16 @@ func (c *Cache) pin(e *entry, si int) []trace.Inst {
 		done = true
 
 		c.mu.Lock()
-		// The cache is the pin's owner: the slice is retained together
-		// with se.pin, unpinned at eviction, and the backing mapping
-		// outlives every replay (store close ordering, DESIGN.md §11).
+		// The RAM tier owns pin: the slice is retained together with
+		// se.pin and unpinned at eviction (or when the cache is
+		// collected); the caller gets a reference of its own below.
 		//lint:ignore blockalias the entry owns the pin for the slice's resident lifetime
 		se.insts = data
 		se.pin = pin
+		if pin != nil {
+			c.held[pin] = struct{}{}
+		}
+		ref := se.ref()
 		se.bytes = int64(len(data)) * instBytes
 		close(se.ready)
 		se.ready = nil
@@ -703,11 +731,20 @@ func (c *Cache) pin(e *entry, si int) []trace.Inst {
 			_ = e.store.WriteSlice(e.skey, si, data)
 		}
 		// Serving materialized slice contents to replays is the view
-		// contract; the entry keeps the pin alive until the slice is
-		// evicted, and the mapping until the store closes.
-		//lint:ignore blockalias the entry keeps the pin (and its mapping) alive for every served replay
-		return data
+		// contract; ref keeps a promoted slice's mapping resident until
+		// the caller unpins it.
+		//lint:ignore blockalias the caller holds ref (its own reference to the mapping) for as long as it reads data
+		return data, ref
 	}
+}
+
+// ref returns a new store reference to se's mapping for a stream about
+// to read it, or nil when se is a heap array (caller holds mu).
+func (se *sliceEnt) ref() *tracestore.Pin {
+	if se.pin == nil {
+		return nil
+	}
+	return se.pin.Ref()
 }
 
 // Memo returns the value computed by fn for key, computing it at most
@@ -827,8 +864,9 @@ func (c *Cache) evictLocked() {
 		se.insts = nil
 		if se.pin != nil {
 			// Disk-promoted slice: demotion is free — the bytes are
-			// already on disk, so dropping the pin is the whole write-back
-			// (streams holding blocks stay valid until the store closes).
+			// already on disk, so dropping the RAM tier's pin is the whole
+			// write-back (streams reading the slice hold their own).
+			delete(c.held, se.pin)
 			se.pin.Unpin()
 			se.pin = nil
 		}
@@ -906,32 +944,73 @@ func (v *view) BlockStream(n int) trace.BlockStream {
 
 // viewStream reads a view in trace order. It implements
 // trace.BlockStream; blocks are zero-copy windows of one slice array,
-// clipped to the view and to blockCap when set.
+// clipped to the view and to blockCap when set. The stream pins the
+// slice it is reading once, keeps it across NextBlock calls within the
+// slice, and lets it go when it moves to the next slice or ends.
 type viewStream struct {
 	v        *view
 	pos      int // next unserved view-relative index
 	blockCap int
+	si       int          // slice index of cur
+	cur      []trace.Inst // the slice array being read; nil before the first and after the last block
+	hold     *streamPin   // cur's store reference when cur is a mapping; nil until the first one
 }
 
-// NextBlock implements trace.BlockStream: it pins the slice containing
-// the next instruction and returns the largest servable window of it.
+// streamPin is a stream's store reference to the promoted slice it is
+// reading. It lives apart from the stream so that a cleanup can release
+// the reference of a stream abandoned mid-slice once the stream is
+// collected.
+type streamPin struct{ p *tracestore.Pin }
+
+// release drops the held reference, if any.
+func (h *streamPin) release() {
+	if h.p != nil {
+		h.p.Unpin()
+		h.p = nil
+	}
+}
+
+// NextBlock implements trace.BlockStream: it serves the largest
+// servable window of the slice containing the next instruction,
+// pinning that slice first if the stream is not already reading it.
 func (s *viewStream) NextBlock() []trace.Inst {
 	if s.pos >= s.v.n {
+		s.drop()
 		return nil
 	}
 	e := s.v.e
 	g := uint64(s.v.off + s.pos)
 	si := int(g / e.sliceLen)
-	data := s.v.c.pin(e, si)
+	if s.cur == nil || si != s.si {
+		s.drop()
+		var ref *tracestore.Pin
+		s.cur, ref = s.v.c.pin(e, si)
+		s.si = si
+		if ref != nil {
+			if s.hold == nil {
+				s.hold = &streamPin{}
+				runtime.AddCleanup(s, (*streamPin).release, s.hold)
+			}
+			s.hold.p = ref
+		}
+	}
 	so := int(g - uint64(si)*e.sliceLen)
-	end := len(data)
+	end := len(s.cur)
 	if rem := s.v.n - s.pos; end-so > rem {
 		end = so + rem
 	}
 	if s.blockCap > 0 && end-so > s.blockCap {
 		end = so + s.blockCap
 	}
-	blk := data[so:end:end]
+	blk := s.cur[so:end:end]
 	s.pos += len(blk)
 	return blk
+}
+
+// drop lets go of the slice the stream was reading.
+func (s *viewStream) drop() {
+	s.cur = nil
+	if s.hold != nil {
+		s.hold.release()
+	}
 }

@@ -14,7 +14,9 @@ const mmapSupported = false
 // mapFile is the portability fallback for hosts without syscall.Mmap:
 // the file is read whole into a heap buffer. One copy instead of zero,
 // identical bytes, identical verification — the rest of the store
-// cannot tell the difference (mapped=false skips munmap on Close).
+// cannot tell the difference (mapped=false skips munmap on Close and
+// the page release when a buffer's last pin goes: a heap copy stays
+// resident until Close).
 func mapFile(f *os.File, size int64) (data []byte, mapped bool, err error) {
 	if size == 0 {
 		return nil, false, nil

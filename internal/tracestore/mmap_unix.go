@@ -15,7 +15,11 @@ const mmapSupported = true
 // mapped read-only and shared, so the returned bytes alias the page
 // cache and cost no copy. The mapping stays valid until munmap — the
 // store holds every mapping until Close, which is what lets pinned
-// slices outlive RAM-tier eviction (DESIGN.md §11).
+// slices outlive RAM-tier eviction (DESIGN.md §11). Residency is
+// separate from validity: when a mapping's last pin goes, releasePages
+// drops its pages from the process (MADV_DONTNEED on Linux), and a
+// later read refaults the same bytes from the page cache — a shared
+// read-only file mapping has no private pages a release could lose.
 func mapFile(f *os.File, size int64) (data []byte, mapped bool, err error) {
 	if size == 0 {
 		return nil, false, nil

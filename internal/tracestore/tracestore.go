@@ -14,9 +14,15 @@
 // capped, corrupted, or wiped without any run's artifacts changing.
 //
 // Concurrency: all methods are safe for concurrent use. Mappings are
-// cached per slice file and held until Close, so a pinned slice stays
-// valid across both RAM-tier eviction and disk-tier (cap) eviction of
-// its backing file — an unlinked mapping remains readable. Close
+// verified once, cached per slice file and held until Close, so a
+// pinned slice stays valid across both RAM-tier eviction and disk-tier
+// (cap) eviction of its backing file — an unlinked mapping remains
+// readable. Each Pin owns one reference to its mapping (PinSlice and
+// Pin.Ref add one, Unpin drops it); when the last reference goes, the
+// store releases the mapping's pages to the kernel (madvise
+// MADV_DONTNEED) but keeps the mapping and its verification, so the
+// resident set follows the live pins while a later pin, or a stale
+// reader, refaults the same verified bytes from the page cache. Close
 // invalidates every pin; callers close the store only after all
 // replays using it have completed.
 package tracestore
@@ -52,11 +58,14 @@ type Store struct {
 }
 
 // mapping is one loaded slice file: the raw bytes (mmap'd or, on the
-// portable fallback, heap-read) and the verified instruction view.
+// portable fallback, heap-read), the verified instruction view, and the
+// number of live pins on it (under Store.mu). raw is nil once Close
+// has unmapped it.
 type mapping struct {
 	raw    []byte
 	mapped bool // raw came from mmap and needs munmap at Close
 	insts  []trace.Inst
+	refs   int
 }
 
 // Stats are the store's monotonic counters (plus point-in-time
@@ -78,8 +87,16 @@ type Stats struct {
 	BytesOnDisk int64  // bytes across all stored trace directories
 	CapBytes    int64  // configured disk cap (0 = unbounded)
 	DirsEvicted uint64 // trace directories evicted by the disk cap
-	BytesMapped int64  // bytes currently mapped (or heap-resident) for serving
+	BytesMapped int64  // bytes of verified mappings held until Close (address space, not resident pages)
 	MmapServing bool   // true when this build serves via mmap (zero-copy)
+
+	// BytesResident is the size of the mappings with at least one live
+	// pin: the store's share of the resident set where the last unpin
+	// releases pages (Linux mmap serving; elsewhere released mappings
+	// stay resident up to BytesMapped). PeakResident is its high-water
+	// mark.
+	BytesResident int64
+	PeakResident  int64
 }
 
 // Table renders the counters as a report table (for stderr diagnostics).
@@ -87,7 +104,7 @@ func (s Stats) Table() *report.Table {
 	t := report.NewTable("trace store",
 		"hdr hits", "hdr misses", "slice hits", "slice misses", "rejects",
 		"writes", "skips", "io errors",
-		"traces", "MiB on disk", "MiB cap", "evicted", "serving")
+		"traces", "MiB on disk", "MiB cap", "evicted", "serving", "MiB resident")
 	capMiB := "unbounded"
 	if s.CapBytes > 0 {
 		capMiB = fmt.Sprintf("%.1f", float64(s.CapBytes)/(1<<20))
@@ -109,17 +126,19 @@ func (s Stats) Table() *report.Table {
 		fmt.Sprintf("%.1f", float64(s.BytesOnDisk)/(1<<20)),
 		capMiB,
 		fmt.Sprintf("%d", s.DirsEvicted),
-		serving)
+		serving,
+		fmt.Sprintf("%.1f", float64(s.BytesResident)/(1<<20)))
 	return t
 }
 
 // String is a single-line rendering of the counters.
 func (s Stats) String() string {
-	return fmt.Sprintf("hdr=%d/%d slice=%d/%d rejects=%d writes=%d+%d skips=%d ioerr=%d/%d traces=%d bytes=%d evicted=%d",
+	return fmt.Sprintf("hdr=%d/%d slice=%d/%d rejects=%d writes=%d+%d skips=%d ioerr=%d/%d traces=%d bytes=%d evicted=%d resident=%d/%d",
 		s.HeaderHits, s.HeaderHits+s.HeaderMisses,
 		s.SliceHits, s.SliceHits+s.SliceMisses,
 		s.Rejects, s.HeaderWrites, s.SliceWrites, s.WriteSkips,
-		s.WriteErrors, s.ReadErrors, s.Traces, s.BytesOnDisk, s.DirsEvicted)
+		s.WriteErrors, s.ReadErrors, s.Traces, s.BytesOnDisk, s.DirsEvicted,
+		s.BytesResident, s.PeakResident)
 }
 
 // WriteStats writes s's counters table to w — the one rendering both
@@ -420,12 +439,16 @@ func (s *Store) atomicWrite(dir, path string, fill func(*os.File) error) error {
 }
 
 // Pin is one served slice: a verified instruction view over store-owned
-// memory. The view stays valid until Store.Close regardless of RAM- or
-// disk-tier eviction, but holding instruction slices past Unpin is the
-// same bug class as retaining a trace.BlockStream block — the
-// blockalias analyzer enforces the discipline statically.
+// memory, holding one reference to its mapping until Unpin. While any
+// pin on a mapping is live its pages may stay resident; the last Unpin
+// releases them. Holding instruction slices past Unpin is the same bug
+// class as retaining a trace.BlockStream block — the blockalias
+// analyzer enforces the discipline statically. (A stale reader still
+// reads the verified bytes, refaulted from the page cache, until the
+// store closes; it only costs residency the store no longer counts.)
 type Pin struct {
 	s     *Store
+	m     *mapping // nil once unpinned
 	insts []trace.Inst
 }
 
@@ -433,15 +456,60 @@ type Pin struct {
 // retain it (or any subslice) past Unpin.
 func (p *Pin) PinnedInsts() []trace.Inst { return p.insts }
 
-// Unpin releases the pin. The mapping itself stays cached for future
-// pins of the same file; Unpin only ends this caller's right to the
-// bytes.
+// Ref returns a new pin holding its own reference to p's mapping, so
+// the two can be released independently. Ref of an unpinned pin
+// returns an unpinned pin.
+func (p *Pin) Ref() *Pin {
+	p.s.mu.Lock()
+	defer p.s.mu.Unlock()
+	if p.m == nil || p.m.raw == nil {
+		return &Pin{s: p.s} // unpinned, or its store closed
+	}
+	p.s.refLocked(p.m)
+	//lint:ignore storegate the pinned mapping passed verifySliceFile in PinSlice before p was handed out; the taint engine's aliasing over-approximation cannot see that
+	return &Pin{s: p.s, m: p.m, insts: p.insts}
+}
+
+// Unpin drops the pin's reference; the last reference to a mapping
+// releases its pages. Unpinning twice is a no-op, as is unpinning
+// after Close.
 func (p *Pin) Unpin() {
+	p.s.mu.Lock()
+	defer p.s.mu.Unlock()
+	if p.m == nil {
+		return
+	}
+	p.s.unrefLocked(p.m)
+	p.m = nil
 	p.insts = nil
 }
 
+// refLocked adds one reference to m, counting its bytes resident on
+// the first.
+func (s *Store) refLocked(m *mapping) {
+	m.refs++
+	if m.refs == 1 && m.raw != nil {
+		s.stats.BytesResident += int64(len(m.raw))
+		s.stats.PeakResident = max(s.stats.PeakResident, s.stats.BytesResident)
+	}
+}
+
+// unrefLocked drops one reference to m and, on the last, hands its
+// pages back to the kernel. The mapping stays, verified, for the next
+// pin; a mapping Close already released has nothing left to return.
+func (s *Store) unrefLocked(m *mapping) {
+	m.refs--
+	if m.refs == 0 && m.raw != nil {
+		s.stats.BytesResident -= int64(len(m.raw))
+		if m.mapped {
+			releasePages(m.raw)
+		}
+	}
+}
+
 // PinSlice serves slice idx of k's recording as a verified zero-copy
-// instruction view. wantCount is the instruction count the caller's
+// instruction view, holding one reference to its mapping until the
+// returned pin's Unpin. wantCount is the instruction count the caller's
 // trace geometry requires; any stored file disagreeing with it — or
 // failing any integrity check — is deleted and rejected. ErrNotFound
 // is a clean miss. Safe on a nil store.
@@ -456,9 +524,10 @@ func (s *Store) PinSlice(k Key, idx int, wantCount uint64) (*Pin, error) {
 	if m, ok := s.maps[path]; ok {
 		s.stats.SliceHits++
 		s.touchLocked(name)
+		s.refLocked(m)
 		s.mu.Unlock()
 		//lint:ignore storegate the cached mapping passed verifySliceFile when it entered s.maps below; the taint engine's aliasing over-approximation cannot see that
-		return &Pin{s: s, insts: m.insts}, nil
+		return &Pin{s: s, m: m, insts: m.insts}, nil
 	}
 	s.mu.Unlock()
 
@@ -495,30 +564,33 @@ func (s *Store) PinSlice(k Key, idx int, wantCount uint64) (*Pin, error) {
 		s.rejectFile(path, name, int64(len(raw)))
 		return nil, err
 	}
-	m := &mapping{
+	m := s.adopt(path, name, &mapping{
 		raw:    raw,
 		mapped: mapped,
 		insts:  payloadInsts(raw[sliceHeaderSize:], wantCount),
-	}
+	})
+	return &Pin{s: s, m: m, insts: m.insts}, nil
+}
 
+// adopt caches m, a freshly verified mapping of path in trace directory
+// name, and takes one reference on the mapping the store keeps: m, or —
+// when another pinner of the same file got there first — theirs (both
+// verified the same bytes), in which case m is unmapped.
+func (s *Store) adopt(path, name string, m *mapping) *mapping {
 	s.mu.Lock()
-	if prior, ok := s.maps[path]; ok {
-		// Lost a race to another pinner of the same file; both
-		// verified the same bytes, keep theirs.
-		s.mu.Unlock()
-		if m.mapped {
-			unmapFile(m.raw)
-		}
-		m = prior
-	} else {
+	kept, lost := s.maps[path]
+	if !lost {
+		kept = m
 		s.maps[path] = m
-		s.mu.Unlock()
 	}
-	s.mu.Lock()
+	s.refLocked(kept)
 	s.stats.SliceHits++
 	s.touchLocked(name)
 	s.mu.Unlock()
-	return &Pin{s: s, insts: m.insts}, nil
+	if lost && m.mapped {
+		unmapFile(m.raw)
+	}
+	return kept
 }
 
 // rejectFile deletes one untrustworthy slice file and counts the
@@ -566,10 +638,11 @@ func (s *Store) noteReadError() {
 	s.mu.Unlock()
 }
 
-// Close releases every cached mapping. It must only be called once all
-// replays served by this store have completed: pins do not survive
-// Close. The store directory itself is left intact — that persistence
-// is the point. Safe on a nil store.
+// Close unmaps every cached mapping, pinned or not. It must only be
+// called once all replays served by this store have completed: pins do
+// not survive Close (their Unpin becomes a no-op). The store directory
+// itself is left intact — that persistence is the point. Safe on a nil
+// store.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
@@ -583,7 +656,9 @@ func (s *Store) Close() error {
 				first = fmt.Errorf("tracestore: %w", err)
 			}
 		}
+		m.raw, m.insts = nil, nil
 		delete(s.maps, path)
 	}
+	s.stats.BytesResident = 0
 	return first
 }
