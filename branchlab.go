@@ -138,17 +138,10 @@ func Run(bs BlockStream, p Predictor, obs ...Observer) RunStats {
 // Observe replays a block stream through observers with no predictor —
 // the fast path for analysis passes (dependency graphs, recurrence
 // tracking, BBV collection, register values, helper-training history)
-// whose observers ignore predictions.
+// whose observers ignore predictions. Observers see instruction
+// indices from 0, one per instruction, and each serves one pass: to
+// analyze a trace, observe it whole in a single sequential pass.
 func Observe(bs BlockStream, obs ...Observer) RunStats { return core.ObserveBlocks(bs, obs...) }
-
-// ObserveFrom is Observe with observers numbered from a base global
-// instruction index — the shard replay entry point: index-keyed
-// observers over slice-aligned ranges of one long trace (Buffer.Slice)
-// can run on separate workers and Merge back to the exact sequential
-// result (Collector.Merge, RecurrenceTracker.Merge, BBV merging).
-func ObserveFrom(bs BlockStream, base uint64, obs ...Observer) RunStats {
-	return core.ObserveBlocksFrom(bs, base, obs...)
-}
 
 // NewCollector returns a Collector with the given slice length.
 func NewCollector(sliceLen uint64) *Collector { return core.NewCollector(sliceLen) }

@@ -1,10 +1,10 @@
-// Branchlabvet is branchlab's custom vet tool: seven analyzers that
+// Branchlabvet is branchlab's custom vet tool: six analyzers that
 // statically enforce the contracts every byte-identity guarantee in
 // this repository rests on (DESIGN.md "Statically enforced
 // invariants").
 //
-// Four are intra-package (determinism, blockalias, checkpointpure,
-// mergecomplete); three exchange facts across package boundaries
+// Three are intra-package (determinism, blockalias, checkpointpure);
+// three exchange facts across package boundaries
 // through the vet driver's .vetx files (ctxflow, errcontract,
 // storegate — see DESIGN.md "Cross-package facts").
 //
@@ -37,7 +37,6 @@ import (
 	"branchlab/internal/lint/ctxflow"
 	"branchlab/internal/lint/determinism"
 	"branchlab/internal/lint/errcontract"
-	"branchlab/internal/lint/mergecomplete"
 	"branchlab/internal/lint/storegate"
 )
 
@@ -46,7 +45,6 @@ func main() {
 		determinism.Analyzer,
 		blockalias.Analyzer,
 		checkpointpure.Analyzer,
-		mergecomplete.Analyzer,
 		ctxflow.Analyzer,
 		errcontract.Analyzer,
 		storegate.Analyzer,

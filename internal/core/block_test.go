@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"branchlab/internal/bp"
-	"branchlab/internal/engine"
 	"branchlab/internal/trace"
 	"branchlab/internal/xrand"
 )
@@ -194,127 +192,32 @@ func TestObserveBlocksEquivalent(t *testing.T) {
 	}
 }
 
-// Splitting a trace at slice boundaries, observing each shard with
-// global indices, and merging the shard collectors must reproduce the
-// sequential collector exactly.
-func TestCollectorMergeMatchesSequential(t *testing.T) {
+// A trace that ends mid-slice closes with a partial slice: slices are
+// numbered from 0 in trace order and their instruction counts add up
+// to the run's.
+func TestObserveBlocksUnalignedTrace(t *testing.T) {
 	const sliceLen = 1_000
-	tr := randomTrace(10_500, 13) // deliberately not slice-aligned overall
-	want := NewCollector(sliceLen)
-	ObserveBlocks(tr.BlockStream(0), want)
-
-	for _, shardLen := range []int{sliceLen, 3 * sliceLen, 4_000} {
-		var parts []*Collector
-		for lo := 0; lo < tr.Len(); lo += shardLen {
-			hi := lo + shardLen
-			if hi > tr.Len() {
-				hi = tr.Len()
-			}
-			c := NewCollector(sliceLen)
-			st := ObserveBlocksFrom(tr.Slice(lo, hi).BlockStream(0), uint64(lo), c)
-			if st.Insts != uint64(hi-lo) {
-				t.Fatalf("shard stats counted %d insts, want %d", st.Insts, hi-lo)
-			}
-			parts = append(parts, c)
-		}
-		acc := parts[0]
-		for _, p := range parts[1:] {
-			acc.Merge(p)
-		}
-		assertCollectorsEqual(t, acc, want, "sharded")
+	tr := randomTrace(10_500, 13)
+	col := NewCollector(sliceLen)
+	st := ObserveBlocks(tr.BlockStream(0), col)
+	if st.Insts != 10_500 {
+		t.Fatalf("stats counted %d insts, want 10500", st.Insts)
 	}
-
-	// Mid-slice splits overlap a slice index; Merge must sum them.
-	a, b := NewCollector(sliceLen), NewCollector(sliceLen)
-	ObserveBlocksFrom(tr.Slice(0, 2_500).BlockStream(0), 0, a)
-	ObserveBlocksFrom(tr.Slice(2_500, tr.Len()).BlockStream(0), 2_500, b)
-	a.Merge(b)
-	assertCollectorsEqual(t, a, want, "mid-slice split")
-}
-
-// The merged collector must keep accepting observations: Merge
-// invalidates the append cursor, and a later observation whose slice
-// index is already resident (or belongs between resident slices) must
-// resolve into the sorted slice list instead of appending a duplicate.
-func TestCollectorMergeThenObserve(t *testing.T) {
-	const sliceLen = 1_000
-	tr := randomTrace(6_000, 17)
-	want := NewCollector(sliceLen)
-	ObserveBlocks(tr.BlockStream(0), want)
-
-	a, b := NewCollector(sliceLen), NewCollector(sliceLen)
-	ObserveBlocksFrom(tr.Slice(0, 2_000).BlockStream(0), 0, a)
-	ObserveBlocksFrom(tr.Slice(2_000, 4_000).BlockStream(0), 2_000, b)
-	a.Merge(b)
-	ObserveBlocksFrom(tr.Slice(4_000, 6_000).BlockStream(0), 4_000, a)
-	assertCollectorsEqual(t, a, want, "merge then observe")
-
-	// Out-of-order shard arrival: the merged collector already holds
-	// slices 0-2 (2 partially) and 4-5; the remaining middle range
-	// must fold into the existing slice-2 entry and insert slice 3 in
-	// sorted position.
-	c, d := NewCollector(sliceLen), NewCollector(sliceLen)
-	ObserveBlocksFrom(tr.Slice(0, 2_500).BlockStream(0), 0, c)
-	ObserveBlocksFrom(tr.Slice(4_000, 6_000).BlockStream(0), 4_000, d)
-	c.Merge(d)
-	ObserveBlocksFrom(tr.Slice(2_500, 4_000).BlockStream(0), 2_500, c)
-	assertCollectorsEqual(t, c, want, "observe into merged gap")
-}
-
-func TestCollectorMergePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on slice-length mismatch")
+	if len(col.Slices) != 11 {
+		t.Fatalf("%d slices, want 11", len(col.Slices))
+	}
+	var cond uint64
+	for k, s := range col.Slices {
+		want := uint64(sliceLen)
+		if k == 10 {
+			want = 500
 		}
-	}()
-	NewCollector(100).Merge(NewCollector(200))
-}
-
-// Shard collectors built concurrently on the engine pool and merged in
-// order (and in a different grouping) reproduce the sequential result;
-// run under -race this doubles as the data-race check for the
-// split/merge pattern the experiment drivers use.
-func TestCollectorShardsParallelAndAssociative(t *testing.T) {
-	const sliceLen = 500
-	tr := randomTrace(12_000, 23)
-	want := NewCollector(sliceLen)
-	ObserveBlocks(tr.BlockStream(0), want)
-
-	shard := func(w, shardLen int) *Collector {
-		lo := w * shardLen
-		hi := lo + shardLen
-		if hi > tr.Len() {
-			hi = tr.Len()
+		if s.Index != k || s.Insts != want {
+			t.Fatalf("slice %d: index %d, %d insts; want index %d, %d insts", k, s.Index, s.Insts, k, want)
 		}
-		c := NewCollector(sliceLen)
-		ObserveBlocksFrom(tr.Slice(lo, hi).BlockStream(0), uint64(lo), c)
-		return c
+		cond += s.CondExecs
 	}
-	const shardLen = 3 * sliceLen
-	n := (tr.Len() + shardLen - 1) / shardLen
-	build := func() []*Collector {
-		out, err := engine.MapErr(context.Background(), engine.New(4), n,
-			func(_ context.Context, w int) (*Collector, error) { return shard(w, shardLen), nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+	if cond != st.CondExecs {
+		t.Fatalf("slices count %d conditional branches, stats %d", cond, st.CondExecs)
 	}
-
-	left := build()
-	acc := left[0]
-	for _, p := range left[1:] {
-		acc.Merge(p)
-	}
-	assertCollectorsEqual(t, acc, want, "left fold")
-
-	// Right-leaning grouping: merge the tail first.
-	right := build()
-	tail := right[n-1]
-	for i := n - 2; i >= 1; i-- {
-		right[i].Merge(tail)
-		tail = right[i]
-	}
-	right[0].Merge(tail)
-	assertCollectorsEqual(t, right[0], want, "right fold")
 }

@@ -53,7 +53,10 @@ func (s *SliceStats) Accuracy() float64 {
 // storage (a cached trace buffer) and a mutation would corrupt every
 // later replay of the same trace.
 type Observer interface {
-	// Inst is called for every instruction with its global index.
+	// Inst is called for every instruction with its index in the run.
+	// Indices start at 0 and rise by one per instruction, and one
+	// observer serves one run: index-keyed observers (slice
+	// collectors, BBV windows, recurrence trackers) rely on both.
 	Inst(i uint64, inst *trace.Inst)
 	// Branch is called for every conditional branch after prediction.
 	Branch(i uint64, inst *trace.Inst, pred bool)
@@ -66,7 +69,7 @@ type Collector struct {
 	cur      *SliceStats
 	// end is the first instruction index past cur's slice; comparing
 	// against it replaces a per-instruction division in Inst.
-	end uint64 //lint:ignore mergecomplete cursor cache: Merge nils cur, forcing the next Inst to re-resolve the slice and rewrite end
+	end uint64
 }
 
 // NewCollector returns a Collector with the given slice length.
@@ -79,32 +82,20 @@ func NewCollector(sliceLen uint64) *Collector {
 
 // Inst implements Observer.
 func (c *Collector) Inst(i uint64, inst *trace.Inst) {
-	if c.cur == nil || i >= c.end || i < c.end-c.SliceLen {
+	if c.cur == nil || i >= c.end {
 		c.setSlice(i / c.SliceLen)
 	}
 	c.cur.Insts++
 }
 
-// setSlice makes the slice with the given index current: the last
-// slice (the sequential append case), an existing entry (continuing a
-// collector after Merge), or a new entry inserted in sorted position.
+// setSlice opens the slice with the given index. Indices only ascend,
+// so the new slice always goes after the ones already collected.
 func (c *Collector) setSlice(idx uint64) {
-	n := len(c.Slices)
-	pos := n
-	if n > 0 && uint64(c.Slices[n-1].Index) >= idx {
-		pos = sort.Search(n, func(k int) bool { return uint64(c.Slices[k].Index) >= idx })
+	c.cur = &SliceStats{
+		Index:     int(idx),
+		PerBranch: make(map[uint64]*BranchStats),
 	}
-	if pos < n && uint64(c.Slices[pos].Index) == idx {
-		c.cur = c.Slices[pos]
-	} else {
-		c.cur = &SliceStats{
-			Index:     int(idx),
-			PerBranch: make(map[uint64]*BranchStats),
-		}
-		c.Slices = append(c.Slices, nil)
-		copy(c.Slices[pos+1:], c.Slices[pos:])
-		c.Slices[pos] = c.cur
-	}
+	c.Slices = append(c.Slices, c.cur)
 	c.end = (idx + 1) * c.SliceLen
 }
 
@@ -125,55 +116,6 @@ func (c *Collector) Branch(i uint64, inst *trace.Inst, pred bool) {
 		s.Mispreds++
 		b.Mispreds++
 	}
-}
-
-// Merge folds other's slices into c, combining slices that share an
-// index by summing their counters. Both collectors must have been fed
-// global instruction indices (ObserveBlocksFrom for shard replays) and
-// use the same slice length.
-//
-// Merging is exact: per-slice counters are order-independent sums, so
-// splitting one trace across workers at any boundaries and merging the
-// shard collectors in any grouping yields byte-identical statistics to
-// a single sequential pass. other must not be used afterwards (its
-// per-branch maps are adopted, not copied).
-func (c *Collector) Merge(other *Collector) {
-	if other.SliceLen != c.SliceLen {
-		panic("core: merging collectors with different slice lengths")
-	}
-	merged := make([]*SliceStats, 0, len(c.Slices)+len(other.Slices))
-	i, j := 0, 0
-	for i < len(c.Slices) || j < len(other.Slices) {
-		switch {
-		case j >= len(other.Slices) || (i < len(c.Slices) && c.Slices[i].Index < other.Slices[j].Index):
-			merged = append(merged, c.Slices[i])
-			i++
-		case i >= len(c.Slices) || other.Slices[j].Index < c.Slices[i].Index:
-			merged = append(merged, other.Slices[j])
-			j++
-		default: // same slice index observed by both shards
-			a, b := c.Slices[i], other.Slices[j]
-			a.Insts += b.Insts
-			a.CondExecs += b.CondExecs
-			a.Mispreds += b.Mispreds
-			for ip, bb := range b.PerBranch {
-				t := a.PerBranch[ip]
-				if t == nil {
-					a.PerBranch[ip] = bb
-					continue
-				}
-				t.Execs += bb.Execs
-				t.Mispreds += bb.Mispreds
-			}
-			merged = append(merged, a)
-			i++
-			j++
-		}
-	}
-	c.Slices = merged
-	// Invalidate the append cursor: the next Inst re-resolves its slice
-	// (reusing the merged entry if its index is already present).
-	c.cur = nil
 }
 
 // Totals sums per-branch counters over all slices.
@@ -329,19 +271,8 @@ func RunBlocks(bs trace.BlockStream, p bp.Predictor, obs ...Observer) RunStats {
 // Branch callbacks receive the resolved direction as the prediction
 // (never counted as a misprediction).
 func ObserveBlocks(bs trace.BlockStream, obs ...Observer) RunStats {
-	return ObserveBlocksFrom(bs, 0, obs...)
-}
-
-// ObserveBlocksFrom is ObserveBlocks with observers numbered from a
-// base global index: instruction k of the stream is reported as
-// base+k. It is the shard replay entry point — index-keyed observers
-// (slice collectors, BBV windows, recurrence trackers) over a
-// slice-aligned range of a long trace see the same indices they would
-// in a whole-trace pass, so per-shard results Merge back exactly. The
-// returned stats count only this stream's instructions.
-func ObserveBlocksFrom(bs trace.BlockStream, base uint64, obs ...Observer) RunStats {
 	var st RunStats
-	i := base
+	var i uint64
 	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
 		for j := range blk {
 			inst := &blk[j]
@@ -357,7 +288,7 @@ func ObserveBlocksFrom(bs trace.BlockStream, base uint64, obs ...Observer) RunSt
 			i++
 		}
 	}
-	st.Insts = i - base
+	st.Insts = i
 	return st
 }
 

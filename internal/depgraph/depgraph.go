@@ -32,36 +32,33 @@ type ringEntry struct {
 
 // Analyzer tracks dependency branches for a set of target IPs. It
 // implements the core.Observer contract.
-//
-// Only the per-target results participate in Merge: the supported
-// sharding is by target set over replays of the same trace (see the
-// Merge doc), so every field below the targets map is whole-trace
-// replay state that each shard rebuilds identically from instruction
-// zero — the mergecomplete annotations record that argument field by
-// field.
 type Analyzer struct {
-	Window int //lint:ignore mergecomplete construction-time configuration; New gives every target-set shard the same value
+	Window int
 	// MaxSamples bounds how many executions per target are analyzed (the
 	// backward walk is O(Window)); 0 means analyze every execution.
-	MaxSamples int //lint:ignore mergecomplete construction-time configuration, identical across target-set shards
+	MaxSamples int
 
 	targets map[uint64]*targetState
 
-	ring []ringEntry //lint:ignore mergecomplete whole-trace window state: every target-set shard replays the full trace and holds an identical window
-	head int         //lint:ignore mergecomplete whole-trace window cursor, identical across target-set shards
-	size int         //lint:ignore mergecomplete whole-trace window fill, identical across target-set shards
+	// ring holds the last Window instructions: head is the next slot
+	// to write, size the number of filled slots.
+	ring []ringEntry
+	head int
+	size int
 
-	regWriter [trace.NumRegs]uint64 //lint:ignore mergecomplete whole-trace value-identity state, identical across target-set shards
-	memWriter map[uint64]uint64     //lint:ignore mergecomplete whole-trace value-identity state, identical across target-set shards
-	seq       uint64                //lint:ignore mergecomplete whole-trace sequence counter, identical across target-set shards
+	// regWriter and memWriter name the value each register and 8-byte
+	// memory word holds by its writer's sequence number.
+	regWriter [trace.NumRegs]uint64
+	memWriter map[uint64]uint64
+	seq       uint64
 
 	// The dataflow closure of one analyze call, reused across calls. A
 	// closure value whose writer is still in the window is marked by
 	// stamping the writer's ring slot with gen; an older value goes in
 	// old. A new call bumps gen instead of clearing mark.
-	mark []uint32 //lint:ignore mergecomplete per-call scratch, reset by the generation bump at the top of every analyze
-	gen  uint32   //lint:ignore mergecomplete per-call scratch generation, bumped at the top of every analyze
-	old  []uint64 //lint:ignore mergecomplete per-call scratch, truncated at the top of every analyze
+	mark []uint32
+	gen  uint32
+	old  []uint64
 }
 
 // targetState accumulates per-target results.
@@ -139,37 +136,6 @@ func (a *Analyzer) Inst(_ uint64, inst *trace.Inst) {
 
 // Branch implements the observer contract.
 func (a *Analyzer) Branch(uint64, *trace.Inst, bool) {}
-
-// Merge folds other's per-target results into a. The supported
-// sharding is by target set: several analyzers replay the same trace,
-// each analyzing a disjoint subset of the targets, and merge to
-// exactly the state one analyzer over the union would hold (per-target
-// state never interacts across targets). Time-sharding a trace is not
-// supported — the backward window, register/memory writer maps and the
-// per-target MaxSamples cutoff all carry state across any split point.
-// Overlapping targets merge deterministically by summing counts.
-// other must not be used afterwards (its maps are adopted).
-func (a *Analyzer) Merge(other *Analyzer) {
-	for ip, ost := range other.targets {
-		st := a.targets[ip]
-		if st == nil {
-			a.targets[ip] = ost
-			continue
-		}
-		st.execs += ost.execs
-		st.analyzed += ost.analyzed
-		for dep, m := range ost.positions {
-			t := st.positions[dep]
-			if t == nil {
-				st.positions[dep] = m
-				continue
-			}
-			for pos, c := range m {
-				t[pos] += c
-			}
-		}
-	}
-}
 
 // analyze walks the window backwards from the target execution, expands
 // the dataflow closure of the target's source values, and records every

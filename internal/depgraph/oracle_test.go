@@ -10,6 +10,7 @@ import (
 	"branchlab/internal/tage"
 	"branchlab/internal/trace"
 	"branchlab/internal/workload"
+	"branchlab/internal/xrand"
 )
 
 // mapAnalyzer is the analyzer the ring-slot closure replaced, kept as
@@ -185,6 +186,34 @@ func TestAnalyzeMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// depTrace builds a trace where several target branches read registers
+// written by earlier instructions, so every target accumulates
+// dependency branches at varied history positions.
+func depTrace(n int, seed uint64) *trace.Buffer {
+	r := xrand.New(seed)
+	b := trace.NewBuffer(n)
+	for i := 0; i < n; i++ {
+		switch r.Intn(6) {
+		case 0: // define a value
+			b.Append(trace.Inst{IP: 0x100, Kind: trace.KindALU,
+				DstReg: uint8(r.Intn(8)), DstValue: r.Uint64() & 0xFF,
+				SrcRegs: [2]uint8{uint8(r.Intn(8)), trace.NoReg}})
+		case 1, 2: // dependency-branch candidates reading a register
+			b.Append(trace.Inst{IP: uint64(0xB000 + 64*r.Intn(6)), Kind: trace.KindCondBr,
+				Taken: r.Bool(0.5), Target: 0xB800, DstReg: trace.NoReg,
+				SrcRegs: [2]uint8{uint8(r.Intn(8)), trace.NoReg}})
+		case 3: // target branches
+			b.Append(trace.Inst{IP: uint64(0xD000 + 64*r.Intn(3)), Kind: trace.KindCondBr,
+				Taken: r.Bool(0.5), Target: 0xD800, DstReg: trace.NoReg,
+				SrcRegs: [2]uint8{uint8(r.Intn(8)), trace.NoReg}})
+		default:
+			b.Append(trace.Inst{IP: 0x104, Kind: trace.KindALU,
+				DstReg: trace.NoReg, SrcRegs: [2]uint8{trace.NoReg, trace.NoReg}})
+		}
+	}
+	return b
+}
+
 // TestAnalyzeOracleSyntheticCases covers the closure's edge cases
 // against the map oracle: windows so small that many closure values
 // outlive them (the side list), a trace shorter than the window (a
@@ -194,6 +223,14 @@ func TestAnalyzeOracleSyntheticCases(t *testing.T) {
 	long := depTrace(30_000, 5)
 	short := depTrace(150, 6)
 	targets := []uint64{0xD000, 0xD040, 0xD080}
+	// A match over targets that find no dependencies would show nothing.
+	a := New(200, 0, targets...)
+	core.ObserveBlocks(long.BlockStream(0), a)
+	for _, target := range targets {
+		if s := a.Summarize(target); s.DepBranches == 0 || s.Execs == 0 {
+			t.Fatalf("degenerate trace: target %#x found no dependencies", target)
+		}
+	}
 	blocks := func(tr *trace.Buffer) func() trace.BlockStream {
 		return func() trace.BlockStream { return tr.BlockStream(0) }
 	}

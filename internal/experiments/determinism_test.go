@@ -8,6 +8,7 @@ import (
 
 	"branchlab/internal/trace"
 	"branchlab/internal/tracecache"
+	"branchlab/internal/workload"
 )
 
 // instBytes mirrors the cache's per-instruction accounting unit.
@@ -207,5 +208,32 @@ func TestSequentialArtifactsReproducible(t *testing.T) {
 				t.Errorf("two sequential runs differ:\n%s\n---\n%s", a, b)
 			}
 		})
+	}
+}
+
+// table1 runs one (benchmark, input) cell per engine unit. A worker
+// count above the cell count leaves workers with no cell to run, and
+// that surplus must not change the artifact: each cell's BBV phase
+// pass is one sequential observation of its trace whatever the pool
+// size, so 40 workers render exactly what 1 worker renders.
+func TestTable1ByteIdenticalWithMoreWorkersThanCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration experiment")
+	}
+	const many = 40
+	cfg := Quick()
+	cells := 0
+	for _, s := range workload.SPECint2017Like() {
+		cells += min(s.NumInputs, cfg.MaxInputs)
+	}
+	if cells >= many {
+		t.Fatalf("table1 has %d cells at Quick, not fewer than the test's %d workers", cells, many)
+	}
+	cfg.Workers = 1
+	want := mustRun(t, Table1, cfg).String()
+	cfg.Workers = many
+	if got := mustRun(t, Table1, cfg).String(); got != want {
+		t.Errorf("table1 at %d workers differs from 1 worker:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
+			many, want, many, got)
 	}
 }

@@ -234,45 +234,6 @@ func perTrace[T any](ctx context.Context, cfg Config, specs []*workload.Spec, fn
 	})
 }
 
-// observeSliced replays a recorded trace through predictor-free
-// observers split at slice boundaries across pool workers, merging the
-// shard observers in trace order. mk builds one observer per shard;
-// merge folds src (the later shard) into dst. Splitting at slice
-// boundaries with global indices (core.ObserveBlocksFrom) makes
-// exact-merge observers — BBV collectors, slice collectors —
-// byte-identical to a sequential core.ObserveBlocks pass at any worker count, which is what lets
-// one long trace's analysis use every worker instead of one.
-func observeSliced[O core.Observer](ctx context.Context, cfg Config, pool *engine.Pool, tr trace.Replayable, mk func() O, merge func(dst, src O)) (O, error) {
-	sliceLen := int(cfg.SliceLen)
-	nSlices := (tr.Len() + sliceLen - 1) / sliceLen
-	shards := pool.Workers()
-	if shards > nSlices {
-		shards = nSlices
-	}
-	if shards <= 1 {
-		o := mk()
-		core.ObserveBlocks(tr.BlockStream(0), o)
-		return o, nil
-	}
-	per := (nSlices + shards - 1) / shards
-	parts, err := engine.MapErr(ctx, pool, shards, func(_ context.Context, w int) (O, error) {
-		lo := w * per * sliceLen
-		hi := lo + per*sliceLen
-		o := mk()
-		core.ObserveBlocksFrom(tr.Range(lo, hi).BlockStream(0), uint64(lo), o)
-		return o, nil
-	})
-	if err != nil {
-		var zero O
-		return zero, err
-	}
-	acc := parts[0]
-	for _, p := range parts[1:] {
-		merge(acc, p)
-	}
-	return acc, nil
-}
-
 // branchTotal pairs a static branch IP with its whole-run counters.
 type branchTotal struct {
 	IP uint64

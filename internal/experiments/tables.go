@@ -37,7 +37,8 @@ func Table1(ctx context.Context, cfg Config) (*report.Artifact, error) {
 	// per-benchmark slices in input order. The screening run is memoized
 	// and shared with the other SPECint drivers; the basic-block vectors
 	// ignore predictions entirely (BBVCollector.Branch is a no-op), so
-	// phase counting rides a cheap predictor-free pass instead.
+	// phase counting rides one cheap predictor-free pass over the trace
+	// on the cell's own worker.
 	type t1Key struct{ bench, input int }
 	var keys []t1Key
 	for bi, s := range specs {
@@ -50,28 +51,14 @@ func Table1(ctx context.Context, cfg Config) (*report.Artifact, error) {
 		col    *core.Collector
 		phases int
 	}
-	// The BBV pass shards each trace at slice boundaries: the shard
-	// collectors merge to the exact sequential vector sequence, so
-	// phase counts are unchanged at any worker count. The worker
-	// budget is divided between the two levels — when the per-cell
-	// sweep already fills the pool, the inner pass runs sequentially
-	// instead of nesting another full pool per in-flight cell.
-	pool := cfg.Pool()
-	innerPool := engine.New(max(1, pool.Workers()/max(1, len(keys))))
-	cells, err := engine.MapSliceErr(ctx, pool, keys, func(ctx context.Context, k t1Key, _ int) (t1Cell, error) {
+	cells, err := engine.MapSliceErr(ctx, cfg.Pool(), keys, func(ctx context.Context, k t1Key, _ int) (t1Cell, error) {
 		tr, err := cfg.RecordTrace(ctx, specs[k.bench], k.input)
 		if err != nil {
 			return t1Cell{}, err
 		}
 		rep, col := screenBranches(cfg, specs[k.bench], k.input, tr)
-		bbv, err := observeSliced(ctx, cfg, innerPool, tr,
-			func() *simpoint.BBVCollector {
-				return simpoint.NewBBVCollector(cfg.SliceLen, simpoint.DefaultDim)
-			},
-			(*simpoint.BBVCollector).Merge)
-		if err != nil {
-			return t1Cell{}, err
-		}
+		bbv := simpoint.NewBBVCollector(cfg.SliceLen, simpoint.DefaultDim)
+		core.ObserveBlocks(tr.BlockStream(0), bbv)
 		c := t1Cell{
 			rep:    rep,
 			phases: simpoint.ChooseK(bbv.Vectors(), 20, 1).K,

@@ -16,10 +16,9 @@ import (
 // consecutive dynamic executions of that IP (Fig 9). Intervals are
 // reservoir-sampled per branch so hot branches stay bounded.
 type RecurrenceTracker struct {
-	firstSeen map[uint64]uint64
-	lastSeen  map[uint64]uint64
-	samples   map[uint64]*stats.Reservoir
-	execs     map[uint64]uint64
+	lastSeen map[uint64]uint64
+	samples  map[uint64]*stats.Reservoir
+	execs    map[uint64]uint64
 }
 
 // reservoirCap bounds the per-branch interval sample.
@@ -28,10 +27,9 @@ const reservoirCap = 64
 // NewRecurrenceTracker returns an empty tracker.
 func NewRecurrenceTracker() *RecurrenceTracker {
 	return &RecurrenceTracker{
-		firstSeen: make(map[uint64]uint64),
-		lastSeen:  make(map[uint64]uint64),
-		samples:   make(map[uint64]*stats.Reservoir),
-		execs:     make(map[uint64]uint64),
+		lastSeen: make(map[uint64]uint64),
+		samples:  make(map[uint64]*stats.Reservoir),
+		execs:    make(map[uint64]uint64),
 	}
 }
 
@@ -44,8 +42,6 @@ func (t *RecurrenceTracker) Inst(i uint64, inst *trace.Inst) {
 	t.execs[ip]++
 	if last, ok := t.lastSeen[ip]; ok {
 		t.sampler(ip).Add(i - last)
-	} else {
-		t.firstSeen[ip] = i
 	}
 	t.lastSeen[ip] = i
 }
@@ -61,45 +57,6 @@ func (t *RecurrenceTracker) sampler(ip uint64) *stats.Reservoir {
 
 // Branch implements the core.Observer contract.
 func (t *RecurrenceTracker) Branch(uint64, *trace.Inst, bool) {}
-
-// Merge folds other — a tracker that observed the instructions
-// immediately following t's, with global indices (core.ObserveBlocksFrom) —
-// into t, stitching the boundary: a branch seen on both sides
-// contributes the interval from t's last sighting to other's first, as
-// a sequential pass would have recorded. other must not be used
-// afterwards (its reservoirs are adopted).
-//
-// The merge is deterministic at any shard count and grouping, and
-// exact — bit-identical samples to a sequential whole-trace pass —
-// whenever each merged-in shard saw at most reservoirCap intervals per
-// branch (the reservoir replay continues t's sampling stream
-// verbatim). Hotter branches degrade to a deterministic two-stage
-// subsample of the same interval distribution; Fig 9's driver keeps
-// whole-trace passes so its artifact never depends on that case.
-func (t *RecurrenceTracker) Merge(other *RecurrenceTracker) {
-	for ip, n := range other.execs {
-		t.execs[ip] += n
-	}
-	for ip, first := range other.firstSeen {
-		if last, ok := t.lastSeen[ip]; ok {
-			// Boundary interval, exactly where the sequential pass
-			// would have added it: before other's own intervals.
-			t.sampler(ip).Add(first - last)
-		} else {
-			t.firstSeen[ip] = first
-		}
-	}
-	for ip, or := range other.samples {
-		if r, ok := t.samples[ip]; ok {
-			r.Merge(or)
-		} else {
-			t.samples[ip] = or
-		}
-	}
-	for ip, last := range other.lastSeen {
-		t.lastSeen[ip] = last
-	}
-}
 
 // MedianIntervals returns each branch's median recurrence interval.
 // Branches executed only once ("singletons") report 0 and land in the
@@ -145,12 +102,6 @@ type Detector struct {
 	phases    [][]float64
 	currentID int
 	history   []int
-
-	// mergeable detectors additionally record their bucket stream (two
-	// bytes per observed branch) so a later detector's observations can
-	// be replayed into an earlier one; see Merge.
-	mergeable bool
-	record    []uint16
 }
 
 // NewDetector returns a detector with the given window length in
@@ -164,32 +115,15 @@ func NewDetector(windowLen uint64) *Detector {
 	}
 }
 
-// NewMergeableDetector returns a detector that additionally records
-// its per-branch bucket stream (two bytes per conditional branch), so a
-// trace split across workers can be recombined with Merge into the
-// exact detector state a sequential pass produces.
-func NewMergeableDetector(windowLen uint64) *Detector {
-	d := NewDetector(windowLen)
-	d.mergeable = true
-	return d
-}
-
 // Observe feeds one conditional branch IP. It returns the current phase
 // ID (stable within a window).
 func (d *Detector) Observe(ip uint64) int {
 	// Bucket-count signature: the distribution of hashed branch IPs over
 	// Dim buckets characterizes which code is executing.
-	return d.observeBucket(uint16(xrand.Mix64(ip) % uint64(d.Dim)))
-}
-
-func (d *Detector) observeBucket(b uint16) int {
 	if d.cur == nil {
 		d.cur = make([]float64, d.Dim)
 	}
-	if d.mergeable {
-		d.record = append(d.record, b)
-	}
-	d.cur[b]++
+	d.cur[xrand.Mix64(ip)%uint64(d.Dim)]++
 	d.curCount++
 	if d.curCount >= d.WindowLen {
 		d.classify()
@@ -198,23 +132,6 @@ func (d *Detector) observeBucket(b uint16) int {
 		return 0
 	}
 	return d.currentID
-}
-
-// Merge replays other's observations into d, in order. Both detectors
-// must be mergeable (phase matching is order-dependent — signatures
-// drift and phases allocate on first sight — so the only way to
-// recombine shards exactly is to replay the later shard's bucket
-// stream through the earlier detector's state). The result is
-// bit-identical to one detector observing the whole stream
-// sequentially, at any split points and merge grouping. other must not
-// be used afterwards.
-func (d *Detector) Merge(other *Detector) {
-	if !d.mergeable || !other.mergeable {
-		panic("phase: Merge requires detectors built with NewMergeableDetector")
-	}
-	for _, b := range other.record {
-		d.observeBucket(b)
-	}
 }
 
 func (d *Detector) classify() {

@@ -27,10 +27,9 @@ type BBVCollector struct {
 	Dim      int
 	vectors  [][]float64
 	cur      []float64
-	curIdx   int //lint:ignore mergecomplete cursor cache: Merge flushes cur to nil, so the next Inst re-resolves the slice index
 	// end is the first instruction index past the current slice;
 	// comparing against it replaces a per-instruction division.
-	end uint64 //lint:ignore mergecomplete cursor cache: rewritten with curIdx on the cur == nil path of Inst
+	end uint64
 }
 
 // NewBBVCollector returns a collector with the given slice length and
@@ -47,11 +46,10 @@ func NewBBVCollector(sliceLen uint64, dim int) *BBVCollector {
 
 // Inst implements the observer contract.
 func (c *BBVCollector) Inst(i uint64, inst *trace.Inst) {
-	if c.cur == nil || i >= c.end || i < c.end-c.SliceLen {
+	if c.cur == nil || i >= c.end {
 		c.flush()
 		c.cur = make([]float64, c.Dim)
-		c.curIdx = int(i / c.SliceLen)
-		c.end = (uint64(c.curIdx) + 1) * c.SliceLen
+		c.end = (i/c.SliceLen + 1) * c.SliceLen
 	}
 	if inst.Kind != trace.KindCondBr {
 		return
@@ -95,21 +93,6 @@ func (c *BBVCollector) flush() {
 func (c *BBVCollector) Vectors() [][]float64 {
 	c.flush()
 	return c.vectors
-}
-
-// Merge appends other's slice vectors after c's. When a trace is split
-// at SliceLen boundaries across workers — each shard observed with its
-// global instruction indices (core.ObserveBlocksFrom) — every slice lands
-// wholly in one shard, so merging the shard collectors in trace order
-// reproduces exactly the vector sequence of a sequential whole-trace
-// pass. other must not be used afterwards.
-func (c *BBVCollector) Merge(other *BBVCollector) {
-	if other.SliceLen != c.SliceLen || other.Dim != c.Dim {
-		panic("simpoint: merging BBV collectors with different geometry")
-	}
-	c.flush()
-	other.flush()
-	c.vectors = append(c.vectors, other.vectors...)
 }
 
 // KMeansResult holds one clustering outcome.

@@ -215,24 +215,6 @@ func (r *Reservoir) Add(v uint64) {
 // observations were made).
 func (r *Reservoir) Median() float64 { return MedianUint64(r.Sample) }
 
-// Merge folds o's observations into r, continuing r's own sampling
-// stream. When o never overflowed (o.N <= o.K), o.Sample is its full
-// observation sequence in arrival order, so the merge replays exactly
-// the Adds a single sequential reservoir would have seen — the final
-// state is bit-identical to never having split the stream, even if r
-// overflows during the fold. When o did overflow, the fold replays o's
-// surviving sample and accounts the dropped observations in N; the
-// result is a deterministic two-stage subsample rather than an exact
-// continuation. Sharded trackers size their shards so the per-shard
-// reservoirs stay under capacity and the exact path applies.
-func (r *Reservoir) Merge(o *Reservoir) {
-	dropped := o.N - uint64(len(o.Sample))
-	for _, v := range o.Sample {
-		r.Add(v)
-	}
-	r.N += dropped
-}
-
 // BinnedStdDev groups (x, y) points into fixed-width x bins and reports the
 // per-bin standard deviation of y, reproducing the methodology of Fig 4b.
 type BinnedStdDev struct {

@@ -147,8 +147,7 @@ type Replayable interface {
 	// at most n instructions (an implementation-chosen size if n <= 0).
 	BlockStream(n int) BlockStream
 	// Range returns a zero-copy view of instructions [lo, hi), clamped
-	// to the trace. Replaying slice-aligned ranges is how one trace
-	// splits across engine workers.
+	// to the trace.
 	Range(lo, hi int) Replayable
 }
 
