@@ -201,13 +201,13 @@ func NewSlicedTraceCache(maxBytes int64, sliceInsts uint64) *TraceCache {
 // TraceCache (DESIGN.md §11): recordings write through to its
 // directory, slices the RAM cap evicts promote back zero-copy
 // (mmap-served where the platform supports it), and a later process
-// pointed at the same directory restores whole traces — header,
-// checkpoints and slices — without recording at all. Every file is
-// checksummed and keyed by the recording's full content identity
-// (workload, input, budget, slice geometry, checkpoint spacing, format
-// version, instruction layout); anything corrupt or mismatched is
-// rejected and re-recorded, so a warm store can cost extra recording
-// but never wrong bytes.
+// pointed at the same directory restores whole traces — the recorded
+// extent and the slices' instruction bytes — without recording at all.
+// Every file is checksummed and keyed by the recording's full content
+// identity (workload, input, budget, slice geometry, format version,
+// instruction layout); anything corrupt or mismatched is rejected and
+// re-recorded, so a warm store can cost extra recording but never
+// wrong bytes.
 type TraceStore = tracestore.Store
 
 // TraceStoreStats are a store's hit/write/reject counters and disk

@@ -36,12 +36,14 @@
 // RAM cache (DESIGN.md §11): recordings write through to DIR, evicted
 // slices promote back from disk (mmap, zero-copy) instead of
 // re-recording, and a later invocation against the same DIR restores
-// whole traces — header, checkpoints and slices — without recording at
-// all. Every stored file is checksummed; a corrupt or mismatched file
-// is rejected and re-recorded, so a warm store can cost extra
-// recording but never wrong bytes. -tracestorecap bounds the store in
-// MiB (0 = unbounded) with whole-trace LRU eviction. Store counters
-// print alongside the cache's behind -cachestats.
+// whole traces — recorded extent and instruction bytes — without
+// recording at all. Checkpoints are not stored, so a slice refilled in
+// a restored trace skims from instruction zero. Every stored file is
+// checksummed; a corrupt or mismatched file is rejected and
+// re-recorded, so a warm store can cost extra recording but never
+// wrong bytes. -tracestorecap bounds the store in MiB (0 = unbounded)
+// with whole-trace LRU eviction. Store counters print alongside the
+// cache's behind -cachestats.
 package main
 
 import (

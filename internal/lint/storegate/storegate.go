@@ -2,8 +2,8 @@
 // DESIGN.md §8: bytes read from disk (or mapped from it) are untrusted
 // until a verification gate has vouched for them, and no path in
 // internal/tracestore may hand payload data — raw bytes, decoded
-// instruction slices, checkpoint blobs, or structs carrying them — to
-// a caller without passing a gate first.
+// instruction slices, or structs carrying them — to a caller without
+// passing a gate first.
 //
 // Mechanics:
 //
@@ -347,7 +347,7 @@ func rootObj(pass *analysis.Pass, e ast.Expr) types.Object {
 }
 
 // isPayloadType reports whether t is store payload: raw bytes, decoded
-// instruction or checkpoint slices, or a composite carrying one.
+// instruction slices, or a composite carrying one.
 func isPayloadType(t types.Type) bool {
 	return containsPayload(t, make(map[types.Type]bool))
 }
@@ -389,16 +389,14 @@ func containsPayload(t types.Type, seen map[types.Type]bool) bool {
 	return false
 }
 
-// isPayloadNamed matches the decoded payload element types by package
-// basename and type name: trace.Inst and program.Checkpoint.
+// isPayloadNamed matches the decoded payload element type by package
+// basename and type name: trace.Inst.
 func isPayloadNamed(t *types.Named) bool {
 	obj := t.Obj()
 	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
-	base := pathBase(obj.Pkg().Path())
-	return (base == "trace" && obj.Name() == "Inst") ||
-		(base == "program" && obj.Name() == "Checkpoint")
+	return pathBase(obj.Pkg().Path()) == "trace" && obj.Name() == "Inst"
 }
 
 func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {

@@ -5,7 +5,6 @@ package tracestore
 import (
 	"blob"
 	"os"
-	"program"
 	"trace"
 )
 
@@ -85,29 +84,6 @@ func PinVerified(f *os.File, n int) (*Pin, error) {
 		return nil, err
 	}
 	return &Pin{insts: castInsts(raw)}, nil
-}
-
-// --- checkpoint blobs: flagged ungated, clean when gated ---
-
-func parseCkpts(b []byte) []program.Checkpoint { return nil }
-
-func Checkpoints(path string) ([]program.Checkpoint, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return parseCkpts(b), nil // want `returning unverified \[\]program.Checkpoint`
-}
-
-func CheckpointsVerified(path string) ([]program.Checkpoint, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := verifyBlob(path, b); err != nil {
-		return nil, err
-	}
-	return parseCkpts(b), nil
 }
 
 // --- facts crossing the package boundary ---

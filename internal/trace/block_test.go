@@ -41,11 +41,6 @@ func TestBufferServesNativeZeroCopyBlocks(t *testing.T) {
 	if &blk[0] != &b.insts[0] {
 		t.Error("native block is not a zero-copy view of the buffer")
 	}
-	// Slice views serve blocks of the same backing array.
-	sblk := b.Slice(10, 20).BlockStream(0).NextBlock()
-	if len(sblk) != 10 || &sblk[0] != &b.insts[10] {
-		t.Error("slice block is not a zero-copy view of the parent")
-	}
 }
 
 func TestBufferBlockStreamSizes(t *testing.T) {
@@ -73,35 +68,11 @@ func TestBufferBlockStreamSizes(t *testing.T) {
 	}
 }
 
-func TestSliceView(t *testing.T) {
-	insts := synthetic(100)
-	b := bufferOf(insts)
-	sameInsts(t, drainBlocks(b.Slice(10, 40).BlockStream(0)), insts[10:40], "slice")
-	if b.Slice(-5, 1000).Len() != 100 {
-		t.Error("Slice should clamp out-of-range bounds")
-	}
-	if b.Slice(60, 40).Len() != 0 {
-		t.Error("inverted bounds should yield an empty view")
-	}
-	if b.Slice(0, -2).Len() != 0 || b.Slice(-9, -2).Len() != 0 {
-		t.Error("negative hi should clamp to an empty view, not panic")
-	}
-	// Appending to the view must not corrupt the parent.
-	v := b.Slice(0, 10)
-	v.Append(Inst{IP: 0xdead})
-	if b.At(10) == (Inst{IP: 0xdead}) {
-		t.Error("append to slice view leaked into parent")
-	}
-}
-
 func TestEmptyStreamsYieldNoBlocks(t *testing.T) {
 	bs := bufferOf(nil).BlockStream(16)
 	for i := 0; i < 2; i++ {
 		if blk := bs.NextBlock(); len(blk) != 0 {
 			t.Errorf("empty buffer produced a block on call %d", i)
 		}
-	}
-	if blk := bufferOf(synthetic(5)).Slice(3, 3).BlockStream(0).NextBlock(); len(blk) != 0 {
-		t.Error("empty slice view produced a block")
 	}
 }

@@ -146,9 +146,6 @@ type Replayable interface {
 	// BlockStream returns a new independent block reader with blocks of
 	// at most n instructions (an implementation-chosen size if n <= 0).
 	BlockStream(n int) BlockStream
-	// Range returns a zero-copy view of instructions [lo, hi), clamped
-	// to the trace.
-	Range(lo, hi int) Replayable
 }
 
 // Buffer is a materialized trace that can be replayed any number of times.
@@ -237,26 +234,3 @@ func (b *Buffer) BlockStream(n int) BlockStream {
 	}
 	return &bufferStream{insts: b.insts, block: n}
 }
-
-// Slice returns a zero-copy view of instructions [lo, hi) (clamped to
-// the buffer). The view shares the backing array with its capacity
-// capped, so appends cannot corrupt the parent. Replaying
-// slice-aligned ranges is how one trace splits across engine workers.
-func (b *Buffer) Slice(lo, hi int) *Buffer {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi < 0 {
-		hi = 0
-	}
-	if hi > len(b.insts) {
-		hi = len(b.insts)
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return &Buffer{insts: b.insts[lo:hi:hi]}
-}
-
-// Range implements Replayable via Slice.
-func (b *Buffer) Range(lo, hi int) Replayable { return b.Slice(lo, hi) }

@@ -113,7 +113,7 @@ func TestWaiterDetachOnCancel(t *testing.T) {
 	go func() {
 		v, err := c.RecordCtx(context.Background(), "w", 0, 100, src.Source())
 		if err == nil {
-			checkIdentity(t, drain(t, v), 0)
+			checkIdentity(t, drain(t, v))
 		}
 		leaderDone <- err
 	}()
@@ -152,7 +152,7 @@ func TestWaiterDetachOnCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkIdentity(t, drain(t, v), 0)
+	checkIdentity(t, drain(t, v))
 }
 
 // TestLeaderCancelHandsOff: a leader cancelled mid-recording gets a
@@ -199,7 +199,7 @@ func TestLeaderCancelHandsOff(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("waiter never took over the cancelled leader's recording")
 	}
-	checkIdentity(t, drain(t, waiterView), 0)
+	checkIdentity(t, drain(t, waiterView))
 	if src.calls != 2 {
 		t.Fatalf("source recorded %d times, want 2 (cancelled attempt + hand-off)", src.calls)
 	}
@@ -270,7 +270,7 @@ func TestSourceFailurePropagatesToWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry after withdrawn failure: %v", err)
 	}
-	checkIdentity(t, drain(t, v), 0)
+	checkIdentity(t, drain(t, v))
 }
 
 // TestBadSourceTyped: a malformed recording (middle slice not exactly
@@ -301,7 +301,7 @@ func TestBadSourceTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkIdentity(t, drain(t, good), 0)
+	checkIdentity(t, drain(t, good))
 }
 
 // TestNilCacheRecordCtxPropagatesError: the nil-cache passthrough

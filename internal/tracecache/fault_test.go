@@ -116,7 +116,7 @@ func TestCacheRecordFaultPropagatesToWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry after injected fault: %v", err)
 	}
-	checkIdentity(t, drain(t, v), 0)
+	checkIdentity(t, drain(t, v))
 }
 
 // TestCacheResumeFaultFallsBackByteIdentical: an injected resume fault
@@ -182,9 +182,8 @@ func TestCacheEvictChaosByteIdentical(t *testing.T) {
 	c := NewSliced(0, 10) // uncapped: only chaos can evict
 	v := record(t, c, "w", 0, 100, src.Source())
 	for pass := 0; pass < 2; pass++ {
-		checkIdentity(t, drain(t, v), 0)
+		checkIdentity(t, drain(t, v))
 	}
-	checkIdentity(t, drain(t, v.Range(33, 77)), 33)
 	st := c.Stats()
 	if st.SliceEvictions == 0 {
 		t.Fatal("chaos never evicted a slice from the uncapped cache")

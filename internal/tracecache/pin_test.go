@@ -27,7 +27,7 @@ func warmStore(t *testing.T, dir string, n int, sliceLen uint64) {
 	}
 	c := NewSliced(0, sliceLen)
 	c.SetStore(st)
-	checkIdentity(t, drain(t, record(t, c, "w", 0, uint64(n), (&source{n: n}).Source())), 0)
+	checkIdentity(t, drain(t, record(t, c, "w", 0, uint64(n), (&source{n: n}).Source())))
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestDroppedCacheReleasesResidentPins(t *testing.T) {
 	func() {
 		c := NewSliced(0, sliceLen) // unbounded: every promoted slice stays resident
 		c.SetStore(st)
-		checkIdentity(t, drain(t, record(t, c, "w", 0, n, (&source{n: n}).Source())), 0)
+		checkIdentity(t, drain(t, record(t, c, "w", 0, n, (&source{n: n}).Source())))
 		if got, want := st.Stats().BytesResident, 4*sliceFileBytes(sliceLen); got != want {
 			t.Fatalf("resident with every slice in the RAM tier = %d, want %d", got, want)
 		}

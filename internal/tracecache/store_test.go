@@ -50,7 +50,7 @@ func TestStoreWarmRestartZeroRecordings(t *testing.T) {
 
 	cold := &source{n: 100}
 	c1, st1 := withStore(t, dir, 0, 25)
-	checkIdentity(t, drain(t, record(t, c1, "w", 0, 100, cold.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c1, "w", 0, 100, cold.Source())))
 	if got := cold.records.Load(); got != 1 {
 		t.Fatalf("cold run recorded %d times, want 1", got)
 	}
@@ -62,7 +62,7 @@ func TestStoreWarmRestartZeroRecordings(t *testing.T) {
 	// The restart: fresh cache, fresh store handle, same directory.
 	warm := &source{n: 100}
 	c2, st2 := withStore(t, dir, 0, 25)
-	checkIdentity(t, drain(t, record(t, c2, "w", 0, 100, warm.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c2, "w", 0, 100, warm.Source())))
 	if got := warm.records.Load(); got != 0 {
 		t.Fatalf("warm run recorded %d times, want 0", got)
 	}
@@ -89,8 +89,8 @@ func TestStoreDemoteThenPromote(t *testing.T) {
 	// predecessor, so a second replay walks entirely through the store.
 	c, _ := withStore(t, t.TempDir(), 25*instBytes, 25)
 	v := record(t, c, "w", 0, 100, src.Source())
-	checkIdentity(t, drain(t, v), 0)
-	checkIdentity(t, drain(t, v), 0)
+	checkIdentity(t, drain(t, v))
+	checkIdentity(t, drain(t, v))
 	if got := src.ranges.Load(); got != 0 {
 		t.Fatalf("refilled %d ranges despite the store tier, want 0", got)
 	}
@@ -145,7 +145,7 @@ func TestStoreCorruptionFallsBackByteIdentically(t *testing.T) {
 	// promotes everything again.
 	again := &source{n: 100}
 	c3, _ := withStore(t, dir, 0, 25)
-	checkIdentity(t, drain(t, record(t, c3, "w", 0, 100, again.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c3, "w", 0, 100, again.Source())))
 	if c3.Stats().DiskSliceHits != 4 {
 		t.Fatal("re-recorded slice was not written back to the store")
 	}
@@ -177,7 +177,7 @@ func TestStoreCorruptHeaderFallsBack(t *testing.T) {
 
 	warm := &source{n: 100}
 	c2, st2 := withStore(t, dir, 0, 25)
-	checkIdentity(t, drain(t, record(t, c2, "w", 0, 100, warm.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c2, "w", 0, 100, warm.Source())))
 	if got := warm.records.Load(); got != 1 {
 		t.Fatalf("header reject must force a recording, got %d", got)
 	}
@@ -195,11 +195,11 @@ func TestStoreWholeTraceGranularity(t *testing.T) {
 	dir := t.TempDir()
 	cold := &source{n: 80}
 	c1, _ := withStore(t, dir, 0, 0)
-	checkIdentity(t, drain(t, record(t, c1, "w", 0, 80, cold.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c1, "w", 0, 80, cold.Source())))
 
 	warm := &source{n: 80}
 	c2, _ := withStore(t, dir, 0, 0)
-	checkIdentity(t, drain(t, record(t, c2, "w", 0, 80, warm.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c2, "w", 0, 80, warm.Source())))
 	if warm.records.Load() != 0 {
 		t.Fatal("whole-trace entry did not warm-start from the store")
 	}
@@ -217,14 +217,14 @@ func TestStoreKeySeparatesGeometry(t *testing.T) {
 
 	b := &source{n: 100}
 	c2, _ := withStore(t, dir, 0, 50) // different slice geometry
-	checkIdentity(t, drain(t, record(t, c2, "w", 0, 100, b.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c2, "w", 0, 100, b.Source())))
 	if b.records.Load() != 1 {
 		t.Fatal("changed slice geometry served the old store content")
 	}
 
 	d := &source{n: 60}
 	c3, _ := withStore(t, dir, 0, 25) // same geometry, different budget
-	checkIdentity(t, drain(t, record(t, c3, "w", 0, 60, d.Source())), 0)
+	checkIdentity(t, drain(t, record(t, c3, "w", 0, 60, d.Source())))
 	if d.records.Load() != 1 {
 		t.Fatal("changed budget served the old store content")
 	}

@@ -30,8 +30,9 @@
 // in the permanent header) — O(window). Without one, or when the
 // checkpoint cannot resume, the same callback runs with a nil
 // checkpoint and skims from instruction zero — O(prefix + window), the
-// exact fallback. Stats separates the two regimes (SliceResumes vs
-// SliceSkims).
+// exact fallback. Checkpoints are not persisted, so a trace restored
+// from a tracestore header always skims. Stats separates the two
+// regimes (SliceResumes vs SliceSkims).
 //
 // Counters are exposed as report-friendly Stats for the CLIs to print
 // to stderr (WriteStats, behind the shared -cachestats flag).
@@ -55,13 +56,6 @@ import (
 	"branchlab/internal/trace"
 	"branchlab/internal/tracestore"
 )
-
-// CkptPerSlice is the Source.CkptSpacing sentinel declaring that the
-// recording captures one checkpoint per cache slice, whatever slice
-// length the cache chooses (workload.CkptPerCacheSlice wires through to
-// this). The cache resolves it to the entry's slice length when
-// deriving the persistent-store key.
-const CkptPerSlice = ^uint64(0)
 
 // ErrBadSource is the sentinel wrapped when a Source produces a
 // malformed recording (middle slices not exactly sliceLen long). The
@@ -105,14 +99,6 @@ type Source struct {
 	// its failure is a broken invariant and panics; the enclosing
 	// engine unit or run boundary reports it as a typed error.
 	Refill func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error)
-
-	// CkptSpacing is the checkpoint spacing Record captures at (0 =
-	// none, CkptPerSlice = one per cache slice). It only parameterizes
-	// the persistent-store content key — the recording itself takes its
-	// spacing through Record's closure — but it must match what Record
-	// does: two recordings that differ in checkpoint capture are
-	// different stored artifacts.
-	CkptSpacing uint64
 }
 
 // key identifies one recordable trace. The budget is part of the
@@ -140,10 +126,11 @@ type entry struct {
 	skey  tracestore.Key
 	store *tracestore.Store
 	// src.Refill re-materializes evicted slices; ckpts (sorted by At,
-	// captured during the first recording, possibly empty) make those
-	// refills O(window). Checkpoints live in the permanent header: a
-	// few hundred words per trace, exempt from the LRU cap like the
-	// header itself.
+	// captured during this process's recording, possibly empty) make
+	// those refills O(window). Checkpoints live in the permanent header:
+	// a few hundred words per trace, exempt from the LRU cap like the
+	// header itself. The store does not persist them, so an entry
+	// restored from a stored header has none and refills by skim.
 	src   Source
 	ckpts []program.Checkpoint
 	ready chan struct{} // closed when slices/total (or err) are set
@@ -375,24 +362,6 @@ func (c *Cache) SetStore(s *tracestore.Store) {
 	c.mu.Unlock()
 }
 
-// storeKeyFor derives the persistent-store content key of one entry:
-// everything the recorded bytes are a function of. CkptPerSlice
-// resolves to the entry's actual slice length, so the key is stable
-// across processes configured with the same geometry.
-func storeKeyFor(name string, input int, budget, sliceLen uint64, src Source) tracestore.Key {
-	spacing := src.CkptSpacing
-	if spacing == CkptPerSlice {
-		spacing = sliceLen
-	}
-	return tracestore.Key{
-		Name:      name,
-		Input:     input,
-		Budget:    budget,
-		SliceLen:  sliceLen,
-		CkptEvery: spacing,
-	}
-}
-
 // canceledErr is the typed error a cancelled RecordCtx call returns; it
 // classifies as cancellation under engine.IsCancel.
 func canceledErr(ctx context.Context) error {
@@ -407,8 +376,8 @@ func canceledErr(ctx context.Context) error {
 //
 // The returned view replays through resident slices zero-copy and
 // re-materializes evicted slices on demand through src.Refill —
-// resuming from a stored checkpoint when the recording captured one at
-// or below the missing window, skimming the prefix otherwise — so
+// resuming from a checkpoint when this process's recording captured one
+// at or below the missing window, skimming the prefix otherwise — so
 // replays are byte-identical to an uncached recording under any cap.
 // Concurrent calls for the same key share one recording.
 //
@@ -496,7 +465,7 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 	}
 	if c.store != nil && budget > 0 {
 		e.store = c.store
-		e.skey = storeKeyFor(name, input, budget, e.sliceLen, src)
+		e.skey = tracestore.Key{Name: name, Input: input, Budget: budget, SliceLen: e.sliceLen}
 	}
 	c.entries[k] = e
 	c.mu.Unlock()
@@ -523,11 +492,10 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 	// back to deterministic re-materialization per slice, so a stale or
 	// partial store degrades gracefully and never changes bytes.
 	if e.store != nil {
-		if total, ckpts, herr := e.store.ReadHeader(e.skey); herr == nil {
+		if total, herr := e.store.ReadHeader(e.skey); herr == nil {
 			done = true
 			c.mu.Lock()
 			e.total = total
-			e.ckpts = ckpts
 			nslices := 0
 			if total > 0 {
 				nslices = int((total + e.sliceLen - 1) / e.sliceLen)
@@ -617,7 +585,7 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 		for i, a := range arrs {
 			_ = e.store.WriteSlice(e.skey, i, a)
 		}
-		_ = e.store.WriteHeader(e.skey, total, ckpts)
+		_ = e.store.WriteHeader(e.skey, total)
 	}
 	return v, nil
 }
@@ -894,44 +862,25 @@ func joinArrays(arrs [][]trace.Inst) []trace.Inst {
 	return out
 }
 
-// viewOf serves the whole recording of e as a zero-copy window
-// descriptor (caller holds mu).
+// viewOf serves the whole recording of e (caller holds mu, and e's
+// slices and total are set).
 func viewOf(c *Cache, e *entry) *view {
-	return &view{c: c, e: e, n: int(e.total)}
+	return &view{c: c, e: e}
 }
 
-// view is a trace.Replayable window [off, off+n) of a cached trace. It
-// holds no instruction data itself: streams pin one slice at a time, so
-// a replay's live set is one slice per active stream regardless of
-// trace length.
+// view is a trace.Replayable over a whole cached trace. It holds no
+// instruction data itself: streams pin one slice at a time, so a
+// replay's live set is one slice per active stream regardless of trace
+// length.
 type view struct {
-	c   *Cache
-	e   *entry
-	off int
-	n   int
+	c *Cache
+	e *entry
 }
 
 var _ trace.Replayable = (*view)(nil)
 
 // Len implements trace.Replayable.
-func (v *view) Len() int { return v.n }
-
-// Range implements trace.Replayable.
-func (v *view) Range(lo, hi int) trace.Replayable {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi < 0 {
-		hi = 0
-	}
-	if hi > v.n {
-		hi = v.n
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return &view{c: v.c, e: v.e, off: v.off + lo, n: hi - lo}
-}
+func (v *view) Len() int { return int(v.e.total) }
 
 // BlockStream implements trace.Replayable: blocks of at most n
 // instructions (up to a whole slice per block when n <= 0).
@@ -944,12 +893,12 @@ func (v *view) BlockStream(n int) trace.BlockStream {
 
 // viewStream reads a view in trace order. It implements
 // trace.BlockStream; blocks are zero-copy windows of one slice array,
-// clipped to the view and to blockCap when set. The stream pins the
-// slice it is reading once, keeps it across NextBlock calls within the
-// slice, and lets it go when it moves to the next slice or ends.
+// clipped to blockCap when set. The stream pins the slice it is reading
+// once, keeps it across NextBlock calls within the slice, and lets it go
+// when it moves to the next slice or ends.
 type viewStream struct {
 	v        *view
-	pos      int // next unserved view-relative index
+	pos      int // index of the next unserved instruction
 	blockCap int
 	si       int          // slice index of cur
 	cur      []trace.Inst // the slice array being read; nil before the first and after the last block
@@ -974,12 +923,12 @@ func (h *streamPin) release() {
 // servable window of the slice containing the next instruction,
 // pinning that slice first if the stream is not already reading it.
 func (s *viewStream) NextBlock() []trace.Inst {
-	if s.pos >= s.v.n {
+	if s.pos >= int(s.v.e.total) {
 		s.drop()
 		return nil
 	}
 	e := s.v.e
-	g := uint64(s.v.off + s.pos)
+	g := uint64(s.pos)
 	si := int(g / e.sliceLen)
 	if s.cur == nil || si != s.si {
 		s.drop()
@@ -996,9 +945,6 @@ func (s *viewStream) NextBlock() []trace.Inst {
 	}
 	so := int(g - uint64(si)*e.sliceLen)
 	end := len(s.cur)
-	if rem := s.v.n - s.pos; end-so > rem {
-		end = so + rem
-	}
 	if s.blockCap > 0 && end-so > s.blockCap {
 		end = so + s.blockCap
 	}

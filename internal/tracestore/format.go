@@ -1,13 +1,17 @@
 // On-disk format of the persistent trace store (DESIGN.md §11).
 //
 // A stored trace is one directory named by the content hash of its Key
-// (workload name, input, budget, slice geometry, checkpoint spacing,
-// format version, machine layout), holding:
+// (workload name, input, budget, slice geometry, format version,
+// machine layout), holding:
 //
 //	header        the trace header: identity echo, recorded extent,
-//	              serialized checkpoint list, trailing checksum
+//	              trailing checksum
 //	s<idx>        one file per slice: fixed 64-byte checksummed header
 //	              followed by the raw instruction array
+//
+// The store persists instruction bytes and their extent, nothing else:
+// payload checkpoints stay in the RAM tier of the process that captured
+// them, so a trace restored from disk refills a lost slice by skim.
 //
 // Slice payloads are the in-memory representation of []trace.Inst
 // dumped verbatim, which is what makes mmap serving zero-copy: the
@@ -39,7 +43,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"branchlab/internal/program"
 	"branchlab/internal/trace"
 )
 
@@ -48,7 +51,7 @@ import (
 // invisible (a cold miss) rather than a decode hazard; it is also
 // echoed inside every file and checked on read, so a file renamed
 // across versions still rejects cleanly.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // Magic numbers of the two file kinds.
 var (
@@ -129,14 +132,13 @@ var layoutSig = func() uint64 {
 // Key identifies one storable recording by content: everything the
 // deterministic generation pipeline is a function of. Two processes
 // (or two CI jobs) that would record byte-identical slice arrays
-// compute equal keys; any divergence in geometry or spacing lands in a
-// different directory instead of serving mismatched bytes.
+// compute equal keys; any divergence in geometry lands in a different
+// directory instead of serving mismatched bytes.
 type Key struct {
-	Name      string // workload name
-	Input     int    // application input index
-	Budget    uint64 // instruction budget of the recording
-	SliceLen  uint64 // slice granularity the arrays were recorded at
-	CkptEvery uint64 // checkpoint capture spacing (0 = none)
+	Name     string // workload name
+	Input    int    // application input index
+	Budget   uint64 // instruction budget of the recording
+	SliceLen uint64 // slice granularity the arrays were recorded at
 }
 
 // hash64 returns the content address of k: the FNV-1a of its canonical
@@ -151,7 +153,6 @@ func (k Key) hash64() uint64 {
 	b = binary.AppendUvarint(b, uint64(k.Input))
 	b = binary.AppendUvarint(b, k.Budget)
 	b = binary.AppendUvarint(b, k.SliceLen)
-	b = binary.AppendUvarint(b, k.CkptEvery)
 	return fnv1a(b)
 }
 
@@ -170,7 +171,6 @@ func appendKey(b []byte, k Key) []byte {
 	b = binary.AppendUvarint(b, uint64(k.Input))
 	b = binary.AppendUvarint(b, k.Budget)
 	b = binary.AppendUvarint(b, k.SliceLen)
-	b = binary.AppendUvarint(b, k.CkptEvery)
 	return b
 }
 
@@ -180,36 +180,34 @@ func reject(path, why string) error {
 }
 
 // encodeHeader serializes a trace header file: identity echo, recorded
-// extent, checkpoint list, trailing checksum over everything before it.
-func encodeHeader(k Key, total uint64, ckpts []program.Checkpoint) []byte {
-	b := make([]byte, 0, 256)
+// extent, trailing checksum over everything before it.
+func encodeHeader(k Key, total uint64) []byte {
+	b := make([]byte, 0, 64)
 	b = append(b, headerMagic[:]...)
 	b = binary.AppendUvarint(b, FormatVersion)
 	b = binary.AppendUvarint(b, layoutSig)
 	b = appendKey(b, k)
 	b = binary.AppendUvarint(b, total)
-	b = program.AppendCheckpoints(b, ckpts)
 	var sum [8]byte
 	binary.LittleEndian.PutUint64(sum[:], checksum(b))
 	return append(b, sum[:]...)
 }
 
 // decodeHeader parses and verifies a header file against the requested
-// key, returning the recorded extent and checkpoint list. Every
-// mismatch — magic, version, layout, identity, truncation, checksum —
-// is a typed reject.
+// key, returning the recorded extent. Every mismatch — magic, version,
+// layout, identity, truncation, checksum — is a typed reject.
 //
 //storegate:gate
-func decodeHeader(path string, k Key, b []byte) (total uint64, ckpts []program.Checkpoint, err error) {
+func decodeHeader(path string, k Key, b []byte) (total uint64, err error) {
 	if len(b) < len(headerMagic)+8 {
-		return 0, nil, reject(path, "truncated header file")
+		return 0, reject(path, "truncated header file")
 	}
 	body, sum := b[:len(b)-8], binary.LittleEndian.Uint64(b[len(b)-8:])
 	if checksum(body) != sum {
-		return 0, nil, reject(path, "header checksum mismatch")
+		return 0, reject(path, "header checksum mismatch")
 	}
 	if [4]byte(body[:4]) != headerMagic {
-		return 0, nil, reject(path, "bad header magic")
+		return 0, reject(path, "bad header magic")
 	}
 	off := 4
 	next := func() (uint64, bool) {
@@ -222,44 +220,38 @@ func decodeHeader(path string, k Key, b []byte) (total uint64, ckpts []program.C
 	}
 	version, ok := next()
 	if !ok || version != FormatVersion {
-		return 0, nil, reject(path, fmt.Sprintf("format version %d (want %d)", version, FormatVersion))
+		return 0, reject(path, fmt.Sprintf("format version %d (want %d)", version, FormatVersion))
 	}
 	sig, ok := next()
 	if !ok || sig != layoutSig {
-		return 0, nil, reject(path, "machine layout mismatch")
+		return 0, reject(path, "machine layout mismatch")
 	}
 	nameLen, ok := next()
 	if !ok || uint64(len(body)-off) < nameLen {
-		return 0, nil, reject(path, "truncated identity echo")
+		return 0, reject(path, "truncated identity echo")
 	}
 	name := string(body[off : off+int(nameLen)])
 	off += int(nameLen)
 	input, ok1 := next()
 	budget, ok2 := next()
 	sliceLen, ok3 := next()
-	ckptEvery, ok4 := next()
-	if !ok1 || !ok2 || !ok3 || !ok4 {
-		return 0, nil, reject(path, "truncated identity echo")
+	if !ok1 || !ok2 || !ok3 {
+		return 0, reject(path, "truncated identity echo")
 	}
-	if name != k.Name || int(input) != k.Input || budget != k.Budget ||
-		sliceLen != k.SliceLen || ckptEvery != k.CkptEvery {
-		return 0, nil, reject(path, "identity echo does not match the requested key")
+	if name != k.Name || int(input) != k.Input || budget != k.Budget || sliceLen != k.SliceLen {
+		return 0, reject(path, "identity echo does not match the requested key")
 	}
 	total, ok = next()
 	if !ok {
-		return 0, nil, reject(path, "truncated extent")
+		return 0, reject(path, "truncated extent")
 	}
 	if total > k.Budget {
-		return 0, nil, reject(path, fmt.Sprintf("recorded extent %d exceeds budget %d", total, k.Budget))
+		return 0, reject(path, fmt.Sprintf("recorded extent %d exceeds budget %d", total, k.Budget))
 	}
-	ckpts, n, cerr := program.DecodeCheckpoints(body[off:])
-	if cerr != nil {
-		return 0, nil, reject(path, cerr.Error())
+	if off != len(body) {
+		return 0, reject(path, "trailing bytes after extent")
 	}
-	if off+n != len(body) {
-		return 0, nil, reject(path, "trailing bytes after checkpoint list")
-	}
-	return total, ckpts, nil
+	return total, nil
 }
 
 // encodeSliceHeader fills the fixed 64-byte slice-file header.

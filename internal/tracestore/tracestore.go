@@ -1,8 +1,9 @@
 // Package tracestore is the persistent, content-addressed on-disk tier
-// beneath the RAM slice cache (DESIGN.md §11): recorded slices and
-// checkpoint-bearing trace headers land in a directory store keyed by
-// the content hash of what generated them, survive process restarts,
-// and are served back zero-copy via mmap into the replay machinery.
+// beneath the RAM slice cache (DESIGN.md §11): recorded slices and a
+// per-trace header holding the recorded extent land in a directory store
+// keyed by the content hash of what generated them, survive process
+// restarts, and are served back zero-copy via mmap into the replay
+// machinery.
 //
 // The store is an exactness-preserving cache, never an authority: every
 // read re-verifies checksums, identity echoes, format version and
@@ -37,7 +38,6 @@ import (
 	"sync"
 
 	"branchlab/internal/faultinject"
-	"branchlab/internal/program"
 	"branchlab/internal/report"
 	"branchlab/internal/trace"
 )
@@ -279,11 +279,11 @@ func (s *Store) tracePath(k Key) (dir, name string) {
 	return filepath.Join(s.dir, name), name
 }
 
-// WriteHeader persists k's trace header: recorded extent and checkpoint
-// list. Idempotent (an existing header is left alone — same key, same
-// bytes) and non-fatal on error: a failed write only costs a future
-// re-record. Safe on a nil store.
-func (s *Store) WriteHeader(k Key, total uint64, ckpts []program.Checkpoint) error {
+// WriteHeader persists k's trace header: the recorded extent.
+// Idempotent (an existing header is left alone — same key, same bytes)
+// and non-fatal on error: a failed write only costs a future re-record.
+// Safe on a nil store.
+func (s *Store) WriteHeader(k Key, total uint64) error {
 	if s == nil {
 		return nil
 	}
@@ -301,7 +301,7 @@ func (s *Store) WriteHeader(k Key, total uint64, ckpts []program.Checkpoint) err
 		s.noteWriteError()
 		return err
 	}
-	b := encodeHeader(k, total, ckpts)
+	b := encodeHeader(k, total)
 	if err := s.atomicWrite(dir, path, func(f *os.File) error {
 		_, err := f.Write(b)
 		return err
@@ -318,18 +318,18 @@ func (s *Store) WriteHeader(k Key, total uint64, ckpts []program.Checkpoint) err
 }
 
 // ReadHeader loads and verifies k's trace header, returning the
-// recorded extent and checkpoint list. ErrNotFound is a clean miss; a
-// verification failure deletes the whole trace directory (its identity
-// cannot be trusted) and returns a typed reject. Safe on a nil store.
-func (s *Store) ReadHeader(k Key) (total uint64, ckpts []program.Checkpoint, err error) {
+// recorded extent. ErrNotFound is a clean miss; a verification failure
+// deletes the whole trace directory (its identity cannot be trusted)
+// and returns a typed reject. Safe on a nil store.
+func (s *Store) ReadHeader(k Key) (total uint64, err error) {
 	if s == nil {
-		return 0, nil, ErrNotFound
+		return 0, ErrNotFound
 	}
 	dir, name := s.tracePath(k)
 	path := filepath.Join(dir, "header")
 	if err := faultinject.Fail(faultinject.StoreRead); err != nil {
 		s.noteReadError()
-		return 0, nil, err
+		return 0, err
 	}
 	b, rerr := os.ReadFile(path)
 	if rerr != nil {
@@ -337,21 +337,21 @@ func (s *Store) ReadHeader(k Key) (total uint64, ckpts []program.Checkpoint, err
 		s.stats.HeaderMisses++
 		s.mu.Unlock()
 		if errors.Is(rerr, os.ErrNotExist) {
-			return 0, nil, ErrNotFound
+			return 0, ErrNotFound
 		}
 		s.noteReadError()
-		return 0, nil, rerr
+		return 0, rerr
 	}
-	total, ckpts, err = decodeHeader(path, k, b)
+	total, err = decodeHeader(path, k, b)
 	if err != nil {
 		s.dropTrace(name)
-		return 0, nil, err
+		return 0, err
 	}
 	s.mu.Lock()
 	s.stats.HeaderHits++
 	s.touchLocked(name)
 	s.mu.Unlock()
-	return total, ckpts, nil
+	return total, nil
 }
 
 // WriteSlice persists slice idx of k's recording. The payload is the

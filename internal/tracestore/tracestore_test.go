@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"branchlab/internal/program"
 	"branchlab/internal/trace"
 )
 
@@ -35,16 +34,7 @@ func testInsts(n int, salt uint64) []trace.Inst {
 }
 
 func testKey() Key {
-	return Key{Name: "zoo/test", Input: 2, Budget: 1 << 20, SliceLen: 4096, CkptEvery: 4096}
-}
-
-func testCkpts() []program.Checkpoint {
-	return []program.Checkpoint{
-		{At: 4096, Rng: [4]uint64{1, 2, 3, 4}, CurIP: 0x400123, Scratch: 7,
-			Callers: []uint64{0x400001, 0x400002}, Payload: []uint64{9, 8, 7}},
-		{At: 8192, Rng: [4]uint64{5, 6, 7, 8}, CurIP: 0x400456, Scratch: 3,
-			Payload: []uint64{1}},
-	}
+	return Key{Name: "zoo/test", Input: 2, Budget: 1 << 20, SliceLen: 4096}
 }
 
 func mustOpen(t testing.TB, dir string, cap int64) *Store {
@@ -75,7 +65,6 @@ func TestRoundtripAcrossReopen(t *testing.T) {
 	k := testKey()
 	insts := testInsts(4096, 1)
 	tail := testInsts(100, 2)
-	cks := testCkpts()
 
 	s := mustOpen(t, dir, 0)
 	if err := s.WriteSlice(k, 0, insts); err != nil {
@@ -84,7 +73,7 @@ func TestRoundtripAcrossReopen(t *testing.T) {
 	if err := s.WriteSlice(k, 1, tail); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteHeader(k, k.Budget, cks); err != nil {
+	if err := s.WriteHeader(k, k.Budget); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -94,19 +83,12 @@ func TestRoundtripAcrossReopen(t *testing.T) {
 	// A fresh store over the same directory — the restart — must serve
 	// identical bytes.
 	s2 := mustOpen(t, dir, 0)
-	total, gotCks, err := s2.ReadHeader(k)
+	total, err := s2.ReadHeader(k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if total != k.Budget {
 		t.Fatalf("total = %d, want %d", total, k.Budget)
-	}
-	if len(gotCks) != len(cks) || gotCks[0].At != cks[0].At ||
-		gotCks[0].Rng != cks[0].Rng || gotCks[0].CurIP != cks[0].CurIP ||
-		gotCks[0].Scratch != cks[0].Scratch ||
-		len(gotCks[0].Callers) != 2 || gotCks[0].Callers[1] != 0x400002 ||
-		len(gotCks[1].Payload) != 1 || gotCks[1].Payload[0] != 1 {
-		t.Fatalf("checkpoints did not roundtrip: %+v", gotCks)
 	}
 	p0, err := s2.PinSlice(k, 0, 4096)
 	if err != nil {
@@ -138,7 +120,7 @@ func TestWriteIdempotent(t *testing.T) {
 		if err := s.WriteSlice(k, 0, insts); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.WriteHeader(k, 64, nil); err != nil {
+		if err := s.WriteHeader(k, 64); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +133,7 @@ func TestWriteIdempotent(t *testing.T) {
 func TestMissIsNotFound(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), 0)
 	k := testKey()
-	if _, _, err := s.ReadHeader(k); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ReadHeader(k); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("ReadHeader miss = %v, want ErrNotFound", err)
 	}
 	if _, err := s.PinSlice(k, 0, 64); !errors.Is(err, ErrNotFound) {
@@ -169,10 +151,10 @@ func TestNilStoreIsInert(t *testing.T) {
 	if err := s.WriteSlice(k, 0, testInsts(8, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteHeader(k, 8, nil); err != nil {
+	if err := s.WriteHeader(k, 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.ReadHeader(k); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ReadHeader(k); !errors.Is(err, ErrNotFound) {
 		t.Fatal("nil ReadHeader must miss")
 	}
 	if _, err := s.PinSlice(k, 0, 8); !errors.Is(err, ErrNotFound) {
@@ -248,7 +230,7 @@ func TestTruncatedFilesRejected(t *testing.T) {
 	if err := s.WriteSlice(k, 0, testInsts(512, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteHeader(k, 512, testCkpts()); err != nil {
+	if err := s.WriteHeader(k, 512); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -264,14 +246,14 @@ func TestTruncatedFilesRejected(t *testing.T) {
 		// Rebuild the fixture each round (rejects delete files).
 		s1 := mustOpen(t, dir, 0)
 		s1.WriteSlice(k, 0, testInsts(512, 5))
-		s1.WriteHeader(k, 512, testCkpts())
+		s1.WriteHeader(k, 512)
 		s1.Close()
 		if err := os.Truncate(tc.file, tc.keep); err != nil {
 			t.Fatal(err)
 		}
 		s2 := mustOpen(t, dir, 0)
 		if filepath.Base(tc.file) == "header" {
-			if _, _, err := s2.ReadHeader(k); !errors.Is(err, ErrReject) {
+			if _, err := s2.ReadHeader(k); !errors.Is(err, ErrReject) {
 				t.Fatalf("truncated header accepted: %v", err)
 			}
 		} else {
@@ -388,7 +370,7 @@ func TestHeaderKeyMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
 	k := testKey()
 	s := mustOpen(t, dir, 0)
-	if err := s.WriteHeader(k, 512, nil); err != nil {
+	if err := s.WriteHeader(k, 512); err != nil {
 		t.Fatal(err)
 	}
 	// Same hash directory, different identity echo: move the header
@@ -404,7 +386,7 @@ func TestHeaderKeyMismatchRejected(t *testing.T) {
 	if err := os.Rename(filepath.Join(srcDir, "header"), filepath.Join(dstDir, "header")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.ReadHeader(k2); !errors.Is(err, ErrReject) {
+	if _, err := s.ReadHeader(k2); !errors.Is(err, ErrReject) {
 		t.Fatal("foreign header accepted")
 	}
 }
@@ -481,7 +463,7 @@ func TestReopenInventoriesExisting(t *testing.T) {
 	if err := s.WriteSlice(k, 0, testInsts(256, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteHeader(k, 256, nil); err != nil {
+	if err := s.WriteHeader(k, 256); err != nil {
 		t.Fatal(err)
 	}
 	want := s.Stats().BytesOnDisk
@@ -535,11 +517,10 @@ func TestKeyHashSensitivity(t *testing.T) {
 	base := testKey()
 	seen := map[string]Key{base.hash(): base}
 	for _, k := range []Key{
-		{Name: "zoo/test2", Input: 2, Budget: 1 << 20, SliceLen: 4096, CkptEvery: 4096},
-		{Name: "zoo/test", Input: 3, Budget: 1 << 20, SliceLen: 4096, CkptEvery: 4096},
-		{Name: "zoo/test", Input: 2, Budget: 1 << 21, SliceLen: 4096, CkptEvery: 4096},
-		{Name: "zoo/test", Input: 2, Budget: 1 << 20, SliceLen: 8192, CkptEvery: 4096},
-		{Name: "zoo/test", Input: 2, Budget: 1 << 20, SliceLen: 4096, CkptEvery: 0},
+		{Name: "zoo/test2", Input: 2, Budget: 1 << 20, SliceLen: 4096},
+		{Name: "zoo/test", Input: 3, Budget: 1 << 20, SliceLen: 4096},
+		{Name: "zoo/test", Input: 2, Budget: 1 << 21, SliceLen: 4096},
+		{Name: "zoo/test", Input: 2, Budget: 1 << 20, SliceLen: 8192},
 	} {
 		h := k.hash()
 		if prev, dup := seen[h]; dup {

@@ -117,11 +117,6 @@ const CkptPerCacheSlice = ^uint64(0)
 // byte-identical windows.
 func (s *Spec) CacheSource(input int, budget uint64, pool *engine.Pool, shards int, ckptEvery uint64) tracecache.Source {
 	return tracecache.Source{
-		// The spacing is part of the recording's content identity: the
-		// persistent store keys on it (the sentinel value is shared
-		// with tracecache.CkptPerSlice and resolves to the slice
-		// length there, exactly as Record resolves it below).
-		CkptSpacing: ckptEvery,
 		Record: func(ctx context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error) {
 			every := ckptEvery
 			if every == CkptPerCacheSlice {
