@@ -261,7 +261,7 @@ func BenchmarkRecordSharded(b *testing.B) {
 			pool := branchlab.NewEnginePool(shards)
 			sliceLen := uint64((budget + shards - 1) / shards)
 			for i := 0; i < b.N; i++ {
-				if _, _, err := spec.RecordSlicesCtx(context.Background(), 0, budget, sliceLen, pool, shards, 0); err != nil {
+				if _, _, err := spec.RecordSlicesCtx(context.Background(), 0, budget, sliceLen, pool, shards, 0, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -348,7 +348,7 @@ func BenchmarkEvictedRefill(b *testing.B) {
 	spec, _ := branchlab.Workload("605.mcf_s")
 	// One checkpointed recording, as the cache performs on a miss; the
 	// header's checkpoint list is what the refills below resume from.
-	_, cks, err := spec.RecordSlicesCtx(context.Background(), 0, budget, window, nil, 1, window)
+	_, cks, err := spec.RecordSlicesCtx(context.Background(), 0, budget, window, nil, 1, window, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -118,3 +118,82 @@ func TestStoreServesQuickTraceAtAnyCheckpointSpacing(t *testing.T) {
 		t.Fatalf("warm run over a damaged slice: %+v, want 0 recordings, 1 reject, 1 skim, 0 resumes", cs)
 	}
 }
+
+// quickTraces lists every (workload, input) trace the registry records
+// at Quick: each SPECint-like workload at its first MaxInputs inputs,
+// each LCF workload at input 0, and the inputs the cnn driver evaluates
+// its helpers on.
+func quickTraces(cfg Config) []traceRef {
+	var refs []traceRef
+	has := func(r traceRef) bool {
+		for _, x := range refs {
+			if x == r {
+				return true
+			}
+		}
+		return false
+	}
+	for _, s := range workload.SPECint2017Like() {
+		for in := 0; in < min(s.NumInputs, cfg.MaxInputs); in++ {
+			refs = append(refs, traceRef{s, in})
+		}
+	}
+	for _, s := range workload.LCFLike() {
+		refs = append(refs, traceRef{s, 0})
+	}
+	for _, name := range cnnBenchmarks {
+		s, _ := workload.ByName(name)
+		if r := (traceRef{s, 2 % s.NumInputs}); !has(r) {
+			refs = append(refs, r)
+		}
+	}
+	return refs
+}
+
+// traceRef names one recorded trace.
+type traceRef struct {
+	spec  *workload.Spec
+	input int
+}
+
+// BenchmarkStoreFill records the registry's Quick traces through one
+// uncapped cache, one after the other: store=off keeps them in RAM
+// only, store=on also writes them into a fresh trace store — a cold
+// store fill. The difference is what the store's write-through costs
+// the recording path.
+func BenchmarkStoreFill(b *testing.B) {
+	cfg := Quick()
+	refs := quickTraces(cfg)
+	for _, mode := range []string{"off", "on"} {
+		b.Run("store="+mode, func(b *testing.B) {
+			ctx := context.Background()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				var st *tracestore.Store
+				dir := filepath.Join(b.TempDir(), "store")
+				if mode == "on" {
+					var err error
+					if st, err = tracestore.Open(dir, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+				c := cfg
+				c.Store = st
+				c.Cache = c.NewCache(0)
+				b.StartTimer()
+				for _, r := range refs {
+					if _, err := c.RecordTrace(ctx, r.spec, r.input); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if cs := c.Cache.Stats(); cs.Misses != uint64(len(refs)) {
+					b.Fatalf("recorded %d traces, want %d", cs.Misses, len(refs))
+				}
+				st.Close()
+				os.RemoveAll(dir)
+				b.StartTimer()
+			}
+		})
+	}
+}

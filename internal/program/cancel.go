@@ -5,7 +5,8 @@
 // RecordSlicesCtx) bounds the generation. The
 // emitter checks it only at points where stopping is provably safe —
 // payload checkpoint safe points (Emitter.Checkpoint), slice-window
-// retirement, and batch flushes — and stopping means unwinding the
+// retirement, the chunk ends of a streamed recording (SliceSink), and
+// batch flushes — and stopping means unwinding the
 // payload and discarding everything materialized so far. A cancelled
 // recording therefore returns (nil, err): it never returns a
 // truncated or otherwise wrong byte sequence. The returned error

@@ -150,7 +150,7 @@ func TestRecordSlicesCtxCancelViaCheckpointPoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	out, cks, err := RecordSlicesCtx(ctx, 1, 1_000_000, selfCancelPayload(cancel, 10_000, true),
-		1_000_000, nil, 1, 0)
+		1_000_000, nil, 1, 0, nil)
 	if out != nil || cks != nil {
 		t.Fatalf("cancelled RecordSlicesCtx returned data: %d slices, %d ckpts", len(out), len(cks))
 	}
@@ -167,7 +167,7 @@ func TestRecordSlicesCtxCancelViaWindowRetirement(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	out, _, err := RecordSlicesCtx(ctx, 1, 1_000_000, selfCancelPayload(cancel, 10_000, false),
-		1_000, nil, 1, 0)
+		1_000, nil, 1, 0, nil)
 	if out != nil {
 		t.Fatalf("cancelled RecordSlicesCtx returned %d slices", len(out))
 	}
@@ -182,7 +182,7 @@ func TestRecordSlicesCtxShardedCancelTyped(t *testing.T) {
 	defer leakCheck(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, _, err := RecordSlicesCtx(ctx, 1, 100_000, countingPayload, 10_000, engine.New(4), 4, 0)
+	out, _, err := RecordSlicesCtx(ctx, 1, 100_000, countingPayload, 10_000, engine.New(4), 4, 0, nil)
 	if out != nil {
 		t.Fatalf("cancelled sharded recording returned %d slices", len(out))
 	}
@@ -197,7 +197,7 @@ func TestRecordSlicesCtxShardedUncancelledByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	want := mustRecord(t, 11, 40_000, countingPayload)
-	arrs, _, err := RecordSlicesCtx(ctx, 11, 40_000, countingPayload, 10_000, engine.New(4), 4, 0)
+	arrs, _, err := RecordSlicesCtx(ctx, 11, 40_000, countingPayload, 10_000, engine.New(4), 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,6 +78,18 @@ type Emitter struct {
 	segs   [][]trace.Inst
 	filled [][]trace.Inst
 
+	// Streaming (see SliceSink): sink, when set, receives direct in
+	// ChunkInsts pieces as it fills; slice is direct's global slice
+	// index and sent how much of it the sink has seen. mark is the
+	// length of direct at which emit next calls boundary: the window's
+	// capacity without a sink, the next chunk end with one, -1 once the
+	// last window has retired — so the hot path pays one compare either
+	// way.
+	sink  SliceSink
+	slice int
+	sent  int
+	mark  int
+
 	// Checkpointing (see checkpoint.go): with ckptEvery > 0 the emitter
 	// captures a Checkpoint at the first payload safe point at or after
 	// each multiple of ckptEvery, storing only captures at index >=
@@ -150,13 +162,8 @@ func (e *Emitter) emit(inst trace.Inst) {
 	if e.emitted >= e.skip {
 		if e.direct != nil {
 			e.direct = append(e.direct, inst)
-			if len(e.direct) == cap(e.direct) && len(e.segs) > 0 {
-				e.filled = append(e.filled, e.direct)
-				e.direct = e.segs[0]
-				e.segs = e.segs[1:]
-				// Window retirement is a byte-safe point: a cancel here
-				// discards every window, full and partial alike.
-				e.checkCanceled()
+			if len(e.direct) == e.mark {
+				e.boundary()
 			}
 		} else {
 			e.batch = append(e.batch, inst)
@@ -169,6 +176,40 @@ func (e *Emitter) emit(inst trace.Inst) {
 	if e.stopAt != 0 && e.emitted >= e.stopAt {
 		//lint:ignore errcontract stopSignal is a typed unwind for a clean early stop, recovered at the Record* run boundary; it never escapes to callers
 		panic(stopSignal{})
+	}
+}
+
+// boundary runs when direct reaches mark: it hands the sink the chunk
+// since the last hand-off, retires a full window (the next one takes
+// over) and sets the next mark.
+func (e *Emitter) boundary() {
+	full := len(e.direct) == cap(e.direct)
+	if e.sink != nil {
+		e.sink(e.slice, e.direct[e.sent:], full)
+		e.sent = len(e.direct)
+	}
+	if full {
+		if len(e.segs) == 0 {
+			e.mark = -1 // the range is full; stopAt unwinds the payload
+			return
+		}
+		e.filled = append(e.filled, e.direct)
+		e.direct = e.segs[0]
+		e.segs = e.segs[1:]
+		e.slice++
+		e.sent = 0
+	}
+	e.setMark()
+	// Chunk ends and window retirements are byte-safe points: a cancel
+	// here discards every window, full and partial alike.
+	e.checkCanceled()
+}
+
+// setMark sets the length of direct at which boundary next runs.
+func (e *Emitter) setMark() {
+	e.mark = cap(e.direct)
+	if e.sink != nil {
+		e.mark = min(e.sent+ChunkInsts, e.mark)
 	}
 }
 
@@ -448,6 +489,27 @@ func RecordCtx(ctx context.Context, seed, budget uint64, payload Payload) (*trac
 	return buf, nil
 }
 
+// ChunkInsts is the streaming granularity of RecordSlicesCtx: a sink
+// sees each slice window in pieces of this many instructions (1.25 MiB
+// of records), so a consumer such as a store writer works on a slice
+// while the rest of it is still generating.
+const ChunkInsts = 32 << 10
+
+// SliceSink receives a slice-granular recording while it records.
+// RecordSlicesCtx hands it each slice window in order, in consecutive
+// chunks of ChunkInsts instructions; the call with last set carries the
+// rest of the window (possibly empty) once the window retires — full,
+// or the trace's final slice when the payload ends. A chunk aliases the
+// window array RecordSlicesCtx returns, which never reallocates and is
+// not written again, so the sink may read it from another goroutine
+// until it drops the arrays; it must never write it. Calls for one slice
+// come from one goroutine, in order; a sharded recording calls the sink
+// from several goroutines, one per shard's range of slices. No call
+// follows RecordSlicesCtx's return. When the recording fails, the
+// chunks already handed over belong to no returned array and the
+// slices without a last call never completed.
+type SliceSink func(slice int, chunk []trace.Inst, last bool)
+
 // recordSegments generates instructions [lo, hi) of the (seed, budget,
 // payload) trace synchronously — no producer goroutine, no channel —
 // filling the pre-allocated capacity-capped windows segs in order and
@@ -456,7 +518,8 @@ func RecordCtx(ctx context.Context, seed, budget uint64, payload Payload) (*trac
 // identical xrand stream from the trace seed), skims the prefix without
 // materializing it, and unwinds as soon as the range is full. The
 // window capacities must sum to at least hi-lo so no append ever
-// reallocates a window.
+// reallocates a window. A non-nil sink streams the windows as they fill
+// (see SliceSink); slice0 is the global slice index of segs[0].
 //
 // ckptEvery > 0 additionally captures payload checkpoints within
 // [lo, hi) at that spacing (see checkpoint.go); from != nil resumes
@@ -464,7 +527,7 @@ func RecordCtx(ctx context.Context, seed, budget uint64, payload Payload) (*trac
 // refill path — and fails with ErrBadCheckpoint (wrapped) when the
 // checkpoint cannot reproduce the generation, leaving the caller to
 // fall back to a skim from zero.
-func recordSegments(ctx context.Context, seed, budget uint64, payload Payload, lo, hi uint64, segs [][]trace.Inst, ckptEvery uint64, from *Checkpoint) ([][]trace.Inst, []Checkpoint, error) {
+func recordSegments(ctx context.Context, seed, budget uint64, payload Payload, lo, hi uint64, segs [][]trace.Inst, sink SliceSink, slice0 int, ckptEvery uint64, from *Checkpoint) ([][]trace.Inst, []Checkpoint, error) {
 	e := &Emitter{
 		rng:       xrand.New(seed),
 		budget:    budget,
@@ -474,10 +537,13 @@ func recordSegments(ctx context.Context, seed, budget uint64, payload Payload, l
 		stopAt:    hi,
 		direct:    segs[0],
 		segs:      segs[1:],
+		sink:      sink,
+		slice:     slice0,
 		ckptEvery: ckptEvery,
 		nextCkpt:  ckptEvery, // never capture the trivial At=0 state
 		ckptLo:    lo,
 	}
+	e.setMark()
 	e.bindContext(ctx)
 	if from != nil {
 		if from.At > lo {
@@ -509,6 +575,10 @@ func recordSegments(ctx context.Context, seed, budget uint64, payload Payload, l
 	if err != nil {
 		return nil, nil, err
 	}
+	if e.sink != nil && e.mark >= 0 && len(e.direct) > 0 {
+		// The payload ended inside this window: it retires short.
+		e.sink(e.slice, e.direct[e.sent:], true)
+	}
 	return append(e.filled, e.direct), e.ckpts, nil
 }
 
@@ -537,7 +607,7 @@ func RecordRangeFrom(seed, budget uint64, payload Payload, ck *Checkpoint, lo, h
 	}
 	//lint:ignore ctxflow range refills are deliberately context-free: a replay must be able to regenerate bytes after the recording context is gone
 	segs, _, err := recordSegments(context.Background(), seed, budget, payload, lo, hi,
-		[][]trace.Inst{make([]trace.Inst, 0, hi-lo)}, 0, ck)
+		[][]trace.Inst{make([]trace.Inst, 0, hi-lo)}, nil, 0, 0, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -568,10 +638,15 @@ func RecordRangeFrom(seed, budget uint64, payload Payload, ck *Checkpoint, lo, h
 // Emitter.Checkpointable yields an empty list (the fallback consumers
 // detect). ckptEvery == 0 disables capture.
 //
+// A non-nil sink receives every slice window while it records, in
+// ChunkInsts pieces (see SliceSink); the arrays returned are the same
+// windows. A nil sink costs the emitter nothing beyond the window
+// bookkeeping it already does.
+//
 // ctx bounds the recording: cancellation or a payload failure returns
 // (nil, nil, err) with a typed error; partial slice arrays are never
 // returned.
-func RecordSlicesCtx(ctx context.Context, seed, budget uint64, payload Payload, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []Checkpoint, error) {
+func RecordSlicesCtx(ctx context.Context, seed, budget uint64, payload Payload, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64, sink SliceSink) ([][]trace.Inst, []Checkpoint, error) {
 	if budget == 0 {
 		return nil, nil, nil
 	}
@@ -605,7 +680,7 @@ func RecordSlicesCtx(ctx context.Context, seed, budget uint64, payload Payload, 
 		shards = nSlices
 	}
 	if shards <= 1 {
-		filled, c, err := recordSegments(ctx, seed, budget, payload, 0, budget, mkWindows(0, nSlices), ckptEvery, nil)
+		filled, c, err := recordSegments(ctx, seed, budget, payload, 0, budget, mkWindows(0, nSlices), sink, 0, ckptEvery, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -629,7 +704,7 @@ func RecordSlicesCtx(ctx context.Context, seed, budget uint64, payload Payload, 
 			if hi > budget {
 				hi = budget
 			}
-			filled, c, err := recordSegments(ctx, seed, budget, payload, lo, hi, mkWindows(s0, s1), ckptEvery, nil)
+			filled, c, err := recordSegments(ctx, seed, budget, payload, lo, hi, mkWindows(s0, s1), sink, s0, ckptEvery, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -46,7 +46,7 @@ func mustRecord(t *testing.T, seed, budget uint64, payload Payload) *trace.Buffe
 // the test on error.
 func mustSlices(t *testing.T, seed, budget uint64, payload Payload, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []Checkpoint) {
 	t.Helper()
-	arrs, cks, err := RecordSlicesCtx(context.Background(), seed, budget, payload, sliceLen, pool, shards, ckptEvery)
+	arrs, cks, err := RecordSlicesCtx(context.Background(), seed, budget, payload, sliceLen, pool, shards, ckptEvery, nil)
 	if err != nil {
 		t.Fatalf("RecordSlicesCtx(seed=%d, budget=%d): %v", seed, budget, err)
 	}

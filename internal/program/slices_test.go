@@ -1,6 +1,9 @@
 package program
 
 import (
+	"context"
+	"errors"
+	"sync"
 	"testing"
 
 	"branchlab/internal/engine"
@@ -104,5 +107,104 @@ func TestRecordRangeByteIdentical(t *testing.T) {
 	}
 	if got, err := RecordRangeFrom(7, budget, countingPayload, nil, 10, 10); got != nil || err != nil {
 		t.Fatalf("empty range returned %d insts, err %v", len(got), err)
+	}
+}
+
+// sinkLog records a SliceSink's calls per slice; safe for the
+// concurrent calls of a sharded recording.
+type sinkLog struct {
+	mu     sync.Mutex
+	chunks map[int][][]trace.Inst
+	lasts  map[int]int // number of last calls per slice
+	late   bool        // a call for a slice after its last
+}
+
+func newSinkLog() *sinkLog {
+	return &sinkLog{chunks: make(map[int][][]trace.Inst), lasts: make(map[int]int)}
+}
+
+func (l *sinkLog) sink(slice int, chunk []trace.Inst, last bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.lasts[slice] > 0 {
+		l.late = true
+	}
+	l.chunks[slice] = append(l.chunks[slice], chunk)
+	if last {
+		l.lasts[slice]++
+	}
+}
+
+// A sink sees every returned window exactly: in order, in ChunkInsts
+// pieces that alias the returned array, closed by one last call — at
+// any slice length and shard count, and for a payload that ends early.
+func TestRecordSlicesSinkStreamsEveryWindow(t *testing.T) {
+	pool := engine.New(3)
+	for _, tc := range []struct {
+		payload Payload
+		budget  uint64
+		slice   uint64
+	}{
+		{countingPayload, 200_000, 0},
+		{countingPayload, 200_000, 50_000},
+		{countingPayload, 200_000, 2 * ChunkInsts},
+		{countingPayload, 200_000, 100_000},
+		{earlyPayload, 60_000, 5_000},
+		{earlyPayload, 60_000, 7_777},
+	} {
+		for _, shards := range []int{1, 3} {
+			label := "budget=" + itoa(int(tc.budget)) + "/slice=" + itoa(int(tc.slice)) + "/shards=" + itoa(shards)
+			log := newSinkLog()
+			arrs, _, err := RecordSlicesCtx(context.Background(), 5, tc.budget, tc.payload, tc.slice, pool, shards, 0, log.sink)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertSameBuffer(t, joinSlices(arrs), mustRecord(t, 5, tc.budget, tc.payload), label)
+			if log.late {
+				t.Fatalf("%s: the sink was called for a slice after its last chunk", label)
+			}
+			if len(log.chunks) != len(arrs) {
+				t.Fatalf("%s: the sink saw %d slices, the recording returned %d", label, len(log.chunks), len(arrs))
+			}
+			for si, a := range arrs {
+				chunks := log.chunks[si]
+				if log.lasts[si] != 1 {
+					t.Fatalf("%s: slice %d closed %d times, want once", label, si, log.lasts[si])
+				}
+				off := 0
+				for ci, c := range chunks {
+					if ci < len(chunks)-1 && len(c) != ChunkInsts {
+						t.Fatalf("%s: slice %d chunk %d has %d insts, want %d", label, si, ci, len(c), ChunkInsts)
+					}
+					if len(c) > 0 && &c[0] != &a[off] {
+						t.Fatalf("%s: slice %d chunk %d does not alias the returned window", label, si, ci)
+					}
+					off += len(c)
+				}
+				if off != len(a) {
+					t.Fatalf("%s: slice %d streamed %d insts, returned %d", label, si, off, len(a))
+				}
+			}
+		}
+	}
+}
+
+// Each chunk end is a byte-safe cancellation point: a context cancelled
+// inside the sink unwinds the recording before the next chunk.
+func TestRecordSlicesCancelAtChunkEnd(t *testing.T) {
+	defer leakCheck(t)()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	out, _, err := RecordSlicesCtx(ctx, 1, 500_000, countingPayload, 250_000, nil, 1, 0,
+		func(int, []trace.Inst, bool) {
+			calls++
+			cancel()
+		})
+	if out != nil || !errors.Is(err, ErrCanceled) {
+		t.Fatalf("RecordSlicesCtx = %d slices, %v; want a typed cancellation and no slices", len(out), err)
+	}
+	if calls != 1 {
+		t.Fatalf("the sink was called %d times after the cancel, want the recording to stop at the first chunk end", calls-1)
 	}
 }

@@ -59,7 +59,7 @@ func newGateSource(n int, honorCtx bool) *gateSource {
 func (s *gateSource) Source() Source {
 	src := s.source.Source()
 	inner := src.Record
-	src.Record = func(ctx context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error) {
+	src.Record = func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
 		s.mu.Lock()
 		s.calls++
 		first := s.calls == 1
@@ -76,7 +76,7 @@ func (s *gateSource) Source() Source {
 				<-s.release
 			}
 		}
-		return inner(ctx, sliceLen)
+		return inner(ctx, sliceLen, sink)
 	}
 	return src
 }
@@ -217,7 +217,7 @@ func TestSourceFailurePropagatesToWaiters(t *testing.T) {
 	var calls int
 	var mu sync.Mutex
 	failing := Source{
-		Record: func(context.Context, uint64) ([][]trace.Inst, []program.Checkpoint, error) {
+		Record: func(context.Context, uint64, program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
 			mu.Lock()
 			calls++
 			first := calls == 1
@@ -280,7 +280,7 @@ func TestBadSourceTyped(t *testing.T) {
 	defer leakCheck(t)()
 	c := NewSliced(0, 10)
 	bad := Source{
-		Record: func(_ context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error) {
+		Record: func(_ context.Context, sliceLen uint64, _ program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
 			// Three slices, middle one short: structurally malformed.
 			return [][]trace.Inst{mkInsts(0, 10), mkInsts(10, 15), mkInsts(20, 30)}, nil, nil
 		},
@@ -310,7 +310,7 @@ func TestNilCacheRecordCtxPropagatesError(t *testing.T) {
 	var c *Cache
 	boom := errors.New("no trace today")
 	_, err := c.RecordCtx(context.Background(), "w", 0, 10, Source{
-		Record: func(context.Context, uint64) ([][]trace.Inst, []program.Checkpoint, error) {
+		Record: func(context.Context, uint64, program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
 			return nil, nil, boom
 		},
 	})

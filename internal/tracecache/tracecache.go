@@ -47,6 +47,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"branchlab/internal/engine"
@@ -86,7 +87,14 @@ type Source struct {
 	// recording: a cancelled or failed Record returns a typed error and
 	// no arrays — partial recordings are never returned (the program
 	// layer enforces this; see DESIGN.md §9).
-	Record func(ctx context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error)
+	//
+	// sink, when non-nil, may be handed the arrays while they record,
+	// under program.SliceSink's contract: the cache passes one when a
+	// store is attached and writes each chunk to disk as it arrives. A
+	// Source may also ignore it; whatever of the returned arrays the
+	// sink did not see is written after Record returns, to the same
+	// files.
+	Record func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error)
 
 	// Refill re-materializes instructions [lo, hi) of the same trace.
 	// ck is a checkpoint Record captured (ck.At <= lo) to resume from,
@@ -374,6 +382,16 @@ func canceledErr(ctx context.Context) error {
 // cache lock held, so they may be arbitrarily slow and may themselves
 // use the cache under different keys.
 //
+// With a store attached, the recording streams into it: src.Record
+// gets a sink that queues each chunk for a writer goroutine, which
+// appends it to the slice's temp file and commits the slice when its
+// window retires (tracestore.SliceWriter). RecordCtx then writes what
+// the sink did not see, waits for the writer and writes the header
+// last, so every file is in place when it returns. A failed or
+// cancelled recording aborts the open temp files and writes no header;
+// the slices it committed stay, a clean miss until the next recording
+// completes the trace.
+//
 // The returned view replays through resident slices zero-copy and
 // re-materializes evicted slices on demand through src.Refill —
 // resuming from a checkpoint when this process's recording captured one
@@ -408,7 +426,7 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 		ctx = context.Background()
 	}
 	if c == nil {
-		arrs, _, err := src.Record(ctx, DefaultSliceInsts)
+		arrs, _, err := src.Record(ctx, DefaultSliceInsts, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -470,14 +488,16 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 	c.entries[k] = e
 	c.mu.Unlock()
 
-	// If the recording (or the warm restore) panics, withdraw the entry
-	// and wake waiters before re-raising, so coalesced goroutines retry
-	// instead of deadlocking.
+	// If the recording (or the warm restore) panics, stop its store
+	// writes, withdraw the entry and wake waiters before re-raising, so
+	// coalesced goroutines retry instead of deadlocking.
 	done := false
+	var fill *storeFill
 	defer func() {
 		if done {
 			return
 		}
+		fill.abort()
 		c.mu.Lock()
 		if c.entries[k] == e {
 			delete(c.entries, k)
@@ -521,7 +541,10 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 	c.mu.Lock()
 	c.stats.Misses++
 	c.mu.Unlock()
-	arrs, ckpts, err := src.Record(ctx, e.sliceLen)
+	// Write through to the persistent tier while recording: the store
+	// writer takes each chunk as the recorder hands it over.
+	fill = newStoreFill(e.store, e.skey, budget, e.sliceLen)
+	arrs, ckpts, err := src.Record(ctx, e.sliceLen, fill.sink())
 	if err == nil {
 		if ferr := faultinject.Fail(faultinject.CacheRecord); ferr != nil {
 			err = fmt.Errorf("tracecache: record %s/%d: %w", name, input, ferr)
@@ -542,7 +565,10 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 	if err != nil {
 		// Withdraw the entry and publish the failure to every waiter.
 		// Cancellation-class errors let a surviving waiter take over;
-		// anything else fails them with the same typed error.
+		// anything else fails them with the same typed error. Slices
+		// the writer already committed stay on disk without a header:
+		// a clean miss, completed by the next recording.
+		fill.abort()
 		c.mu.Lock()
 		e.err = err
 		if c.entries[k] == e {
@@ -553,6 +579,7 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 		return nil, err
 	}
 
+	fill.finish(arrs)
 	c.mu.Lock()
 	e.ckpts = ckpts
 	e.slices = make([]*sliceEnt, len(arrs))
@@ -574,21 +601,137 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 	total := e.total
 	c.mu.Unlock()
 
-	// Write through to the persistent tier, from the leader's local
-	// arrays (eviction may already be nil-ing e.slices[*].insts under
-	// the lock). Slices land before the header: a process that crashes
-	// mid-write leaves at worst a headerless directory (a clean miss)
-	// or a header whose missing slices refill deterministically —
-	// never a header promising wrong bytes. Write failures only cost a
-	// future re-record; they are counted by the store and dropped here.
+	// Slices land before the header: wait for the writer, then write
+	// it. A process that crashes mid-write leaves at worst a headerless
+	// directory (a clean miss) or a header whose missing slices refill
+	// deterministically — never a header promising wrong bytes. Write
+	// failures only cost a future re-record; they are counted by the
+	// store and dropped here.
 	if e.store != nil {
-		for i, a := range arrs {
-			_ = e.store.WriteSlice(e.skey, i, a)
-		}
+		fill.wait()
 		_ = e.store.WriteHeader(e.skey, total)
 	}
 	return v, nil
 }
+
+// storeFill streams one recording into the store: the recorder's sink
+// queues each chunk, and one writer goroutine appends it to its slice's
+// temp file, committing the slice when its window retires. The queue
+// holds as many chunks as the recording can hand over, so the recorder
+// never waits for the disk. A nil *storeFill (no store attached) has no
+// sink and does nothing.
+type storeFill struct {
+	st      *tracestore.Store
+	key     tracestore.Key
+	chunks  chan storeChunk
+	done    chan struct{} // closed when the writer has exited
+	stopped atomic.Bool   // abort: the writer drops what is queued
+	// Per slice, what the sink has handed over: sent instructions and
+	// whether the last chunk came. Each slice is written by the one
+	// recorder goroutine that fills it and read by finish after Record
+	// returns.
+	sent   []int
+	closed []bool
+}
+
+// storeChunk is one queued piece of slice payload; last commits the
+// slice after it.
+type storeChunk struct {
+	slice int
+	insts []trace.Inst
+	last  bool
+}
+
+// newStoreFill starts the writer for a recording of at most budget
+// instructions at sliceLen, or returns nil when st is nil.
+func newStoreFill(st *tracestore.Store, key tracestore.Key, budget, sliceLen uint64) *storeFill {
+	if st == nil {
+		return nil
+	}
+	nSlices := int((budget + sliceLen - 1) / sliceLen)
+	f := &storeFill{
+		st:  st,
+		key: key,
+		// Each slice hands over at most one chunk per ChunkInsts plus a
+		// tail, and finish may add one more per slice.
+		chunks: make(chan storeChunk, int(budget/program.ChunkInsts)+2*nSlices),
+		done:   make(chan struct{}),
+		sent:   make([]int, nSlices),
+		closed: make([]bool, nSlices),
+	}
+	go f.write()
+	return f
+}
+
+// sink is the program.SliceSink the recorder feeds (nil without a
+// store).
+func (f *storeFill) sink() program.SliceSink {
+	if f == nil {
+		return nil
+	}
+	return func(slice int, insts []trace.Inst, last bool) {
+		f.sent[slice] += len(insts)
+		f.closed[slice] = last
+		f.chunks <- storeChunk{slice, insts, last}
+	}
+}
+
+// write is the writer goroutine.
+func (f *storeFill) write() {
+	defer close(f.done)
+	open := make(map[int]*tracestore.SliceWriter)
+	for c := range f.chunks {
+		if f.stopped.Load() {
+			break
+		}
+		w := open[c.slice]
+		if w == nil {
+			w = f.st.BeginSlice(f.key, c.slice)
+			open[c.slice] = w
+		}
+		w.Append(c.insts)
+		if c.last {
+			_ = w.Commit()
+			delete(open, c.slice)
+		}
+	}
+	for _, w := range open {
+		w.Abort()
+	}
+}
+
+// finish queues whatever of the recorded arrays the sink did not see —
+// all of them for a Source that ignores its sink — and ends the queue.
+func (f *storeFill) finish(arrs [][]trace.Inst) {
+	if f == nil {
+		return
+	}
+	for i, a := range arrs {
+		if i < len(f.closed) && f.closed[i] {
+			continue
+		}
+		sent := 0
+		if i < len(f.sent) {
+			sent = f.sent[i]
+		}
+		f.chunks <- storeChunk{i, a[sent:], true}
+	}
+	close(f.chunks)
+}
+
+// abort ends a failed recording's writes: the writer drops the queue,
+// removes its open temp files and exits before abort returns.
+func (f *storeFill) abort() {
+	if f == nil {
+		return
+	}
+	f.stopped.Store(true)
+	close(f.chunks)
+	<-f.done
+}
+
+// wait blocks until the writer has committed every queued slice.
+func (f *storeFill) wait() { <-f.done }
 
 // pin returns slice si's instruction array, re-materializing it under
 // per-slice singleflight if it was evicted, plus the caller's own store

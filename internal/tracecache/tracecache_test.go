@@ -37,7 +37,7 @@ type source struct {
 
 func (s *source) Source() Source {
 	return Source{
-		Record: func(_ context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error) {
+		Record: func(_ context.Context, sliceLen uint64, _ program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
 			s.records.Add(1)
 			if sliceLen == 0 || sliceLen >= uint64(s.n) {
 				return [][]trace.Inst{mkInsts(0, s.n)}, nil, nil
@@ -539,8 +539,8 @@ type ckptSource struct {
 
 func (s *ckptSource) Source() Source {
 	src := s.source.Source()
-	src.Record = func(ctx context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error) {
-		arrs, _, _ := s.source.Source().Record(ctx, sliceLen)
+	src.Record = func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
+		arrs, _, _ := s.source.Source().Record(ctx, sliceLen, sink)
 		s.records.Store(s.source.records.Load()) // keep outer counter honest
 		var cks []program.Checkpoint
 		for at := s.every; at < s.n; at += s.every {
@@ -660,7 +660,7 @@ func (s *budgetSource) insts(lo, hi int) []trace.Inst {
 
 func (s *budgetSource) Source() Source {
 	return Source{
-		Record: func(context.Context, uint64) ([][]trace.Inst, []program.Checkpoint, error) {
+		Record: func(context.Context, uint64, program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
 			s.records.Add(1)
 			return [][]trace.Inst{s.insts(0, s.budget)}, nil, nil
 		},

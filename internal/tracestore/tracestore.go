@@ -5,6 +5,16 @@
 // restarts, and are served back zero-copy via mmap into the replay
 // machinery.
 //
+// Writes stream. A SliceWriter appends a slice's payload to a temp
+// file piece by piece while the recorder is still producing it, keeps
+// a running checksum, and on Commit writes the slice header and renames
+// the file into place; Abort removes it. WriteSlice is the one-shot
+// form the refill write-back uses, so every slice file comes from the
+// same code and the same bytes land either way. A file is visible
+// under its final name only once complete; the tmp-* strays a killed
+// writer leaves are not counted as stored data and go with their
+// directory.
+//
 // The store is an exactness-preserving cache, never an authority: every
 // read re-verifies checksums, identity echoes, format version and
 // machine layout, and anything that fails — torn write, flipped bit,
@@ -31,10 +41,12 @@ package tracestore
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"branchlab/internal/faultinject"
@@ -189,6 +201,9 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 			continue
 		}
 		for _, f := range files {
+			if strings.HasPrefix(f.Name(), tmpPrefix) {
+				continue // a killed writer's stray: goes with its directory
+			}
 			if info, err := f.Info(); err == nil {
 				total += info.Size()
 			}
@@ -302,10 +317,7 @@ func (s *Store) WriteHeader(k Key, total uint64) error {
 		return err
 	}
 	b := encodeHeader(k, total)
-	if err := s.atomicWrite(dir, path, func(f *os.File) error {
-		_, err := f.Write(b)
-		return err
-	}); err != nil {
+	if err := writeFile(dir, path, b); err != nil {
 		s.noteWriteError()
 		return err
 	}
@@ -354,85 +366,190 @@ func (s *Store) ReadHeader(k Key) (total uint64, err error) {
 	return total, nil
 }
 
-// WriteSlice persists slice idx of k's recording. The payload is the
-// instruction array's raw bytes (zero-copy on the write side too);
-// insts is only read. Idempotent, non-fatal on error, safe on a nil
-// store. The StoreCorrupt chaos point flips one payload byte in the
-// file being written — never in insts — arming the never-wrong-bytes
-// drill: the next process to read the file must reject it.
+// WriteSlice persists slice idx of k's recording in one go: a
+// SliceWriter given the whole array. The payload is the instruction
+// array's raw bytes (zero-copy on the write side too); insts is only
+// read. Idempotent, non-fatal on error, safe on a nil store.
 func (s *Store) WriteSlice(k Key, idx int, insts []trace.Inst) error {
+	w := s.BeginSlice(k, idx)
+	w.Append(insts)
+	return w.Commit()
+}
+
+// SliceWriter streams one slice file into the store while its
+// instructions are still being produced: Append writes each piece of
+// the payload to a temp file beside the final one and extends a
+// running CRC-32C; Commit fills in the slice header at offset 0 and
+// renames the file into place; Abort removes it. Readers therefore see
+// the whole verified file or none, as with every store write. Errors
+// are sticky and non-fatal: they are counted once in WriteErrors and
+// returned by Commit, and a failed write only costs a future
+// re-record. A nil *SliceWriter (from a nil store) accepts every call
+// and writes nothing. A writer is used by one goroutine at a time.
+type SliceWriter struct {
+	s     *Store
+	k     Key
+	idx   int
+	name  string   // trace directory name
+	path  string   // final file path
+	f     *os.File // temp file; nil when skipped, finished or failed
+	sum   uint32   // running CRC-32C of the payload
+	count uint64   // instructions appended
+	first byte     // first payload byte, for the StoreCorrupt drill
+	err   error
+}
+
+// BeginSlice starts writing slice idx of k's recording. When the store
+// already holds that file — same key, same bytes — the writer skips it
+// (counted once in WriteSkips). The StoreWrite fault point fails the
+// write here, before any file exists. Safe on a nil store (returns a
+// nil writer).
+func (s *Store) BeginSlice(k Key, idx int) *SliceWriter {
 	if s == nil {
 		return nil
 	}
 	dir, name := s.tracePath(k)
-	path := filepath.Join(dir, fmt.Sprintf("s%06d", idx))
+	w := &SliceWriter{s: s, k: k, idx: idx, name: name, path: filepath.Join(dir, fmt.Sprintf("s%06d", idx))}
 	s.mu.Lock()
 	s.touchLocked(name)
-	if _, err := os.Stat(path); err == nil {
+	if _, err := os.Stat(w.path); err == nil {
 		s.stats.WriteSkips++
 		s.mu.Unlock()
-		return nil
+		return w // no temp file: every later call is a no-op
 	}
 	s.mu.Unlock()
 	if err := faultinject.Fail(faultinject.StoreWrite); err != nil {
-		s.noteWriteError()
-		return err
+		w.fail(err)
+		return w
 	}
-	payload := payloadBytes(insts)
-	hdr := encodeSliceHeader(k.hash64(), idx, uint64(len(insts)), checksum(payload))
-	corrupt := len(payload) > 0 && faultinject.Chaos(faultinject.StoreCorrupt)
-	err := s.atomicWrite(dir, path, func(f *os.File) error {
-		if _, err := f.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := f.Write(payload); err != nil {
-			return err
-		}
-		if corrupt {
-			// Flip the first payload byte in the file only; the
-			// in-memory array the RAM tier serves is untouched.
-			if _, err := f.WriteAt([]byte{payload[0] ^ 0xFF}, sliceHeaderSize); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	f, err := createTemp(dir)
 	if err != nil {
-		s.noteWriteError()
-		return err
+		w.fail(err)
+		return w
 	}
+	w.f = f
+	// Reserve the header; Commit writes it once the payload sum is known.
+	var zero [sliceHeaderSize]byte
+	if _, err := f.Write(zero[:]); err != nil {
+		w.fail(err)
+	}
+	return w
+}
+
+// Append writes insts as the next piece of the slice's payload. insts
+// is only read, and not retained past the call.
+func (w *SliceWriter) Append(insts []trace.Inst) {
+	if w == nil || w.f == nil || len(insts) == 0 {
+		return
+	}
+	b := payloadBytes(insts)
+	if w.count == 0 {
+		w.first = b[0]
+	}
+	if _, err := w.f.Write(b); err != nil {
+		w.fail(err)
+		return
+	}
+	w.sum = crc32.Update(w.sum, castagnoli(), b)
+	w.count += uint64(len(insts))
+}
+
+// Commit writes the slice header over the reserved bytes and renames
+// the file into place, returning the writer's first error. The
+// StoreCorrupt chaos point flips the first payload byte in the file at
+// this point — never in the arrays that were appended — arming the
+// never-wrong-bytes drill: the next process to read the file must
+// reject it.
+func (w *SliceWriter) Commit() error {
+	if w == nil {
+		return nil
+	}
+	if w.f == nil {
+		return w.err // skipped, aborted or failed
+	}
+	hdr := encodeSliceHeader(w.k.hash64(), w.idx, w.count, uint64(w.sum))
+	if _, err := w.f.WriteAt(hdr[:], 0); err != nil {
+		return w.fail(err)
+	}
+	if w.count > 0 && faultinject.Chaos(faultinject.StoreCorrupt) {
+		if _, err := w.f.WriteAt([]byte{w.first ^ 0xFF}, sliceHeaderSize); err != nil {
+			return w.fail(err)
+		}
+	}
+	f := w.f
+	w.f = nil
+	if err := f.Close(); err != nil {
+		os.Remove(f.Name())
+		return w.fail(err)
+	}
+	if err := os.Rename(f.Name(), w.path); err != nil {
+		os.Remove(f.Name())
+		return w.fail(err)
+	}
+	s := w.s
 	s.mu.Lock()
 	s.stats.SliceWrites++
-	s.dirBytes[name] += int64(len(hdr)) + int64(len(payload))
-	s.evictLocked(name)
+	s.dirBytes[w.name] += sliceHeaderSize + int64(w.count*instBytes)
+	s.evictLocked(w.name)
 	s.mu.Unlock()
 	return nil
 }
 
-// atomicWrite writes a file via a uniquely named temp file in the same
-// directory plus rename, so a concurrent writer or a crash can never
-// leave a half-written file at path (readers see old, new, or nothing —
-// and "nothing" just means re-record).
-func (s *Store) atomicWrite(dir, path string, fill func(*os.File) error) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("tracestore: %w", err)
+// Abort drops the slice: its temp file is removed and nothing reaches
+// the store. Aborting a committed, skipped or failed writer is a
+// no-op.
+func (w *SliceWriter) Abort() {
+	if w == nil || w.f == nil {
+		return
 	}
-	f, err := os.CreateTemp(dir, "tmp-*")
+	w.f.Close()
+	os.Remove(w.f.Name())
+	w.f = nil
+}
+
+// fail records the writer's first error, counts it and drops the temp
+// file; it returns the recorded error.
+func (w *SliceWriter) fail(err error) error {
+	if w.err == nil {
+		w.err = fmt.Errorf("tracestore: %w", err)
+		w.s.noteWriteError()
+	}
+	w.Abort()
+	return w.err
+}
+
+// createTemp opens a uniquely named temp file in dir (created if
+// needed). Every store file is written there first and renamed into
+// place, so a concurrent writer or a crash can never leave a
+// half-written file under a final name (readers see old, new, or
+// nothing — and "nothing" just means re-record); Open leaves the
+// tmp-* strays a killed writer leaves out of the disk accounting.
+func createTemp(dir string) (*os.File, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	return os.CreateTemp(dir, tmpPrefix+"*")
+}
+
+// tmpPrefix starts the name of every file still being written.
+const tmpPrefix = "tmp-"
+
+// writeFile writes b to path through a temp file and a rename (see
+// createTemp).
+func writeFile(dir, path string, b []byte) error {
+	f, err := createTemp(dir)
 	if err != nil {
 		return fmt.Errorf("tracestore: %w", err)
 	}
-	tmp := f.Name()
-	if err := fill(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("tracestore: %w", err)
+	_, err = f.Write(b)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("tracestore: %w", err)
+	if err == nil {
+		err = os.Rename(f.Name(), path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err != nil {
+		os.Remove(f.Name())
 		return fmt.Errorf("tracestore: %w", err)
 	}
 	return nil

@@ -548,3 +548,148 @@ func TestEmptySliceRoundtrip(t *testing.T) {
 	}
 	p.Unpin()
 }
+
+// tempFiles lists the tmp-* files under dir.
+func tempFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	m, err := filepath.Glob(filepath.Join(dir, "*", tmpPrefix+"*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// A slice streamed through a SliceWriter in uneven pieces lands as the
+// same file, byte for byte, as WriteSlice of the whole array, and
+// serves the same instructions.
+func TestSliceWriterStreamsLikeWriteSlice(t *testing.T) {
+	insts := testInsts(1000, 11)
+	k := testKey()
+	whole := mustOpen(t, t.TempDir(), 0)
+	if err := whole.WriteSlice(k, 3, insts); err != nil {
+		t.Fatal(err)
+	}
+	streamed := mustOpen(t, t.TempDir(), 0)
+	w := streamed.BeginSlice(k, 3)
+	for _, cut := range [][2]int{{0, 1}, {1, 1}, {1, 400}, {400, 999}, {999, 1000}} {
+		w.Append(insts[cut[0]:cut[1]])
+	}
+	if len(tempFiles(t, streamed.Dir())) != 1 {
+		t.Fatal("an open slice writer must hold exactly one temp file")
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(slicePath(whole, k, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(slicePath(streamed, k, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatal("streamed slice file differs from the one-shot write")
+	}
+	if tmp := tempFiles(t, streamed.Dir()); len(tmp) != 0 {
+		t.Fatalf("commit left temp files %v", tmp)
+	}
+	p, err := streamed.PinSlice(k, 3, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Unpin()
+	if !sameInsts(p.PinnedInsts(), insts) {
+		t.Fatal("streamed slice served wrong bytes")
+	}
+	if st, wst := streamed.Stats(), whole.Stats(); st.SliceWrites != 1 || st.BytesOnDisk != wst.BytesOnDisk {
+		t.Fatalf("streamed stats %+v, want 1 write and the one-shot write's %d bytes on disk", st, wst.BytesOnDisk)
+	}
+}
+
+// Abort leaves nothing behind; a writer for a slice already stored
+// skips it without touching the file.
+func TestSliceWriterAbortAndSkip(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), 0)
+	k := testKey()
+	insts := testInsts(64, 12)
+	w := s.BeginSlice(k, 0)
+	w.Append(insts[:32])
+	w.Abort()
+	if err := w.Commit(); err != nil {
+		t.Fatalf("commit after abort = %v, want a no-op", err)
+	}
+	if _, err := s.PinSlice(k, 0, 32); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("aborted slice is servable: %v", err)
+	}
+	if tmp := tempFiles(t, s.Dir()); len(tmp) != 0 {
+		t.Fatalf("abort left temp files %v", tmp)
+	}
+	if err := s.WriteSlice(k, 0, insts); err != nil {
+		t.Fatal(err)
+	}
+	w = s.BeginSlice(k, 0)
+	w.Append(testInsts(64, 13))
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.PinSlice(k, 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Unpin()
+	if !sameInsts(p.PinnedInsts(), insts) {
+		t.Fatal("a second writer of a stored slice replaced it")
+	}
+	if st := s.Stats(); st.SliceWrites != 1 || st.WriteSkips != 1 || st.WriteErrors != 0 {
+		t.Fatalf("stats %+v, want 1 write, 1 skip, no errors", st)
+	}
+	var nilStore *Store
+	nw := nilStore.BeginSlice(k, 0)
+	nw.Append(insts)
+	nw.Abort()
+	if err := nw.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Open counts stored files only: a tmp-* file a killed writer left
+// behind is not trace data, so it neither inflates BytesOnDisk nor
+// pushes the cap to evict. It still goes when its directory does.
+func TestOpenIgnoresStrayTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	k := testKey()
+	insts := testInsts(256, 14)
+	s := mustOpen(t, dir, 0)
+	if err := s.WriteSlice(k, 0, insts); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteHeader(k, 256); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Stats().BytesOnDisk
+	s.Close()
+	traceDir, _ := s.tracePath(k)
+	stray := filepath.Join(traceDir, tmpPrefix+"12345")
+	if err := os.WriteFile(stray, make([]byte, 1<<20), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := mustOpen(t, dir, 0).Stats().BytesOnDisk; got != want {
+		t.Fatalf("BytesOnDisk = %d with a stray temp file, want %d", got, want)
+	}
+	// A cap that fits the stored bytes but not the stray keeps the trace.
+	capped := mustOpen(t, dir, want)
+	if st := capped.Stats(); st.DirsEvicted != 0 || st.Traces != 1 {
+		t.Fatalf("stats %+v: the stray temp file pushed the cap to evict", st)
+	}
+	// Evicting the directory removes the stray with it.
+	other := k
+	other.Input++
+	if err := capped.WriteSlice(other, 0, insts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stray); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stray temp file survived its directory's eviction: %v", err)
+	}
+}

@@ -82,11 +82,12 @@ func (s *Spec) RecordCtx(ctx context.Context, input int, budget uint64) (*trace.
 // RecordCtx at any (sliceLen, shards) combination. ckptEvery > 0 also
 // captures payload checkpoints at that spacing; every registered
 // generator is checkpointable, so the cache can later refill evicted
-// slices in O(window) via RecordRangeFrom. Cancellation or payload
+// slices in O(window) via RecordRangeFrom. A non-nil sink sees each
+// slice while it records (program.SliceSink). Cancellation or payload
 // failure returns a typed error; partial slice arrays are never
 // returned.
-func (s *Spec) RecordSlicesCtx(ctx context.Context, input int, budget, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []program.Checkpoint, error) {
-	return program.RecordSlicesCtx(ctx, s.seed(input), budget, s.Payload(input), sliceLen, pool, shards, ckptEvery)
+func (s *Spec) RecordSlicesCtx(ctx context.Context, input int, budget, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64, sink program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
+	return program.RecordSlicesCtx(ctx, s.seed(input), budget, s.Payload(input), sliceLen, pool, shards, ckptEvery, sink)
 }
 
 // RecordRangeFrom re-materializes instructions [lo, hi) of one input's
@@ -117,12 +118,12 @@ const CkptPerCacheSlice = ^uint64(0)
 // byte-identical windows.
 func (s *Spec) CacheSource(input int, budget uint64, pool *engine.Pool, shards int, ckptEvery uint64) tracecache.Source {
 	return tracecache.Source{
-		Record: func(ctx context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error) {
+		Record: func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
 			every := ckptEvery
 			if every == CkptPerCacheSlice {
 				every = sliceLen
 			}
-			return s.RecordSlicesCtx(ctx, input, budget, sliceLen, pool, shards, every)
+			return s.RecordSlicesCtx(ctx, input, budget, sliceLen, pool, shards, every, sink)
 		},
 		Refill: func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
 			return s.RecordRangeFrom(input, budget, ck, lo, hi)

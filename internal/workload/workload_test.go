@@ -322,7 +322,7 @@ func mustRecord(t *testing.T, s *Spec, input int, budget uint64) *trace.Buffer {
 // failing the test on error.
 func mustSlices(t *testing.T, s *Spec, input int, budget, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []program.Checkpoint) {
 	t.Helper()
-	arrs, cks, err := s.RecordSlicesCtx(context.Background(), input, budget, sliceLen, pool, shards, ckptEvery)
+	arrs, cks, err := s.RecordSlicesCtx(context.Background(), input, budget, sliceLen, pool, shards, ckptEvery, nil)
 	if err != nil {
 		t.Fatalf("%s: RecordSlicesCtx: %v", s.Name, err)
 	}

@@ -64,6 +64,11 @@
 #                                         file, and cold-pinning it through a
 #                                         fresh store (map plus full checksum
 #                                         verification); reported in MB/s too
+#   BenchmarkStoreFill/store={off,on}   - the registry's Quick traces recorded
+#                                         through one uncapped cache
+#                                         (internal/experiments): RAM only, and
+#                                         streamed into a fresh trace store
+#                                         while they record (a cold store fill)
 #
 # Three regression checks run after the benchmarks:
 #   1. Intra-run gate (host-independent): the block replay loop
@@ -115,7 +120,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$|BenchmarkScreen$|BenchmarkDepgraph$|BenchmarkCNNTrain$|BenchmarkCNNHelper$|BenchmarkStoreSlice$' \
+  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$|BenchmarkScreen$|BenchmarkDepgraph$|BenchmarkCNNTrain$|BenchmarkCNNHelper$|BenchmarkStoreSlice$|BenchmarkStoreFill$' \
   -benchtime "$benchtime" . ./internal/tage ./internal/pipeline ./internal/experiments ./internal/depgraph ./internal/cnn ./internal/tracestore | tee "$raw" >&2
 
 awk -v benchtime="$benchtime" '
@@ -170,7 +175,9 @@ BenchmarkDepgraph
 BenchmarkCNNTrain
 BenchmarkCNNHelper
 BenchmarkStoreSlice/write
-BenchmarkStoreSlice/verify'
+BenchmarkStoreSlice/verify
+BenchmarkStoreFill/store=off
+BenchmarkStoreFill/store=on'
 missing=0
 while IFS= read -r name; do
   if ! parse "$out" | awk -v n="$name" '$1 == n { found = 1 } END { exit !found }'; then
