@@ -9,7 +9,6 @@ import (
 
 	"branchlab"
 	"branchlab/internal/experiments"
-	"branchlab/internal/program"
 	"branchlab/internal/report"
 	"branchlab/internal/tage"
 	"branchlab/internal/tracecache"
@@ -243,32 +242,6 @@ func runPerInstReference(s instReader, p branchlab.Predictor) branchlab.RunStats
 	return st
 }
 
-// BenchmarkRecordSharded contrasts sequential trace recording with
-// sharded generation at NumCPU workers, through the cache's ingest path
-// (Spec.RecordSlicesCtx) with one slice per shard: on a multi-core host
-// the shards generate concurrently; on one core the two coincide
-// (sharding costs prefix regeneration).
-func BenchmarkRecordSharded(b *testing.B) {
-	const budget = 500_000
-	spec, _ := branchlab.Workload("605.mcf_s")
-	counts := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		counts = append(counts, n)
-	}
-	for _, shards := range counts {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.SetBytes(budget)
-			pool := branchlab.NewEnginePool(shards)
-			sliceLen := uint64((budget + shards - 1) / shards)
-			for i := 0; i < b.N; i++ {
-				if _, _, err := spec.RecordSlicesCtx(context.Background(), 0, budget, sliceLen, pool, shards, 0, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // recordCached is RecordTraceCachedCtx under the background context,
 // failing the benchmark on error.
 func recordCached(b *testing.B, cache *branchlab.TraceCache, spec *branchlab.WorkloadSpec, budget uint64) branchlab.Replayable {
@@ -296,9 +269,9 @@ func BenchmarkTraceCacheHit(b *testing.B) {
 // BenchmarkTraceCacheSlicedReplay measures a full replay through the
 // slice-granular cache in its two regimes: resident (unbounded cap —
 // the slice pin cost over zero-copy block serving, the common case) and
-// evicted (a cap of one slice, so every slice re-materializes through
-// the deterministic skim path — the worst case the LRU converts misses
-// into). The resident/evicted ratio is the price of a cap miss; the
+// evicted (a cap of one slice, so every slice promotes from the cache's
+// private spill store — the worst case the LRU converts misses into).
+// The resident/evicted ratio is the price of a cap miss; the
 // resident number must track BenchmarkCoreRun/observers=off, since a
 // resident replay is the same block loop plus one pin per slice. The
 // evicted run reports peak accounted residency, which must stay below
@@ -317,6 +290,7 @@ func BenchmarkTraceCacheSlicedReplay(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cache := branchlab.NewSlicedTraceCache(tc.cap, sliceInsts)
+			defer cache.Close()
 			tr := recordCached(b, cache, spec, budget)
 			b.SetBytes(budget)
 			b.ResetTimer()
@@ -332,58 +306,53 @@ func BenchmarkTraceCacheSlicedReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkEvictedRefill measures the trace cache's evicted-slice
-// refill in its two regimes: the skim path (regenerate the whole
-// prefix, then the window — O(prefix + window)) against the checkpoint
-// path (resume from the nearest stored checkpoint — O(window)), for a
-// window near the front of the trace and one at its end. The contract
-// under test is position independence: ckpt/first and ckpt/last must
-// coincide while skim/last scales with the trace length — the refill
-// asymmetry that capped how aggressively the slice cache could evict.
-// The skim/ckpt ratio at pos=last is recorded in EXPERIMENTS.md and
-// BENCH_PR5.json.
+// BenchmarkEvictedRefill measures the one way back for an evicted
+// slice: promotion from the trace store the recording streamed into —
+// pinning the slice's verified mapping, faulting its pages back in by
+// reading every instruction, and unpinning, which releases the pages
+// again — for a window near the front of the trace and one at its end.
+// The contract under test is position independence: pos=first and
+// pos=last must coincide, since a promotion never regenerates the
+// prefix.
 func BenchmarkEvictedRefill(b *testing.B) {
 	const budget = 2_000_000
 	const window = 1 << 15
 	spec, _ := branchlab.Workload("605.mcf_s")
-	// One checkpointed recording, as the cache performs on a miss; the
-	// header's checkpoint list is what the refills below resume from.
-	_, cks, err := spec.RecordSlicesCtx(context.Background(), 0, budget, window, nil, 1, window, nil)
+	st, err := tracestore.Open(b.TempDir(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if len(cks) == 0 {
-		b.Fatal("workload captured no checkpoints")
-	}
+	defer st.Close()
+	// A one-window cap: the recording streams every slice into the
+	// store, and the cache keeps almost none of them.
+	cache := tracecache.NewSliced(window*40, window)
+	cache.SetStore(st)
+	recordCached(b, cache, spec, budget)
+	key := tracestore.Key{Name: spec.Name, Input: 0, Budget: budget, SliceLen: window}
 	for _, pos := range []struct {
 		name string
-		lo   uint64
+		idx  int
 	}{
-		// Captures land at the first safe point after each multiple of
-		// the spacing, so the earliest window with a checkpoint at or
-		// below it starts at 2*window; lo = window would find none and
-		// both modes would skim.
-		{"first", 2 * window},
-		{"last", budget - window},
+		{"first", 2},
+		{"last", budget/window - 1},
 	} {
-		for _, mode := range []string{"skim", "ckpt"} {
-			b.Run(fmt.Sprintf("mode=%s/pos=%s", mode, pos.name), func(b *testing.B) {
-				b.SetBytes(window)
-				for i := 0; i < b.N; i++ {
-					var ck *program.Checkpoint // nil: skim from zero
-					if mode == "ckpt" {
-						ck = program.NearestCheckpoint(cks, pos.lo)
-					}
-					got, err := spec.RecordRangeFrom(0, budget, ck, pos.lo, pos.lo+window)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if uint64(len(got)) != window {
-						b.Fatalf("refill returned %d insts, want %d", len(got), window)
-					}
+		b.Run("mode=store/pos="+pos.name, func(b *testing.B) {
+			b.SetBytes(window * 40)
+			for i := 0; i < b.N; i++ {
+				p, err := st.PinSlice(key, pos.idx, window)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				var sum uint64
+				for _, inst := range p.PinnedInsts() {
+					sum += inst.DstValue
+				}
+				p.Unpin()
+				if sum == 0 {
+					b.Fatal("promoted an empty window")
+				}
+			}
+		})
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 	"branchlab/internal/experiments"
 	"branchlab/internal/phase"
 	"branchlab/internal/pipeline"
-	"branchlab/internal/program"
 	"branchlab/internal/report"
 	"branchlab/internal/simpoint"
 	"branchlab/internal/tage"
@@ -59,17 +58,11 @@ type (
 	// Buffer is a materialized, replayable trace.
 	Buffer = trace.Buffer
 	// Replayable is a materialized trace servable any number of times:
-	// a *Buffer, or a trace-cache view that re-materializes evicted
-	// slices on demand. Replays are always byte-identical.
+	// a *Buffer, or a trace-cache view that promotes evicted slices from
+	// its trace store on demand. Replays are always byte-identical.
 	Replayable = trace.Replayable
 	// Kind classifies instructions.
 	Kind = trace.Kind
-	// TraceCheckpoint is a resume point of one workload generation,
-	// captured at payload safe points during a checkpointed recording:
-	// the trace cache stores these in its permanent headers and resumes
-	// evicted-slice refills from them in O(window) instead of skimming
-	// the prefix.
-	TraceCheckpoint = program.Checkpoint
 )
 
 // Predictor interfaces and implementations.
@@ -175,11 +168,12 @@ func RecordTrace(spec *WorkloadSpec, input int, budget uint64) *Buffer {
 // coalesce onto a single recording — each budget is its own entry,
 // since a workload's static structure scales with its budget — and
 // memory is bounded by slice-granular LRU eviction: cold fixed-size
-// slices of a trace evict independently and re-materialize
-// deterministically on their next use, so the memory bound is the
-// union of live slices rather than whole traces. Share one cache
-// across drivers (via ExperimentConfig.Cache or RecordTraceCachedCtx)
-// to synthesize each trace once per process.
+// slices of a trace evict independently and promote back from a trace
+// store on their next use, so the memory bound is the union of live
+// slices rather than whole traces. A capped cache with no store
+// attached spills to a private store under os.TempDir(); Close removes
+// it. Share one cache across drivers (via ExperimentConfig.Cache or
+// RecordTraceCachedCtx) to synthesize each trace once per process.
 type TraceCache = tracecache.Cache
 
 // TraceCacheStats are a cache's hit/miss/eviction counters, including
@@ -188,7 +182,9 @@ type TraceCacheStats = tracecache.Stats
 
 // NewTraceCache returns a trace cache holding at most maxBytes of
 // recorded instructions (<= 0 means unbounded) at the default slice
-// granularity (tracecache.DefaultSliceInsts).
+// granularity (tracecache.DefaultSliceInsts). Close it once its replays
+// are done: a capped cache with no store attached spills to a private
+// store that Close removes.
 func NewTraceCache(maxBytes int64) *TraceCache { return tracecache.New(maxBytes) }
 
 // NewSlicedTraceCache is NewTraceCache with an explicit slice
@@ -226,12 +222,9 @@ func OpenTraceStore(dir string, maxBytes int64) (*TraceStore, error) {
 
 // RecordTraceCachedCtx is RecordTrace through a shared cache, under a
 // caller context: it records on the first request for (spec, input,
-// budget) and serves replayable views from memory afterwards,
-// re-materializing any slice the cache cap evicted (byte-identically)
-// on demand. The recording captures one payload checkpoint per cache
-// slice, so a refill resumes from the nearest checkpoint below the
-// missing window instead of regenerating the whole prefix. A nil cache
-// records without caching.
+// budget) and serves replayable views from memory afterwards, promoting
+// any slice the cache cap evicted from the cache's trace store
+// (byte-identically) on demand. A nil cache records without caching.
 //
 // A cancelled or deadline-expired recording returns a typed error (see
 // IsCancel) and never a truncated or wrong trace. Concurrent callers
@@ -240,7 +233,7 @@ func OpenTraceStore(dir string, maxBytes int64) (*TraceStore, error) {
 // surviving waiter (DESIGN.md §9).
 func RecordTraceCachedCtx(ctx context.Context, c *TraceCache, spec *WorkloadSpec, input int, budget uint64) (Replayable, error) {
 	return c.RecordCtx(ctx, spec.Name, input, budget,
-		spec.CacheSource(input, budget, nil, 1, workload.CkptPerCacheSlice))
+		spec.Source(input, budget))
 }
 
 // SkylakeConfig returns the baseline pipeline configuration; scale it

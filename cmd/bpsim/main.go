@@ -7,15 +7,20 @@
 //	bpsim -workload 605.mcf_s -predictor tage-sc-l-8 -budget 2000000
 //	bpsim -workload game -predictor tage-sc-l-64 -pipeline 4
 //	bpsim -workload game -pipeline 1,4,16 -parallel 3
-//	bpsim -workload game -pipeline 1,4,16 -tracecache 64 -cacheslice 65536 -ckptslice 65536
+//	bpsim -workload game -pipeline 1,4,16 -tracecache 64 -cacheslice 65536
 //	bpsim -workload game -pipeline 1,4,16 -tracestore ./store -tracestorecap 512
-//	bpsim -workload game -budget 8000000 -recshards 4
 //	bpsim -trace trace.blt -predictor gshare
 //	bpsim -list
 //
 // -pipeline accepts a comma-separated list of scales; the timed runs
 // execute on the engine worker pool (-parallel workers, 0 = NumCPU) and
 // print in scale order regardless of completion order.
+//
+// Multi-scale sweeps record the workload once through a trace cache.
+// -tracecache caps it in MiB: a capped cache streams the recording into
+// a trace store while it records — the -tracestore directory, or else a
+// private store under $TMPDIR that bpsim removes at exit — and evicted
+// slices promote back from that store, byte-identically.
 package main
 
 import (
@@ -49,10 +54,8 @@ func main() {
 		sliceLen     = flag.Uint64("slice", 500_000, "slice length for H2P screening")
 		pipeScales   = flag.String("pipeline", "", fmt.Sprintf("pipeline scale(s) in 1..%d, comma-separated (empty = accuracy only)", pipeline.MaxScale))
 		parallel     = flag.Int("parallel", 0, "engine workers for the pipeline sweep (0 = NumCPU)")
-		recShards    = flag.Int("recshards", 0, "record the workload trace on this many workers (<= 1 = sequential; byte-identical)")
-		cacheMB      = flag.Int64("tracecache", 0, "trace cache cap in MiB (0 = unbounded; evicted slices re-record byte-identically); setting it forces caching even for single-scale runs")
+		cacheMB      = flag.Int64("tracecache", 0, "trace cache cap in MiB (0 = unbounded); a capped cache without -tracestore spills to a private store under $TMPDIR, removed at exit; setting it forces caching even for single-scale runs")
 		cacheSlice   = flag.Uint64("cacheslice", tracecache.DefaultSliceInsts, "trace cache slice granularity in instructions (0 = whole-trace eviction)")
-		ckptSlice    = flag.Uint64("ckptslice", tracecache.DefaultSliceInsts, "payload checkpoint spacing in instructions for O(window) evicted-slice refills (0 = no checkpoints)")
 		storeFlag    = flag.String("tracestore", "", "persistent trace store directory (\"\" = off); warm runs replay stored traces without recording; setting it forces caching")
 		storeCapFlag = flag.Int64("tracestorecap", 0, "trace store disk budget in MiB (0 = unbounded); coldest whole traces evict first")
 		deadline     = flag.Duration("deadline", 0, "whole-invocation wall-clock bound (0 = none); an expired run fails typed, never prints truncated results")
@@ -72,7 +75,6 @@ func main() {
 	topN = *top
 	cacheCap = *cacheMB << 20
 	cacheSliceInsts = *cacheSlice
-	ckptSliceInsts = *ckptSlice
 	storeDir = *storeFlag
 	storeCapBytes = *storeCapFlag << 20
 	printCacheStats = *cacheStats
@@ -98,12 +100,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bpsim:", err)
 		os.Exit(1)
 	}
-	// The workload cache exists for multi-scale sweeps, sharded
-	// recording, and whenever -tracecache or -tracestore is explicitly
-	// provided (see run); geometry flags outside those combinations
-	// would be silently ignored, so they are rejected instead.
+	// The workload cache exists for multi-scale sweeps and whenever
+	// -tracecache or -tracestore is explicitly provided (see run);
+	// geometry flags outside those combinations would be silently
+	// ignored, so they are rejected instead.
 	cacheForced = cliutil.Provided(nil, "tracecache") || storeDir != ""
-	cacheWillExist := *traceFile == "" && (len(scales) > 1 || *recShards > 1 || cacheForced)
+	cacheWillExist := *traceFile == "" && (len(scales) > 1 || cacheForced)
 	if *traceFile != "" && storeDir != "" {
 		fmt.Fprintln(os.Stderr, "bpsim: -tracestore persists workload recordings and has no effect with -trace (files re-open and stream)")
 		os.Exit(1)
@@ -112,10 +114,8 @@ func main() {
 		Budget:        *budget,
 		SliceLen:      *sliceLen,
 		Parallel:      *parallel,
-		RecShards:     *recShards,
 		CacheEnabled:  cacheWillExist,
 		CacheSliceSet: cliutil.Provided(nil, "cacheslice"),
-		CkptSliceSet:  cliutil.Provided(nil, "ckptslice"),
 		StoreSet:      storeDir != "",
 		StoreCap:      *storeCapFlag,
 		StoreCapSet:   cliutil.Provided(nil, "tracestorecap"),
@@ -132,10 +132,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bpsim: -trace and -workload are mutually exclusive; choose one input")
 			os.Exit(1)
 		}
-		if *recShards > 1 {
-			fmt.Fprintln(os.Stderr, "bpsim: -recshards shards workload synthesis and has no effect with -trace")
-			os.Exit(1)
-		}
 		if cacheForced {
 			fmt.Fprintln(os.Stderr, "bpsim: -tracecache caches workload recordings and has no effect with -trace (files re-open and stream)")
 			os.Exit(1)
@@ -147,7 +143,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
 	}
-	if err := run(ctx, *workloadName, *input, *traceFile, *predName, *budget, *sliceLen, scales, *parallel, *recShards); err != nil {
+	if err := run(ctx, *workloadName, *input, *traceFile, *predName, *budget, *sliceLen, scales, *parallel); err != nil {
 		fmt.Fprintln(os.Stderr, "bpsim:", err)
 		os.Exit(1)
 	}
@@ -182,14 +178,13 @@ var (
 	topN            int
 	cacheCap        int64
 	cacheSliceInsts uint64
-	ckptSliceInsts  uint64
 	cacheForced     bool   // -tracecache or -tracestore explicitly provided
 	storeDir        string // -tracestore directory ("" = off)
 	storeCapBytes   int64  // -tracestorecap in bytes (0 = unbounded)
 	printCacheStats bool
 )
 
-func run(ctx context.Context, workloadName string, input int, traceFile, predName string, budget, sliceLen uint64, pipeScales []int, parallel, recShards int) error {
+func run(ctx context.Context, workloadName string, input int, traceFile, predName string, budget, sliceLen uint64, pipeScales []int, parallel int) error {
 	pred, err := zoo.New(predName)
 	if err != nil {
 		return err
@@ -197,20 +192,23 @@ func run(ctx context.Context, workloadName string, input int, traceFile, predNam
 
 	// Multi-scale workload sweeps record the trace once through the
 	// cache and replay it for the accuracy pass and every pipeline
-	// scale; -recshards opts the recording itself into sharded
-	// generation (byte-identical, so it also forces materialization),
-	// and an explicit -tracecache opts in directly (the flag must never
-	// be silently ignored). The cache is slice-granular: with a
-	// -tracecache cap the sweep's memory is bounded by the live slices,
-	// and any evicted slice re-records deterministically when a replay
-	// reaches it. Accuracy-only and single-scale runs otherwise stream
-	// at O(1) memory (the budget can be arbitrarily large), as do trace
-	// files.
+	// scale, and an explicit -tracecache opts in directly (the flag
+	// must never be silently ignored). The cache is slice-granular:
+	// with a -tracecache cap the sweep's memory is bounded by the live
+	// slices, and any evicted slice promotes back from the cache's
+	// trace store when a replay reaches it. Accuracy-only and
+	// single-scale runs otherwise stream at O(1) memory (the budget can
+	// be arbitrarily large), as do trace files.
 	var cache *tracecache.Cache
-	if traceFile == "" && (len(pipeScales) > 1 || recShards > 1 || cacheForced) {
+	if traceFile == "" && (len(pipeScales) > 1 || cacheForced) {
 		cache = tracecache.NewSliced(cacheCap, cacheSliceInsts)
-		// -tracestore adds the persistent tier beneath the cache
-		// (DESIGN.md §11): recordings write through to the directory,
+		defer func() {
+			if err := cache.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "bpsim:", err)
+			}
+		}()
+		// -tracestore makes the tier beneath the cache persistent
+		// (DESIGN.md §11): recordings stream into the directory,
 		// evicted slices promote back from disk, and a warm directory
 		// restores whole traces across invocations without recording.
 		if storeDir != "" {
@@ -242,7 +240,7 @@ func run(ctx context.Context, workloadName string, input int, traceFile, predNam
 			return s, func() { s.Close() }, nil
 		}
 		tr, err := cache.RecordCtx(ctx, spec.Name, input, budget,
-			spec.CacheSource(input, budget, engine.New(parallel), recShards, ckptSliceInsts))
+			spec.Source(input, budget))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,10 +1,10 @@
-// Branchlabvet is branchlab's custom vet tool: six analyzers that
+// Branchlabvet is branchlab's custom vet tool: five analyzers that
 // statically enforce the contracts every byte-identity guarantee in
 // this repository rests on (DESIGN.md "Statically enforced
 // invariants").
 //
-// Three are intra-package (determinism, blockalias, checkpointpure);
-// three exchange facts across package boundaries
+// Two are intra-package (determinism, blockalias); three exchange
+// facts across package boundaries
 // through the vet driver's .vetx files (ctxflow, errcontract,
 // storegate — see DESIGN.md "Cross-package facts").
 //
@@ -33,7 +33,6 @@ package main
 import (
 	"branchlab/internal/lint/analysis"
 	"branchlab/internal/lint/blockalias"
-	"branchlab/internal/lint/checkpointpure"
 	"branchlab/internal/lint/ctxflow"
 	"branchlab/internal/lint/determinism"
 	"branchlab/internal/lint/errcontract"
@@ -44,7 +43,6 @@ func main() {
 	analysis.Vet(
 		determinism.Analyzer,
 		blockalias.Analyzer,
-		checkpointpure.Analyzer,
 		ctxflow.Analyzer,
 		errcontract.Analyzer,
 		storegate.Analyzer,

@@ -17,33 +17,27 @@
 //
 // Workload traces are recorded once per (workload, input, budget)
 // through a shared in-memory cache and replayed by every experiment
-// that needs them; -tracecache bounds the cache in MiB (0 disables it)
-// and -cacheslice sets its eviction granularity in instructions: the
-// cache evicts cold fixed-size slices of a trace rather than whole
-// recordings, and an evicted slice refills deterministically the next
-// time a replay reaches it, so a capped cache stays byte-identical to
-// an unbounded one. -ckptslice sets the payload checkpoint spacing
-// captured during first recording (0 = none): with checkpoints in the
-// cache header an evicted slice refills in O(window) by resuming from
-// the nearest checkpoint instead of regenerating the whole prefix.
-// Cache counters print to stderr behind -cachestats, keeping stdout
-// diff-able. -recshards N records each trace on N workers, one or more
-// slices each (sharded deterministic recording; with -tracecache 0 the
-// slices are the default cache slice size); output stays
-// byte-identical in every combination of flags.
+// that needs them. -tracecache bounds the cache in MiB (-1, the
+// default, leaves it unbounded; 0 disables it) and -cacheslice sets its
+// eviction granularity in instructions: the cache evicts cold
+// fixed-size slices of a trace rather than whole recordings. A capped
+// cache streams every recording into a trace store while it records —
+// the -tracestore directory, or else a private store it opens under
+// $TMPDIR and removes at exit (disk equals the traces' footprint) —
+// and an evicted slice promotes back from that store, so a capped cache
+// stays byte-identical to an unbounded one. Cache counters print to
+// stderr behind -cachestats, keeping stdout diff-able.
 //
-// -tracestore DIR adds a persistent content-addressed tier beneath the
-// RAM cache (DESIGN.md §11): recordings write through to DIR, evicted
-// slices promote back from disk (mmap, zero-copy) instead of
-// re-recording, and a later invocation against the same DIR restores
-// whole traces — recorded extent and instruction bytes — without
-// recording at all. Checkpoints are not stored, so a slice refilled in
-// a restored trace skims from instruction zero. Every stored file is
-// checksummed; a corrupt or mismatched file is rejected and
-// re-recorded, so a warm store can cost extra recording but never
-// wrong bytes. -tracestorecap bounds the store in MiB (0 = unbounded)
-// with whole-trace LRU eviction. Store counters print alongside the
-// cache's behind -cachestats.
+// -tracestore DIR makes the store persistent (DESIGN.md §11):
+// recordings stream into DIR, evicted slices promote back from disk
+// (mmap, zero-copy), and a later invocation against the same DIR
+// restores whole traces — recorded extent and instruction bytes —
+// without recording at all. Every stored file is checksummed; a
+// corrupt or mismatched file is rejected and the trace re-recorded, so
+// a warm store can cost extra recording but never wrong bytes.
+// -tracestorecap bounds the store in MiB (0 = unbounded) with
+// whole-trace LRU eviction. Store counters print alongside the cache's
+// behind -cachestats.
 package main
 
 import (
@@ -70,10 +64,8 @@ func main() {
 		budget   = flag.Uint64("budget", 0, "override instruction budget per workload")
 		slice    = flag.Uint64("slice", 0, "override slice length")
 		parallel = flag.Int("parallel", 0, "engine workers per experiment (0 = NumCPU)")
-		cacheMB  = flag.Int64("tracecache", 4096, "shared trace cache size in MiB (-1 = unbounded, 0 = off)")
+		cacheMB  = flag.Int64("tracecache", -1, "shared trace cache size in MiB (-1 = unbounded, 0 = off); a capped cache without -tracestore spills to a private store under $TMPDIR, removed at exit")
 		cacheSl  = flag.Uint64("cacheslice", tracecache.DefaultSliceInsts, "trace cache slice granularity in instructions (0 = whole-trace eviction)")
-		ckptSl   = flag.Uint64("ckptslice", tracecache.DefaultSliceInsts, "payload checkpoint spacing in instructions for O(window) evicted-slice refills (0 = no checkpoints)")
-		shards   = flag.Int("recshards", 0, "record each trace on this many workers (<= 1 = sequential; output is byte-identical)")
 		storeDir = flag.String("tracestore", "", "persistent trace store directory (\"\" = off); warm runs replay stored traces without recording")
 		storeCap = flag.Int64("tracestorecap", 0, "trace store disk budget in MiB (0 = unbounded); coldest whole traces evict first")
 		deadline = flag.Duration("deadline", 0, "per-experiment wall-clock bound (0 = none); an expired run fails typed, never prints partial artifacts")
@@ -107,9 +99,7 @@ func main() {
 		cfg.SliceLen = *slice
 	}
 	cfg.Workers = *parallel
-	cfg.RecordShards = *shards
 	cfg.CacheSlice = *cacheSl
-	cfg.CkptSlice = *ckptSl
 	// An explicit zero override is a user error, not "use the default".
 	effBudget, effSlice := cfg.Budget, cfg.SliceLen
 	if cliutil.Provided(nil, "budget") {
@@ -122,10 +112,8 @@ func main() {
 		Budget:        effBudget,
 		SliceLen:      effSlice,
 		Parallel:      *parallel,
-		RecShards:     *shards,
 		CacheEnabled:  *cacheMB != 0,
 		CacheSliceSet: cliutil.Provided(nil, "cacheslice"),
-		CkptSliceSet:  cliutil.Provided(nil, "ckptslice"),
 		StoreSet:      *storeDir != "",
 		StoreCap:      *storeCap,
 		StoreCapSet:   cliutil.Provided(nil, "tracestorecap"),
@@ -136,22 +124,6 @@ func main() {
 		os.Exit(1)
 	}
 	cfg.Deadline = *deadline
-	if *storeDir != "" {
-		store, err := tracestore.Open(*storeDir, *storeCap<<20)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		defer store.Close()
-		cfg.Store = store
-	}
-	if *cacheMB != 0 {
-		limit := *cacheMB << 20
-		if limit < 0 {
-			limit = 0 // unbounded
-		}
-		cfg.Cache = cfg.NewCache(limit)
-	}
 
 	runners := experiments.All()
 	if *run != "all" {
@@ -162,6 +134,33 @@ func main() {
 		}
 		runners = []experiments.Runner{r}
 	}
+	if *storeDir != "" {
+		store, err := tracestore.Open(*storeDir, *storeCap<<20)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
+		}
+		cfg.Store = store
+	}
+	if *cacheMB != 0 {
+		limit := *cacheMB << 20
+		if limit < 0 {
+			limit = 0 // unbounded
+		}
+		cfg.Cache = cfg.NewCache(limit)
+	}
+	code := runAll(cfg, runners, *stats)
+	// The cache's spill store goes before exit, which skips defers.
+	if err := cfg.Cache.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+	}
+	cfg.Store.Close()
+	os.Exit(code)
+}
+
+// runAll runs runners in order, printing each artifact to stdout, and
+// returns the process exit code.
+func runAll(cfg experiments.Config, runners []experiments.Runner, stats bool) int {
 	// Artifacts go to stdout; timing goes to stderr so stdout is
 	// byte-identical across runs and worker counts (diff-able). A run
 	// that fails — deadline, injected fault, poisoned cell — stops at
@@ -181,19 +180,20 @@ func main() {
 					r.ID, len(ce.Completed), ce.Total)
 			}
 			fmt.Fprintf(os.Stderr, "experiments: completed %d/%d experiments\n", completed, len(runners))
-			if *stats {
+			if stats {
 				tracecache.WriteStats(os.Stderr, cfg.Cache)
 				tracestore.WriteStats(os.Stderr, cfg.Store)
 			}
-			os.Exit(1)
+			return 1
 		}
 		fmt.Print(artifact.String())
 		fmt.Println()
 		fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", r.ID, time.Since(start).Round(time.Millisecond))
 		completed++
 	}
-	if *stats {
+	if stats {
 		tracecache.WriteStats(os.Stderr, cfg.Cache)
 		tracestore.WriteStats(os.Stderr, cfg.Store)
 	}
+	return 0
 }

@@ -1,9 +1,8 @@
 // Package cliutil holds the flag plumbing cmd/experiments and
 // cmd/bpsim share: validation of the recording/caching knobs whose
 // silent misbehaviour used to be easy to trigger — -cacheslice or
-// -ckptslice without an enabled trace cache (silently ignored), zero
-// budgets or slice lengths (downstream division panics), and
-// -recshards oversubscribing an explicit -parallel worker count.
+// -tracestore without an enabled trace cache (silently ignored), and
+// zero budgets or slice lengths (downstream division panics).
 package cliutil
 
 import (
@@ -17,14 +16,12 @@ import (
 // whether the cache-geometry flags were explicitly provided (defaults
 // never error; explicit flags that would be ignored do).
 type RunFlags struct {
-	Budget    uint64 // instruction budget of the run
-	SliceLen  uint64 // screening/phase slice length
-	Parallel  int    // engine workers (0 = NumCPU)
-	RecShards int    // sharded-recording worker count (<= 1 = sequential)
+	Budget   uint64 // instruction budget of the run
+	SliceLen uint64 // screening/phase slice length
+	Parallel int    // engine workers (0 = NumCPU)
 
 	CacheEnabled  bool // a trace cache will exist in this invocation
 	CacheSliceSet bool // -cacheslice explicitly provided
-	CkptSliceSet  bool // -ckptslice explicitly provided
 
 	StoreSet    bool  // -tracestore explicitly provided (persistent tier on)
 	StoreCap    int64 // -tracestorecap value in MiB (0 = unbounded)
@@ -46,18 +43,8 @@ func (f RunFlags) Validate() error {
 	if f.Parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (0 selects NumCPU)")
 	}
-	if f.RecShards < 0 {
-		return fmt.Errorf("-recshards must be >= 0")
-	}
-	if f.RecShards > 1 && f.Parallel > 0 && f.RecShards > f.Parallel {
-		return fmt.Errorf("-recshards %d exceeds the -parallel %d worker pool: shards would queue, not run concurrently; raise -parallel or lower -recshards",
-			f.RecShards, f.Parallel)
-	}
 	if f.CacheSliceSet && !f.CacheEnabled {
 		return fmt.Errorf("-cacheslice has no effect without an enabled trace cache (enable -tracecache)")
-	}
-	if f.CkptSliceSet && !f.CacheEnabled {
-		return fmt.Errorf("-ckptslice has no effect without an enabled trace cache (checkpoints live in cache headers; enable -tracecache)")
 	}
 	if f.StoreSet && !f.CacheEnabled {
 		return fmt.Errorf("-tracestore has no effect without an enabled trace cache (the store is the cache's disk tier; enable -tracecache)")

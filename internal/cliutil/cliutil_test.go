@@ -8,7 +8,7 @@ import (
 
 // ok is a valid baseline every case below perturbs.
 func ok() RunFlags {
-	return RunFlags{Budget: 1000, SliceLen: 100, Parallel: 0, RecShards: 0, CacheEnabled: true}
+	return RunFlags{Budget: 1000, SliceLen: 100, Parallel: 0, CacheEnabled: true}
 }
 
 func TestValidateAcceptsDefaults(t *testing.T) {
@@ -17,9 +17,9 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	}
 	// The CI determinism matrix's shapes must stay valid.
 	for _, f := range []RunFlags{
-		{Budget: 400_000, SliceLen: 200_000, Parallel: 4, RecShards: 4, CacheEnabled: true},
-		{Budget: 400_000, SliceLen: 200_000, Parallel: 1, RecShards: 1},
-		{Budget: 400_000, SliceLen: 200_000, Parallel: 0, RecShards: 8}, // NumCPU pool: machine-dependent, never an error
+		{Budget: 400_000, SliceLen: 200_000, Parallel: 4, CacheEnabled: true, CacheSliceSet: true},
+		{Budget: 400_000, SliceLen: 200_000, Parallel: 1},
+		{Budget: 400_000, SliceLen: 200_000, Parallel: 4, CacheEnabled: true, StoreSet: true, StoreCap: 512, StoreCapSet: true},
 	} {
 		if err := f.Validate(); err != nil {
 			t.Errorf("flags %+v rejected: %v", f, err)
@@ -36,10 +36,7 @@ func TestValidateRejections(t *testing.T) {
 		{"zero budget", func(f *RunFlags) { f.Budget = 0 }, "-budget"},
 		{"zero slice", func(f *RunFlags) { f.SliceLen = 0 }, "-slice"},
 		{"negative parallel", func(f *RunFlags) { f.Parallel = -1 }, "-parallel"},
-		{"negative recshards", func(f *RunFlags) { f.RecShards = -2 }, "-recshards"},
-		{"recshards oversubscribe", func(f *RunFlags) { f.Parallel, f.RecShards = 2, 4 }, "-recshards 4 exceeds"},
 		{"cacheslice without cache", func(f *RunFlags) { f.CacheEnabled, f.CacheSliceSet = false, true }, "-cacheslice"},
-		{"ckptslice without cache", func(f *RunFlags) { f.CacheEnabled, f.CkptSliceSet = false, true }, "-ckptslice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,27 +54,17 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-func TestRecshardsOversubscribeOnlyWithExplicitParallel(t *testing.T) {
-	// -parallel 0 (NumCPU) must never make -recshards an error: the
-	// check would otherwise depend on the machine it runs on.
-	f := ok()
-	f.Parallel, f.RecShards = 0, 64
-	if err := f.Validate(); err != nil {
-		t.Fatalf("recshards with NumCPU pool rejected: %v", err)
-	}
-}
-
 func TestProvided(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	fs.Uint64("cacheslice", 42, "")
-	fs.Uint64("ckptslice", 7, "")
+	fs.Uint64("budget", 7, "")
 	if err := fs.Parse([]string{"-cacheslice", "10"}); err != nil {
 		t.Fatal(err)
 	}
 	if !Provided(fs, "cacheslice") {
 		t.Error("explicitly set flag reported as default")
 	}
-	if Provided(fs, "ckptslice") {
+	if Provided(fs, "budget") {
 		t.Error("defaulted flag reported as set")
 	}
 	if Provided(fs, "nonexistent") {

@@ -12,42 +12,40 @@ import (
 // agree on accept/reject, and Validate must never panic. The seed
 // corpus covers each rule's boundary from both sides.
 func FuzzValidateFlags(f *testing.F) {
-	seed := func(budget, slice uint64, parallel, recshards int, cache, cacheSet, ckptSet, storeSet bool, storeCap int64, storeCapSet bool, deadlineNs int64, deadlineSet bool) {
-		f.Add(budget, slice, parallel, recshards, cache, cacheSet, ckptSet, storeSet, storeCap, storeCapSet, deadlineNs, deadlineSet)
+	seed := func(budget, slice uint64, parallel int, cache, cacheSet, storeSet bool, storeCap int64, storeCapSet bool, deadlineNs int64, deadlineSet bool) {
+		f.Add(budget, slice, parallel, cache, cacheSet, storeSet, storeCap, storeCapSet, deadlineNs, deadlineSet)
 	}
-	seed(30_000_000, 1_000_000, 0, 0, false, false, false, false, 0, false, 0, false) // defaults, valid
-	seed(0, 1_000_000, 0, 0, false, false, false, false, 0, false, 0, false)          // zero budget
-	seed(30_000_000, 0, 0, 0, false, false, false, false, 0, false, 0, false)         // zero slice
-	seed(1, 1, -1, 0, false, false, false, false, 0, false, 0, false)                 // negative parallel
-	seed(1, 1, 0, -1, false, false, false, false, 0, false, 0, false)                 // negative recshards
-	seed(1, 1, 4, 8, false, false, false, false, 0, false, 0, false)                  // shards oversubscribe pool
-	seed(1, 1, 8, 8, false, false, false, false, 0, false, 0, false)                  // shards == pool, valid
-	seed(1, 1, 0, 8, false, false, false, false, 0, false, 0, false)                  // shards with NumCPU pool, valid
-	seed(1, 1, 1, 1, false, false, false, false, 0, false, 0, false)                  // sequential shard, valid
-	seed(1, 1, 0, 0, false, true, false, false, 0, false, 0, false)                   // cacheslice without cache
-	seed(1, 1, 0, 0, false, false, true, false, 0, false, 0, false)                   // ckptslice without cache
-	seed(1, 1, 0, 0, true, true, true, false, 0, false, 0, false)                     // cache geometry with cache, valid
-	seed(1, 1, 0, 0, false, false, false, true, 0, false, 0, false)                   // tracestore without cache
-	seed(1, 1, 0, 0, true, false, false, true, 0, false, 0, false)                    // tracestore with cache, valid
-	seed(1, 1, 0, 0, true, false, false, false, 256, true, 0, false)                  // storecap without tracestore
-	seed(1, 1, 0, 0, true, false, false, true, -1, true, 0, false)                    // negative storecap
-	seed(1, 1, 0, 0, true, false, false, true, 0, true, 0, false)                     // zero storecap (unbounded), valid
-	seed(1, 1, 0, 0, true, false, false, true, 256, true, 0, false)                   // bounded storecap, valid
-	seed(1, 1, 0, 0, false, false, false, false, -7, false, 0, false)                 // unset storecap ignores value
-	seed(1, 1, 0, 0, false, false, false, false, 0, false, 0, true)                   // zero deadline, set
-	seed(1, 1, 0, 0, false, false, false, false, 0, false, -1, true)                  // negative deadline, set
-	seed(1, 1, 0, 0, false, false, false, false, 0, false, 1_000_000_000, true)       // positive deadline, valid
-	seed(1, 1, 0, 0, false, false, false, false, 0, false, -5, false)                 // unset deadline ignores value
+	seed(30_000_000, 1_000_000, 0, false, false, false, 0, false, 0, false)         // defaults, valid
+	seed(0, 1_000_000, 0, false, false, false, 0, false, 0, false)                  // zero budget
+	seed(30_000_000, 0, 0, false, false, false, 0, false, 0, false)                 // zero slice
+	seed(1, 1, -1, false, false, false, 0, false, 0, false)                         // negative parallel
+	seed(1, 1, 1, false, false, false, 0, false, 0, false)                          // sequential, valid
+	seed(1, 1, 8, true, false, false, 0, false, 0, false)                           // parallel with cache, valid
+	seed(1, 1, 0, true, false, false, 0, false, 0, false)                           // cache on, geometry defaulted, valid
+	seed(0, 0, -1, false, true, true, -1, true, 0, true)                            // every rule broken at once
+	seed(^uint64(0), ^uint64(0), 1<<30, true, true, true, 1<<40, true, 1<<62, true) // extremes, valid
+	seed(1, 1, 0, false, true, false, 0, false, 0, false)                           // cacheslice without cache
+	seed(1, 1, 0, true, true, false, 0, false, 0, false)                            // cacheslice with cache, valid
+	seed(1, 1, 0, true, true, true, 0, false, 0, false)                             // cache geometry and store with cache, valid
+	seed(1, 1, 0, false, false, true, 0, false, 0, false)                           // tracestore without cache
+	seed(1, 1, 0, true, false, true, 0, false, 0, false)                            // tracestore with cache, valid
+	seed(1, 1, 0, true, false, false, 256, true, 0, false)                          // storecap without tracestore
+	seed(1, 1, 0, true, false, true, -1, true, 0, false)                            // negative storecap
+	seed(1, 1, 0, true, false, true, 0, true, 0, false)                             // zero storecap (unbounded), valid
+	seed(1, 1, 0, true, false, true, 256, true, 0, false)                           // bounded storecap, valid
+	seed(1, 1, 0, false, false, false, -7, false, 0, false)                         // unset storecap ignores value
+	seed(1, 1, 0, false, false, false, 0, false, 0, true)                           // zero deadline, set
+	seed(1, 1, 0, false, false, false, 0, false, -1, true)                          // negative deadline, set
+	seed(1, 1, 0, false, false, false, 0, false, 1_000_000_000, true)               // positive deadline, valid
+	seed(1, 1, 0, false, false, false, 0, false, -5, false)                         // unset deadline ignores value
 
-	f.Fuzz(func(t *testing.T, budget, slice uint64, parallel, recshards int, cache, cacheSet, ckptSet, storeSet bool, storeCap int64, storeCapSet bool, deadlineNs int64, deadlineSet bool) {
+	f.Fuzz(func(t *testing.T, budget, slice uint64, parallel int, cache, cacheSet, storeSet bool, storeCap int64, storeCapSet bool, deadlineNs int64, deadlineSet bool) {
 		fl := cliutil.RunFlags{
 			Budget:        budget,
 			SliceLen:      slice,
 			Parallel:      parallel,
-			RecShards:     recshards,
 			CacheEnabled:  cache,
 			CacheSliceSet: cacheSet,
-			CkptSliceSet:  ckptSet,
 			StoreSet:      storeSet,
 			StoreCap:      storeCap,
 			StoreCapSet:   storeCapSet,
@@ -59,10 +57,7 @@ func FuzzValidateFlags(f *testing.F) {
 		wantOK := budget > 0 &&
 			slice > 0 &&
 			parallel >= 0 &&
-			recshards >= 0 &&
-			!(recshards > 1 && parallel > 0 && recshards > parallel) &&
 			(cache || !cacheSet) &&
-			(cache || !ckptSet) &&
 			(cache || !storeSet) &&
 			(storeSet || !storeCapSet) &&
 			(!storeCapSet || storeCap >= 0) &&

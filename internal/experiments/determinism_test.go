@@ -86,18 +86,13 @@ func TestCacheRunAllByteIdenticalAndRecordsOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		shards  int
 	}{
-		{"cache/workers=1", 1, 0},
-		{"cache/parallel", parallelWorkers(), 0},
-		// Sharded recording must leave every artifact byte untouched:
-		// the recordings it produces are byte-identical to sequential.
-		{"cache/parallel/recshards", parallelWorkers(), 3},
+		{"cache/workers=1", 1},
+		{"cache/parallel", parallelWorkers()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cached := cfg
 			cached.Workers = tc.workers
-			cached.RecordShards = tc.shards
 			cached.Cache = tracecache.New(0)
 			if got := runAll(t, cached); got != want {
 				t.Errorf("cached artifacts differ from uncached (workers=%d)", tc.workers)
@@ -122,9 +117,10 @@ func TestCacheRunAllByteIdenticalAndRecordsOnce(t *testing.T) {
 
 // Slice-granular eviction must also be byte-invisible: a cache capped
 // far below one trace's footprint, at a slice size that splits every
-// trace, serves every driver re-materialized slices — and the full
-// registry output must still match the uncached reference, with the
-// memoized derived results computed from those re-materialized inputs.
+// trace, serves every driver slices promoted from its private spill
+// store — and the full registry output must still match the uncached
+// reference, with the memoized derived results computed from those
+// promoted inputs. Every trace still records once.
 func TestSliceEvictionRunAllByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
@@ -150,36 +146,27 @@ func TestSliceEvictionRunAllByteIdentical(t *testing.T) {
 		name       string
 		capInsts   int64 // cap in instructions' worth of slice bytes
 		sliceInsts uint64
-		ckptInsts  uint64 // checkpoint spacing (0 = skim-only refills)
 		workers    int
 	}{
-		{"cap=2slices/slice=25k", 50_000, 25_000, 0, 1},
-		{"cap=1slice/slice=40k", 40_000, 40_000, 0, 1},
-		{"cap=2slices/slice=25k/parallel", 50_000, 25_000, 0, parallelWorkers()},
-		// Checkpointed refills: resume-from-checkpoint must be as
-		// byte-invisible as the skim path it replaces, at a spacing
-		// matching the slice size and at an unaligned one.
-		{"cap=2slices/slice=25k/ckpt=25k", 50_000, 25_000, 25_000, 1},
-		{"cap=2slices/slice=25k/ckpt=10k/parallel", 50_000, 25_000, 10_000, parallelWorkers()},
+		{"cap=2slices/slice=25k", 50_000, 25_000, 1},
+		{"cap=1slice/slice=40k", 40_000, 40_000, 1},
+		{"cap=2slices/slice=25k/parallel", 50_000, 25_000, parallelWorkers()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			capped := cfg
 			capped.Workers = tc.workers
 			capped.CacheSlice = tc.sliceInsts
-			capped.CkptSlice = tc.ckptInsts
 			capped.Cache = tracecache.NewSliced(tc.capInsts*instBytes, tc.sliceInsts)
+			defer capped.Cache.Close()
 			if got := runAll(t, capped); got != want {
 				t.Errorf("capped slice-cache artifacts differ from uncached reference")
 			}
 			st := capped.Cache.Stats()
-			if st.SliceEvictions == 0 || st.SliceRerecords == 0 {
-				t.Fatalf("cap forced no slice eviction/re-record (stats %+v); the regime under test did not engage", st)
+			if st.SliceEvictions == 0 || st.DiskSliceHits == 0 {
+				t.Fatalf("cap forced no slice eviction/promotion (stats %+v); the regime under test did not engage", st)
 			}
-			if tc.ckptInsts > 0 && st.SliceResumes == 0 {
-				t.Fatalf("checkpointed run resumed no refill from a checkpoint (stats %+v); the regime under test did not engage", st)
-			}
-			if tc.ckptInsts == 0 && st.SliceResumes != 0 {
-				t.Fatalf("checkpoint-free run somehow resumed %d refills", st.SliceResumes)
+			if st.Misses != uint64(st.Entries) || st.SliceRerecords != 0 {
+				t.Fatalf("stats %+v: a trace recorded more than once", st)
 			}
 			if st.BytesInUse > st.CapBytes {
 				t.Errorf("resident bytes %d exceed cap %d", st.BytesInUse, st.CapBytes)

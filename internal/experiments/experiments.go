@@ -35,17 +35,10 @@ type Config struct {
 	MaxInputs  int    // cap on application inputs per workload
 	Workers    int    // engine workers per experiment (0 = NumCPU)
 
-	// RecordShards, when > 1, records each trace by generating disjoint
-	// slice-aligned instruction ranges on up to that many engine
-	// workers (program.RecordSlicesCtx; each recording's worker count is
-	// capped by Workers and by the trace's slice count — the cache's
-	// CacheSlice, or tracecache.DefaultSliceInsts without a cache).
-	// Sharded recording is byte-identical to sequential recording, so
-	// artifacts are unaffected in every mode. Note the
-	// worker budgets multiply: drivers recording several traces
-	// concurrently run up to Workers x min(Workers, RecordShards)
-	// generation goroutines, so the knob pays off on hosts with spare
-	// cores relative to the per-cell parallelism.
+	// RecordShards is ignored: every trace records sequentially.
+	//
+	// Deprecated: recording has one sequential path; nothing reads
+	// this field.
 	RecordShards int
 
 	// Cache, when non-nil, is the shared trace cache: every driver
@@ -53,32 +46,30 @@ type Config struct {
 	// invocation synthesizes each trace once instead of once per driver.
 	// The cache is slice-granular — its LRU cap evicts cold fixed-size
 	// slices of a trace rather than whole recordings, and evicted
-	// slices re-materialize deterministically on demand — so nil vs
-	// non-nil, any cap and any slice size are all byte-identical.
+	// slices promote back from its trace store (Store, or a private
+	// spill store) on demand — so nil vs non-nil, any cap and any slice
+	// size are all byte-identical.
 	Cache *tracecache.Cache
 
 	// CacheSlice is the trace cache's slice granularity in instructions
 	// (0 = whole-trace entries, the pre-slice behaviour). Build Cache
 	// through NewCache so the configured geometry is the one the cache
-	// actually evicts and re-materializes at.
+	// actually evicts and promotes at.
 	CacheSlice uint64
 
 	// Store, when non-nil, is the persistent on-disk tier beneath the
-	// trace cache (DESIGN.md §11): recordings and refills write
-	// through to it, evicted slices promote back zero-copy, and a
-	// trace already stored restores without recording at all — across
-	// process restarts. NewCache attaches it; like the cache itself,
-	// attached vs not is byte-identical in every artifact.
+	// trace cache (DESIGN.md §11): recordings stream into it, evicted
+	// slices promote back zero-copy, and a trace already stored
+	// restores without recording at all — across process restarts.
+	// NewCache attaches it in place of the cache's private spill store;
+	// like the cache itself, attached vs not is byte-identical in every
+	// artifact.
 	Store *tracestore.Store
 
-	// CkptSlice is the payload checkpoint spacing in instructions
-	// captured during first recording (0 = no checkpoints). With
-	// checkpoints in the cache header, an evicted-slice refill resumes
-	// from the nearest checkpoint at or below the missing window —
-	// O(window) instead of O(prefix + window) — and sharded
-	// re-recording needs no overlapping prefix skims. Checkpoints never
-	// change a trace byte: checkpointed and checkpoint-free runs are
-	// byte-identical in every artifact.
+	// CkptSlice is ignored: the cache has no checkpoint refills.
+	//
+	// Deprecated: an evicted slice comes back only from the trace
+	// store; nothing reads this field.
 	CkptSlice uint64
 
 	// Deadline bounds one driver run end to end (0 = none). It is
@@ -93,9 +84,9 @@ type Config struct {
 
 // NewCache constructs the shared trace cache for this configuration:
 // at most maxBytes of resident instruction data (<= 0 unbounded),
-// evicted and re-materialized at CacheSlice granularity, persisted
-// through Store when one is configured. Callers assign the result to
-// Cache.
+// evicted and promoted at CacheSlice granularity, persisted through
+// Store when one is configured. Callers assign the result to Cache and
+// Close it once every run using it is done.
 func (c Config) NewCache(maxBytes int64) *tracecache.Cache {
 	cache := tracecache.NewSliced(maxBytes, c.CacheSlice)
 	cache.SetStore(c.Store)
@@ -108,17 +99,15 @@ func (c Config) Pool() *engine.Pool { return engine.New(c.Workers) }
 // RecordTrace materializes one workload input's trace at the configured
 // budget through Cache.RecordCtx — the one recording path. All drivers
 // record through this so concurrent work units requesting the same trace
-// coalesce onto a single recording. With RecordShards > 1 the recording
-// itself runs sharded across engine workers (byte-identical output).
-// The returned trace replays identically whether it is a plain buffer
-// (nil cache: the slices recorded and joined) or a cache view
-// re-materializing evicted slices on demand (Spec.RecordRangeFrom,
-// resuming from a checkpoint or skimming from zero).
+// coalesce onto a single recording. The returned trace replays
+// identically whether it is a plain buffer (nil cache: the slices
+// recorded and joined) or a cache view promoting evicted slices from
+// its trace store on demand.
 // ctx bounds the recording: a cancelled or expired run returns a typed
 // error — a truncated trace is never returned.
 func (c Config) RecordTrace(ctx context.Context, s *workload.Spec, input int) (trace.Replayable, error) {
 	return c.Cache.RecordCtx(ctx, s.Name, input, c.Budget,
-		s.CacheSource(input, c.Budget, c.Pool(), c.RecordShards, c.CkptSlice))
+		s.Source(input, c.Budget))
 }
 
 // Default returns the configuration used for EXPERIMENTS.md.
@@ -130,7 +119,6 @@ func Default() Config {
 		StorageKB:  []int{8, 64, 128, 256, 512, 1024},
 		MaxInputs:  3,
 		CacheSlice: tracecache.DefaultSliceInsts,
-		CkptSlice:  tracecache.DefaultSliceInsts,
 	}
 }
 
@@ -143,7 +131,6 @@ func Quick() Config {
 		StorageKB:  []int{8, 64, 1024},
 		MaxInputs:  2,
 		CacheSlice: tracecache.DefaultSliceInsts,
-		CkptSlice:  tracecache.DefaultSliceInsts,
 	}
 }
 

@@ -11,15 +11,12 @@ import (
 	"branchlab/internal/workload"
 )
 
-// TestRecordTraceNilCacheShardedByteIdentical: without a cache,
-// RecordTrace still records sharded — RecordShards workers over
-// tracecache.DefaultSliceInsts slices — and the joined slices must be
-// byte-identical to a plain sequential recording.
-func TestRecordTraceNilCacheShardedByteIdentical(t *testing.T) {
+// TestRecordTraceNilCacheByteIdentical: without a cache, RecordTrace
+// records tracecache.DefaultSliceInsts slices and joins them, and the
+// result must be byte-identical to a plain sequential recording.
+func TestRecordTraceNilCacheByteIdentical(t *testing.T) {
 	cfg := quickCfg()
-	cfg.Budget = 4 * tracecache.DefaultSliceInsts // four slices: one per shard
-	cfg.Workers = 4
-	cfg.RecordShards = 4
+	cfg.Budget = 4 * tracecache.DefaultSliceInsts
 	for _, s := range []*workload.Spec{workload.SPECint2017Like()[0], workload.LCFLike()[0]} {
 		want, err := s.RecordCtx(context.Background(), 0, cfg.Budget)
 		if err != nil {
@@ -42,14 +39,12 @@ func TestRecordTraceNilCacheShardedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestStoreServesQuickTraceAtAnyCheckpointSpacing: the trace store
-// keeps instruction bytes and extent only, so a trace recorded cold
-// with one checkpoint per 64Ki-instruction slice warm-serves a cache
-// whose source captures no checkpoints — zero recordings — and a stored
-// slice that fails verification refills by skim, because a restored
-// entry carries no checkpoints to resume from, still byte-identical to
-// an uncached recording.
-func TestStoreServesQuickTraceAtAnyCheckpointSpacing(t *testing.T) {
+// TestStoreHealsDamagedQuickTrace: a Quick trace recorded cold into a
+// store warm-serves a fresh cache with zero recordings; a stored slice
+// that fails verification makes the cache re-record the trace once,
+// still byte-identical to an uncached recording, and the re-record
+// rewrites the file so the next cache promotes every slice again.
+func TestStoreHealsDamagedQuickTrace(t *testing.T) {
 	const sliceLen = 1 << 16
 	ctx := context.Background()
 	budget := Quick().Budget
@@ -64,7 +59,7 @@ func TestStoreServesQuickTraceAtAnyCheckpointSpacing(t *testing.T) {
 	dir := t.TempDir()
 	// run serves the trace through a fresh cache over a fresh handle on
 	// dir, drains it against want and returns the cache's counters.
-	run := func(ckptEvery uint64) tracecache.Stats {
+	run := func() tracecache.Stats {
 		t.Helper()
 		st, err := tracestore.Open(dir, 0)
 		if err != nil {
@@ -73,19 +68,19 @@ func TestStoreServesQuickTraceAtAnyCheckpointSpacing(t *testing.T) {
 		defer st.Close()
 		c := tracecache.NewSliced(0, sliceLen)
 		c.SetStore(st)
-		v, err := c.RecordCtx(ctx, s.Name, 0, budget, s.CacheSource(0, budget, nil, 1, ckptEvery))
+		v, err := c.RecordCtx(ctx, s.Name, 0, budget, s.Source(0, budget))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v.Len() != want.Len() {
-			t.Fatalf("spacing %d: length %d, want %d", ckptEvery, v.Len(), want.Len())
+			t.Fatalf("length %d, want %d", v.Len(), want.Len())
 		}
 		i := 0
 		bs := v.BlockStream(0)
 		for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
 			for _, inst := range blk {
 				if inst != want.At(i) {
-					t.Fatalf("spacing %d: instruction %d differs from RecordCtx", ckptEvery, i)
+					t.Fatalf("instruction %d differs from RecordCtx", i)
 				}
 				i++
 			}
@@ -93,11 +88,11 @@ func TestStoreServesQuickTraceAtAnyCheckpointSpacing(t *testing.T) {
 		return c.Stats()
 	}
 
-	if cs := run(sliceLen); cs.Misses != 1 {
+	if cs := run(); cs.Misses != 1 {
 		t.Fatalf("cold run: %d recordings, want 1", cs.Misses)
 	}
-	if cs := run(0); cs.Misses != 0 || cs.DiskHeaderHits != 1 || cs.SliceRerecords != 0 {
-		t.Fatalf("warm run without checkpoints: %+v, want 0 recordings, 1 restored header, 0 refills", cs)
+	if cs := run(); cs.Misses != 0 || cs.DiskHeaderHits != 1 || cs.SliceRerecords != 0 {
+		t.Fatalf("warm run: %+v, want 0 recordings, 1 restored header, 0 re-records", cs)
 	}
 
 	slices, err := filepath.Glob(filepath.Join(dir, "*", "s*"))
@@ -113,9 +108,11 @@ func TestStoreServesQuickTraceAtAnyCheckpointSpacing(t *testing.T) {
 	if err := os.WriteFile(last, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cs := run(sliceLen)
-	if cs.Misses != 0 || cs.DiskRejects != 1 || cs.SliceSkims != 1 || cs.SliceResumes != 0 {
-		t.Fatalf("warm run over a damaged slice: %+v, want 0 recordings, 1 reject, 1 skim, 0 resumes", cs)
+	if cs := run(); cs.Misses != 0 || cs.DiskRejects != 1 || cs.SliceRerecords != 1 {
+		t.Fatalf("warm run over a damaged slice: %+v, want 0 recordings, 1 reject, 1 re-record", cs)
+	}
+	if cs := run(); cs.SliceRerecords != 0 || cs.DiskRejects != 0 || cs.DiskSliceHits != uint64(len(slices)) {
+		t.Fatalf("warm run after the heal: %+v, want every slice promoted", cs)
 	}
 }
 

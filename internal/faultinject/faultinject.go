@@ -44,13 +44,9 @@ const (
 	// (tracecache.Cache.RecordCtx): the typed error propagates to every
 	// coalesced waiter and the entry is withdrawn.
 	CacheRecord Point = "tracecache/record"
-	// CacheResume fails a checkpoint resume during an evicted-slice
-	// refill (tracecache entry.refill): the refill falls back to the
-	// exact skim path, so replays stay byte-identical.
-	CacheResume Point = "tracecache/resume"
-	// CacheEvict is a chaos point: it evicts every resident slice
-	// regardless of the configured cap (tracecache evictLocked),
-	// forcing later replays through the re-materialization paths.
+	// CacheEvict is a chaos point: it evicts every stored resident
+	// slice regardless of the configured cap (tracecache evictLocked),
+	// forcing later replays through store promotion.
 	CacheEvict Point = "tracecache/evict"
 	// StoreWrite fails a persistent-store slice or header write
 	// (tracestore.Store): the write is dropped, the store stays
@@ -58,7 +54,7 @@ const (
 	StoreWrite Point = "tracestore/write"
 	// StoreRead fails a persistent-store slice read before the file is
 	// opened (tracestore.Store.PinSlice): the miss path re-records the
-	// slice byte-identically.
+	// trace byte-identically.
 	StoreRead Point = "tracestore/read"
 	// StoreCorrupt is a chaos point: it flips one payload byte in a
 	// slice file as it lands on disk (never in the in-memory array), so
@@ -69,7 +65,7 @@ const (
 
 // Points returns every registered fault point.
 func Points() []Point {
-	return []Point{EngineDispatch, CacheRecord, CacheResume, CacheEvict, StoreWrite, StoreRead, StoreCorrupt}
+	return []Point{EngineDispatch, CacheRecord, CacheEvict, StoreWrite, StoreRead, StoreCorrupt}
 }
 
 // EnvSeed is the environment variable ActivateFromEnv reads: a decimal

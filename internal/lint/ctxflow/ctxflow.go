@@ -26,8 +26,8 @@
 // F that mints a root to call its FCtx sibling is not exempt.
 //
 // Everything else needs a justified //lint:ignore ctxflow — the
-// deliberately context-free cache refill (program.RecordRangeFrom)
-// carries one.
+// deliberately context-free whole-trace re-record in
+// internal/tracecache carries one.
 package ctxflow
 
 import (

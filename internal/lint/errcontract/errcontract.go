@@ -20,7 +20,7 @@
 //     is its own panic boundary. A //lint:ignore errcontract on the
 //     panic (or call) line suppresses the site and stops propagation,
 //     so one justified suppression at a deliberate escalation point
-//     (program's typed payload unwinds, the trace cache's skim-refill
+//     (program's typed payload unwinds, the trace cache's re-record
 //     invariant) keeps every transitive caller clean.
 //
 //  2. Sentinel discrimination. Comparing an error against a

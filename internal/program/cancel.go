@@ -4,7 +4,7 @@
 // A context threaded into a recording entry point (Run, RecordCtx,
 // RecordSlicesCtx) bounds the generation. The
 // emitter checks it only at points where stopping is provably safe —
-// payload checkpoint safe points (Emitter.Checkpoint), slice-window
+// payload safe points (Emitter.SafePoint), slice-window
 // retirement, the chunk ends of a streamed recording (SliceSink), and
 // batch flushes — and stopping means unwinding the
 // payload and discarding everything materialized so far. A cancelled

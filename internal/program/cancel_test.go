@@ -34,8 +34,8 @@ func leakCheck(t *testing.T) func() {
 
 // selfCancelPayload cancels its own context once the generation crosses
 // at instructions, making mid-run cancellation deterministic: the next
-// byte-safe point (flush, window retirement, or Checkpoint) aborts.
-func selfCancelPayload(cancel context.CancelFunc, at uint64, checkpoint bool) Payload {
+// byte-safe point (flush, window retirement, or SafePoint) aborts.
+func selfCancelPayload(cancel context.CancelFunc, at uint64, safePoint bool) Payload {
 	return func(e *Emitter) {
 		for e.Running() {
 			if e.InstCount() >= at {
@@ -43,8 +43,8 @@ func selfCancelPayload(cancel context.CancelFunc, at uint64, checkpoint bool) Pa
 			}
 			e.Compute(10)
 			e.Cond(0, e.Rand().Bool(0.5))
-			if checkpoint {
-				e.Checkpoint()
+			if safePoint {
+				e.SafePoint()
 			}
 		}
 	}
@@ -143,31 +143,14 @@ func TestRecordCtxAbortPropagates(t *testing.T) {
 	}
 }
 
-// TestRecordSlicesCtxCancelViaCheckpointPoint: a payload's Checkpoint
-// call is a cancellation point even for non-checkpointed recordings.
-func TestRecordSlicesCtxCancelViaCheckpointPoint(t *testing.T) {
+// TestRecordSlicesCtxCancelViaSafePoint: a payload's SafePoint call is
+// a cancellation point inside a single slice window.
+func TestRecordSlicesCtxCancelViaSafePoint(t *testing.T) {
 	defer leakCheck(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	out, cks, err := RecordSlicesCtx(ctx, 1, 1_000_000, selfCancelPayload(cancel, 10_000, true),
-		1_000_000, nil, 1, 0, nil)
-	if out != nil || cks != nil {
-		t.Fatalf("cancelled RecordSlicesCtx returned data: %d slices, %d ckpts", len(out), len(cks))
-	}
-	if !errors.Is(err, ErrCanceled) || !engine.IsCancel(err) {
-		t.Fatalf("RecordSlicesCtx = %v, want a typed cancellation", err)
-	}
-}
-
-// TestRecordSlicesCtxCancelViaWindowRetirement: without any Checkpoint
-// calls, retiring a filled slice window is the byte-safe point a
-// cancelled direct-path recording unwinds at.
-func TestRecordSlicesCtxCancelViaWindowRetirement(t *testing.T) {
-	defer leakCheck(t)()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	out, _, err := RecordSlicesCtx(ctx, 1, 1_000_000, selfCancelPayload(cancel, 10_000, false),
-		1_000, nil, 1, 0, nil)
+	out, err := RecordSlicesCtx(ctx, 1, 1_000_000, selfCancelPayload(cancel, 10_000, true),
+		1_000_000, nil)
 	if out != nil {
 		t.Fatalf("cancelled RecordSlicesCtx returned %d slices", len(out))
 	}
@@ -176,32 +159,21 @@ func TestRecordSlicesCtxCancelViaWindowRetirement(t *testing.T) {
 	}
 }
 
-// TestRecordSlicesCtxShardedCancelTyped: a pre-cancelled sharded
-// recording fails typed across the worker pool.
-func TestRecordSlicesCtxShardedCancelTyped(t *testing.T) {
+// TestRecordSlicesCtxCancelViaWindowRetirement: without any SafePoint
+// calls, retiring a filled slice window is the byte-safe point a
+// cancelled direct-path recording unwinds at.
+func TestRecordSlicesCtxCancelViaWindowRetirement(t *testing.T) {
 	defer leakCheck(t)()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, _, err := RecordSlicesCtx(ctx, 1, 100_000, countingPayload, 10_000, engine.New(4), 4, 0, nil)
-	if out != nil {
-		t.Fatalf("cancelled sharded recording returned %d slices", len(out))
-	}
-	if !engine.IsCancel(err) {
-		t.Fatalf("RecordSlicesCtx = %v, want a cancellation", err)
-	}
-}
-
-// TestRecordSlicesCtxShardedUncancelledByteIdentical: the sharded path
-// under an inert context matches sequential recording.
-func TestRecordSlicesCtxShardedUncancelledByteIdentical(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	want := mustRecord(t, 11, 40_000, countingPayload)
-	arrs, _, err := RecordSlicesCtx(ctx, 11, 40_000, countingPayload, 10_000, engine.New(4), 4, 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	out, err := RecordSlicesCtx(ctx, 1, 1_000_000, selfCancelPayload(cancel, 10_000, false),
+		1_000, nil)
+	if out != nil {
+		t.Fatalf("cancelled RecordSlicesCtx returned %d slices", len(out))
 	}
-	assertSameBuffer(t, joinSlices(arrs), want, "inert context")
+	if !errors.Is(err, ErrCanceled) || !engine.IsCancel(err) {
+		t.Fatalf("RecordSlicesCtx = %v, want a typed cancellation", err)
+	}
 }
 
 // TestStreamErrHelper: trace.StreamErr surfaces the typed error through

@@ -19,7 +19,6 @@ import (
 	"runtime/debug"
 	"sync"
 
-	"branchlab/internal/engine"
 	"branchlab/internal/trace"
 	"branchlab/internal/xrand"
 )
@@ -63,17 +62,12 @@ type Emitter struct {
 	ctx  context.Context
 	done <-chan struct{}
 
-	// Range-recording mode (see recordSegments): instructions with
-	// index < skip are generated but not materialized, instructions in
-	// [skip, stopAt) append to direct, and reaching stopAt unwinds the
-	// payload. stopAt == 0 disables early stop; direct == nil selects
-	// the batching channel path. segs holds further pre-allocated
-	// capacity-capped windows (slice-granular recording): when direct
+	// Slice-recording mode (see recordWindows): instructions append to
+	// direct; direct == nil selects the batching channel path. segs
+	// holds further pre-allocated capacity-capped windows: when direct
 	// fills to capacity it is retired to filled and the next window
-	// takes over, so one prefix replay materializes many independently
-	// owned slice arrays.
-	skip   uint64
-	stopAt uint64
+	// takes over, so one sequential pass materializes many
+	// independently owned slice arrays.
 	direct []trace.Inst
 	segs   [][]trace.Inst
 	filled [][]trace.Inst
@@ -90,21 +84,6 @@ type Emitter struct {
 	sent  int
 	mark  int
 
-	// Checkpointing (see checkpoint.go): with ckptEvery > 0 the emitter
-	// captures a Checkpoint at the first payload safe point at or after
-	// each multiple of ckptEvery, storing only captures at index >=
-	// ckptLo (sharded recorders skim the prefix but store only their own
-	// range). resuming is set while a restored payload state waits for
-	// the payload to claim it via Checkpointable; emitting in that
-	// window is a contract violation and aborts the resume.
-	ckptEvery   uint64
-	nextCkpt    uint64
-	ckptLo      uint64
-	ckpts       []Checkpoint
-	ckptOwner   CheckpointPayload
-	resuming    bool
-	resumeState []uint64
-
 	scratch uint8 // rotating scratch register for filler code
 }
 
@@ -113,9 +92,8 @@ type Emitter struct {
 type stopSignal struct{}
 
 // payloadAbort unwinds the payload with a typed error (Emitter.Abort,
-// cancellation, a checkpoint resume that cannot proceed). Only the two
-// recording entry points (Run's producer, recordSegments) recover
-// it, turning it back into their error return.
+// cancellation). Only the two recording entry points (Run's producer,
+// recordWindows) recover it, turning it back into their error return.
 type payloadAbort struct{ err error }
 
 // Rand returns the emitter's deterministic random source. Payloads must
@@ -149,35 +127,27 @@ func (e *Emitter) InstCount() uint64 { return e.emitted }
 func (e *Emitter) Budget() uint64 { return e.budget }
 
 func (e *Emitter) emit(inst trace.Inst) {
-	if e.resuming {
-		// A resumed emitter whose payload emits before claiming the
-		// saved state via Checkpointable would silently generate wrong
-		// bytes: the payload restarted from its zero state while the
-		// counters and RNG continued mid-trace. Abort to the skim path.
-		e.Abort(fmt.Errorf("%w: payload emitted before Checkpointable", ErrBadCheckpoint))
-	}
 	if e.emitted >= e.budget {
 		return
 	}
-	if e.emitted >= e.skip {
-		if e.direct != nil {
-			e.direct = append(e.direct, inst)
-			if len(e.direct) == e.mark {
-				e.boundary()
-			}
-		} else {
-			e.batch = append(e.batch, inst)
-			if len(e.batch) >= batchSize {
-				e.flush()
-			}
-		}
-	}
 	e.emitted++
-	if e.stopAt != 0 && e.emitted >= e.stopAt {
-		//lint:ignore errcontract stopSignal is a typed unwind for a clean early stop, recovered at the Record* run boundary; it never escapes to callers
-		panic(stopSignal{})
+	if e.direct != nil {
+		e.direct = append(e.direct, inst)
+		if len(e.direct) == e.mark {
+			e.boundary()
+		}
+		return
+	}
+	e.batch = append(e.batch, inst)
+	if len(e.batch) >= batchSize {
+		e.flush()
 	}
 }
+
+// SafePoint declares a payload safe point: a position where stopping
+// cannot corrupt anything, so a cancelled recording unwinds here
+// (DESIGN.md §9). Payloads call it at the top of their main loop.
+func (e *Emitter) SafePoint() { e.checkCanceled() }
 
 // boundary runs when direct reaches mark: it hands the sink the chunk
 // since the last hand-off, retires a full window (the next one takes
@@ -190,7 +160,7 @@ func (e *Emitter) boundary() {
 	}
 	if full {
 		if len(e.segs) == 0 {
-			e.mark = -1 // the range is full; stopAt unwinds the payload
+			e.mark = -1 // the budget is spent: emit drops the payload's overshoot
 			return
 		}
 		e.filled = append(e.filled, e.direct)
@@ -502,116 +472,52 @@ const ChunkInsts = 32 << 10
 // or the trace's final slice when the payload ends. A chunk aliases the
 // window array RecordSlicesCtx returns, which never reallocates and is
 // not written again, so the sink may read it from another goroutine
-// until it drops the arrays; it must never write it. Calls for one slice
-// come from one goroutine, in order; a sharded recording calls the sink
-// from several goroutines, one per shard's range of slices. No call
-// follows RecordSlicesCtx's return. When the recording fails, the
-// chunks already handed over belong to no returned array and the
-// slices without a last call never completed.
+// until it drops the arrays; it must never write it. Every call comes
+// from the recording goroutine, in order, and none follows
+// RecordSlicesCtx's return. When the recording fails, the chunks
+// already handed over belong to no returned array and the slices
+// without a last call never completed.
 type SliceSink func(slice int, chunk []trace.Inst, last bool)
 
-// recordSegments generates instructions [lo, hi) of the (seed, budget,
-// payload) trace synchronously — no producer goroutine, no channel —
-// filling the pre-allocated capacity-capped windows segs in order and
-// returning the windows that received instructions. The payload replays
-// from the start with a freshly reseeded RNG (every shard derives the
-// identical xrand stream from the trace seed), skims the prefix without
-// materializing it, and unwinds as soon as the range is full. The
-// window capacities must sum to at least hi-lo so no append ever
-// reallocates a window. A non-nil sink streams the windows as they fill
-// (see SliceSink); slice0 is the global slice index of segs[0].
-//
-// ckptEvery > 0 additionally captures payload checkpoints within
-// [lo, hi) at that spacing (see checkpoint.go); from != nil resumes
-// the replay at from.At instead of instruction zero — the O(window)
-// refill path — and fails with ErrBadCheckpoint (wrapped) when the
-// checkpoint cannot reproduce the generation, leaving the caller to
-// fall back to a skim from zero.
-func recordSegments(ctx context.Context, seed, budget uint64, payload Payload, lo, hi uint64, segs [][]trace.Inst, sink SliceSink, slice0 int, ckptEvery uint64, from *Checkpoint) ([][]trace.Inst, []Checkpoint, error) {
+// recordWindows generates the (seed, budget, payload) trace
+// synchronously — no producer goroutine, no channel — filling the
+// pre-allocated capacity-capped windows segs in order and returning the
+// windows that received instructions. The window capacities must sum
+// to the budget so no append ever reallocates a window. A non-nil sink
+// streams the windows as they fill (see SliceSink).
+func recordWindows(ctx context.Context, seed, budget uint64, payload Payload, segs [][]trace.Inst, sink SliceSink) ([][]trace.Inst, error) {
 	e := &Emitter{
-		rng:       xrand.New(seed),
-		budget:    budget,
-		baseIP:    0x400000,
-		curIP:     0x400000,
-		skip:      lo,
-		stopAt:    hi,
-		direct:    segs[0],
-		segs:      segs[1:],
-		sink:      sink,
-		slice:     slice0,
-		ckptEvery: ckptEvery,
-		nextCkpt:  ckptEvery, // never capture the trivial At=0 state
-		ckptLo:    lo,
+		rng:    xrand.New(seed),
+		budget: budget,
+		baseIP: 0x400000,
+		curIP:  0x400000,
+		direct: segs[0],
+		segs:   segs[1:],
+		sink:   sink,
 	}
 	e.setMark()
 	e.bindContext(ctx)
-	if from != nil {
-		if from.At > lo {
-			return nil, nil, fmt.Errorf("%w: captured at %d, past range start %d", ErrBadCheckpoint, from.At, lo)
-		}
-		if err := e.restore(from); err != nil {
-			return nil, nil, err
-		}
-	}
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(stopSignal); ok {
-					return
-				}
 				if pa, ok := r.(payloadAbort); ok {
-					err = pa.err // cancellation, payload Abort or failed resume
+					err = pa.err // cancellation or payload Abort
 					return
 				}
 				panic(r)
 			}
 		}()
 		payload(e)
-		if e.resuming {
-			err = fmt.Errorf("%w: payload never registered via Checkpointable", ErrBadCheckpoint)
-		}
-		return
+		return nil
 	}()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if e.sink != nil && e.mark >= 0 && len(e.direct) > 0 {
 		// The payload ended inside this window: it retires short.
 		e.sink(e.slice, e.direct[e.sent:], true)
 	}
-	return append(e.filled, e.direct), e.ckpts, nil
-}
-
-// RecordRangeFrom materializes instructions [lo, hi) of the (seed,
-// budget, payload) trace into a freshly allocated array: the
-// slice-granular trace cache's refill path. With ck == nil the replay
-// reseeds from the trace seed and skims the prefix without
-// materializing it — O(lo + window). With a checkpoint generation
-// starts at ck.At instead, so the refill costs O(lo-ck.At + window) —
-// O(window) when checkpoints were captured at slice spacing. ck must
-// come from a checkpointed recording of the identical (seed, budget,
-// payload) triple with ck.At <= lo. Either way the bytes are identical
-// to the same range of a full recording, or the call fails (wrapping
-// ErrBadCheckpoint, or xrand.ErrZeroState for a zero-value checkpoint)
-// and the caller retries with ck == nil — wrong bytes are never
-// returned.
-//
-// Refills are deliberately context-free: a replay must be able to
-// regenerate evicted bytes after the recording context is gone.
-func RecordRangeFrom(seed, budget uint64, payload Payload, ck *Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
-	if hi > budget {
-		hi = budget
-	}
-	if lo >= hi {
-		return nil, nil
-	}
-	//lint:ignore ctxflow range refills are deliberately context-free: a replay must be able to regenerate bytes after the recording context is gone
-	segs, _, err := recordSegments(context.Background(), seed, budget, payload, lo, hi,
-		[][]trace.Inst{make([]trace.Inst, 0, hi-lo)}, nil, 0, 0, ck)
-	if err != nil {
-		return nil, err
-	}
-	return segs[len(segs)-1], nil
+	return append(e.filled, e.direct), nil
 }
 
 // RecordSlicesCtx materializes the same trace RecordCtx produces as
@@ -620,23 +526,9 @@ func RecordRangeFrom(seed, budget uint64, payload Payload, ck *Checkpoint, lo, h
 // trace cache, which needs each slice to be individually evictable —
 // dropping one array frees its memory, which views of a shared backing
 // array (Buffer.Slice) cannot do. sliceLen == 0 or >= budget yields a
-// single array. With shards > 1 the generation splits across pool
-// workers at slice-aligned boundaries: worker w replays the payload
-// deterministically from the trace seed, skims the instructions before
-// its first slice (generated, counted, not stored) and fills its own
-// slice arrays (no copies, no channel handoff). The concatenated arrays
-// are byte-identical to RecordCtx at any (sliceLen, shards)
-// combination: payloads are pure functions of the seed. See DESIGN.md
-// §6 for why prefix replay — rather than per-slice generator reseeding
-// — is what keeps the recording byte-identical for arbitrary payloads.
-//
-// ckptEvery > 0 additionally captures payload checkpoints at that
-// spacing (first safe point at or after each multiple; see
-// checkpoint.go), returned sorted by capture index. The capture rule
-// is a pure function of the instruction index, so the checkpoint list
-// is identical at any shard count; a payload that never registers via
-// Emitter.Checkpointable yields an empty list (the fallback consumers
-// detect). ckptEvery == 0 disables capture.
+// single array. The payload runs once, sequentially, on the calling
+// goroutine and fills the windows in order; concatenated, the arrays
+// are byte-identical to RecordCtx at any sliceLen (DESIGN.md §6).
 //
 // A non-nil sink receives every slice window while it records, in
 // ChunkInsts pieces (see SliceSink); the arrays returned are the same
@@ -644,11 +536,11 @@ func RecordRangeFrom(seed, budget uint64, payload Payload, ck *Checkpoint, lo, h
 // bookkeeping it already does.
 //
 // ctx bounds the recording: cancellation or a payload failure returns
-// (nil, nil, err) with a typed error; partial slice arrays are never
+// (nil, err) with a typed error; partial slice arrays are never
 // returned.
-func RecordSlicesCtx(ctx context.Context, seed, budget uint64, payload Payload, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64, sink SliceSink) ([][]trace.Inst, []Checkpoint, error) {
+func RecordSlicesCtx(ctx context.Context, seed, budget uint64, payload Payload, sliceLen uint64, sink SliceSink) ([][]trace.Inst, error) {
 	if budget == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	if sliceLen == 0 || sliceLen > budget {
 		sliceLen = budget
@@ -656,81 +548,26 @@ func RecordSlicesCtx(ctx context.Context, seed, budget uint64, payload Payload, 
 	nSlices := int((budget + sliceLen - 1) / sliceLen)
 	// capOf is the exact capacity of slice si; windows never reallocate.
 	capOf := func(si int) uint64 {
-		lo := uint64(si) * sliceLen
-		hi := lo + sliceLen
-		if hi > budget {
-			hi = budget
-		}
-		return hi - lo
+		return min(uint64(si+1)*sliceLen, budget) - uint64(si)*sliceLen
 	}
-	mkWindows := func(s0, s1 int) [][]trace.Inst {
-		ws := make([][]trace.Inst, 0, s1-s0)
-		for si := s0; si < s1; si++ {
-			ws = append(ws, make([]trace.Inst, 0, capOf(si)))
-		}
-		return ws
+	windows := make([][]trace.Inst, nSlices)
+	for si := range windows {
+		windows[si] = make([]trace.Inst, 0, capOf(si))
 	}
-
-	out := make([][]trace.Inst, nSlices)
-	var cks []Checkpoint
-	if pool == nil {
-		pool = engine.New(0)
+	out, err := recordWindows(ctx, seed, budget, payload, windows, sink)
+	if err != nil {
+		return nil, err
 	}
-	if shards > nSlices {
-		shards = nSlices
-	}
-	if shards <= 1 {
-		filled, c, err := recordSegments(ctx, seed, budget, payload, 0, budget, mkWindows(0, nSlices), sink, 0, ckptEvery, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		copy(out, filled)
-		cks = c
-	} else {
-		// Shard boundaries align to slice boundaries so every window
-		// belongs to exactly one worker.
-		per := (nSlices + shards - 1) / shards
-		parts, err := engine.MapErr(ctx, pool, shards, func(ctx context.Context, w int) ([]Checkpoint, error) {
-			s0 := w * per
-			s1 := s0 + per
-			if s1 > nSlices {
-				s1 = nSlices
-			}
-			if s0 >= s1 {
-				return nil, nil
-			}
-			lo := uint64(s0) * sliceLen
-			hi := uint64(s1) * sliceLen
-			if hi > budget {
-				hi = budget
-			}
-			filled, c, err := recordSegments(ctx, seed, budget, payload, lo, hi, mkWindows(s0, s1), sink, s0, ckptEvery, nil)
-			if err != nil {
-				return nil, err
-			}
-			copy(out[s0:s1], filled)
-			return c, nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		// Workers capture within disjoint ascending ranges under the
-		// same index-driven rule, so concatenation in worker order is
-		// the sequential capture list.
-		for _, p := range parts {
-			cks = append(cks, p...)
-		}
-	}
-	// A payload that returns before exhausting the budget ends every
-	// replica at the same deterministic point: the first short slice is
-	// the end of the trace, and everything after it is empty.
+	// A payload that returns before exhausting the budget ends at a
+	// deterministic point: the first short slice is the end of the
+	// trace.
 	for si, sl := range out {
 		if uint64(len(sl)) < capOf(si) {
 			if len(sl) == 0 {
-				return out[:si], cks, nil
+				return out[:si], nil
 			}
-			return out[:si+1], cks, nil
+			return out[:si+1], nil
 		}
 	}
-	return out, cks, nil
+	return out, nil
 }

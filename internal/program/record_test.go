@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"branchlab/internal/engine"
 	"branchlab/internal/trace"
 )
 
@@ -44,13 +43,13 @@ func mustRecord(t *testing.T, seed, budget uint64, payload Payload) *trace.Buffe
 
 // mustSlices is RecordSlicesCtx under the background context, failing
 // the test on error.
-func mustSlices(t *testing.T, seed, budget uint64, payload Payload, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []Checkpoint) {
+func mustSlices(t *testing.T, seed, budget uint64, payload Payload, sliceLen uint64) [][]trace.Inst {
 	t.Helper()
-	arrs, cks, err := RecordSlicesCtx(context.Background(), seed, budget, payload, sliceLen, pool, shards, ckptEvery, nil)
+	arrs, err := RecordSlicesCtx(context.Background(), seed, budget, payload, sliceLen, nil)
 	if err != nil {
 		t.Fatalf("RecordSlicesCtx(seed=%d, budget=%d): %v", seed, budget, err)
 	}
-	return arrs, cks
+	return arrs
 }
 
 // A consumer that stops after its first block — the shape of a run

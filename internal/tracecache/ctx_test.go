@@ -59,7 +59,7 @@ func newGateSource(n int, honorCtx bool) *gateSource {
 func (s *gateSource) Source() Source {
 	src := s.source.Source()
 	inner := src.Record
-	src.Record = func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
+	src.Record = func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, error) {
 		s.mu.Lock()
 		s.calls++
 		first := s.calls == 1
@@ -70,7 +70,7 @@ func (s *gateSource) Source() Source {
 				select {
 				case <-s.release:
 				case <-ctx.Done():
-					return nil, nil, ctx.Err()
+					return nil, ctx.Err()
 				}
 			} else {
 				<-s.release
@@ -217,7 +217,7 @@ func TestSourceFailurePropagatesToWaiters(t *testing.T) {
 	var calls int
 	var mu sync.Mutex
 	failing := Source{
-		Record: func(context.Context, uint64, program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
+		Record: func(context.Context, uint64, program.SliceSink) ([][]trace.Inst, error) {
 			mu.Lock()
 			calls++
 			first := calls == 1
@@ -225,9 +225,9 @@ func TestSourceFailurePropagatesToWaiters(t *testing.T) {
 			if first {
 				close(entered)
 				<-release
-				return nil, nil, boom
+				return nil, boom
 			}
-			return [][]trace.Inst{mkInsts(0, 10)}, nil, nil
+			return [][]trace.Inst{mkInsts(0, 10)}, nil
 		},
 	}
 
@@ -280,12 +280,9 @@ func TestBadSourceTyped(t *testing.T) {
 	defer leakCheck(t)()
 	c := NewSliced(0, 10)
 	bad := Source{
-		Record: func(_ context.Context, sliceLen uint64, _ program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
+		Record: func(_ context.Context, sliceLen uint64, _ program.SliceSink) ([][]trace.Inst, error) {
 			// Three slices, middle one short: structurally malformed.
-			return [][]trace.Inst{mkInsts(0, 10), mkInsts(10, 15), mkInsts(20, 30)}, nil, nil
-		},
-		Refill: func(_ *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
-			return mkInsts(int(lo), int(hi)), nil
+			return [][]trace.Inst{mkInsts(0, 10), mkInsts(10, 15), mkInsts(20, 30)}, nil
 		},
 	}
 	v, err := c.RecordCtx(context.Background(), "w", 0, 30, bad)
@@ -310,8 +307,8 @@ func TestNilCacheRecordCtxPropagatesError(t *testing.T) {
 	var c *Cache
 	boom := errors.New("no trace today")
 	_, err := c.RecordCtx(context.Background(), "w", 0, 10, Source{
-		Record: func(context.Context, uint64, program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
-			return nil, nil, boom
+		Record: func(context.Context, uint64, program.SliceSink) ([][]trace.Inst, error) {
+			return nil, boom
 		},
 	})
 	if !errors.Is(err, boom) {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -32,20 +33,33 @@ func findFailSeed(t *testing.T, pt faultinject.Point, maxTrigger uint64) (seed, 
 }
 
 // findChaosSeed returns a seed whose plan turns on the pt chaos point
-// from its very first invocation.
-func findChaosSeed(t *testing.T, pt faultinject.Point) uint64 {
+// from its very first invocation and never turns on any of quiet.
+func findChaosSeed(t *testing.T, pt faultinject.Point, quiet ...faultinject.Point) uint64 {
 	t.Helper()
 	defer faultinject.Deactivate()
 	for s := uint64(0); s < 4096; s++ {
 		if err := faultinject.Activate(s); err != nil {
 			t.Fatal(err)
 		}
-		if faultinject.Chaos(pt) {
+		if faultinject.Chaos(pt) && !anyChaos(quiet) {
 			return s
 		}
 	}
-	t.Fatalf("no seed in [0,4096) enables chaos at %s on the first hit", pt)
+	t.Fatalf("no seed in [0,4096) enables chaos at %s on the first hit and leaves %v off", pt, quiet)
 	return 0
+}
+
+// anyChaos reports whether any of pts turns on within its largest
+// possible trigger.
+func anyChaos(pts []faultinject.Point) bool {
+	for _, p := range pts {
+		for i := 0; i < 64; i++ {
+			if faultinject.Chaos(p) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestCacheRecordFaultPropagatesToWaiters: an injected recording fault
@@ -119,79 +133,44 @@ func TestCacheRecordFaultPropagatesToWaiters(t *testing.T) {
 	checkIdentity(t, drain(t, v))
 }
 
-// TestCacheResumeFaultFallsBackByteIdentical: an injected resume fault
-// degrades refills to the skim path — more skims, same bytes.
-func TestCacheResumeFaultFallsBackByteIdentical(t *testing.T) {
-	// The one-slice-cap replay below makes 7 resume-eligible refills
-	// (slices at lo >= the first checkpoint), so the trigger must land
-	// within them.
-	seed, _ := findFailSeed(t, faultinject.CacheResume, 7)
+// TestCacheEvictChaosByteIdentical: the eviction chaos point drops
+// every stored resident slice on each eviction pass. A capped cache
+// with no store spills to its private store, so replays stay
+// byte-identical through store promotion: every trace records once and
+// nothing re-records. Close removes the spill directory.
+func TestCacheEvictChaosByteIdentical(t *testing.T) {
+	seed := findChaosSeed(t, faultinject.CacheEvict, faultinject.StoreCorrupt)
 	defer leakCheck(t)()
-
-	replay := func() (vals []uint64, st Stats, resumes int64) {
-		src := &ckptSource{source: source{n: 100}, every: 25}
-		c := NewSliced(10*instBytes, 10) // one-slice cap: every pin refills
-		v := record(t, c, "w", 0, 100, src.Source())
-		return drain(t, v), c.Stats(), src.resumes.Load()
-	}
-
-	faultinject.Deactivate()
-	clean, cleanStats, cleanResumes := replay()
-	if cleanResumes == 0 {
-		t.Fatal("baseline replay never resumed; the regime under test did not engage")
-	}
 	if err := faultinject.Activate(seed); err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Deactivate()
-	faulted, faultedStats, faultedResumes := replay()
 
-	if len(clean) != len(faulted) {
-		t.Fatalf("faulted replay length %d != clean %d", len(faulted), len(clean))
-	}
-	for i := range clean {
-		if clean[i] != faulted[i] {
-			t.Fatalf("inst %d differs under resume fault: %d vs %d — wrong bytes", i, faulted[i], clean[i])
+	c := NewSliced(1<<20, 10) // capped, no store attached
+	srcs := []*source{{n: 100}, {n: 55}, {n: 10}}
+	for pass := 0; pass < 2; pass++ {
+		for i, src := range srcs {
+			v := record(t, c, fmt.Sprintf("w%d", i), 0, uint64(src.n), src.Source())
+			checkIdentity(t, drain(t, v))
 		}
 	}
-	if faultedResumes >= cleanResumes {
-		t.Fatalf("resume fault never forced a fallback (resumes %d clean vs %d faulted)",
-			cleanResumes, faultedResumes)
+	st := c.Stats()
+	if st.SliceEvictions == 0 || st.DiskSliceHits == 0 {
+		t.Fatalf("stats = %+v: chaos never evicted and promoted a slice", st)
 	}
-	if faultedStats.SliceSkims <= cleanStats.SliceSkims {
-		t.Fatalf("skim counter did not absorb the faulted resume (%d clean vs %d faulted)",
-			cleanStats.SliceSkims, faultedStats.SliceSkims)
+	if st.Misses != uint64(len(srcs)) || st.SliceRerecords != 0 {
+		t.Fatalf("stats = %+v, want %d misses and no re-record", st, len(srcs))
 	}
-	if faultedStats.SliceResumes+faultedStats.SliceSkims != faultedStats.SliceRerecords {
-		t.Fatalf("refill accounting broke under fault: %+v", faultedStats)
+	for i, src := range srcs {
+		if src.records.Load() != 1 {
+			t.Fatalf("trace %d recorded %d times, want 1", i, src.records.Load())
+		}
 	}
-}
-
-// TestCacheEvictChaosByteIdentical: the eviction chaos point drops
-// every resident slice on each eviction pass — even in an uncapped
-// cache — and replays stay byte-identical through the refill paths.
-func TestCacheEvictChaosByteIdentical(t *testing.T) {
-	seed := findChaosSeed(t, faultinject.CacheEvict)
-	defer leakCheck(t)()
-	if err := faultinject.Activate(seed); err != nil {
+	dir := c.spill.Dir()
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	defer faultinject.Deactivate()
-
-	src := &ckptSource{source: source{n: 100}, every: 20}
-	c := NewSliced(0, 10) // uncapped: only chaos can evict
-	v := record(t, c, "w", 0, 100, src.Source())
-	for pass := 0; pass < 2; pass++ {
-		checkIdentity(t, drain(t, v))
-	}
-	st := c.Stats()
-	if st.SliceEvictions == 0 {
-		t.Fatal("chaos never evicted a slice from the uncapped cache")
-	}
-	if st.SliceRerecords == 0 {
-		t.Fatal("chaos evictions never forced a refill")
-	}
-	if src.records.Load() != 1 {
-		t.Fatalf("full recorder ran %d times, want 1 (refills must be slice-granular)", src.records.Load())
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("Close left the spill directory %s (stat: %v)", dir, err)
 	}
 }

@@ -97,9 +97,9 @@ func TestStreamedRecordCancelAtChunkBoundary(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	inner := s.CacheSource(0, streamBudget, nil, 1, 0)
+	inner := s.Source(0, streamBudget)
 	src := inner
-	src.Record = func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
+	src.Record = func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, error) {
 		return inner.Record(ctx, sliceLen, func(slice int, chunk []trace.Inst, last bool) {
 			sink(slice, chunk, last)
 			if slice != 2 || ctx.Err() != nil {
@@ -148,7 +148,7 @@ func TestStreamedRecordCancelAtChunkBoundary(t *testing.T) {
 	}
 
 	c2, st2 := openStore(t, dir)
-	v, err := c2.RecordCtx(context.Background(), s.Name, 0, streamBudget, s.CacheSource(0, streamBudget, nil, 1, 0))
+	v, err := c2.RecordCtx(context.Background(), s.Name, 0, streamBudget, s.Source(0, streamBudget))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestStreamedRecordCancelAtChunkBoundary(t *testing.T) {
 		t.Fatalf("completing run: cache %+v, store %+v; want 1 recording, 0 rejects, 2 skipped and 3 written slices", cs, ss)
 	}
 	c3, _ := openStore(t, dir)
-	v, err = c3.RecordCtx(context.Background(), s.Name, 0, streamBudget, s.CacheSource(0, streamBudget, nil, 1, 0))
+	v, err = c3.RecordCtx(context.Background(), s.Name, 0, streamBudget, s.Source(0, streamBudget))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,19 +187,17 @@ func storeFiles(t *testing.T, dir string) map[string]string {
 }
 
 // Streaming is invisible on disk: a Source that hands its chunks to the
-// sink, one that does so from several shards at once, and one that
-// returns all its slices only at the end leave the same files with the
-// same bytes.
+// sink and one that returns all its slices only at the end leave the
+// same files with the same bytes.
 func TestStreamingAndBatchSourcesStoreSameFiles(t *testing.T) {
 	s, want := streamSpec(t)
-	streaming := s.CacheSource(0, streamBudget, nil, 1, 0)
-	sharded := s.CacheSource(0, streamBudget, engine.New(3), 3, 0)
+	streaming := s.Source(0, streamBudget)
 	batch := streaming
-	batch.Record = func(ctx context.Context, sliceLen uint64, _ program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
+	batch.Record = func(ctx context.Context, sliceLen uint64, _ program.SliceSink) ([][]trace.Inst, error) {
 		return streaming.Record(ctx, sliceLen, nil)
 	}
 	var trees []map[string]string
-	for _, src := range []tracecache.Source{streaming, sharded, batch} {
+	for _, src := range []tracecache.Source{streaming, batch} {
 		dir := t.TempDir()
 		c, st := openStore(t, dir)
 		v, err := c.RecordCtx(context.Background(), s.Name, 0, streamBudget, src)

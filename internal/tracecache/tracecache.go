@@ -21,18 +21,18 @@
 // instruction blocks from resident slices; the LRU memory cap evicts
 // cold slices, not whole recordings, so the cache's memory bound is the
 // union of the drivers' live slice working sets instead of N whole
-// traces. A request touching an evicted slice re-materializes exactly
-// that range under per-slice singleflight through Source.Refill, so
-// sharing and eviction stay byte-invisible to every driver.
+// traces.
 //
-// A refill resumes from the nearest checkpoint the recording captured
-// at or below the missing window (Source.Record's second return, kept
-// in the permanent header) — O(window). Without one, or when the
-// checkpoint cannot resume, the same callback runs with a nil
-// checkpoint and skims from instruction zero — O(prefix + window), the
-// exact fallback. Checkpoints are not persisted, so a trace restored
-// from a tracestore header always skims. Stats separates the two
-// regimes (SliceResumes vs SliceSkims).
+// An evicted slice has one way back: promotion from the trace store
+// beneath the cache (DESIGN.md §5, §11), a checksum-verified zero-copy
+// mapping of the bytes the recording streamed to disk while it
+// recorded. Only slices whose store file is committed enter the LRU, so
+// every evicted slice can be promoted. A capped cache with no store
+// attached opens a private, uncapped spill store under os.TempDir() the
+// first time it records, and Close removes it. A stored slice that is missing or
+// rejected makes the cache re-record the whole trace through
+// Source.Record, which heals the store; sharing, eviction and the disk
+// tier stay byte-invisible to every driver.
 //
 // Counters are exposed as report-friendly Stats for the CLIs to print
 // to stderr (WriteStats, behind the shared -cachestats flag).
@@ -45,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -69,24 +70,21 @@ const instBytes = int64(unsafe.Sizeof(trace.Inst{}))
 
 // DefaultSliceInsts is the default slice granularity in instructions
 // (~10 MiB of records): large enough that per-slice bookkeeping and
-// re-record skims amortize to nothing, small enough that eviction
-// tracks a driver's slice-shaped working set instead of whole traces.
+// store files amortize to nothing, small enough that eviction tracks a
+// driver's slice-shaped working set instead of whole traces.
 const DefaultSliceInsts = 1 << 18
 
-// Source materializes one deterministic trace for the cache. Both
-// callbacks must derive from the same (generator, seed, budget) triple:
-// Refill(ck, lo, hi) must reproduce exactly the bytes Record put at
-// [lo, hi).
+// Source materializes one deterministic trace for the cache.
 type Source struct {
 	// Record materializes the whole trace as consecutive, independently
 	// owned arrays of sliceLen instructions each (the last may be
-	// shorter; sliceLen == 0 or >= the trace length means one array),
-	// plus any payload checkpoints captured along the way (sorted by
-	// capture index; empty for non-checkpointable payloads). Called
-	// once per cache miss, outside the cache lock. ctx bounds the
-	// recording: a cancelled or failed Record returns a typed error and
-	// no arrays — partial recordings are never returned (the program
-	// layer enforces this; see DESIGN.md §9).
+	// shorter; sliceLen == 0 or >= the trace length means one array).
+	// It derives from one (generator, seed, budget) triple, so every
+	// call returns the same bytes. Called once per cache miss, and once
+	// more for each whole-trace re-record, outside the cache lock. ctx
+	// bounds the recording: a cancelled or failed Record returns a typed
+	// error and no arrays — partial recordings are never returned (the
+	// program layer enforces this; see DESIGN.md §9).
 	//
 	// sink, when non-nil, may be handed the arrays while they record,
 	// under program.SliceSink's contract: the cache passes one when a
@@ -94,19 +92,7 @@ type Source struct {
 	// Source may also ignore it; whatever of the returned arrays the
 	// sink did not see is written after Record returns, to the same
 	// files.
-	Record func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error)
-
-	// Refill re-materializes instructions [lo, hi) of the same trace.
-	// ck is a checkpoint Record captured (ck.At <= lo) to resume from,
-	// making the cost independent of lo; an error (a checkpoint that
-	// cannot resume) makes the cache retry with ck == nil. A nil ck
-	// means generate from instruction 0, skimming the prefix — the
-	// refill of last resort. Refills are context-free: a replay must be
-	// able to finish after the recording context is gone. A nil-ck
-	// refill re-runs a payload whose recording already succeeded, so
-	// its failure is a broken invariant and panics; the enclosing
-	// engine unit or run boundary reports it as a typed error.
-	Refill func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error)
+	Record func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, error)
 }
 
 // key identifies one recordable trace. The budget is part of the
@@ -126,21 +112,18 @@ type entry struct {
 	sliceLen uint64 // slice granularity of this entry (== key.budget when whole-trace)
 	slices   []*sliceEnt
 	// Persistent-store identity: store is non-nil when the cache had a
-	// store attached at recording time, so evicted slices promote from
-	// disk before falling back to re-materialization, and
-	// refills/recordings write through. Captured per entry: views must
-	// keep serving through the same store even if the cache detaches it
-	// later.
+	// store (attached or private) at recording time. The recording
+	// streams into it and evicted slices promote back from it. Captured
+	// per entry: views must keep serving through the same store even if
+	// the cache detaches it later.
 	skey  tracestore.Key
 	store *tracestore.Store
-	// src.Refill re-materializes evicted slices; ckpts (sorted by At,
-	// captured during this process's recording, possibly empty) make
-	// those refills O(window). Checkpoints live in the permanent header:
-	// a few hundred words per trace, exempt from the LRU cap like the
-	// header itself. The store does not persist them, so an entry
-	// restored from a stored header has none and refills by skim.
+	// src re-records the whole trace when a stored slice is missing or
+	// rejected. rerec is non-nil while that re-record is in flight, and
+	// heals counts the ones completed (both under Cache.mu).
 	src   Source
-	ckpts []program.Checkpoint
+	rerec chan struct{}
+	heals int
 	ready chan struct{} // closed when slices/total (or err) are set
 	// err is the leader's terminal failure, set before ready closes. A
 	// cancellation-class err means the leader's caller went away and a
@@ -150,33 +133,49 @@ type entry struct {
 	err error
 }
 
-// refill re-materializes [lo, hi), resuming from the nearest
-// checkpoint when possible and reporting which regime served it.
-// Called without the cache lock held.
-func (e *entry) refill(lo, hi uint64) (data []trace.Inst, resumed bool) {
-	if ck := program.NearestCheckpoint(e.ckpts, lo); ck != nil {
-		if ferr := faultinject.Fail(faultinject.CacheResume); ferr == nil {
-			if data, err := e.src.Refill(ck, lo, hi); err == nil {
-				return data, true
-			}
-		}
-		// An unusable checkpoint (ErrBadCheckpoint) — or an injected
-		// resume fault — degrades to the exact skim path: slower, same
-		// bytes.
-	}
-	data, err := e.src.Refill(nil, lo, hi)
-	if err != nil {
-		// A skim is context-free and replays a deterministic payload
-		// that already recorded these bytes once, so it cannot fail.
-		//lint:ignore errcontract invariant: a skim of an already-recorded deterministic payload never fails; engine.MapErr units and experiments.Runner.RunCtx recover the panic into a typed error
-		panic(fmt.Errorf("tracecache: skim refill of %s input %d [%d, %d): %w", e.key.name, e.key.input, lo, hi, err))
-	}
-	return data, false
+// sliceSize returns the instruction count of slice si.
+func (e *entry) sliceSize(si int) uint64 {
+	return min(uint64(si+1)*e.sliceLen, e.total) - uint64(si)*e.sliceLen
 }
 
-// sliceEnt is one independently accounted, independently evictable
-// slice of a cached trace. insts == nil means evicted; ready != nil
-// means a re-record is in flight on another goroutine.
+// record runs e's source once at e.sliceLen, streaming the slices into
+// e.store (when set) while they record, and returns the arrays with
+// whether each slice's store file committed (nil without a store). A
+// failed recording aborts its open temp files; the slices it already
+// committed stay, a clean miss until a recording completes the trace.
+func (e *entry) record(ctx context.Context) ([][]trace.Inst, []bool, error) {
+	fill := newStoreFill(e.store, e.skey, e.key.budget, e.sliceLen)
+	// If the source panics, stop the writer before re-raising.
+	done := false
+	defer func() {
+		if !done {
+			fill.abort()
+		}
+	}()
+	arrs, err := e.src.Record(ctx, e.sliceLen, fill.sink())
+	if err == nil {
+		for i, a := range arrs {
+			// Middle slices must be exactly sliceLen: the slice index math
+			// (global index / sliceLen) depends on it.
+			if i < len(arrs)-1 && uint64(len(a)) != e.sliceLen {
+				err = fmt.Errorf("%w: Source.Record(%d) slice %d has %d insts",
+					ErrBadSource, e.sliceLen, i, len(a))
+				break
+			}
+		}
+	}
+	done = true
+	if err != nil {
+		fill.abort()
+		return nil, nil, err
+	}
+	return arrs, fill.finish(arrs), nil
+}
+
+// sliceEnt is one independently accounted slice of a cached trace.
+// insts == nil means evicted; ready != nil means a promotion is in
+// flight on another goroutine. Only a slice whose store file committed
+// is in the LRU, so only such a slice is ever evicted.
 type sliceEnt struct {
 	e     *entry
 	idx   int
@@ -205,9 +204,6 @@ func (h heldPins) release() {
 	}
 }
 
-// lo returns the global index of the slice's first instruction.
-func (se *sliceEnt) lo() uint64 { return uint64(se.idx) * se.e.sliceLen }
-
 // memoEntry is one cached (or in-flight) derived result (see Memo).
 type memoEntry struct {
 	val   any
@@ -225,15 +221,13 @@ type Stats struct {
 	Misses    uint64 // initiated a full recording (== recordings performed)
 
 	SliceHits      uint64 // slice ranges served from resident arrays (the RAM tier)
-	SliceRerecords uint64 // evicted slices re-materialized on demand (resumes + skims)
-	SliceResumes   uint64 // re-materializations resumed from a checkpoint (O(window))
-	SliceSkims     uint64 // re-materializations that skimmed the prefix (O(prefix + window))
+	SliceRerecords uint64 // whole-trace re-records after a stored slice was missing or rejected
 	SliceEvictions uint64 // slices dropped by the LRU memory cap
 
-	// Disk tier (zero unless a tracestore is attached; the store's own
-	// Stats carry the write/reject detail).
+	// Disk tier (zero unless a store is attached or the cache spilled;
+	// the store's own Stats carry the write/reject detail).
 	DiskHeaderHits uint64 // recordings avoided entirely: header restored from the store
-	DiskSliceHits  uint64 // evicted slices promoted from the store instead of re-materialized
+	DiskSliceHits  uint64 // evicted slices promoted from the store
 	DiskRejects    uint64 // stored files that failed verification and fell back to re-record
 
 	Entries    int   // trace headers resident (completed recordings)
@@ -251,7 +245,7 @@ type Stats struct {
 func (s Stats) Table() *report.Table {
 	t := report.NewTable("trace cache",
 		"hits", "coalesced", "misses",
-		"slice hits", "re-records", "ckpt resumes", "skim refills", "evictions",
+		"slice hits", "re-records", "evictions",
 		"disk hdrs", "disk hits", "disk rejects",
 		"traces", "slices", "MiB in use", "MiB cap",
 		"memo hits", "memo misses", "pass hits", "pass misses")
@@ -265,8 +259,6 @@ func (s Stats) Table() *report.Table {
 		fmt.Sprintf("%d", s.Misses),
 		fmt.Sprintf("%d", s.SliceHits),
 		fmt.Sprintf("%d", s.SliceRerecords),
-		fmt.Sprintf("%d", s.SliceResumes),
-		fmt.Sprintf("%d", s.SliceSkims),
 		fmt.Sprintf("%d", s.SliceEvictions),
 		fmt.Sprintf("%d", s.DiskHeaderHits),
 		fmt.Sprintf("%d", s.DiskSliceHits),
@@ -284,10 +276,9 @@ func (s Stats) Table() *report.Table {
 
 // String is a single-line rendering of the counters.
 func (s Stats) String() string {
-	return fmt.Sprintf("hits=%d coalesced=%d misses=%d slices=%d/%d sliceops=%d/%d/%d refills=%d/%d disk=%d/%d/%d bytes=%d memo=%d/%d pass=%d/%d",
+	return fmt.Sprintf("hits=%d coalesced=%d misses=%d slices=%d/%d sliceops=%d/%d/%d disk=%d/%d/%d bytes=%d memo=%d/%d pass=%d/%d",
 		s.Hits, s.Coalesced, s.Misses, s.Slices, s.Entries,
 		s.SliceHits, s.SliceRerecords, s.SliceEvictions,
-		s.SliceResumes, s.SliceSkims,
 		s.DiskHeaderHits, s.DiskSliceHits, s.DiskRejects, s.BytesInUse,
 		s.MemoHits, s.MemoHits+s.MemoMisses,
 		s.PassHits, s.PassHits+s.PassMisses)
@@ -304,22 +295,29 @@ func StatsFlag(fs *flag.FlagSet) *bool {
 }
 
 // WriteStats writes c's counters table to w — the one rendering both
-// CLIs share. A nil cache writes nothing.
+// CLIs share — followed by its spill store's, if it opened one. A nil
+// cache writes nothing.
 func WriteStats(w io.Writer, c *Cache) {
 	if c == nil {
 		return
 	}
 	fmt.Fprint(w, c.Stats().Table().String())
+	c.mu.Lock()
+	spill := c.spill
+	c.mu.Unlock()
+	tracestore.WriteStats(w, spill)
 }
 
 // Cache is a concurrency-safe trace cache. The zero value is not usable;
-// construct with New or NewSliced. A nil *Cache is valid everywhere and
-// disables caching (every RecordCtx call records).
+// construct with New or NewSliced, and Close it once done. A nil *Cache
+// is valid everywhere and disables caching (every RecordCtx call
+// records).
 type Cache struct {
 	mu         sync.Mutex
 	maxBytes   int64
 	sliceInsts uint64
-	store      *tracestore.Store // persistent tier, or nil (RAM-only)
+	store      *tracestore.Store // disk tier (attached or spill), or nil (RAM-only)
+	spill      *tracestore.Store // the private spill store, once opened
 	bytes      int64
 	entries    map[key]*entry
 	memos      map[string]*memoEntry
@@ -337,8 +335,7 @@ func New(maxBytes int64) *Cache {
 
 // NewSliced is New with an explicit slice granularity in instructions.
 // sliceInsts == 0 disables slice granularity: traces are cached as
-// single slices, evict whole and refill with Source.Refill(nil, 0,
-// total).
+// single slices and evict whole.
 func NewSliced(maxBytes int64, sliceInsts uint64) *Cache {
 	c := &Cache{
 		maxBytes:   maxBytes,
@@ -355,12 +352,13 @@ func NewSliced(maxBytes int64, sliceInsts uint64) *Cache {
 }
 
 // SetStore attaches the persistent on-disk tier (DESIGN.md §11): new
-// recordings and refills write through to s, evicted slices promote
-// back from it (checksum-verified, zero-copy), and a trace whose
-// header s already holds is restored without recording at all. Call
-// before the first RecordCtx — the store key is derived per entry at
-// recording time — and close s only after every replay served by this
-// cache has completed. nil detaches; a nil *Cache ignores the call.
+// recordings stream into s, evicted slices promote back from it
+// (checksum-verified, zero-copy), and a trace whose header s already
+// holds is restored without recording at all. An attached store takes
+// the place of the private spill store. Call before the first
+// RecordCtx — the store key is derived per entry at recording time —
+// and close s only after every replay served by this cache has
+// completed. nil detaches; a nil *Cache ignores the call.
 func (c *Cache) SetStore(s *tracestore.Store) {
 	if c == nil {
 		return
@@ -368,6 +366,42 @@ func (c *Cache) SetStore(s *tracestore.Store) {
 	c.mu.Lock()
 	c.store = s
 	c.mu.Unlock()
+}
+
+// Close closes the private spill store, if the cache opened one, and
+// removes its directory. Call it once every replay served by the cache
+// has completed. A store attached with SetStore is the caller's and is
+// left alone. Safe on a nil cache, and a no-op the second time.
+func (c *Cache) Close() error {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	st := c.spill
+	c.spill = nil
+	c.mu.Unlock()
+	if st == nil {
+		return nil
+	}
+	err := st.Close()
+	if rerr := os.RemoveAll(st.Dir()); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// spillLocked opens the private spill store when a capped cache without
+// a store is about to record (caller holds mu).
+func (c *Cache) spillLocked() error {
+	if c.store != nil || c.maxBytes <= 0 {
+		return nil
+	}
+	st, err := tracestore.OpenSpill()
+	if err != nil {
+		return fmt.Errorf("tracecache: %w", err)
+	}
+	c.store, c.spill = st, st
+	return nil
 }
 
 // canceledErr is the typed error a cancelled RecordCtx call returns; it
@@ -382,26 +416,23 @@ func canceledErr(ctx context.Context) error {
 // cache lock held, so they may be arbitrarily slow and may themselves
 // use the cache under different keys.
 //
-// With a store attached, the recording streams into it: src.Record
-// gets a sink that queues each chunk for a writer goroutine, which
-// appends it to the slice's temp file and commits the slice when its
-// window retires (tracestore.SliceWriter). RecordCtx then writes what
-// the sink did not see, waits for the writer and writes the header
+// With a store (attached or spill), the recording streams into it:
+// src.Record gets a sink that queues each chunk for a writer goroutine,
+// which appends it to the slice's temp file and commits the slice when
+// its window retires (tracestore.SliceWriter). RecordCtx then writes
+// what the sink did not see, waits for the writer and writes the header
 // last, so every file is in place when it returns. A failed or
 // cancelled recording aborts the open temp files and writes no header;
 // the slices it committed stay, a clean miss until the next recording
 // completes the trace.
 //
 // The returned view replays through resident slices zero-copy and
-// re-materializes evicted slices on demand through src.Refill —
-// resuming from a checkpoint when this process's recording captured one
-// at or below the missing window, skimming the prefix otherwise — so
-// replays are byte-identical to an uncached recording under any cap.
-// Concurrent calls for the same key share one recording.
+// promotes evicted slices from the store, so replays are byte-identical
+// to an uncached recording under any cap. Concurrent calls for the same
+// key share one recording.
 //
-// A nil *Cache records with src.Record at DefaultSliceInsts (so a
-// sharded source still shards, at slice granularity) and returns the
-// joined slices as one buffer.
+// A nil *Cache records with src.Record at DefaultSliceInsts and returns
+// the joined slices as one buffer.
 //
 // ctx bounds the recording, with the failure contract of DESIGN.md §9:
 //
@@ -426,7 +457,7 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 		ctx = context.Background()
 	}
 	if c == nil {
-		arrs, _, err := src.Record(ctx, DefaultSliceInsts, nil)
+		arrs, err := src.Record(ctx, DefaultSliceInsts, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -481,6 +512,10 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 	if e.sliceLen == 0 || e.sliceLen > budget {
 		e.sliceLen = budget
 	}
+	if err := c.spillLocked(); err != nil {
+		c.mu.Unlock()
+		return nil, err
+	}
 	if c.store != nil && budget > 0 {
 		e.store = c.store
 		e.skey = tracestore.Key{Name: name, Input: input, Budget: budget, SliceLen: e.sliceLen}
@@ -488,16 +523,14 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 	c.entries[k] = e
 	c.mu.Unlock()
 
-	// If the recording (or the warm restore) panics, stop its store
-	// writes, withdraw the entry and wake waiters before re-raising, so
-	// coalesced goroutines retry instead of deadlocking.
+	// If the recording (or the warm restore) panics, withdraw the entry
+	// and wake waiters before re-raising, so coalesced goroutines retry
+	// instead of deadlocking.
 	done := false
-	var fill *storeFill
 	defer func() {
 		if done {
 			return
 		}
-		fill.abort()
 		c.mu.Lock()
 		if c.entries[k] == e {
 			delete(c.entries, k)
@@ -508,9 +541,9 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 
 	// Warm start: a persisted header for this exact content restores
 	// the entry with every slice "evicted" — no recording at all. Pins
-	// then promote slices from the store (checksum-verified) and fall
-	// back to deterministic re-materialization per slice, so a stale or
-	// partial store degrades gracefully and never changes bytes.
+	// then promote slices from the store (checksum-verified); a stored
+	// slice that is missing or corrupt re-records the trace, so a stale
+	// or partial store degrades gracefully and never changes bytes.
 	if e.store != nil {
 		if total, herr := e.store.ReadHeader(e.skey); herr == nil {
 			done = true
@@ -541,34 +574,17 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 	c.mu.Lock()
 	c.stats.Misses++
 	c.mu.Unlock()
-	// Write through to the persistent tier while recording: the store
-	// writer takes each chunk as the recorder hands it over.
-	fill = newStoreFill(e.store, e.skey, budget, e.sliceLen)
-	arrs, ckpts, err := src.Record(ctx, e.sliceLen, fill.sink())
+	arrs, committed, err := e.record(ctx)
 	if err == nil {
 		if ferr := faultinject.Fail(faultinject.CacheRecord); ferr != nil {
 			err = fmt.Errorf("tracecache: record %s/%d: %w", name, input, ferr)
-		}
-	}
-	if err == nil {
-		for i, a := range arrs {
-			// Middle slices must be exactly sliceLen: the slice index math
-			// (global index / sliceLen) depends on it.
-			if i < len(arrs)-1 && uint64(len(a)) != e.sliceLen {
-				err = fmt.Errorf("%w: Source.Record(%d) slice %d has %d insts",
-					ErrBadSource, e.sliceLen, i, len(a))
-				break
-			}
 		}
 	}
 	done = true
 	if err != nil {
 		// Withdraw the entry and publish the failure to every waiter.
 		// Cancellation-class errors let a surviving waiter take over;
-		// anything else fails them with the same typed error. Slices
-		// the writer already committed stay on disk without a header:
-		// a clean miss, completed by the next recording.
-		fill.abort()
+		// anything else fails them with the same typed error.
 		c.mu.Lock()
 		e.err = err
 		if c.entries[k] == e {
@@ -579,39 +595,49 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 		return nil, err
 	}
 
-	fill.finish(arrs)
 	c.mu.Lock()
-	e.ckpts = ckpts
 	e.slices = make([]*sliceEnt, len(arrs))
 	for i, a := range arrs {
-		e.slices[i] = &sliceEnt{e: e, idx: i, insts: a, bytes: int64(len(a)) * instBytes}
+		e.slices[i] = &sliceEnt{e: e, idx: i}
 		e.total += uint64(len(a))
 	}
 	close(e.ready)
-	if c.entries[k] == e {
-		for _, se := range e.slices {
-			se.elem = c.lru.PushBack(se)
-			c.bytes += se.bytes
-			c.stats.Slices++
-		}
-		c.stats.Entries++
-		c.evictLocked()
+	for i, se := range e.slices {
+		c.installLocked(se, arrs[i], nil, i < len(committed) && committed[i])
 	}
+	c.stats.Entries++
+	c.evictLocked()
 	v := viewOf(c, e)
 	total := e.total
 	c.mu.Unlock()
 
-	// Slices land before the header: wait for the writer, then write
-	// it. A process that crashes mid-write leaves at worst a headerless
-	// directory (a clean miss) or a header whose missing slices refill
-	// deterministically — never a header promising wrong bytes. Write
-	// failures only cost a future re-record; they are counted by the
-	// store and dropped here.
-	if e.store != nil {
-		fill.wait()
-		_ = e.store.WriteHeader(e.skey, total)
-	}
+	// The header lands after every slice: a process that crashes
+	// mid-write leaves at worst a headerless directory (a clean miss).
+	// Write failures only cost a future re-record; they are counted by
+	// the store and dropped here.
+	_ = e.store.WriteHeader(e.skey, total)
 	return v, nil
+}
+
+// installLocked makes data slice se's resident array (caller holds mu).
+// pin is the RAM tier's store reference when data is a promoted
+// mapping; eviction unpins it. stored reports that the slice's store
+// file is committed, which is what lets the slice into the LRU: an
+// evicted slice must be promotable.
+func (c *Cache) installLocked(se *sliceEnt, data []trace.Inst, pin *tracestore.Pin, stored bool) {
+	// The entry owns the array (and pin, for a mapping) for the slice's
+	// resident lifetime.
+	se.insts = data
+	se.pin = pin
+	if pin != nil {
+		c.held[pin] = struct{}{}
+	}
+	se.bytes = int64(len(data)) * instBytes
+	c.bytes += se.bytes
+	c.stats.Slices++
+	if stored {
+		se.elem = c.lru.PushBack(se)
+	}
 }
 
 // storeFill streams one recording into the store: the recorder's sink
@@ -627,11 +653,13 @@ type storeFill struct {
 	done    chan struct{} // closed when the writer has exited
 	stopped atomic.Bool   // abort: the writer drops what is queued
 	// Per slice, what the sink has handed over: sent instructions and
-	// whether the last chunk came. Each slice is written by the one
-	// recorder goroutine that fills it and read by finish after Record
-	// returns.
+	// whether the last chunk came. Written by the recorder goroutine and
+	// read by finish after Record returns.
 	sent   []int
 	closed []bool
+	// committed is, per slice, whether its file is in the store: set by
+	// the writer, read once done is closed.
+	committed []bool
 }
 
 // storeChunk is one queued piece of slice payload; last commits the
@@ -654,10 +682,11 @@ func newStoreFill(st *tracestore.Store, key tracestore.Key, budget, sliceLen uin
 		key: key,
 		// Each slice hands over at most one chunk per ChunkInsts plus a
 		// tail, and finish may add one more per slice.
-		chunks: make(chan storeChunk, int(budget/program.ChunkInsts)+2*nSlices),
-		done:   make(chan struct{}),
-		sent:   make([]int, nSlices),
-		closed: make([]bool, nSlices),
+		chunks:    make(chan storeChunk, int(budget/program.ChunkInsts)+2*nSlices),
+		done:      make(chan struct{}),
+		sent:      make([]int, nSlices),
+		closed:    make([]bool, nSlices),
+		committed: make([]bool, nSlices),
 	}
 	go f.write()
 	return f
@@ -691,7 +720,7 @@ func (f *storeFill) write() {
 		}
 		w.Append(c.insts)
 		if c.last {
-			_ = w.Commit()
+			f.committed[c.slice] = w.Commit() == nil
 			delete(open, c.slice)
 		}
 	}
@@ -701,10 +730,12 @@ func (f *storeFill) write() {
 }
 
 // finish queues whatever of the recorded arrays the sink did not see —
-// all of them for a Source that ignores its sink — and ends the queue.
-func (f *storeFill) finish(arrs [][]trace.Inst) {
+// all of them for a Source that ignores its sink —, ends the queue and
+// waits for the writer. It returns, per slice, whether its file is in
+// the store.
+func (f *storeFill) finish(arrs [][]trace.Inst) []bool {
 	if f == nil {
-		return
+		return nil
 	}
 	for i, a := range arrs {
 		if i < len(f.closed) && f.closed[i] {
@@ -717,6 +748,8 @@ func (f *storeFill) finish(arrs [][]trace.Inst) {
 		f.chunks <- storeChunk{i, a[sent:], true}
 	}
 	close(f.chunks)
+	<-f.done
+	return f.committed
 }
 
 // abort ends a failed recording's writes: the writer drops the queue,
@@ -730,15 +763,12 @@ func (f *storeFill) abort() {
 	<-f.done
 }
 
-// wait blocks until the writer has committed every queued slice.
-func (f *storeFill) wait() { <-f.done }
-
-// pin returns slice si's instruction array, re-materializing it under
-// per-slice singleflight if it was evicted, plus the caller's own store
-// reference when the array is a store mapping (nil otherwise). The
-// caller keeps the array alive independently of any subsequent
-// eviction — a heap array by holding it, a mapping by holding the pin —
-// and unpins once it is done with the array.
+// pin returns slice si's instruction array, promoting it from the
+// store under per-slice singleflight if it was evicted, plus the
+// caller's own store reference when the array is a store mapping (nil
+// otherwise). The caller keeps the array alive independently of any
+// subsequent eviction — a heap array by holding it, a mapping by
+// holding the pin — and unpins once it is done with the array.
 func (c *Cache) pin(e *entry, si int) ([]trace.Inst, *tracestore.Pin) {
 	c.mu.Lock()
 	for {
@@ -752,101 +782,106 @@ func (c *Cache) pin(e *entry, si int) ([]trace.Inst, *tracestore.Pin) {
 			c.mu.Unlock()
 			return data, ref
 		}
-		if se.ready != nil {
-			// Re-record in flight on another goroutine; wait and retry
-			// (the refill may be evicted again before we wake).
-			ch := se.ready
+		// A promotion of this slice, or a re-record of the trace, is in
+		// flight on another goroutine: wait and retry (the slice may be
+		// evicted again before we wake).
+		ch := se.ready
+		if ch == nil {
+			ch = e.rerec
+		}
+		if ch != nil {
 			c.mu.Unlock()
 			<-ch
 			c.mu.Lock()
 			continue
 		}
+		heals := e.heals
 		se.ready = make(chan struct{})
 		c.mu.Unlock()
 
-		lo := se.lo()
-		hi := lo + e.sliceLen
-		if hi > e.total {
-			hi = e.total
-		}
-		// On panic, withdraw the in-flight marker and wake waiters
-		// before re-raising so they retry instead of deadlocking.
-		done := false
-		defer func() {
-			if done {
-				return
-			}
-			c.mu.Lock()
-			close(se.ready)
-			se.ready = nil
-			c.mu.Unlock()
-		}()
-		// Promotion order: disk tier first (verified zero-copy mmap of
-		// the stored bytes), then deterministic re-materialization. A
-		// stored file that fails verification is deleted by the store
-		// and the refill below regenerates the identical bytes — the
-		// never-wrong-bytes fallback.
-		var data []trace.Inst
-		var pin *tracestore.Pin
-		resumed := false
-		if e.store != nil {
-			if p, perr := e.store.PinSlice(e.skey, si, hi-lo); perr == nil {
-				data = p.PinnedInsts()
-				pin = p
-			} else if errors.Is(perr, tracestore.ErrReject) {
-				c.mu.Lock()
-				c.stats.DiskRejects++
-				c.mu.Unlock()
-			}
-		}
-		if pin == nil {
-			data, resumed = e.refill(lo, hi)
-		}
-		done = true
+		// Only a slice whose file committed is ever evicted, so the
+		// store has it unless something removed or damaged it since.
+		p, perr := e.store.PinSlice(e.skey, si, e.sliceSize(si))
 
 		c.mu.Lock()
-		// The RAM tier owns pin: the slice is retained together with
-		// se.pin and unpinned at eviction (or when the cache is
-		// collected); the caller gets a reference of its own below.
-		//lint:ignore blockalias the entry owns the pin for the slice's resident lifetime
-		se.insts = data
-		se.pin = pin
-		if pin != nil {
-			c.held[pin] = struct{}{}
-		}
-		ref := se.ref()
-		se.bytes = int64(len(data)) * instBytes
 		close(se.ready)
 		se.ready = nil
-		if pin != nil {
+		if perr == nil {
+			// The RAM tier owns p: the slice is retained together with
+			// se.pin and unpinned at eviction (or when the cache is
+			// collected); the caller gets a reference of its own.
+			c.installLocked(se, p.PinnedInsts(), p, true)
 			c.stats.DiskSliceHits++
-		} else {
-			c.stats.SliceRerecords++
-			if resumed {
-				c.stats.SliceResumes++
-			} else {
-				c.stats.SliceSkims++
-			}
-		}
-		if c.entries[e.key] == e {
-			se.elem = c.lru.PushBack(se)
-			c.bytes += se.bytes
-			c.stats.Slices++
+			data, ref := se.insts, se.ref()
 			c.evictLocked()
+			c.mu.Unlock()
+			// Serving promoted slice contents to replays is the view
+			// contract; ref, the caller's own reference to the mapping,
+			// keeps it resident until the caller unpins it.
+			return data, ref
 		}
-		c.mu.Unlock()
-		// A re-materialized slice is new content for the persistent
-		// tier: write it through (outside the lock, from the local
-		// array) so the next process promotes instead of refilling.
-		if pin == nil && e.store != nil {
-			_ = e.store.WriteSlice(e.skey, si, data)
+		if errors.Is(perr, tracestore.ErrReject) {
+			c.stats.DiskRejects++
 		}
-		// Serving materialized slice contents to replays is the view
-		// contract; ref keeps a promoted slice's mapping resident until
-		// the caller unpins it.
-		//lint:ignore blockalias the caller holds ref (its own reference to the mapping) for as long as it reads data
-		return data, ref
+		if e.heals != heals || e.rerec != nil {
+			continue // a re-record healed (or is healing) the store meanwhile
+		}
+		return c.rerecordLocked(e, si), nil
 	}
+}
+
+// rerecordLocked re-records e's whole trace after slice si's stored
+// file turned out missing or rejected, under one single flight per
+// entry, and returns slice si's fresh array (caller holds mu, which is
+// released on return). The recording streams into the store, healing
+// it: files already there are skipped, the missing ones written. Every
+// evicted slice becomes resident again from the fresh arrays, so one
+// re-record serves all the pins waiting on it, and the cap then evicts
+// the coldest.
+//
+// Re-records are context-free: a replay must be able to finish after
+// the recording context is gone. A re-record re-runs a payload whose
+// recording already succeeded, so its failure (or a different slice
+// geometry) is a broken invariant and panics; the enclosing engine unit
+// or run boundary reports it as a typed error.
+func (c *Cache) rerecordLocked(e *entry, si int) []trace.Inst {
+	e.rerec = make(chan struct{})
+	c.mu.Unlock()
+	// On panic, withdraw the in-flight marker and wake waiters before
+	// re-raising so they retry instead of deadlocking.
+	done := false
+	defer func() {
+		if !done {
+			c.mu.Lock()
+			close(e.rerec)
+			e.rerec = nil
+			c.mu.Unlock()
+		}
+	}()
+	//lint:ignore ctxflow re-records are deliberately context-free: a replay must be able to regenerate bytes after the recording context is gone
+	arrs, committed, err := e.record(context.Background())
+	if err == nil && len(arrs) != len(e.slices) {
+		err = fmt.Errorf("%d slices, the recording had %d", len(arrs), len(e.slices))
+	}
+	if err != nil {
+		//lint:ignore errcontract invariant: a re-record of an already-recorded deterministic payload never fails; engine.MapErr units and experiments.Runner.RunCtx recover the panic into a typed error
+		panic(fmt.Errorf("tracecache: re-record of %s input %d: %w", e.key.name, e.key.input, err))
+	}
+	done = true
+
+	c.mu.Lock()
+	c.stats.SliceRerecords++
+	for i, se := range e.slices {
+		if se.insts == nil && se.ready == nil {
+			c.installLocked(se, arrs[i], nil, i < len(committed) && committed[i])
+		}
+	}
+	e.heals++
+	close(e.rerec)
+	e.rerec = nil
+	c.evictLocked()
+	c.mu.Unlock()
+	return arrs[si]
 }
 
 // ref returns a new store reference to se's mapping for a stream about
@@ -867,9 +902,9 @@ func (se *sliceEnt) ref() *tracestore.Pin {
 // memoized values are screening collectors, roughly 1% of the footprint
 // of the trace they summarize; retaining every one for an invocation is
 // deliberate and costs far less than a single extra trace.) Inputs
-// served from re-materialized slices are byte-identical to the original
-// recording, so a memo computed before an eviction is still exact for
-// every caller after it. Callers must treat returned values as
+// served from promoted or re-recorded slices are byte-identical to the
+// original recording, so a memo computed before an eviction is still
+// exact for every caller after it. Callers must treat returned values as
 // immutable: the same object is handed to every caller of the key. A
 // nil *Cache computes every call.
 func (c *Cache) Memo(key string, fn func() any) any {
@@ -955,9 +990,9 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) evictLocked() {
 	maxBytes := c.maxBytes
 	if faultinject.Chaos(faultinject.CacheEvict) {
-		// Chaos point: evict every resident slice regardless of the cap,
-		// forcing later replays through the re-materialization paths.
-		// Refills are deterministic, so artifacts stay byte-identical —
+		// Chaos point: evict every stored resident slice regardless of
+		// the cap, forcing later replays through store promotion, which
+		// serves the recorded bytes, so artifacts stay byte-identical —
 		// that invariant is what the fault sweep asserts.
 		maxBytes = 1
 	}

@@ -3,7 +3,8 @@ package tracecache
 import (
 	"context"
 	"errors"
-	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,32 +32,36 @@ func mkBuffer(n int) *trace.Buffer { return trace.FromSlice(mkInsts(0, n)) }
 // source is a counting Source over an n-instruction deterministic trace.
 type source struct {
 	n       int
-	records atomic.Int64 // full recordings performed
-	ranges  atomic.Int64 // slice ranges re-materialized
+	records atomic.Int64 // whole recordings performed
 }
 
 func (s *source) Source() Source {
 	return Source{
-		Record: func(_ context.Context, sliceLen uint64, _ program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
+		Record: func(_ context.Context, sliceLen uint64, _ program.SliceSink) ([][]trace.Inst, error) {
 			s.records.Add(1)
 			if sliceLen == 0 || sliceLen >= uint64(s.n) {
-				return [][]trace.Inst{mkInsts(0, s.n)}, nil, nil
+				return [][]trace.Inst{mkInsts(0, s.n)}, nil
 			}
 			var out [][]trace.Inst
 			for lo := 0; lo < s.n; lo += int(sliceLen) {
-				hi := lo + int(sliceLen)
-				if hi > s.n {
-					hi = s.n
-				}
-				out = append(out, mkInsts(lo, hi))
+				out = append(out, mkInsts(lo, min(lo+int(sliceLen), s.n)))
 			}
-			return out, nil, nil
-		},
-		Refill: func(_ *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
-			s.ranges.Add(1)
-			return mkInsts(int(lo), int(hi)), nil
+			return out, nil
 		},
 	}
+}
+
+// newCapped is NewSliced for a test: the cache is closed, removing any
+// spill store it opened, when the test ends.
+func newCapped(t *testing.T, maxBytes int64, sliceInsts uint64) *Cache {
+	t.Helper()
+	c := NewSliced(maxBytes, sliceInsts)
+	t.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	return c
 }
 
 // record is RecordCtx under the background context, failing the test
@@ -107,7 +112,7 @@ func checkIdentity(t *testing.T, vals []uint64) {
 // least-recently-pinned slices.
 func TestSliceEvictionAccounting(t *testing.T) {
 	// 40-instruction trace in 10-instruction slices, cap = 2 slices.
-	c := NewSliced(2*10*instBytes, 10)
+	c := newCapped(t, 2*10*instBytes, 10)
 	src := &source{n: 40}
 	v := record(t, c, "w", 0, 40, src.Source())
 	st := c.Stats()
@@ -120,18 +125,19 @@ func TestSliceEvictionAccounting(t *testing.T) {
 	if st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1 (headers survive slice eviction)", st.Entries)
 	}
-	// Replay the whole view: evicted slices re-record, residency stays
-	// at the cap, and the content is byte-identical to the reference.
-	// A sequential scan through a cap half the trace thrashes: each
-	// re-inserted slice evicts the next one the scan will need, so all
-	// four slices re-record and the scan leaves the last two resident.
+	// Replay the whole view: evicted slices promote from the spill
+	// store, residency stays at the cap, and the content is
+	// byte-identical to the reference. A sequential scan through a cap
+	// half the trace thrashes: each promoted slice evicts the next one
+	// the scan will need, so all four slices promote and the scan
+	// leaves the last two resident.
 	checkIdentity(t, drain(t, v))
 	st = c.Stats()
-	if src.ranges.Load() != 4 {
-		t.Fatalf("replay re-recorded %d slices, want 4 (LRU thrash on a sequential scan)", src.ranges.Load())
+	if st.DiskSliceHits != 4 {
+		t.Fatalf("replay promoted %d slices, want 4 (LRU thrash on a sequential scan)", st.DiskSliceHits)
 	}
-	if st.SliceRerecords != 4 {
-		t.Fatalf("SliceRerecords = %d, want 4", st.SliceRerecords)
+	if st.SliceRerecords != 0 || src.records.Load() != 1 {
+		t.Fatalf("SliceRerecords = %d, recordings = %d; want 0 and 1", st.SliceRerecords, src.records.Load())
 	}
 	if st.BytesInUse != 2*10*instBytes || st.Slices != 2 {
 		t.Fatalf("after replay: bytes=%d slices=%d, want cap-resident 2 slices (%d bytes)",
@@ -152,19 +158,20 @@ func TestSliceEvictionAccounting(t *testing.T) {
 
 // TestEvictedSliceReRecordByteIdentity forces eviction at several slice
 // geometries and checks repeated full replays against the uncached
-// reference — the byte-invisibility contract.
+// reference — the byte-invisibility contract. Evicted slices come back
+// from the spill store; the trace records once.
 func TestEvictedSliceReRecordByteIdentity(t *testing.T) {
 	const n = 100
 	for _, sliceLen := range []uint64{1, 3, 7, 16, 64, 100, 1000} {
 		// Cap of one slice: every replay step evicts its predecessor.
-		c := NewSliced(int64(sliceLen)*instBytes, sliceLen)
+		c := newCapped(t, int64(min(sliceLen, n))*instBytes, sliceLen)
 		src := &source{n: n}
 		v := record(t, c, "w", 0, n, src.Source())
 		for pass := 0; pass < 2; pass++ {
 			checkIdentity(t, drain(t, v))
 		}
-		if sliceLen < n && src.ranges.Load() == 0 {
-			t.Fatalf("sliceLen=%d: no slice was ever re-recorded under a one-slice cap", sliceLen)
+		if st := c.Stats(); sliceLen < n && st.DiskSliceHits == 0 {
+			t.Fatalf("sliceLen=%d: no slice was ever promoted under a one-slice cap", sliceLen)
 		}
 		if src.records.Load() != 1 {
 			t.Fatalf("sliceLen=%d: full recorder ran %d times, want 1", sliceLen, src.records.Load())
@@ -173,26 +180,25 @@ func TestEvictedSliceReRecordByteIdentity(t *testing.T) {
 }
 
 // TestWholeTraceGranularityZeroSlice: a cache built with slice
-// granularity 0 holds each trace as a single slice and refills it whole
-// with one skim from instruction zero.
+// granularity 0 holds each trace as a single slice, evicts it whole and
+// promotes it whole from the spill store.
 func TestWholeTraceGranularityZeroSlice(t *testing.T) {
-	c := NewSliced(10*instBytes, 0) // cap smaller than the trace
-	src := &ckptSource{source: source{n: 100}, every: 25}
+	c := newCapped(t, 10*instBytes, 0) // cap smaller than the trace
+	src := &source{n: 100}
 	v := record(t, c, "w", 0, 100, src.Source())
 	checkIdentity(t, drain(t, v))
-	if src.records.Load() != 1 || src.skims.Load() != 1 || src.resumes.Load() != 0 {
-		t.Fatalf("records=%d skims=%d resumes=%d, want 1 recording and 1 whole-trace skim",
-			src.records.Load(), src.skims.Load(), src.resumes.Load())
+	if src.records.Load() != 1 {
+		t.Fatalf("records=%d, want 1", src.records.Load())
 	}
-	if st := c.Stats(); st.SliceRerecords != 1 || st.SliceSkims != 1 {
-		t.Fatalf("stats = %+v, want 1 re-record, served by a skim", st)
+	if st := c.Stats(); st.DiskSliceHits != 1 || st.SliceRerecords != 0 || st.SliceEvictions != 2 {
+		t.Fatalf("stats = %+v, want the one slice evicted twice and promoted once, no re-record", st)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	// Whole-trace slices (sliceLen >= budget), cap sized for two
 	// 100-instruction recordings: classic entry-level LRU.
-	c := NewSliced(2*100*instBytes, 100)
+	c := newCapped(t, 2*100*instBytes, 100)
 	a := &source{n: 100}
 	b := &source{n: 100}
 	cc := &source{n: 100}
@@ -207,23 +213,26 @@ func TestLRUEviction(t *testing.T) {
 	if st.BytesInUse != 2*100*instBytes {
 		t.Fatalf("bytes in use %d, want %d", st.BytesInUse, 2*100*instBytes)
 	}
-	// a survived (recently pinned): replaying it re-records nothing.
+	// a survived (recently pinned): replaying it promotes nothing.
 	drain(t, record(t, c, "a", 0, 100, a.Source()))
-	if r := a.ranges.Load() + a.records.Load(); r != 1 {
-		t.Fatalf("a recorded %d times total, want 1 (should have survived)", r)
+	if st := c.Stats(); st.DiskSliceHits != 0 {
+		t.Fatalf("a was promoted (%d promotions); it should have survived", st.DiskSliceHits)
 	}
-	// b was evicted: replaying it re-materializes.
+	// b was evicted: replaying it promotes it from the spill store.
 	drain(t, record(t, c, "b", 0, 100, b.Source()))
-	if b.ranges.Load() == 0 {
-		t.Fatal("b should have been evicted and re-recorded on replay")
+	if st := c.Stats(); st.DiskSliceHits != 1 {
+		t.Fatalf("b promoted %d times, want 1", st.DiskSliceHits)
+	}
+	if a.records.Load()+b.records.Load()+cc.records.Load() != 3 {
+		t.Fatal("a trace recorded more than once")
 	}
 }
 
 func TestCapSmallerThanOneTrace(t *testing.T) {
-	// A cache smaller than a single slice degrades to re-recording the
+	// A cache smaller than a single slice degrades to promoting the
 	// active slice every time — but still returns correct traces and
 	// its accounted residency stays at zero after each pin.
-	c := NewSliced(10*instBytes, 100)
+	c := newCapped(t, 10*instBytes, 100)
 	src := &source{n: 100}
 	for i := 0; i < 3; i++ {
 		v := record(t, c, "w", 0, 100, src.Source())
@@ -235,8 +244,8 @@ func TestCapSmallerThanOneTrace(t *testing.T) {
 	if src.records.Load() != 1 {
 		t.Fatalf("full recorder ran %d times, want 1", src.records.Load())
 	}
-	if src.ranges.Load() != 3 {
-		t.Fatalf("slice re-recorded %d times, want 3 (once per replay)", src.ranges.Load())
+	if st := c.Stats(); st.DiskSliceHits != 3 {
+		t.Fatalf("slice promoted %d times, want 3 (once per replay)", st.DiskSliceHits)
 	}
 	if st := c.Stats(); st.Slices != 0 || st.BytesInUse != 0 {
 		t.Fatalf("stats = %+v, want no resident slices", st)
@@ -249,7 +258,7 @@ func TestCapSmallerThanOneTrace(t *testing.T) {
 func TestCappedResidencyBelowWholeTrace(t *testing.T) {
 	const n = 1000
 	cap := int64(3 * 100 * instBytes) // 3 of 10 slices
-	c := NewSliced(cap, 100)
+	c := newCapped(t, cap, 100)
 	src := &source{n: n}
 	v := record(t, c, "w", 0, n, src.Source())
 	whole := int64(n) * instBytes
@@ -298,10 +307,10 @@ func TestSingleflight(t *testing.T) {
 }
 
 // TestConcurrentEvictedReplay hammers a one-slice-cap cache from many
-// goroutines: re-records coalesce per slice and every replay must be
+// goroutines: promotions coalesce per slice and every replay must be
 // byte-identical (run under -race).
 func TestConcurrentEvictedReplay(t *testing.T) {
-	c := NewSliced(16*instBytes, 16)
+	c := newCapped(t, 16*instBytes, 16)
 	src := &source{n: 256}
 	v := record(t, c, "w", 0, 256, src.Source())
 	const goroutines = 8
@@ -357,9 +366,9 @@ func TestConcurrentMixedKeys(t *testing.T) {
 }
 
 // TestMemoFromRematerializedSlices: a memoized derived result computed
-// over re-materialized slices must equal the same computation over the
-// uncached trace — re-materialization is byte-invisible to Memo inputs
-// — and subsequent calls must be memo hits.
+// over slices re-materialized from the spill store must equal the same
+// computation over the uncached trace — promotion is byte-invisible to
+// Memo inputs — and subsequent calls must be memo hits.
 func TestMemoFromRematerializedSlices(t *testing.T) {
 	sum := func(tr trace.Replayable) uint64 {
 		var s uint64
@@ -370,7 +379,7 @@ func TestMemoFromRematerializedSlices(t *testing.T) {
 	}
 	want := sum(mkBuffer(100))
 
-	c := NewSliced(10*instBytes, 10) // one-slice cap: everything evicts
+	c := newCapped(t, 10*instBytes, 10) // one-slice cap: everything evicts
 	src := &source{n: 100}
 	v := record(t, c, "w", 0, 100, src.Source())
 	var computes atomic.Int64
@@ -381,8 +390,8 @@ func TestMemoFromRematerializedSlices(t *testing.T) {
 	if got != want {
 		t.Fatalf("memo over re-materialized slices = %d, want %d", got, want)
 	}
-	if src.ranges.Load() == 0 {
-		t.Fatal("memo computation never touched a re-materialized slice; cap is not forcing eviction")
+	if st := c.Stats(); st.DiskSliceHits == 0 {
+		t.Fatal("memo computation never touched a promoted slice; cap is not forcing eviction")
 	}
 	again := c.Memo("sum/w/0", func() any {
 		computes.Add(1)
@@ -506,7 +515,7 @@ func TestNilCachePassthrough(t *testing.T) {
 }
 
 func TestStatsRendering(t *testing.T) {
-	c := New(1 << 20)
+	c := newCapped(t, 1<<20, DefaultSliceInsts)
 	src := &source{n: 10}
 	record(t, c, "w", 0, 10, src.Source())
 	record(t, c, "w", 0, 10, src.Source())
@@ -523,120 +532,6 @@ func TestStatsRendering(t *testing.T) {
 	}
 	if len(tab.Headers) != len(tab.Rows[0]) {
 		t.Fatalf("table has %d headers but %d cells", len(tab.Headers), len(tab.Rows[0]))
-	}
-}
-
-// ckptSource is a counting Source over the same deterministic trace
-// with fake checkpoints every `every` instructions and a resuming
-// Refill, mirroring what a checkpointed workload recording provides.
-type ckptSource struct {
-	source
-	every   int
-	resumes atomic.Int64 // refills served from a checkpoint
-	skims   atomic.Int64 // refills that skimmed from zero (nil checkpoint)
-	fail    bool         // make every checkpoint fail, forcing the fallback
-}
-
-func (s *ckptSource) Source() Source {
-	src := s.source.Source()
-	src.Record = func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
-		arrs, _, _ := s.source.Source().Record(ctx, sliceLen, sink)
-		s.records.Store(s.source.records.Load()) // keep outer counter honest
-		var cks []program.Checkpoint
-		for at := s.every; at < s.n; at += s.every {
-			// Only At matters to the cache; the resume closure below
-			// regenerates from it directly.
-			cks = append(cks, program.Checkpoint{At: uint64(at), Rng: [4]uint64{1, 0, 0, 0}})
-		}
-		return arrs, cks, nil
-	}
-	skim := src.Refill
-	src.Refill = func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
-		if ck == nil {
-			s.skims.Add(1)
-			return skim(nil, lo, hi)
-		}
-		if ck.At > lo {
-			return nil, fmt.Errorf("%w: checkpoint past window", program.ErrBadCheckpoint)
-		}
-		if s.fail {
-			return nil, fmt.Errorf("%w: unusable checkpoint", program.ErrBadCheckpoint)
-		}
-		s.resumes.Add(1)
-		return mkInsts(int(lo), int(hi)), nil
-	}
-	return src
-}
-
-// TestCheckpointResumeRefill: with checkpoints in the header, evicted
-// slices past the first checkpoint refill from a checkpoint; the counters
-// separate resumes from skims and the bytes stay identical.
-func TestCheckpointResumeRefill(t *testing.T) {
-	// 100-inst trace, 10-inst slices, one-slice cap: every pin refills.
-	src := &ckptSource{source: source{n: 100}, every: 25}
-	c := NewSliced(10*instBytes, 10)
-	v := record(t, c, "w", 0, 100, src.Source())
-	checkIdentity(t, drain(t, v))
-	st := c.Stats()
-	if st.SliceRerecords == 0 {
-		t.Fatal("one-slice cap forced no refills; regime under test did not engage")
-	}
-	if st.SliceResumes == 0 {
-		t.Fatalf("no refill resumed from a checkpoint (stats %+v)", st)
-	}
-	// Slices entirely below the first checkpoint (At=25) have no
-	// checkpoint at or below them and must skim.
-	if st.SliceSkims == 0 {
-		t.Fatalf("refills below the first checkpoint should skim (stats %+v)", st)
-	}
-	if st.SliceResumes+st.SliceSkims != st.SliceRerecords {
-		t.Fatalf("resumes (%d) + skims (%d) != re-records (%d)",
-			st.SliceResumes, st.SliceSkims, st.SliceRerecords)
-	}
-	if got, want := src.resumes.Load()+src.skims.Load(), int64(st.SliceRerecords); got != want {
-		t.Fatalf("source served %d refills, cache counted %d", got, want)
-	}
-}
-
-// TestCheckpointResumeFailureFallsBack: a checkpoint the source cannot
-// resume degrades to the skim path — correct bytes, counted as skims.
-func TestCheckpointResumeFailureFallsBack(t *testing.T) {
-	src := &ckptSource{source: source{n: 100}, every: 20, fail: true}
-	c := NewSliced(10*instBytes, 10)
-	v := record(t, c, "w", 0, 100, src.Source())
-	checkIdentity(t, drain(t, v))
-	st := c.Stats()
-	if st.SliceResumes != 0 {
-		t.Fatalf("failing checkpoints still counted %d resumes", st.SliceResumes)
-	}
-	if st.SliceSkims == 0 || st.SliceSkims != st.SliceRerecords {
-		t.Fatalf("all refills should have skimmed (stats %+v)", st)
-	}
-}
-
-// TestConcurrentCheckpointResume hammers resume-capable refills from
-// many goroutines under a one-slice cap (run under -race).
-func TestConcurrentCheckpointResume(t *testing.T) {
-	src := &ckptSource{source: source{n: 256}, every: 16}
-	c := NewSliced(16*instBytes, 16)
-	v := record(t, c, "w", 0, 256, src.Source())
-	const goroutines = 8
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i, val := range values(v) {
-				if val != uint64(i) {
-					t.Errorf("goroutine %d: inst %d = %d, want %d", g, i, val, i)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if st := c.Stats(); st.SliceResumes == 0 {
-		t.Fatalf("concurrent replay never resumed from a checkpoint (stats %+v)", st)
 	}
 }
 
@@ -660,12 +555,9 @@ func (s *budgetSource) insts(lo, hi int) []trace.Inst {
 
 func (s *budgetSource) Source() Source {
 	return Source{
-		Record: func(context.Context, uint64, program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
+		Record: func(context.Context, uint64, program.SliceSink) ([][]trace.Inst, error) {
 			s.records.Add(1)
-			return [][]trace.Inst{s.insts(0, s.budget)}, nil, nil
-		},
-		Refill: func(_ *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
-			return s.insts(int(lo), int(hi)), nil
+			return [][]trace.Inst{s.insts(0, s.budget)}, nil
 		},
 	}
 }
@@ -705,21 +597,30 @@ func TestBudgetSensitiveNotServedPrefix(t *testing.T) {
 	}
 }
 
-// TestSkimRefillFailurePanicsTyped: a nil-checkpoint refill that fails
+// TestRerecordFailurePanicsTyped: a whole-trace re-record that fails
 // breaks the cache's invariant (a recorded deterministic payload always
-// regenerates), so it panics instead of serving nothing. Inside an
+// records again), so it panics instead of serving nothing. Inside an
 // engine work unit that panic fails the run with a *PanicError naming
 // the trace; the process survives.
-func TestSkimRefillFailurePanicsTyped(t *testing.T) {
+func TestRerecordFailurePanicsTyped(t *testing.T) {
 	inner := (&source{n: 100}).Source()
-	src := Source{
-		Record: inner.Record,
-		Refill: func(*program.Checkpoint, uint64, uint64) ([]trace.Inst, error) {
+	var calls atomic.Int64
+	src := Source{Record: func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, error) {
+		if calls.Add(1) > 1 {
 			return nil, errors.New("payload diverged")
-		},
+		}
+		return inner.Record(ctx, sliceLen, sink)
+	}}
+	c := newCapped(t, 10*instBytes, 10) // one-slice cap: slice 0 is evicted after recording
+	v := record(t, c, "rerecfail", 3, 100, src)
+	// Lose every stored slice, so the next pin must re-record.
+	files, _ := filepath.Glob(filepath.Join(c.spill.Dir(), "*", "s*"))
+	if len(files) == 0 {
+		t.Fatal("the spill store holds no slice files")
 	}
-	c := NewSliced(10*instBytes, 10) // one-slice cap: slice 0 is evicted after recording
-	v := record(t, c, "skimfail", 3, 100, src)
+	for _, f := range files {
+		os.Remove(f)
+	}
 	for _, workers := range []int{1, 4} {
 		_, err := engine.MapErr(context.Background(), engine.New(workers), 2,
 			func(context.Context, int) (int, error) {
@@ -732,9 +633,9 @@ func TestSkimRefillFailurePanicsTyped(t *testing.T) {
 			})
 		var pe *engine.PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: replay over a failing skim refill = %v, want *engine.PanicError", workers, err)
+			t.Fatalf("workers=%d: replay over a failing re-record = %v, want *engine.PanicError", workers, err)
 		}
-		if msg := err.Error(); !strings.Contains(msg, "skimfail input 3") || !strings.Contains(msg, "payload diverged") {
+		if msg := err.Error(); !strings.Contains(msg, "rerecfail input 3") || !strings.Contains(msg, "payload diverged") {
 			t.Fatalf("workers=%d: panic error %q does not name the trace and cause", workers, msg)
 		}
 	}

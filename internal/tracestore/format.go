@@ -10,8 +10,7 @@
 //	              followed by the raw instruction array
 //
 // The store persists instruction bytes and their extent, nothing else:
-// payload checkpoints stay in the RAM tier of the process that captured
-// them, so a trace restored from disk refills a lost slice by skim.
+// a trace restored from disk that loses a slice file is re-recorded.
 //
 // Slice payloads are the in-memory representation of []trace.Inst
 // dumped verbatim, which is what makes mmap serving zero-copy: the

@@ -8,12 +8,10 @@
 // Writes stream. A SliceWriter appends a slice's payload to a temp
 // file piece by piece while the recorder is still producing it, keeps
 // a running checksum, and on Commit writes the slice header and renames
-// the file into place; Abort removes it. WriteSlice is the one-shot
-// form the refill write-back uses, so every slice file comes from the
-// same code and the same bytes land either way. A file is visible
-// under its final name only once complete; the tmp-* strays a killed
-// writer leaves are not counted as stored data and go with their
-// directory.
+// the file into place; Abort removes it. A file is visible under its
+// final name only once complete. A temp file's name carries
+// its writer's pid, so Open removes the tmp-* strays of writers that
+// are gone and leaves a live writer's file alone.
 //
 // The store is an exactness-preserving cache, never an authority: every
 // read re-verifies checksums, identity echoes, format version and
@@ -168,6 +166,8 @@ func WriteStats(w io.Writer, s *Store) {
 // directories). Existing contents are inventoried in sorted name order,
 // so the initial eviction order is a pure function of the directory
 // contents — no clocks, no mtimes (the determinism contract bans them).
+// The inventory removes the tmp-* strays of writers that are gone (see
+// isStray) and leaves every other temp file out of the accounting.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if maxBytes < 0 {
 		return nil, fmt.Errorf("tracestore: negative cap %d", maxBytes)
@@ -202,7 +202,10 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		}
 		for _, f := range files {
 			if strings.HasPrefix(f.Name(), tmpPrefix) {
-				continue // a killed writer's stray: goes with its directory
+				if info, err := f.Info(); err == nil && isStray(f.Name(), tmpPrefix, info) {
+					os.Remove(filepath.Join(dir, name, f.Name()))
+				}
+				continue // a live writer's file is not stored data yet
 			}
 			if info, err := f.Info(); err == nil {
 				total += info.Size()
@@ -366,16 +369,6 @@ func (s *Store) ReadHeader(k Key) (total uint64, err error) {
 	return total, nil
 }
 
-// WriteSlice persists slice idx of k's recording in one go: a
-// SliceWriter given the whole array. The payload is the instruction
-// array's raw bytes (zero-copy on the write side too); insts is only
-// read. Idempotent, non-fatal on error, safe on a nil store.
-func (s *Store) WriteSlice(k Key, idx int, insts []trace.Inst) error {
-	w := s.BeginSlice(k, idx)
-	w.Append(insts)
-	return w.Commit()
-}
-
 // SliceWriter streams one slice file into the store while its
 // instructions are still being produced: Append writes each piece of
 // the payload to a temp file beside the final one and extends a
@@ -522,17 +515,15 @@ func (w *SliceWriter) fail(err error) error {
 // needed). Every store file is written there first and renamed into
 // place, so a concurrent writer or a crash can never leave a
 // half-written file under a final name (readers see old, new, or
-// nothing — and "nothing" just means re-record); Open leaves the
-// tmp-* strays a killed writer leaves out of the disk accounting.
+// nothing — and "nothing" just means re-record). The name carries this
+// process's pid, so a later Open can tell a killed writer's stray from
+// a live writer's file.
 func createTemp(dir string) (*os.File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return os.CreateTemp(dir, tmpPrefix+"*")
+	return os.CreateTemp(dir, ownName(tmpPrefix))
 }
-
-// tmpPrefix starts the name of every file still being written.
-const tmpPrefix = "tmp-"
 
 // writeFile writes b to path through a temp file and a rename (see
 // createTemp).

@@ -33,6 +33,14 @@ func testInsts(n int, salt uint64) []trace.Inst {
 	return insts
 }
 
+// WriteSlice persists slice idx of k's recording in one go: a
+// SliceWriter given the whole array, the test's way to fill a store.
+func (s *Store) WriteSlice(k Key, idx int, insts []trace.Inst) error {
+	w := s.BeginSlice(k, idx)
+	w.Append(insts)
+	return w.Commit()
+}
+
 func testKey() Key {
 	return Key{Name: "zoo/test", Input: 2, Budget: 1 << 20, SliceLen: 4096}
 }
@@ -653,9 +661,9 @@ func TestSliceWriterAbortAndSkip(t *testing.T) {
 	}
 }
 
-// Open counts stored files only: a tmp-* file a killed writer left
-// behind is not trace data, so it neither inflates BytesOnDisk nor
-// pushes the cap to evict. It still goes when its directory does.
+// Open counts stored files only: a live writer's tmp-* file is not
+// trace data yet, so it neither inflates BytesOnDisk nor pushes the cap
+// to evict. It still goes when its directory does.
 func TestOpenIgnoresStrayTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	k := testKey()
@@ -670,7 +678,7 @@ func TestOpenIgnoresStrayTempFiles(t *testing.T) {
 	want := s.Stats().BytesOnDisk
 	s.Close()
 	traceDir, _ := s.tracePath(k)
-	stray := filepath.Join(traceDir, tmpPrefix+"12345")
+	stray := filepath.Join(traceDir, fmt.Sprintf("%s%d-1", tmpPrefix, os.Getpid()))
 	if err := os.WriteFile(stray, make([]byte, 1<<20), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -89,11 +89,6 @@ type gen struct {
 	rareCursor int
 	strideAddr uint64
 	round      uint64
-
-	// Phase-walk position, fields (rather than run-loop locals) so a
-	// checkpoint can capture and restore them (see CheckpointSave).
-	ph      int    // current phase index
-	phStart uint64 // instruction count at phase entry
 }
 
 func newGen(e *program.Emitter, m mix, input int) *gen {
@@ -130,40 +125,7 @@ func newGen(e *program.Emitter, m mix, input int) *gen {
 	if g.rareStatic < m.rareMinStatic {
 		g.rareStatic = m.rareMinStatic
 	}
-	// Everything up to here is a pure function of (mix, input, budget) —
-	// no RNG draws — so it re-runs identically on a checkpoint resume,
-	// which is what the Checkpointable contract requires.
-	e.Checkpointable(g)
 	return g
-}
-
-// CheckpointSave implements program.CheckpointPayload: the flattened
-// mutable generator state. Everything else (mix knobs, Zipf weights,
-// rareStatic) is derived deterministically in newGen and need not be
-// saved.
-func (g *gen) CheckpointSave() []uint64 {
-	st := make([]uint64, 0, 5+len(g.h2pVal)+len(g.soloVal)+len(g.patCount)+numNoise)
-	st = append(st, uint64(g.ph), g.phStart, g.round, uint64(g.rareCursor), g.strideAddr)
-	st = append(st, g.h2pVal...)
-	st = append(st, g.soloVal...)
-	st = append(st, g.patCount...)
-	return append(st, g.noiseCount[:]...)
-}
-
-// CheckpointRestore implements program.CheckpointPayload.
-func (g *gen) CheckpointRestore(st []uint64) bool {
-	want := 5 + len(g.h2pVal) + len(g.soloVal) + len(g.patCount) + numNoise
-	if len(st) != want {
-		return false
-	}
-	g.ph, g.phStart, g.round = int(st[0]), st[1], st[2]
-	g.rareCursor, g.strideAddr = int(st[3]), st[4]
-	st = st[5:]
-	st = st[copy(g.h2pVal, st):]
-	st = st[copy(g.soloVal, st):]
-	st = st[copy(g.patCount, st):]
-	copy(g.noiseCount[:], st)
-	return true
 }
 
 func (g *gen) run() {
@@ -173,20 +135,19 @@ func (g *gen) run() {
 	if phaseLen < 32768 {
 		phaseLen = 32768
 	}
-	// One flat loop with the phase walk as explicit state (g.ph,
-	// g.phStart): emission-identical to the nested phase loops it
-	// replaced, and the top of each round is a checkpoint safe point —
-	// the saved fields fully determine the continuation.
+	// One flat loop walking the phases; the top of each round is the
+	// payload's safe point.
+	ph, phStart := 0, uint64(0)
 	for e.Running() {
-		if e.InstCount()-g.phStart >= phaseLen {
-			g.ph++
-			if g.ph == phases {
-				g.ph = 0
+		if e.InstCount()-phStart >= phaseLen {
+			ph++
+			if ph == phases {
+				ph = 0
 			}
-			g.phStart = e.InstCount()
+			phStart = e.InstCount()
 		}
-		e.Checkpoint()
-		g.roundExec(g.ph)
+		e.SafePoint()
+		g.roundExec(ph)
 	}
 }
 

@@ -74,61 +74,26 @@ func (s *Spec) RecordCtx(ctx context.Context, input int, budget uint64) (*trace.
 	return program.RecordCtx(ctx, s.seed(input), budget, s.Payload(input))
 }
 
-// RecordSlicesCtx materializes the same trace RecordCtx produces as
-// independently owned arrays of sliceLen instructions each, generated
-// on up to shards pool workers — the slice-granular trace cache's
-// ingest path (program.RecordSlicesCtx; CacheSource wires it into
-// Source.Record). Concatenated, the arrays are byte-identical to
-// RecordCtx at any (sliceLen, shards) combination. ckptEvery > 0 also
-// captures payload checkpoints at that spacing; every registered
-// generator is checkpointable, so the cache can later refill evicted
-// slices in O(window) via RecordRangeFrom. A non-nil sink sees each
-// slice while it records (program.SliceSink). Cancellation or payload
-// failure returns a typed error; partial slice arrays are never
-// returned.
-func (s *Spec) RecordSlicesCtx(ctx context.Context, input int, budget, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64, sink program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
-	return program.RecordSlicesCtx(ctx, s.seed(input), budget, s.Payload(input), sliceLen, pool, shards, ckptEvery, sink)
-}
-
-// RecordRangeFrom re-materializes instructions [lo, hi) of one input's
-// trace at the given budget (program.RecordRangeFrom). A nil ck skims:
-// the trace replays deterministically from its seed and the prefix is
-// generated without being stored. A checkpoint from a checkpointed
-// recording of the same (input, budget) starts generation at ck.At
-// instead, making the window cost independent of lo; on any mismatch
-// the call fails (typed error, never wrong bytes) and the caller
-// retries with ck == nil. Either way the window is byte-identical to
-// the same range of RecordCtx's output.
-func (s *Spec) RecordRangeFrom(input int, budget uint64, ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
-	return program.RecordRangeFrom(s.seed(input), budget, s.Payload(input), ck, lo, hi)
-}
-
-// CkptPerCacheSlice, passed as CacheSource's ckptEvery, captures one
-// checkpoint per cache slice: the spacing follows whatever slice
-// length the cache records this trace at.
-const CkptPerCacheSlice = ^uint64(0)
-
-// CacheSource is the tracecache.Source for one (input, budget) trace —
-// the single place the cache's record/refill callbacks are wired to
-// this package, shared by the experiments drivers, the facade and the
-// CLIs. Recording runs on pool with the given shard count; ckptEvery
-// is the checkpoint spacing (0 = no checkpoints, CkptPerCacheSlice =
-// one per cache slice). Refills resume from a captured checkpoint or,
-// with a nil one, skim from instruction zero; both regenerate
-// byte-identical windows.
-func (s *Spec) CacheSource(input int, budget uint64, pool *engine.Pool, shards int, ckptEvery uint64) tracecache.Source {
+// Source is the tracecache.Source for one (input, budget) trace — the
+// single place the cache's record callback is wired to this package,
+// shared by the experiments drivers, the facade and the CLIs. Record
+// is program.RecordSlicesCtx: the trace RecordCtx produces, as
+// independently owned arrays of sliceLen instructions each, streamed
+// to the sink while they record.
+func (s *Spec) Source(input int, budget uint64) tracecache.Source {
 	return tracecache.Source{
-		Record: func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, []program.Checkpoint, error) {
-			every := ckptEvery
-			if every == CkptPerCacheSlice {
-				every = sliceLen
-			}
-			return s.RecordSlicesCtx(ctx, input, budget, sliceLen, pool, shards, every, sink)
-		},
-		Refill: func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
-			return s.RecordRangeFrom(input, budget, ck, lo, hi)
+		Record: func(ctx context.Context, sliceLen uint64, sink program.SliceSink) ([][]trace.Inst, error) {
+			return program.RecordSlicesCtx(ctx, s.seed(input), budget, s.Payload(input), sliceLen, sink)
 		},
 	}
+}
+
+// CacheSource is Source with three arguments that are ignored.
+//
+// Deprecated: recording is sequential and the cache has no checkpoint
+// refills, so pool, shards and ckptEvery have no effect; use Source.
+func (s *Spec) CacheSource(input int, budget uint64, pool *engine.Pool, shards int, ckptEvery uint64) tracecache.Source {
+	return s.Source(input, budget)
 }
 
 // SPECint2017Like returns the nine-benchmark suite modeled on Table I

@@ -3,12 +3,9 @@ package workload
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"testing"
 
 	"branchlab/internal/core"
-	"branchlab/internal/engine"
-	"branchlab/internal/program"
 	"branchlab/internal/tage"
 	"branchlab/internal/trace"
 	"branchlab/internal/tracecache"
@@ -61,21 +58,6 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	for i := 0; i < a.Len(); i++ {
 		if a.At(i) != b.At(i) {
 			t.Fatalf("instruction %d differs between identical runs", i)
-		}
-	}
-}
-
-func TestRecordShardedByteIdentical(t *testing.T) {
-	pool := engine.New(4)
-	for _, name := range []string{"605.mcf_s", "game"} {
-		s, ok := ByName(name)
-		if !ok {
-			t.Fatalf("%s not found", name)
-		}
-		want := mustRecord(t, s, 0, 120_000)
-		for _, shards := range []int{2, 5} {
-			arrs, _ := mustSlices(t, s, 0, 120_000, 20_000, pool, shards, 0)
-			assertJoinEquals(t, arrs, want, fmt.Sprintf("%s shards=%d", name, shards))
 		}
 	}
 }
@@ -318,17 +300,6 @@ func mustRecord(t *testing.T, s *Spec, input int, budget uint64) *trace.Buffer {
 	return buf
 }
 
-// mustSlices is Spec.RecordSlicesCtx under the background context,
-// failing the test on error.
-func mustSlices(t *testing.T, s *Spec, input int, budget, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []program.Checkpoint) {
-	t.Helper()
-	arrs, cks, err := s.RecordSlicesCtx(context.Background(), input, budget, sliceLen, pool, shards, ckptEvery, nil)
-	if err != nil {
-		t.Fatalf("%s: RecordSlicesCtx: %v", s.Name, err)
-	}
-	return arrs, cks
-}
-
 // TestTraceFileRoundTrip stores a realistic workload trace in the BLT1
 // format and verifies the decoded stream drives a predictor to an
 // identical outcome — the offline trace-library workflow of §V-B.
@@ -373,7 +344,7 @@ func TestStoreRestartReuseAllWorkloads(t *testing.T) {
 	replay := func(c *tracecache.Cache) map[string][]trace.Inst {
 		out := make(map[string][]trace.Inst, len(all))
 		for _, s := range all {
-			src := s.CacheSource(0, budget, nil, 1, CkptPerCacheSlice)
+			src := s.Source(0, budget)
 			v, err := c.RecordCtx(context.Background(), s.Name, 0, budget, src)
 			if err != nil {
 				t.Fatalf("%s: %v", s.Name, err)

@@ -1,43 +1,6 @@
 package xrand
 
-import (
-	"errors"
-	"testing"
-)
-
-func TestStateRoundTrip(t *testing.T) {
-	r := New(7)
-	for i := 0; i < 10; i++ {
-		r.Uint64()
-	}
-	st := r.State()
-	want := make([]uint64, 8)
-	for i := range want {
-		want[i] = r.Uint64()
-	}
-	if err := r.SetState(st); err != nil {
-		t.Fatalf("SetState: %v", err)
-	}
-	for i, w := range want {
-		if got := r.Uint64(); got != w {
-			t.Fatalf("draw %d after SetState: %#x, want %#x", i, got, w)
-		}
-	}
-}
-
-func TestSetStateRejectsZero(t *testing.T) {
-	r := New(1)
-	before := r.State()
-	err := r.SetState([4]uint64{})
-	if !errors.Is(err, ErrZeroState) {
-		t.Fatalf("SetState(zero) = %v, want ErrZeroState", err)
-	}
-	if r.State() != before {
-		t.Error("failed SetState modified the generator")
-	}
-	// The generator must remain usable after the rejected restore.
-	r.Uint64()
-}
+import "testing"
 
 func TestJumpDeterministicAndDisjoint(t *testing.T) {
 	// Jump is deterministic: two generators jumped from the same seed

@@ -11,12 +11,6 @@ import (
 	"math"
 )
 
-// ErrZeroState is returned by SetState for the all-zero state, which a
-// xoshiro generator cannot reach (and cannot leave: it would emit zeros
-// forever). Checkpoint consumers use it to reject a zero-value
-// Checkpoint that never went through a real capture.
-var ErrZeroState = errors.New("xrand: all-zero generator state")
-
 // ErrNonPositiveRanks is returned by NewZipf when the rank count is not
 // positive: a Zipf distribution needs at least one rank to sample.
 var ErrNonPositiveRanks = errors.New("xrand: Zipf rank count must be positive")
@@ -92,26 +86,6 @@ func (r *Rand) Uint64() uint64 {
 
 // Uint32 returns a uniformly distributed 32-bit value.
 func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
-// State returns the generator's 256-bit internal state. Together with
-// SetState it lets deterministic replays checkpoint and restore a
-// generator exactly: program.Checkpoint captures it at payload safe
-// points, and the trace cache's evicted-slice refill restores it to
-// resume mid-trace (see DESIGN.md §6).
-func (r *Rand) State() [4]uint64 { return r.s }
-
-// SetState restores a state captured with State. It returns
-// ErrZeroState — leaving the generator unchanged — for the all-zero
-// state, which xoshiro cannot reach: a zero value here means the
-// caller's checkpoint was never captured, and a replay worker must be
-// able to fall back to the skim path rather than die mid-run.
-func (r *Rand) SetState(s [4]uint64) error {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		return ErrZeroState
-	}
-	r.s = s
-	return nil
-}
 
 // jumpPoly is the xoshiro256 jump polynomial of Blackman and Vigna: a
 // Jump advances the stream by exactly 2^128 steps.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# bench.sh — run the tracked hot-path benchmarks, emit BENCH_PR9.json,
-# and diff the replay-loop benchmarks against the previous PR's
-# committed baseline (BENCH_PR8.json) so regressions in the block
-# pipeline fail loudly.
+# bench.sh — run the tracked hot-path benchmarks, write their results
+# as JSON (the first argument; default BENCH_PR9.json, the name of the
+# last committed run) and diff the replay-loop benchmarks against a
+# committed baseline (BASELINE; default BENCH_PR8.json) so regressions
+# in the block pipeline fail loudly.
 #
 # Tracked benchmarks (the perf trajectory of the replay refactors):
 #   BenchmarkRunAll/cache={off,on}      - full `-run all` registry, uncached vs cached;
@@ -24,16 +25,16 @@
 #   BenchmarkTraceCacheHit              - cache serve-from-memory cost
 #   BenchmarkTraceCacheSlicedReplay/{resident,evicted}
 #                                       - slice-cache replay: zero-copy resident
-#                                         serving vs forced-eviction re-record;
-#                                         the evicted run also reports peak
-#                                         accounted residency (must stay below
-#                                         one whole-trace footprint)
-#   BenchmarkEvictedRefill/mode={skim,ckpt}/pos={first,last}
-#                                       - evicted-slice refill: prefix skim vs
-#                                         checkpoint resume; ckpt must be
-#                                         position-independent (O(window))
+#                                         serving vs forced eviction and
+#                                         promotion from the private spill
+#                                         store; the evicted run also reports
+#                                         peak accounted residency (must stay
+#                                         below one whole-trace footprint)
+#   BenchmarkEvictedRefill/mode=store/pos={first,last}
+#                                       - evicted-slice promotion from the
+#                                         trace store; must be
+#                                         position-independent
 #   BenchmarkFig5Parallel/workers=N     - engine scaling (meaningful on multi-core hosts)
-#   BenchmarkRecordSharded/shards=N     - sharded deterministic trace recording
 #   BenchmarkPipelineALU                - timing model on a saturated 100K-instruction
 #                                         independent-ALU stream (internal/pipeline):
 #                                         the width limiters' worst case
@@ -120,7 +121,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$|BenchmarkScreen$|BenchmarkDepgraph$|BenchmarkCNNTrain$|BenchmarkCNNHelper$|BenchmarkStoreSlice$|BenchmarkStoreFill$' \
+  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkPipelineALU$|BenchmarkPipelineTAGE$|BenchmarkPipelineSchedule$|BenchmarkPipelineScheduleWide$|BenchmarkScreen$|BenchmarkDepgraph$|BenchmarkCNNTrain$|BenchmarkCNNHelper$|BenchmarkStoreSlice$|BenchmarkStoreFill$' \
   -benchtime "$benchtime" . ./internal/tage ./internal/pipeline ./internal/experiments ./internal/depgraph ./internal/cnn ./internal/tracestore | tee "$raw" >&2
 
 awk -v benchtime="$benchtime" '
@@ -147,7 +148,7 @@ echo "wrote $out" >&2
 # A benchmark that silently disappears (renamed, deleted, filtered out)
 # would otherwise just vanish from the JSON and turn later baseline
 # diffs into head-scratchers. The machine-dependent sub-benchmarks
-# (workers=N, shards=N for N = NumCPU) are not in this list.
+# (workers=N for N = NumCPU) are not in this list.
 parse() { sed -n 's/.*"name": "\([^"]*\)".*"ns_per_op": \([0-9.e+]*\).*/\1 \2/p' "$1"; }
 
 required='BenchmarkRunAll/cache=off
@@ -160,12 +161,9 @@ BenchmarkTAGEPredictTrain/tage-reference
 BenchmarkTraceCacheHit
 BenchmarkTraceCacheSlicedReplay/resident
 BenchmarkTraceCacheSlicedReplay/evicted
-BenchmarkEvictedRefill/mode=skim/pos=first
-BenchmarkEvictedRefill/mode=ckpt/pos=first
-BenchmarkEvictedRefill/mode=skim/pos=last
-BenchmarkEvictedRefill/mode=ckpt/pos=last
+BenchmarkEvictedRefill/mode=store/pos=first
+BenchmarkEvictedRefill/mode=store/pos=last
 BenchmarkFig5Parallel/workers=1
-BenchmarkRecordSharded/shards=1
 BenchmarkPipelineALU
 BenchmarkPipelineTAGE
 BenchmarkPipelineSchedule
@@ -240,8 +238,8 @@ elif [ "$(awk -v r="$ratio" -v m="$tagemax" 'BEGIN { print (r > m) ? 1 : 0 }')" 
   exit 1
 fi
 
-# 3. Cross-run diff vs the committed baseline (RunAll, CoreRun,
-# RecordSharded; the other benchmarks are new in this PR or measure a
+# 3. Cross-run diff vs the committed baseline (RunAll and CoreRun; the
+# other benchmarks are new in this PR or measure a
 # path whose work changed shape between PRs and so have no comparable
 # baseline). Printed for trend tracking; enforced only with
 # BASELINE_GATE=1 since absolute ns/op only compare on the host that
@@ -258,7 +256,7 @@ else
   echo "diff vs $baseline (informational unless BASELINE_GATE=1; max ${regmax}x):" >&2
   while read -r name ns; do
     case "$name" in
-      BenchmarkRunAll/*|BenchmarkCoreRun/observers=*|BenchmarkRecordSharded/*) ;;
+      BenchmarkRunAll/*|BenchmarkCoreRun/observers=*) ;;
       *) continue ;;
     esac
     base_ns="$(parse "$baseline" | awk -v n="$name" '$1 == n { print $2 }')"

@@ -4,9 +4,9 @@
 #
 #   1. gofmt            (formatting; fails listing unformatted files)
 #   2. go vet           (the standard toolchain analyzers)
-#   3. branchlabvet     (the six contract analyzers in internal/lint:
-#                        determinism, blockalias, checkpointpure,
-#                        ctxflow, errcontract, storegate
+#   3. branchlabvet     (the five contract analyzers in internal/lint:
+#                        determinism, blockalias, ctxflow,
+#                        errcontract, storegate
 #                        — run as `go vet -vettool`)
 #   4. branchlabvet -checkignores
 #                       (suppression audit: every //lint:ignore must
@@ -62,7 +62,7 @@ fi
 echo "== go vet"
 go vet ./... || fail=1
 
-echo "== branchlabvet (determinism, blockalias, checkpointpure, ctxflow, errcontract, storegate)"
+echo "== branchlabvet (determinism, blockalias, ctxflow, errcontract, storegate)"
 build_tool
 go vet -vettool="$tool" ./... || fail=1
 
