@@ -58,8 +58,8 @@ type (
 	// Buffer is a materialized, replayable trace.
 	Buffer = trace.Buffer
 	// Replayable is a materialized trace servable any number of times:
-	// a *Buffer, or a trace-cache view that promotes evicted slices from
-	// its trace store on demand. Replays are always byte-identical.
+	// a *Buffer, or a trace-cache view that serves its slices from the
+	// heap or its trace store. Replays are always byte-identical.
 	Replayable = trace.Replayable
 	// Kind classifies instructions.
 	Kind = trace.Kind
@@ -166,36 +166,37 @@ func RecordTrace(spec *WorkloadSpec, input int, budget uint64) *Buffer {
 // TraceCache is a content-keyed, concurrency-safe cache of recorded
 // traces: concurrent requests for one (workload, input, budget)
 // coalesce onto a single recording — each budget is its own entry,
-// since a workload's static structure scales with its budget — and
-// memory is bounded by slice-granular LRU eviction: cold fixed-size
-// slices of a trace evict independently and promote back from a trace
-// store on their next use, so the memory bound is the union of live
-// slices rather than whole traces. A capped cache with no store
-// attached spills to a private store under os.TempDir(); Close removes
-// it. Share one cache across drivers (via ExperimentConfig.Cache or
-// RecordTraceCachedCtx) to synthesize each trace once per process.
+// since a workload's static structure scales with its budget. A cache
+// without a trace store keeps every fixed-size slice on the heap; a
+// cache with one serves every stored slice from it (mmap, zero-copy),
+// so resident memory follows the slices replays are reading rather
+// than whole traces. A capped cache with no store attached spills to a
+// private store under os.TempDir(); Close removes it. Share one cache
+// across drivers (via ExperimentConfig.Cache or RecordTraceCachedCtx)
+// to synthesize each trace once per process.
 type TraceCache = tracecache.Cache
 
-// TraceCacheStats are a cache's hit/miss/eviction counters, including
-// the per-slice hit/re-record/evict breakdown.
+// TraceCacheStats are a cache's hit/miss counters, including the
+// per-slice heap/store/re-record breakdown.
 type TraceCacheStats = tracecache.Stats
 
-// NewTraceCache returns a trace cache holding at most maxBytes of
-// recorded instructions (<= 0 means unbounded) at the default slice
-// granularity (tracecache.DefaultSliceInsts). Close it once its replays
-// are done: a capped cache with no store attached spills to a private
-// store that Close removes.
+// NewTraceCache returns a trace cache at the default slice granularity
+// (tracecache.DefaultSliceInsts). maxBytes > 0 makes a cache with no
+// store attached spill every recording to a private store and serve it
+// from there, so maxBytes does not bound heap bytes; maxBytes <= 0
+// keeps such a cache's slices on the heap. Close it once its replays
+// are done: Close removes the private store.
 func NewTraceCache(maxBytes int64) *TraceCache { return tracecache.New(maxBytes) }
 
 // NewSlicedTraceCache is NewTraceCache with an explicit slice
-// granularity in instructions (0 = whole-trace eviction).
+// granularity in instructions (0 = one slice per trace).
 func NewSlicedTraceCache(maxBytes int64, sliceInsts uint64) *TraceCache {
 	return tracecache.NewSliced(maxBytes, sliceInsts)
 }
 
 // TraceStore is the persistent, content-addressed disk tier beneath a
 // TraceCache (DESIGN.md §11): recordings write through to its
-// directory, slices the RAM cap evicts promote back zero-copy
+// directory, the cache serves stored slices from it zero-copy
 // (mmap-served where the platform supports it), and a later process
 // pointed at the same directory restores whole traces — the recorded
 // extent and the slices' instruction bytes — without recording at all.
@@ -222,9 +223,9 @@ func OpenTraceStore(dir string, maxBytes int64) (*TraceStore, error) {
 
 // RecordTraceCachedCtx is RecordTrace through a shared cache, under a
 // caller context: it records on the first request for (spec, input,
-// budget) and serves replayable views from memory afterwards, promoting
-// any slice the cache cap evicted from the cache's trace store
-// (byte-identically) on demand. A nil cache records without caching.
+// budget) and serves replayable views afterwards, each slice from the
+// heap or the cache's trace store (byte-identically). A nil cache
+// records without caching.
 //
 // A cancelled or deadline-expired recording returns a typed error (see
 // IsCancel) and never a truncated or wrong trace. Concurrent callers

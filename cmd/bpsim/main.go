@@ -17,10 +17,11 @@
 // print in scale order regardless of completion order.
 //
 // Multi-scale sweeps record the workload once through a trace cache.
-// -tracecache caps it in MiB: a capped cache streams the recording into
-// a trace store while it records — the -tracestore directory, or else a
-// private store under $TMPDIR that bpsim removes at exit — and evicted
-// slices promote back from that store, byte-identically.
+// Any positive -tracecache makes the cache stream the recording into a
+// trace store while it records — the -tracestore directory, or else a
+// private store under $TMPDIR that bpsim removes at exit — and serve
+// every stored slice from that store, byte-identically; the number does
+// not bound heap bytes.
 package main
 
 import (
@@ -54,8 +55,8 @@ func main() {
 		sliceLen     = flag.Uint64("slice", 500_000, "slice length for H2P screening")
 		pipeScales   = flag.String("pipeline", "", fmt.Sprintf("pipeline scale(s) in 1..%d, comma-separated (empty = accuracy only)", pipeline.MaxScale))
 		parallel     = flag.Int("parallel", 0, "engine workers for the pipeline sweep (0 = NumCPU)")
-		cacheMB      = flag.Int64("tracecache", 0, "trace cache cap in MiB (0 = unbounded); a capped cache without -tracestore spills to a private store under $TMPDIR, removed at exit; setting it forces caching even for single-scale runs")
-		cacheSlice   = flag.Uint64("cacheslice", tracecache.DefaultSliceInsts, "trace cache slice granularity in instructions (0 = whole-trace eviction)")
+		cacheMB      = flag.Int64("tracecache", 0, "trace cache mode (0 = every slice on the heap); any positive value spills recordings to a trace store (-tracestore, or a private one under $TMPDIR removed at exit) and serves slices from it, so the number does not bound heap bytes; setting it forces caching even for single-scale runs")
+		cacheSlice   = flag.Uint64("cacheslice", tracecache.DefaultSliceInsts, "trace cache slice granularity in instructions (0 = one slice per trace)")
 		storeFlag    = flag.String("tracestore", "", "persistent trace store directory (\"\" = off); warm runs replay stored traces without recording; setting it forces caching")
 		storeCapFlag = flag.Int64("tracestorecap", 0, "trace store disk budget in MiB (0 = unbounded); coldest whole traces evict first")
 		deadline     = flag.Duration("deadline", 0, "whole-invocation wall-clock bound (0 = none); an expired run fails typed, never prints truncated results")
@@ -194,9 +195,10 @@ func run(ctx context.Context, workloadName string, input int, traceFile, predNam
 	// cache and replay it for the accuracy pass and every pipeline
 	// scale, and an explicit -tracecache opts in directly (the flag
 	// must never be silently ignored). The cache is slice-granular:
-	// with a -tracecache cap the sweep's memory is bounded by the live
-	// slices, and any evicted slice promotes back from the cache's
-	// trace store when a replay reaches it. Accuracy-only and
+	// with a store (-tracestore, or the private one a positive
+	// -tracecache opens) every stored slice is served from it, so the
+	// sweep's memory follows the slices its replays are reading.
+	// Accuracy-only and
 	// single-scale runs otherwise stream at O(1) memory (the budget can
 	// be arbitrarily large), as do trace files.
 	var cache *tracecache.Cache
@@ -208,8 +210,8 @@ func run(ctx context.Context, workloadName string, input int, traceFile, predNam
 			}
 		}()
 		// -tracestore makes the tier beneath the cache persistent
-		// (DESIGN.md §11): recordings stream into the directory,
-		// evicted slices promote back from disk, and a warm directory
+		// (DESIGN.md §11): recordings stream into the directory, the
+		// cache serves stored slices from disk, and a warm directory
 		// restores whole traces across invocations without recording.
 		if storeDir != "" {
 			store, err := tracestore.Open(storeDir, storeCapBytes)

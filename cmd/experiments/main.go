@@ -17,19 +17,19 @@
 //
 // Workload traces are recorded once per (workload, input, budget)
 // through a shared in-memory cache and replayed by every experiment
-// that needs them. -tracecache bounds the cache in MiB (-1, the
-// default, leaves it unbounded; 0 disables it) and -cacheslice sets its
-// eviction granularity in instructions: the cache evicts cold
-// fixed-size slices of a trace rather than whole recordings. A capped
-// cache streams every recording into a trace store while it records —
-// the -tracestore directory, or else a private store it opens under
-// $TMPDIR and removes at exit (disk equals the traces' footprint) —
-// and an evicted slice promotes back from that store, so a capped cache
-// stays byte-identical to an unbounded one. Cache counters print to
-// stderr behind -cachestats, keeping stdout diff-able.
+// that needs them. -tracecache selects the cache's mode (-1, the
+// default, keeps every slice on the heap; 0 disables the cache) and
+// -cacheslice sets its slice granularity in instructions. Any positive
+// -tracecache makes the cache stream every recording into a trace
+// store while it records — the -tracestore directory, or else a
+// private store it opens under $TMPDIR and removes at exit (disk
+// equals the traces' footprint) — and serve every stored slice from
+// that store, so the number does not bound heap bytes and the output
+// stays byte-identical to an unbounded cache's. Cache counters print
+// to stderr behind -cachestats, keeping stdout diff-able.
 //
 // -tracestore DIR makes the store persistent (DESIGN.md §11):
-// recordings stream into DIR, evicted slices promote back from disk
+// recordings stream into DIR, the cache serves stored slices from disk
 // (mmap, zero-copy), and a later invocation against the same DIR
 // restores whole traces — recorded extent and instruction bytes —
 // without recording at all. Every stored file is checksummed; a
@@ -64,8 +64,8 @@ func main() {
 		budget   = flag.Uint64("budget", 0, "override instruction budget per workload")
 		slice    = flag.Uint64("slice", 0, "override slice length")
 		parallel = flag.Int("parallel", 0, "engine workers per experiment (0 = NumCPU)")
-		cacheMB  = flag.Int64("tracecache", -1, "shared trace cache size in MiB (-1 = unbounded, 0 = off); a capped cache without -tracestore spills to a private store under $TMPDIR, removed at exit")
-		cacheSl  = flag.Uint64("cacheslice", tracecache.DefaultSliceInsts, "trace cache slice granularity in instructions (0 = whole-trace eviction)")
+		cacheMB  = flag.Int64("tracecache", -1, "shared trace cache mode (-1 = every slice on the heap, 0 = off); any positive value spills recordings to a trace store (-tracestore, or a private one under $TMPDIR removed at exit) and serves slices from it, so the number does not bound heap bytes")
+		cacheSl  = flag.Uint64("cacheslice", tracecache.DefaultSliceInsts, "trace cache slice granularity in instructions (0 = one slice per trace)")
 		storeDir = flag.String("tracestore", "", "persistent trace store directory (\"\" = off); warm runs replay stored traces without recording")
 		storeCap = flag.Int64("tracestorecap", 0, "trace store disk budget in MiB (0 = unbounded); coldest whole traces evict first")
 		deadline = flag.Duration("deadline", 0, "per-experiment wall-clock bound (0 = none); an expired run fails typed, never prints partial artifacts")

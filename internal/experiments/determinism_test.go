@@ -60,8 +60,8 @@ func TestParallelArtifactsByteIdentical(t *testing.T) {
 // registry (`-run all`) three ways: uncached sequential, cached
 // sequential, cached parallel; all three renderings must be identical,
 // and the cached runs must have recorded each (workload, input) exactly
-// once (misses == resident entries, no evictions, every other request a
-// hit) — the invocation-level dedup the cache exists to provide.
+// once (misses == resident entries, every slice on the heap, every other
+// request a hit) — the invocation-level dedup the cache exists to provide.
 func TestCacheRunAllByteIdenticalAndRecordsOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
@@ -98,8 +98,8 @@ func TestCacheRunAllByteIdenticalAndRecordsOnce(t *testing.T) {
 				t.Errorf("cached artifacts differ from uncached (workers=%d)", tc.workers)
 			}
 			st := cached.Cache.Stats()
-			if st.SliceEvictions != 0 {
-				t.Fatalf("unbounded cache evicted %d slices", st.SliceEvictions)
+			if st.DiskSliceHits != 0 || st.Slices < st.Entries {
+				t.Fatalf("stats %+v: an uncapped cache without a store must keep every slice on the heap", st)
 			}
 			if st.Misses != uint64(st.Entries) {
 				t.Errorf("recorded %d traces for %d distinct (workload, input) keys: some trace was recorded more than once",
@@ -115,12 +115,12 @@ func TestCacheRunAllByteIdenticalAndRecordsOnce(t *testing.T) {
 	}
 }
 
-// Slice-granular eviction must also be byte-invisible: a cache capped
-// far below one trace's footprint, at a slice size that splits every
-// trace, serves every driver slices promoted from its private spill
-// store — and the full registry output must still match the uncached
-// reference, with the memoized derived results computed from those
-// promoted inputs. Every trace still records once.
+// Serving from the store must also be byte-invisible: a capped cache,
+// at a slice size that splits every trace, serves every driver its
+// slices from its private spill store — and the full registry output
+// must still match the uncached reference, with the memoized derived
+// results computed from those store-served inputs. Every trace still
+// records once, and no slice stays on the heap.
 func TestSliceEvictionRunAllByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
@@ -162,14 +162,14 @@ func TestSliceEvictionRunAllByteIdentical(t *testing.T) {
 				t.Errorf("capped slice-cache artifacts differ from uncached reference")
 			}
 			st := capped.Cache.Stats()
-			if st.SliceEvictions == 0 || st.DiskSliceHits == 0 {
-				t.Fatalf("cap forced no slice eviction/promotion (stats %+v); the regime under test did not engage", st)
+			if st.DiskSliceHits == 0 {
+				t.Fatalf("no slice was served from the spill store (stats %+v); the regime under test did not engage", st)
 			}
 			if st.Misses != uint64(st.Entries) || st.SliceRerecords != 0 {
 				t.Fatalf("stats %+v: a trace recorded more than once", st)
 			}
-			if st.BytesInUse > st.CapBytes {
-				t.Errorf("resident bytes %d exceed cap %d", st.BytesInUse, st.CapBytes)
+			if st.Slices != 0 || st.BytesInUse != 0 {
+				t.Errorf("%d slices (%d bytes) on the heap, want none: every slice committed", st.Slices, st.BytesInUse)
 			}
 		})
 	}

@@ -44,22 +44,21 @@ type Config struct {
 	// Cache, when non-nil, is the shared trace cache: every driver
 	// records (workload, input) traces through it, so one `-run all`
 	// invocation synthesizes each trace once instead of once per driver.
-	// The cache is slice-granular — its LRU cap evicts cold fixed-size
-	// slices of a trace rather than whole recordings, and evicted
-	// slices promote back from its trace store (Store, or a private
-	// spill store) on demand — so nil vs non-nil, any cap and any slice
-	// size are all byte-identical.
+	// The cache is slice-granular, and with a trace store (Store, or
+	// the private spill store a capped cache opens) it serves every
+	// stored slice from that store instead of the heap — so nil vs
+	// non-nil, any cap and any slice size are all byte-identical.
 	Cache *tracecache.Cache
 
 	// CacheSlice is the trace cache's slice granularity in instructions
 	// (0 = whole-trace entries, the pre-slice behaviour). Build Cache
 	// through NewCache so the configured geometry is the one the cache
-	// actually evicts and promotes at.
+	// actually records and serves at.
 	CacheSlice uint64
 
 	// Store, when non-nil, is the persistent on-disk tier beneath the
-	// trace cache (DESIGN.md §11): recordings stream into it, evicted
-	// slices promote back zero-copy, and a trace already stored
+	// trace cache (DESIGN.md §11): recordings stream into it, the cache
+	// serves stored slices from it zero-copy, and a trace already stored
 	// restores without recording at all — across process restarts.
 	// NewCache attaches it in place of the cache's private spill store;
 	// like the cache itself, attached vs not is byte-identical in every
@@ -68,8 +67,8 @@ type Config struct {
 
 	// CkptSlice is ignored: the cache has no checkpoint refills.
 	//
-	// Deprecated: an evicted slice comes back only from the trace
-	// store; nothing reads this field.
+	// Deprecated: a slice is served from the heap or the trace store
+	// only; nothing reads this field.
 	CkptSlice uint64
 
 	// Deadline bounds one driver run end to end (0 = none). It is
@@ -82,10 +81,10 @@ type Config struct {
 	Deadline time.Duration
 }
 
-// NewCache constructs the shared trace cache for this configuration:
-// at most maxBytes of resident instruction data (<= 0 unbounded),
-// evicted and promoted at CacheSlice granularity, persisted through
-// Store when one is configured. Callers assign the result to Cache and
+// NewCache constructs the shared trace cache for this configuration at
+// CacheSlice granularity, persisted through Store when one is
+// configured; otherwise maxBytes > 0 makes it spill to a private store
+// and maxBytes <= 0 keeps every slice on the heap. Callers assign the result to Cache and
 // Close it once every run using it is done.
 func (c Config) NewCache(maxBytes int64) *tracecache.Cache {
 	cache := tracecache.NewSliced(maxBytes, c.CacheSlice)
@@ -101,8 +100,8 @@ func (c Config) Pool() *engine.Pool { return engine.New(c.Workers) }
 // record through this so concurrent work units requesting the same trace
 // coalesce onto a single recording. The returned trace replays
 // identically whether it is a plain buffer (nil cache: the slices
-// recorded and joined) or a cache view promoting evicted slices from
-// its trace store on demand.
+// recorded and joined) or a cache view serving slices from the heap or
+// its trace store.
 // ctx bounds the recording: a cancelled or expired run returns a typed
 // error — a truncated trace is never returned.
 func (c Config) RecordTrace(ctx context.Context, s *workload.Spec, input int) (trace.Replayable, error) {

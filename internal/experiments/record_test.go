@@ -43,7 +43,7 @@ func TestRecordTraceNilCacheByteIdentical(t *testing.T) {
 // store warm-serves a fresh cache with zero recordings; a stored slice
 // that fails verification makes the cache re-record the trace once,
 // still byte-identical to an uncached recording, and the re-record
-// rewrites the file so the next cache promotes every slice again.
+// rewrites the file so the next cache serves every slice from the store again.
 func TestStoreHealsDamagedQuickTrace(t *testing.T) {
 	const sliceLen = 1 << 16
 	ctx := context.Background()
@@ -112,7 +112,7 @@ func TestStoreHealsDamagedQuickTrace(t *testing.T) {
 		t.Fatalf("warm run over a damaged slice: %+v, want 0 recordings, 1 reject, 1 re-record", cs)
 	}
 	if cs := run(); cs.SliceRerecords != 0 || cs.DiskRejects != 0 || cs.DiskSliceHits != uint64(len(slices)) {
-		t.Fatalf("warm run after the heal: %+v, want every slice promoted", cs)
+		t.Fatalf("warm run after the heal: %+v, want every slice served from the store", cs)
 	}
 }
 

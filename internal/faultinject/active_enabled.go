@@ -48,7 +48,7 @@ func Activate(seed uint64) error {
 		p.points[pt] = &pointState{
 			armed:   (h>>5)%2 == 0,
 			trigger: 1 + h%32,
-			chaotic: pt == CacheEvict || pt == StoreCorrupt,
+			chaotic: pt == StoreCorrupt,
 		}
 	}
 	active.Store(p)

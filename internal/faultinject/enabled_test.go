@@ -104,7 +104,7 @@ func TestChaosStaysOnAfterTrigger(t *testing.T) {
 		}
 		on := false
 		for i := 0; i < 64; i++ {
-			got := faultinject.Chaos(faultinject.CacheEvict)
+			got := faultinject.Chaos(faultinject.StoreCorrupt)
 			if on && !got {
 				t.Fatalf("seed %d: chaos turned off after firing (hit %d)", s, i+1)
 			}
@@ -114,7 +114,7 @@ func TestChaosStaysOnAfterTrigger(t *testing.T) {
 			return // found at least one arming seed; contract verified
 		}
 	}
-	t.Fatal("no seed in [0,256) arms tracecache/evict")
+	t.Fatal("no seed in [0,256) arms tracestore/corrupt")
 }
 
 // TestChaosPointNeverFails and vice versa: the two hook classes are
@@ -126,8 +126,8 @@ func TestHookClassesAreDisjoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 64; i++ {
-			if err := faultinject.Fail(faultinject.CacheEvict); err != nil {
-				t.Fatalf("seed %d: Fail fired on chaos point CacheEvict: %v", s, err)
+			if err := faultinject.Fail(faultinject.StoreCorrupt); err != nil {
+				t.Fatalf("seed %d: Fail fired on chaos point StoreCorrupt: %v", s, err)
 			}
 			if faultinject.Chaos(faultinject.CacheRecord) {
 				t.Fatalf("seed %d: Chaos fired on fail point CacheRecord", s)

@@ -8,7 +8,7 @@
 //     failure at this site; the caller propagates it exactly like a real
 //     error from the guarded operation.
 //   - Chaos(point) reports that the plan injects a behaviour-preserving
-//     stress at this site (e.g. evict every cached slice); the caller
+//     stress at this site (e.g. corrupt a stored file); the caller
 //     takes the stressed path, which must stay byte-identical.
 //
 // In the default build ("!faultinject") both hooks are constant no-ops
@@ -44,10 +44,6 @@ const (
 	// (tracecache.Cache.RecordCtx): the typed error propagates to every
 	// coalesced waiter and the entry is withdrawn.
 	CacheRecord Point = "tracecache/record"
-	// CacheEvict is a chaos point: it evicts every stored resident
-	// slice regardless of the configured cap (tracecache evictLocked),
-	// forcing later replays through store promotion.
-	CacheEvict Point = "tracecache/evict"
 	// StoreWrite fails a persistent-store slice or header write
 	// (tracestore.Store): the write is dropped, the store stays
 	// consistent, and the content simply remains re-recordable.
@@ -65,7 +61,7 @@ const (
 
 // Points returns every registered fault point.
 func Points() []Point {
-	return []Point{EngineDispatch, CacheRecord, CacheEvict, StoreWrite, StoreRead, StoreCorrupt}
+	return []Point{EngineDispatch, CacheRecord, StoreWrite, StoreRead, StoreCorrupt}
 }
 
 // EnvSeed is the environment variable ActivateFromEnv reads: a decimal

@@ -30,7 +30,6 @@ func TestPointsCoverDocumentedCatalog(t *testing.T) {
 	want := map[faultinject.Point]bool{
 		faultinject.EngineDispatch: true,
 		faultinject.CacheRecord:    true,
-		faultinject.CacheEvict:     true,
 		faultinject.StoreWrite:     true,
 		faultinject.StoreRead:      true,
 		faultinject.StoreCorrupt:   true,

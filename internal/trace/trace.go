@@ -133,8 +133,8 @@ func StreamErr(s any) error {
 // Replayable is a materialized trace servable any number of times: the
 // contract between the trace cache and every measurement driver. A
 // *Buffer is the contiguous implementation; the slice-granular trace
-// cache serves a view that promotes evicted slices from its trace
-// store on demand.
+// cache serves a view whose slices come from the heap or its trace
+// store.
 // Replays of one Replayable are always byte-identical to each other —
 // implementations may differ in residency, never in content. Residency
 // includes the disk tier: a cache-served view may hand out blocks

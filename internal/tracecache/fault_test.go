@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -14,13 +13,17 @@ import (
 )
 
 // findFailSeed returns a seed arming pt as a Fail point with a trigger
-// no later than maxTrigger invocations, plus that trigger count.
-func findFailSeed(t *testing.T, pt faultinject.Point, maxTrigger uint64) (seed, trigger uint64) {
+// no later than maxTrigger invocations, plus that trigger count. None of
+// quiet ever fires under that seed.
+func findFailSeed(t *testing.T, pt faultinject.Point, maxTrigger uint64, quiet ...faultinject.Point) (seed, trigger uint64) {
 	t.Helper()
 	defer faultinject.Deactivate()
 	for s := uint64(0); s < 4096; s++ {
 		if err := faultinject.Activate(s); err != nil {
 			t.Fatal(err)
+		}
+		if anyFires(quiet) {
+			continue
 		}
 		for i := uint64(1); i <= maxTrigger; i++ {
 			if faultinject.Fail(pt) != nil {
@@ -41,7 +44,7 @@ func findChaosSeed(t *testing.T, pt faultinject.Point, quiet ...faultinject.Poin
 		if err := faultinject.Activate(s); err != nil {
 			t.Fatal(err)
 		}
-		if faultinject.Chaos(pt) && !anyChaos(quiet) {
+		if faultinject.Chaos(pt) && !anyFires(quiet) {
 			return s
 		}
 	}
@@ -49,12 +52,12 @@ func findChaosSeed(t *testing.T, pt faultinject.Point, quiet ...faultinject.Poin
 	return 0
 }
 
-// anyChaos reports whether any of pts turns on within its largest
-// possible trigger.
-func anyChaos(pts []faultinject.Point) bool {
+// anyFires reports whether any of pts fails or turns on within its
+// largest possible trigger.
+func anyFires(pts []faultinject.Point) bool {
 	for _, p := range pts {
 		for i := 0; i < 64; i++ {
-			if faultinject.Chaos(p) {
+			if faultinject.Fail(p) != nil || faultinject.Chaos(p) {
 				return true
 			}
 		}
@@ -133,44 +136,38 @@ func TestCacheRecordFaultPropagatesToWaiters(t *testing.T) {
 	checkIdentity(t, drain(t, v))
 }
 
-// TestCacheEvictChaosByteIdentical: the eviction chaos point drops
-// every stored resident slice on each eviction pass. A capped cache
-// with no store spills to its private store, so replays stay
-// byte-identical through store promotion: every trace records once and
-// nothing re-records. Close removes the spill directory.
-func TestCacheEvictChaosByteIdentical(t *testing.T) {
-	seed := findChaosSeed(t, faultinject.CacheEvict, faultinject.StoreCorrupt)
+// TestFailedCommitStaysOnHeap: a slice whose store file fails to
+// commit (an injected StoreWrite fault) is the one slice a capped cache
+// keeps on the heap. The replay is byte-identical and re-records
+// nothing: the heap serves that slice, the spill store the others.
+func TestFailedCommitStaysOnHeap(t *testing.T) {
+	const slices = 8
+	seed, trigger := findFailSeed(t, faultinject.StoreWrite, slices,
+		faultinject.StoreRead, faultinject.StoreCorrupt, faultinject.CacheRecord)
 	defer leakCheck(t)()
 	if err := faultinject.Activate(seed); err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Deactivate()
 
-	c := NewSliced(1<<20, 10) // capped, no store attached
-	srcs := []*source{{n: 100}, {n: 55}, {n: 10}}
-	for pass := 0; pass < 2; pass++ {
-		for i, src := range srcs {
-			v := record(t, c, fmt.Sprintf("w%d", i), 0, uint64(src.n), src.Source())
-			checkIdentity(t, drain(t, v))
+	c := newCapped(t, 1, 10) // capped, no store attached: spills
+	src := &source{n: 10 * slices}
+	v := record(t, c, "w", 0, 10*slices, src.Source())
+	// Each slice opens one store write, in slice order, so the
+	// trigger-th write is slice trigger-1's.
+	for i, onHeap := range heapSlices(c, v) {
+		if want := i == int(trigger-1); onHeap != want {
+			t.Fatalf("slice %d on the heap = %v, want %v (the write fault hit slice %d)", i, onHeap, want, trigger-1)
 		}
+	}
+	for pass := 1; pass <= 2; pass++ {
+		checkIdentity(t, drain(t, v))
 	}
 	st := c.Stats()
-	if st.SliceEvictions == 0 || st.DiskSliceHits == 0 {
-		t.Fatalf("stats = %+v: chaos never evicted and promoted a slice", st)
+	if st.Slices != 1 || st.BytesInUse != 10*instBytes || st.SliceHits != 2 || st.DiskSliceHits != 2*(slices-1) {
+		t.Fatalf("stats = %+v, want the failed slice on the heap (2 heap hits) and %d store hits", st, 2*(slices-1))
 	}
-	if st.Misses != uint64(len(srcs)) || st.SliceRerecords != 0 {
-		t.Fatalf("stats = %+v, want %d misses and no re-record", st, len(srcs))
-	}
-	for i, src := range srcs {
-		if src.records.Load() != 1 {
-			t.Fatalf("trace %d recorded %d times, want 1", i, src.records.Load())
-		}
-	}
-	dir := c.spill.Dir()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatalf("Close left the spill directory %s (stat: %v)", dir, err)
+	if st.SliceRerecords != 0 || src.records.Load() != 1 {
+		t.Fatalf("stats = %+v, %d recordings; want one recording and no re-record", st, src.records.Load())
 	}
 }

@@ -12,13 +12,12 @@ import (
 )
 
 // sliceFileBytes is one stored slice file's size: the 64-byte slice
-// header plus the payload. A promoted slice pins its whole file, so the
-// store counts a little more resident than the cache counts in use.
+// header plus the payload. A pinned slice pins its whole file.
 func sliceFileBytes(insts int) int64 { return 64 + int64(insts)*instBytes }
 
 // warmStore records an n-instruction trace of sliceLen-instruction
 // slices through a store in dir and closes it, so a fresh cache over
-// the directory promotes every slice from disk.
+// the directory serves every slice from disk.
 func warmStore(t *testing.T, dir string, n int, sliceLen uint64) {
 	t.Helper()
 	st, err := tracestore.Open(dir, 0)
@@ -53,16 +52,14 @@ func waitResident(t *testing.T, st *tracestore.Store, want int64) {
 
 // TestStreamsReleasePinsWithinCap: concurrent whole-slice and 7-inst
 // block streams over one capped, store-served trace each hold their own
-// reference to the slice they read; once every stream has ended only
-// the RAM tier's resident slices are still pinned, so the store's
-// resident bytes are within the cache cap.
+// reference to the slice they read; the cache holds none, so once every
+// stream has ended nothing is pinned and the store's resident bytes are
+// back to zero.
 func TestStreamsReleasePinsWithinCap(t *testing.T) {
 	const n, sliceLen = 256, 16
 	dir := t.TempDir()
 	warmStore(t, dir, n, sliceLen)
-	// Room for two resident slices and their file headers, not three.
-	capBytes := 2*sliceFileBytes(sliceLen) + 100
-	c, st := withStore(t, dir, capBytes, sliceLen)
+	c, st := withStore(t, dir, 2*sliceFileBytes(sliceLen), sliceLen)
 	v := record(t, c, "w", 0, n, (&source{n: n}).Source())
 
 	var wg sync.WaitGroup
@@ -105,19 +102,14 @@ func TestStreamsReleasePinsWithinCap(t *testing.T) {
 	}
 
 	cs, ss := c.Stats(), st.Stats()
-	if cs.DiskSliceHits == 0 || cs.SliceEvictions == 0 || cs.Misses != 0 {
-		t.Fatalf("cache stats = %+v, want store promotions and evictions, no recording", cs)
+	if cs.DiskSliceHits != 8*4*n/sliceLen || cs.Slices != 0 || cs.Misses != 0 {
+		t.Fatalf("cache stats = %+v, want every slice pin served by the store, none on the heap, no recording", cs)
 	}
-	if want := int64(cs.Slices) * sliceFileBytes(sliceLen); ss.BytesResident != want {
-		t.Fatalf("store resident = %d with %d RAM-resident slices, want %d (streams must have unpinned)",
-			ss.BytesResident, cs.Slices, want)
+	if ss.BytesResident != 0 {
+		t.Fatalf("store resident = %d once every stream ended, want 0 (streams must have unpinned)", ss.BytesResident)
 	}
-	if ss.BytesResident > capBytes {
-		t.Fatalf("store resident = %d, above the %d-byte cache cap", ss.BytesResident, capBytes)
-	}
-	if ss.PeakResident <= ss.BytesResident {
-		t.Fatalf("peak resident %d not above the settled %d: streams held no references of their own",
-			ss.PeakResident, ss.BytesResident)
+	if ss.PeakResident == 0 {
+		t.Fatal("peak resident 0: streams held no references of their own")
 	}
 }
 
@@ -128,9 +120,9 @@ func TestAbandonedStreamReleasedByCleanup(t *testing.T) {
 	const n, sliceLen = 64, 16
 	dir := t.TempDir()
 	warmStore(t, dir, n, sliceLen)
-	// A one-byte cap evicts every promoted slice at once, so the
-	// stream's reference is the only one.
-	c, st := withStore(t, dir, 1, sliceLen)
+	// The cache holds no pin of its own, so the stream's reference is
+	// the only one.
+	c, st := withStore(t, dir, 0, sliceLen)
 	v := record(t, c, "w", 0, n, (&source{n: n}).Source())
 
 	func() {
@@ -146,28 +138,29 @@ func TestAbandonedStreamReleasedByCleanup(t *testing.T) {
 	runtime.KeepAlive(v)
 }
 
-// TestDroppedCacheReleasesResidentPins: a collected cache's resident
-// promoted slices release their store references, so a store that
-// outlives its caches keeps no pages resident for them.
-func TestDroppedCacheReleasesResidentPins(t *testing.T) {
+// TestUncappedStoreCacheHoldsNoPins: an uncapped cache with a store
+// also serves every committed slice from it, cold and warm, so once its
+// replays end the store keeps no pages resident while the cache lives.
+func TestUncappedStoreCacheHoldsNoPins(t *testing.T) {
 	const n, sliceLen = 64, 16
-	dir := t.TempDir()
-	warmStore(t, dir, n, sliceLen)
-	st, err := tracestore.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-
-	func() {
-		c := NewSliced(0, sliceLen) // unbounded: every promoted slice stays resident
-		c.SetStore(st)
-		checkIdentity(t, drain(t, record(t, c, "w", 0, n, (&source{n: n}).Source())))
-		if got, want := st.Stats().BytesResident, 4*sliceFileBytes(sliceLen); got != want {
-			t.Fatalf("resident with every slice in the RAM tier = %d, want %d", got, want)
+	for _, warm := range []bool{false, true} {
+		dir := t.TempDir()
+		if warm {
+			warmStore(t, dir, n, sliceLen)
 		}
-	}()
-	waitResident(t, st, 0)
+		c, st := withStore(t, dir, 0, sliceLen)
+		src := &source{n: n}
+		v := record(t, c, "w", 0, n, src.Source())
+		checkIdentity(t, drain(t, v))
+		cs := c.Stats()
+		if cs.Slices != 0 || cs.BytesInUse != 0 || cs.DiskSliceHits != 4 || cs.SliceHits != 0 {
+			t.Fatalf("warm=%v: cache stats = %+v, want 4 store hits and nothing on the heap", warm, cs)
+		}
+		if got := st.Stats().BytesResident; got != 0 {
+			t.Fatalf("warm=%v: store resident = %d with the cache alive and no stream open, want 0", warm, got)
+		}
+		runtime.KeepAlive(c)
+	}
 }
 
 // TestViewStreamPinsOncePerSlice: a stream pins each slice once, on

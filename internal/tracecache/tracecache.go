@@ -15,31 +15,28 @@
 // uncached runs.
 //
 // Storage is slice-granular: a cached trace is a small header plus
-// fixed-size slice entries, each an independently owned (and therefore
-// independently evictable and garbage-collectable) instruction array.
-// RecordCtx returns a trace.Replayable view that serves zero-copy
-// instruction blocks from resident slices; the LRU memory cap evicts
-// cold slices, not whole recordings, so the cache's memory bound is the
-// union of the drivers' live slice working sets instead of N whole
-// traces.
+// fixed-size slices. RecordCtx returns a trace.Replayable view whose
+// streams serve zero-copy instruction blocks one slice at a time.
 //
-// An evicted slice has one way back: promotion from the trace store
-// beneath the cache (DESIGN.md §5, §11), a checksum-verified zero-copy
-// mapping of the bytes the recording streamed to disk while it
-// recorded. Only slices whose store file is committed enter the LRU, so
-// every evicted slice can be promoted. A capped cache with no store
-// attached opens a private, uncapped spill store under os.TempDir() the
-// first time it records, and Close removes it. A stored slice that is missing or
-// rejected makes the cache re-record the whole trace through
-// Source.Record, which heals the store; sharing, eviction and the disk
-// tier stay byte-invisible to every driver.
+// One rule decides where a slice lives (DESIGN.md §5, §11). A cache
+// without a store keeps every slice on the heap. A cache with a store
+// keeps on the heap only the slices whose store file failed to commit;
+// every committed slice is served from the store as a checksum-verified
+// zero-copy mapping of the bytes the recording streamed to disk while
+// it recorded, and each stream holds its own pin on the slice it reads.
+// The kernel's page cache is then the RAM tier: resident memory follows
+// the live pins. A capped cache with no store attached opens a private,
+// uncapped spill store under os.TempDir() the first time it records,
+// and Close removes it; the cap selects that mode and bounds nothing
+// else. A stored slice that is missing or rejected makes the cache
+// re-record the whole trace through Source.Record, which heals the
+// store; sharing and the disk tier stay byte-invisible to every driver.
 //
 // Counters are exposed as report-friendly Stats for the CLIs to print
 // to stderr (WriteStats, behind the shared -cachestats flag).
 package tracecache
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"flag"
@@ -70,8 +67,8 @@ const instBytes = int64(unsafe.Sizeof(trace.Inst{}))
 
 // DefaultSliceInsts is the default slice granularity in instructions
 // (~10 MiB of records): large enough that per-slice bookkeeping and
-// store files amortize to nothing, small enough that eviction tracks a
-// driver's slice-shaped working set instead of whole traces.
+// store files amortize to nothing, small enough that a stream's pin
+// tracks a driver's slice-shaped working set instead of whole traces.
 const DefaultSliceInsts = 1 << 18
 
 // Source materializes one deterministic trace for the cache.
@@ -105,15 +102,18 @@ type key struct {
 
 // entry is the header of one cached (or in-flight) recording: identity,
 // recorded extent, and the slice table. Headers are a few dozen bytes
-// and live for the cache lifetime; only slice arrays are evictable.
+// and live for the cache lifetime.
 type entry struct {
 	key      key
 	total    uint64 // instructions actually recorded (== key.budget unless the payload ended early)
 	sliceLen uint64 // slice granularity of this entry (== key.budget when whole-trace)
-	slices   []*sliceEnt
+	// heap holds, per slice, its heap-resident array; a nil element is
+	// served from the store. heap is nil until the recording (or the
+	// warm restore) completes.
+	heap [][]trace.Inst
 	// Persistent-store identity: store is non-nil when the cache had a
 	// store (attached or private) at recording time. The recording
-	// streams into it and evicted slices promote back from it. Captured
+	// streams into it and committed slices are served from it. Captured
 	// per entry: views must keep serving through the same store even if
 	// the cache detaches it later.
 	skey  tracestore.Key
@@ -124,7 +124,7 @@ type entry struct {
 	src   Source
 	rerec chan struct{}
 	heals int
-	ready chan struct{} // closed when slices/total (or err) are set
+	ready chan struct{} // closed when heap/total (or err) are set
 	// err is the leader's terminal failure, set before ready closes. A
 	// cancellation-class err means the leader's caller went away and a
 	// surviving waiter should take over the recording (hand-off); any
@@ -172,38 +172,6 @@ func (e *entry) record(ctx context.Context) ([][]trace.Inst, []bool, error) {
 	return arrs, fill.finish(arrs), nil
 }
 
-// sliceEnt is one independently accounted slice of a cached trace.
-// insts == nil means evicted; ready != nil means a promotion is in
-// flight on another goroutine. Only a slice whose store file committed
-// is in the LRU, so only such a slice is ever evicted.
-type sliceEnt struct {
-	e     *entry
-	idx   int
-	insts []trace.Inst
-	bytes int64
-	elem  *list.Element // LRU position; nil while evicted or in flight
-	ready chan struct{}
-	// pin is the RAM tier's store reference when insts is a
-	// disk-promoted mmap view; eviction unpins it. Streams reading the
-	// slice hold references of their own, so eviction never pulls bytes
-	// from under a replay.
-	pin *tracestore.Pin
-}
-
-// heldPins is the set of store pins the RAM tier holds for its resident
-// promoted slices (under Cache.mu). It lives apart from the Cache so
-// that a cleanup can release the pins once the cache is collected
-// without keeping the cache reachable; by then no other goroutine can
-// reach the set.
-type heldPins map[*tracestore.Pin]struct{}
-
-// release unpins every held pin: the cleanup of a collected cache.
-func (h heldPins) release() {
-	for p := range h {
-		p.Unpin()
-	}
-}
-
 // memoEntry is one cached (or in-flight) derived result (see Memo).
 type memoEntry struct {
 	val   any
@@ -220,20 +188,22 @@ type Stats struct {
 	Coalesced uint64 // blocked on another goroutine's in-flight recording
 	Misses    uint64 // initiated a full recording (== recordings performed)
 
-	SliceHits      uint64 // slice ranges served from resident arrays (the RAM tier)
+	SliceHits      uint64 // slices served from heap-resident arrays
 	SliceRerecords uint64 // whole-trace re-records after a stored slice was missing or rejected
-	SliceEvictions uint64 // slices dropped by the LRU memory cap
+	// Deprecated: always 0. The cache evicts nothing: a cache with a
+	// store serves committed slices from it, one without keeps them all.
+	SliceEvictions uint64
 
 	// Disk tier (zero unless a store is attached or the cache spilled;
 	// the store's own Stats carry the write/reject detail).
 	DiskHeaderHits uint64 // recordings avoided entirely: header restored from the store
-	DiskSliceHits  uint64 // evicted slices promoted from the store
+	DiskSliceHits  uint64 // slices served from the store
 	DiskRejects    uint64 // stored files that failed verification and fell back to re-record
 
 	Entries    int   // trace headers resident (completed recordings)
-	Slices     int   // slice arrays currently resident
-	BytesInUse int64 // resident instruction bytes across all slices
-	CapBytes   int64 // configured cap (0 = unbounded)
+	Slices     int   // heap-resident slice arrays
+	BytesInUse int64 // instruction bytes across the heap-resident slices
+	CapBytes   int64 // configured cap (0 = unbounded); a cap only selects the spill store
 
 	MemoHits   uint64 // derived results served from memory (incl. coalesced)
 	MemoMisses uint64 // derived results computed
@@ -245,7 +215,7 @@ type Stats struct {
 func (s Stats) Table() *report.Table {
 	t := report.NewTable("trace cache",
 		"hits", "coalesced", "misses",
-		"slice hits", "re-records", "evictions",
+		"slice hits", "re-records",
 		"disk hdrs", "disk hits", "disk rejects",
 		"traces", "slices", "MiB in use", "MiB cap",
 		"memo hits", "memo misses", "pass hits", "pass misses")
@@ -259,7 +229,6 @@ func (s Stats) Table() *report.Table {
 		fmt.Sprintf("%d", s.Misses),
 		fmt.Sprintf("%d", s.SliceHits),
 		fmt.Sprintf("%d", s.SliceRerecords),
-		fmt.Sprintf("%d", s.SliceEvictions),
 		fmt.Sprintf("%d", s.DiskHeaderHits),
 		fmt.Sprintf("%d", s.DiskSliceHits),
 		fmt.Sprintf("%d", s.DiskRejects),
@@ -276,9 +245,9 @@ func (s Stats) Table() *report.Table {
 
 // String is a single-line rendering of the counters.
 func (s Stats) String() string {
-	return fmt.Sprintf("hits=%d coalesced=%d misses=%d slices=%d/%d sliceops=%d/%d/%d disk=%d/%d/%d bytes=%d memo=%d/%d pass=%d/%d",
+	return fmt.Sprintf("hits=%d coalesced=%d misses=%d slices=%d/%d sliceops=%d/%d disk=%d/%d/%d bytes=%d memo=%d/%d pass=%d/%d",
 		s.Hits, s.Coalesced, s.Misses, s.Slices, s.Entries,
-		s.SliceHits, s.SliceRerecords, s.SliceEvictions,
+		s.SliceHits, s.SliceRerecords,
 		s.DiskHeaderHits, s.DiskSliceHits, s.DiskRejects, s.BytesInUse,
 		s.MemoHits, s.MemoHits+s.MemoMisses,
 		s.PassHits, s.PassHits+s.PassMisses)
@@ -316,49 +285,43 @@ type Cache struct {
 	mu         sync.Mutex
 	maxBytes   int64
 	sliceInsts uint64
-	store      *tracestore.Store // disk tier (attached or spill), or nil (RAM-only)
+	store      *tracestore.Store // disk tier (attached or spill), or nil (heap only)
 	spill      *tracestore.Store // the private spill store, once opened
-	bytes      int64
+	bytes      int64             // instruction bytes of the heap-resident slices
 	entries    map[key]*entry
 	memos      map[string]*memoEntry
-	lru        list.List // front = least recently used slice
-	held       heldPins  // store pins of resident promoted slices
 	stats      Stats
 }
 
-// New returns a cache holding at most maxBytes of recorded trace data
-// (the instruction arrays; bookkeeping overhead is not counted), with
-// the default slice granularity. maxBytes <= 0 means unbounded.
+// New returns a cache with the default slice granularity. maxBytes > 0
+// makes a cache with no store attached spill every recording to a
+// private store and serve it from there (the kernel's page cache, not
+// maxBytes, then bounds what stays resident); maxBytes <= 0 keeps every
+// slice of such a cache on the heap.
 func New(maxBytes int64) *Cache {
 	return NewSliced(maxBytes, DefaultSliceInsts)
 }
 
 // NewSliced is New with an explicit slice granularity in instructions.
 // sliceInsts == 0 disables slice granularity: traces are cached as
-// single slices and evict whole.
+// single slices.
 func NewSliced(maxBytes int64, sliceInsts uint64) *Cache {
-	c := &Cache{
+	return &Cache{
 		maxBytes:   maxBytes,
 		sliceInsts: sliceInsts,
 		entries:    make(map[key]*entry),
 		memos:      make(map[string]*memoEntry),
-		held:       make(heldPins),
 	}
-	c.lru.Init()
-	// A dropped cache releases its resident slices' store pins, so their
-	// mappings' pages can go even if the store outlives the cache.
-	runtime.AddCleanup(c, heldPins.release, c.held)
-	return c
 }
 
 // SetStore attaches the persistent on-disk tier (DESIGN.md §11): new
-// recordings stream into s, evicted slices promote back from it
-// (checksum-verified, zero-copy), and a trace whose header s already
-// holds is restored without recording at all. An attached store takes
-// the place of the private spill store. Call before the first
-// RecordCtx — the store key is derived per entry at recording time —
-// and close s only after every replay served by this cache has
-// completed. nil detaches; a nil *Cache ignores the call.
+// recordings stream into s, every committed slice is served from it
+// (checksum-verified, zero-copy) instead of the heap, and a trace whose
+// header s already holds is restored without recording at all. An
+// attached store takes the place of the private spill store. Call
+// before the first RecordCtx — the store key is derived per entry at
+// recording time — and close s only after every replay served by this
+// cache has completed. nil detaches; a nil *Cache ignores the call.
 func (c *Cache) SetStore(s *tracestore.Store) {
 	if c == nil {
 		return
@@ -426,10 +389,10 @@ func canceledErr(ctx context.Context) error {
 // the slices it committed stay, a clean miss until the next recording
 // completes the trace.
 //
-// The returned view replays through resident slices zero-copy and
-// promotes evicted slices from the store, so replays are byte-identical
-// to an uncached recording under any cap. Concurrent calls for the same
-// key share one recording.
+// The returned view replays heap-resident slices zero-copy and pins the
+// others from the store, so replays are byte-identical to an uncached
+// recording under any cap. Concurrent calls for the same key share one
+// recording.
 //
 // A nil *Cache records with src.Record at DefaultSliceInsts and returns
 // the joined slices as one buffer.
@@ -474,7 +437,7 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 		if e == nil {
 			break
 		}
-		if e.slices != nil {
+		if e.heap != nil {
 			c.stats.Hits++
 			v := viewOf(c, e)
 			c.mu.Unlock()
@@ -498,7 +461,7 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 			c.mu.Unlock()
 			return nil, err
 		}
-		if e.slices != nil {
+		if e.heap != nil {
 			v := viewOf(c, e)
 			c.mu.Unlock()
 			return v, nil
@@ -540,8 +503,8 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 	}()
 
 	// Warm start: a persisted header for this exact content restores
-	// the entry with every slice "evicted" — no recording at all. Pins
-	// then promote slices from the store (checksum-verified); a stored
+	// the entry with every slice in the store — no recording at all.
+	// Streams then pin slices from it (checksum-verified); a stored
 	// slice that is missing or corrupt re-records the trace, so a stale
 	// or partial store degrades gracefully and never changes bytes.
 	if e.store != nil {
@@ -553,10 +516,7 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 			if total > 0 {
 				nslices = int((total + e.sliceLen - 1) / e.sliceLen)
 			}
-			e.slices = make([]*sliceEnt, nslices)
-			for i := range e.slices {
-				e.slices[i] = &sliceEnt{e: e, idx: i}
-			}
+			e.heap = make([][]trace.Inst, nslices)
 			close(e.ready)
 			c.stats.DiskHeaderHits++
 			if c.entries[k] == e {
@@ -596,17 +556,13 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 	}
 
 	c.mu.Lock()
-	e.slices = make([]*sliceEnt, len(arrs))
+	e.heap = make([][]trace.Inst, len(arrs))
 	for i, a := range arrs {
-		e.slices[i] = &sliceEnt{e: e, idx: i}
 		e.total += uint64(len(a))
+		c.keepLocked(e, i, a, committed)
 	}
 	close(e.ready)
-	for i, se := range e.slices {
-		c.installLocked(se, arrs[i], nil, i < len(committed) && committed[i])
-	}
 	c.stats.Entries++
-	c.evictLocked()
 	v := viewOf(c, e)
 	total := e.total
 	c.mu.Unlock()
@@ -619,25 +575,16 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 	return v, nil
 }
 
-// installLocked makes data slice se's resident array (caller holds mu).
-// pin is the RAM tier's store reference when data is a promoted
-// mapping; eviction unpins it. stored reports that the slice's store
-// file is committed, which is what lets the slice into the LRU: an
-// evicted slice must be promotable.
-func (c *Cache) installLocked(se *sliceEnt, data []trace.Inst, pin *tracestore.Pin, stored bool) {
-	// The entry owns the array (and pin, for a mapping) for the slice's
-	// resident lifetime.
-	se.insts = data
-	se.pin = pin
-	if pin != nil {
-		c.held[pin] = struct{}{}
+// keepLocked puts the recorded array a of slice i on e's heap unless
+// the store holds the slice: committed is, per slice, whether its store
+// file committed (nil without a store). Caller holds mu.
+func (c *Cache) keepLocked(e *entry, i int, a []trace.Inst, committed []bool) {
+	if e.heap[i] != nil || i < len(committed) && committed[i] {
+		return
 	}
-	se.bytes = int64(len(data)) * instBytes
-	c.bytes += se.bytes
+	e.heap[i] = a
+	c.bytes += int64(len(a)) * instBytes
 	c.stats.Slices++
-	if stored {
-		se.elem = c.lru.PushBack(se)
-	}
 }
 
 // storeFill streams one recording into the store: the recorder's sink
@@ -763,62 +710,38 @@ func (f *storeFill) abort() {
 	<-f.done
 }
 
-// pin returns slice si's instruction array, promoting it from the
-// store under per-slice singleflight if it was evicted, plus the
-// caller's own store reference when the array is a store mapping (nil
-// otherwise). The caller keeps the array alive independently of any
-// subsequent eviction — a heap array by holding it, a mapping by
-// holding the pin — and unpins once it is done with the array.
+// pin returns slice si's heap-resident array, or else the caller's own
+// store pin on the slice, which the caller unpins once it is done with
+// it. A stored slice that is missing or rejected re-records the trace
+// and returns the fresh array.
 func (c *Cache) pin(e *entry, si int) ([]trace.Inst, *tracestore.Pin) {
 	c.mu.Lock()
 	for {
-		se := e.slices[si]
-		if se.insts != nil {
+		if a := e.heap[si]; a != nil {
 			c.stats.SliceHits++
-			if se.elem != nil {
-				c.lru.MoveToBack(se.elem)
-			}
-			data, ref := se.insts, se.ref()
 			c.mu.Unlock()
-			return data, ref
+			return a, nil
 		}
-		// A promotion of this slice, or a re-record of the trace, is in
-		// flight on another goroutine: wait and retry (the slice may be
-		// evicted again before we wake).
-		ch := se.ready
-		if ch == nil {
-			ch = e.rerec
-		}
-		if ch != nil {
+		// A re-record of the trace is in flight on another goroutine:
+		// wait for it to heal the store, then retry.
+		if ch := e.rerec; ch != nil {
 			c.mu.Unlock()
 			<-ch
 			c.mu.Lock()
 			continue
 		}
 		heals := e.heals
-		se.ready = make(chan struct{})
 		c.mu.Unlock()
 
-		// Only a slice whose file committed is ever evicted, so the
-		// store has it unless something removed or damaged it since.
+		// Only a committed slice is off the heap, so the store has it
+		// unless something removed or damaged it since.
 		p, perr := e.store.PinSlice(e.skey, si, e.sliceSize(si))
 
 		c.mu.Lock()
-		close(se.ready)
-		se.ready = nil
 		if perr == nil {
-			// The RAM tier owns p: the slice is retained together with
-			// se.pin and unpinned at eviction (or when the cache is
-			// collected); the caller gets a reference of its own.
-			c.installLocked(se, p.PinnedInsts(), p, true)
 			c.stats.DiskSliceHits++
-			data, ref := se.insts, se.ref()
-			c.evictLocked()
 			c.mu.Unlock()
-			// Serving promoted slice contents to replays is the view
-			// contract; ref, the caller's own reference to the mapping,
-			// keeps it resident until the caller unpins it.
-			return data, ref
+			return nil, p
 		}
 		if errors.Is(perr, tracestore.ErrReject) {
 			c.stats.DiskRejects++
@@ -834,10 +757,10 @@ func (c *Cache) pin(e *entry, si int) ([]trace.Inst, *tracestore.Pin) {
 // file turned out missing or rejected, under one single flight per
 // entry, and returns slice si's fresh array (caller holds mu, which is
 // released on return). The recording streams into the store, healing
-// it: files already there are skipped, the missing ones written. Every
-// evicted slice becomes resident again from the fresh arrays, so one
-// re-record serves all the pins waiting on it, and the cap then evicts
-// the coldest.
+// it: files already there are skipped, the missing ones written. A
+// slice whose file still fails to commit stays on the heap, so the
+// pins waiting on the re-record are all served, from the store or the
+// heap.
 //
 // Re-records are context-free: a replay must be able to finish after
 // the recording context is gone. A re-record re-runs a payload whose
@@ -860,8 +783,8 @@ func (c *Cache) rerecordLocked(e *entry, si int) []trace.Inst {
 	}()
 	//lint:ignore ctxflow re-records are deliberately context-free: a replay must be able to regenerate bytes after the recording context is gone
 	arrs, committed, err := e.record(context.Background())
-	if err == nil && len(arrs) != len(e.slices) {
-		err = fmt.Errorf("%d slices, the recording had %d", len(arrs), len(e.slices))
+	if err == nil && len(arrs) != len(e.heap) {
+		err = fmt.Errorf("%d slices, the recording had %d", len(arrs), len(e.heap))
 	}
 	if err != nil {
 		//lint:ignore errcontract invariant: a re-record of an already-recorded deterministic payload never fails; engine.MapErr units and experiments.Runner.RunCtx recover the panic into a typed error
@@ -871,26 +794,14 @@ func (c *Cache) rerecordLocked(e *entry, si int) []trace.Inst {
 
 	c.mu.Lock()
 	c.stats.SliceRerecords++
-	for i, se := range e.slices {
-		if se.insts == nil && se.ready == nil {
-			c.installLocked(se, arrs[i], nil, i < len(committed) && committed[i])
-		}
+	for i, a := range arrs {
+		c.keepLocked(e, i, a, committed)
 	}
 	e.heals++
 	close(e.rerec)
 	e.rerec = nil
-	c.evictLocked()
 	c.mu.Unlock()
 	return arrs[si]
-}
-
-// ref returns a new store reference to se's mapping for a stream about
-// to read it, or nil when se is a heap array (caller holds mu).
-func (se *sliceEnt) ref() *tracestore.Pin {
-	if se.pin == nil {
-		return nil
-	}
-	return se.pin.Ref()
 }
 
 // Memo returns the value computed by fn for key, computing it at most
@@ -898,13 +809,12 @@ func (se *sliceEnt) ref() *tracestore.Pin {
 // the single computation. It memoizes derived analysis results (H2P
 // screenings, IPC cells) that are deterministic functions of cached
 // traces and configuration — results small enough that, unlike traces,
-// they are exempt from the LRU cap and never evicted. (The largest
-// memoized values are screening collectors, roughly 1% of the footprint
-// of the trace they summarize; retaining every one for an invocation is
-// deliberate and costs far less than a single extra trace.) Inputs
-// served from promoted or re-recorded slices are byte-identical to the
-// original recording, so a memo computed before an eviction is still
-// exact for every caller after it. Callers must treat returned values as
+// they always stay on the heap. (The largest memoized values are
+// screening collectors, roughly 1% of the footprint of the trace they
+// summarize; retaining every one for an invocation is deliberate and
+// costs far less than a single extra trace.) Inputs served from the
+// store or from re-recorded slices are byte-identical to the original
+// recording, so a memo is exact for every caller. Callers must treat returned values as
 // immutable: the same object is handed to every caller of the key. A
 // nil *Cache computes every call.
 func (c *Cache) Memo(key string, fn func() any) any {
@@ -918,7 +828,7 @@ func (c *Cache) Memo(key string, fn func() any) any {
 // computes from one trace, such as the timing model's cache/BTB
 // annotation (one byte per instruction) and its per-predictor
 // misprediction bitvectors (one bit per instruction). It shares Memo's
-// single flight, panic withdrawal and cap exemption, but counts in
+// single flight and panic withdrawal, but counts in
 // PassHits/PassMisses, so MemoHits+MemoMisses keeps counting cells.
 // Keys must not collide with Memo keys. A nil *Cache computes every
 // call.
@@ -982,47 +892,6 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// evictLocked enforces the memory cap, least-recently-used slice first
-// (caller holds mu). In-flight slices are never in the LRU list and so
-// are never evicted. Streams holding an evicted slice's array keep it
-// alive independently of the cache; eviction only drops the cache's
-// reference and its accounting.
-func (c *Cache) evictLocked() {
-	maxBytes := c.maxBytes
-	if faultinject.Chaos(faultinject.CacheEvict) {
-		// Chaos point: evict every stored resident slice regardless of
-		// the cap, forcing later replays through store promotion, which
-		// serves the recorded bytes, so artifacts stay byte-identical —
-		// that invariant is what the fault sweep asserts.
-		maxBytes = 1
-	}
-	if maxBytes <= 0 {
-		return
-	}
-	for c.bytes > maxBytes {
-		front := c.lru.Front()
-		if front == nil {
-			return
-		}
-		se := front.Value.(*sliceEnt)
-		c.lru.Remove(se.elem)
-		se.elem = nil
-		se.insts = nil
-		if se.pin != nil {
-			// Disk-promoted slice: demotion is free — the bytes are
-			// already on disk, so dropping the RAM tier's pin is the whole
-			// write-back (streams reading the slice hold their own).
-			delete(c.held, se.pin)
-			se.pin.Unpin()
-			se.pin = nil
-		}
-		c.bytes -= se.bytes
-		se.bytes = 0
-		c.stats.Slices--
-		c.stats.SliceEvictions++
-	}
-}
-
 // joinArrays concatenates per-slice arrays into one (zero-copy for the
 // single-array case) — the nil-cache path.
 func joinArrays(arrs [][]trace.Inst) []trace.Inst {
@@ -1041,7 +910,7 @@ func joinArrays(arrs [][]trace.Inst) []trace.Inst {
 }
 
 // viewOf serves the whole recording of e (caller holds mu, and e's
-// slices and total are set).
+// heap and total are set).
 func viewOf(c *Cache, e *entry) *view {
 	return &view{c: c, e: e}
 }
@@ -1066,7 +935,7 @@ func (v *view) BlockStream(n int) trace.BlockStream {
 	if n < 0 {
 		n = 0
 	}
-	return &viewStream{v: v, blockCap: n}
+	return &viewStream{v: v, blockCap: n, si: -1}
 }
 
 // viewStream reads a view in trace order. It implements
@@ -1078,12 +947,12 @@ type viewStream struct {
 	v        *view
 	pos      int // index of the next unserved instruction
 	blockCap int
-	si       int          // slice index of cur
-	cur      []trace.Inst // the slice array being read; nil before the first and after the last block
-	hold     *streamPin   // cur's store reference when cur is a mapping; nil until the first one
+	si       int          // slice index being read; -1 before the first and after the last block
+	heap     []trace.Inst // slice si's array when it is on the heap
+	hold     *streamPin   // slice si's store pin otherwise; nil until the first one
 }
 
-// streamPin is a stream's store reference to the promoted slice it is
+// streamPin is a stream's store reference to the stored slice it is
 // reading. It lives apart from the stream so that a cleanup can release
 // the reference of a stream abandoned mid-slice once the stream is
 // collected.
@@ -1108,32 +977,37 @@ func (s *viewStream) NextBlock() []trace.Inst {
 	e := s.v.e
 	g := uint64(s.pos)
 	si := int(g / e.sliceLen)
-	if s.cur == nil || si != s.si {
+	if si != s.si {
 		s.drop()
-		var ref *tracestore.Pin
-		s.cur, ref = s.v.c.pin(e, si)
+		var p *tracestore.Pin
+		s.heap, p = s.v.c.pin(e, si)
 		s.si = si
-		if ref != nil {
+		if p != nil {
 			if s.hold == nil {
 				s.hold = &streamPin{}
 				runtime.AddCleanup(s, (*streamPin).release, s.hold)
 			}
-			s.hold.p = ref
+			s.hold.p = p
 		}
 	}
+	cur := s.heap
+	if cur == nil {
+		cur = s.hold.p.PinnedInsts()
+	}
 	so := int(g - uint64(si)*e.sliceLen)
-	end := len(s.cur)
+	end := len(cur)
 	if s.blockCap > 0 && end-so > s.blockCap {
 		end = so + s.blockCap
 	}
-	blk := s.cur[so:end:end]
+	blk := cur[so:end:end]
 	s.pos += len(blk)
 	return blk
 }
 
 // drop lets go of the slice the stream was reading.
 func (s *viewStream) drop() {
-	s.cur = nil
+	s.si = -1
+	s.heap = nil
 	if s.hold != nil {
 		s.hold.release()
 	}

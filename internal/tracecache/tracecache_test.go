@@ -106,72 +106,70 @@ func checkIdentity(t *testing.T, vals []uint64) {
 	}
 }
 
+// heapSlices returns which of v's slices are heap-resident.
+func heapSlices(c *Cache, v trace.Replayable) []bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []bool
+	for _, a := range v.(*view).e.heap {
+		out = append(out, a != nil)
+	}
+	return out
+}
+
 // TestSliceEvictionAccounting pins the exactness of the slice-level
-// counters: resident bytes must equal the sum of resident slice arrays
-// at every observable point, and evictions must drop exactly the
-// least-recently-pinned slices.
+// counters of a capped cache: every committed slice lives in the store,
+// none on the heap, and each pin of a slice is one store hit.
 func TestSliceEvictionAccounting(t *testing.T) {
-	// 40-instruction trace in 10-instruction slices, cap = 2 slices.
+	// 40-instruction trace in 10-instruction slices.
 	c := newCapped(t, 2*10*instBytes, 10)
 	src := &source{n: 40}
 	v := record(t, c, "w", 0, 40, src.Source())
 	st := c.Stats()
-	if st.Slices != 2 || st.SliceEvictions != 2 {
-		t.Fatalf("after insert: %d slices resident, %d evicted; want 2 and 2", st.Slices, st.SliceEvictions)
-	}
-	if st.BytesInUse != 2*10*instBytes {
-		t.Fatalf("bytes in use %d, want %d", st.BytesInUse, 2*10*instBytes)
+	if st.Slices != 0 || st.BytesInUse != 0 {
+		t.Fatalf("after insert: %d slices, %d bytes on the heap; want none (every slice committed)", st.Slices, st.BytesInUse)
 	}
 	if st.Entries != 1 {
-		t.Fatalf("entries = %d, want 1 (headers survive slice eviction)", st.Entries)
+		t.Fatalf("entries = %d, want 1", st.Entries)
 	}
-	// Replay the whole view: evicted slices promote from the spill
-	// store, residency stays at the cap, and the content is
-	// byte-identical to the reference. A sequential scan through a cap
-	// half the trace thrashes: each promoted slice evicts the next one
-	// the scan will need, so all four slices promote and the scan
-	// leaves the last two resident.
-	checkIdentity(t, drain(t, v))
-	st = c.Stats()
-	if st.DiskSliceHits != 4 {
-		t.Fatalf("replay promoted %d slices, want 4 (LRU thrash on a sequential scan)", st.DiskSliceHits)
+	// Replay the whole view twice: every slice pin is served from the
+	// spill store, and the content is byte-identical to the reference.
+	for pass := 1; pass <= 2; pass++ {
+		checkIdentity(t, drain(t, v))
+		st = c.Stats()
+		if st.DiskSliceHits != uint64(4*pass) || st.SliceHits != 0 {
+			t.Fatalf("pass %d: %d store hits, %d heap hits; want %d and 0", pass, st.DiskSliceHits, st.SliceHits, 4*pass)
+		}
 	}
 	if st.SliceRerecords != 0 || src.records.Load() != 1 {
 		t.Fatalf("SliceRerecords = %d, recordings = %d; want 0 and 1", st.SliceRerecords, src.records.Load())
 	}
-	if st.BytesInUse != 2*10*instBytes || st.Slices != 2 {
-		t.Fatalf("after replay: bytes=%d slices=%d, want cap-resident 2 slices (%d bytes)",
-			st.BytesInUse, st.Slices, 2*10*instBytes)
+	if st.BytesInUse != 0 || st.Slices != 0 {
+		t.Fatalf("after replay: bytes=%d slices=%d, want nothing on the heap", st.BytesInUse, st.Slices)
 	}
-	if st.BytesInUse > c.maxBytes {
-		t.Fatalf("resident bytes %d exceed the cap %d", st.BytesInUse, c.maxBytes)
-	}
-	// The scan leaves the last two slices ([20,40)) resident and the
-	// first two evicted.
-	e := v.(*view).e
-	for i, se := range e.slices {
-		if resident := se.insts != nil; resident != (i >= 2) {
-			t.Fatalf("after replay: slice %d resident=%v, want the last two resident", i, resident)
+	for i, onHeap := range heapSlices(c, v) {
+		if onHeap {
+			t.Fatalf("after replay: slice %d is on the heap", i)
 		}
 	}
 }
 
-// TestEvictedSliceReRecordByteIdentity forces eviction at several slice
-// geometries and checks repeated full replays against the uncached
-// reference — the byte-invisibility contract. Evicted slices come back
-// from the spill store; the trace records once.
+// TestEvictedSliceReRecordByteIdentity serves a capped cache's slices
+// from its spill store at several slice geometries and checks repeated
+// full replays against the uncached reference — the byte-invisibility
+// contract. The trace records once.
 func TestEvictedSliceReRecordByteIdentity(t *testing.T) {
 	const n = 100
 	for _, sliceLen := range []uint64{1, 3, 7, 16, 64, 100, 1000} {
-		// Cap of one slice: every replay step evicts its predecessor.
 		c := newCapped(t, int64(min(sliceLen, n))*instBytes, sliceLen)
 		src := &source{n: n}
 		v := record(t, c, "w", 0, n, src.Source())
 		for pass := 0; pass < 2; pass++ {
 			checkIdentity(t, drain(t, v))
 		}
-		if st := c.Stats(); sliceLen < n && st.DiskSliceHits == 0 {
-			t.Fatalf("sliceLen=%d: no slice was ever promoted under a one-slice cap", sliceLen)
+		slices := (n + sliceLen - 1) / sliceLen
+		if st := c.Stats(); st.DiskSliceHits != 2*slices || st.Slices != 0 {
+			t.Fatalf("sliceLen=%d: %d store hits, %d heap slices; want %d and 0", sliceLen, st.DiskSliceHits, st.Slices, 2*slices)
 		}
 		if src.records.Load() != 1 {
 			t.Fatalf("sliceLen=%d: full recorder ran %d times, want 1", sliceLen, src.records.Load())
@@ -180,58 +178,25 @@ func TestEvictedSliceReRecordByteIdentity(t *testing.T) {
 }
 
 // TestWholeTraceGranularityZeroSlice: a cache built with slice
-// granularity 0 holds each trace as a single slice, evicts it whole and
-// promotes it whole from the spill store.
+// granularity 0 holds each trace as a single slice and serves it whole
+// from the spill store.
 func TestWholeTraceGranularityZeroSlice(t *testing.T) {
-	c := newCapped(t, 10*instBytes, 0) // cap smaller than the trace
+	c := newCapped(t, 10*instBytes, 0)
 	src := &source{n: 100}
 	v := record(t, c, "w", 0, 100, src.Source())
 	checkIdentity(t, drain(t, v))
 	if src.records.Load() != 1 {
 		t.Fatalf("records=%d, want 1", src.records.Load())
 	}
-	if st := c.Stats(); st.DiskSliceHits != 1 || st.SliceRerecords != 0 || st.SliceEvictions != 2 {
-		t.Fatalf("stats = %+v, want the one slice evicted twice and promoted once, no re-record", st)
-	}
-}
-
-func TestLRUEviction(t *testing.T) {
-	// Whole-trace slices (sliceLen >= budget), cap sized for two
-	// 100-instruction recordings: classic entry-level LRU.
-	c := newCapped(t, 2*100*instBytes, 100)
-	a := &source{n: 100}
-	b := &source{n: 100}
-	cc := &source{n: 100}
-	drain(t, record(t, c, "a", 0, 100, a.Source()))
-	drain(t, record(t, c, "b", 0, 100, b.Source()))
-	drain(t, record(t, c, "a", 0, 100, a.Source()))  // touch a: b is now LRU
-	drain(t, record(t, c, "c", 0, 100, cc.Source())) // evicts b
-	st := c.Stats()
-	if st.SliceEvictions != 1 || st.Slices != 2 {
-		t.Fatalf("stats = %+v, want 1 slice eviction and 2 resident slices", st)
-	}
-	if st.BytesInUse != 2*100*instBytes {
-		t.Fatalf("bytes in use %d, want %d", st.BytesInUse, 2*100*instBytes)
-	}
-	// a survived (recently pinned): replaying it promotes nothing.
-	drain(t, record(t, c, "a", 0, 100, a.Source()))
-	if st := c.Stats(); st.DiskSliceHits != 0 {
-		t.Fatalf("a was promoted (%d promotions); it should have survived", st.DiskSliceHits)
-	}
-	// b was evicted: replaying it promotes it from the spill store.
-	drain(t, record(t, c, "b", 0, 100, b.Source()))
-	if st := c.Stats(); st.DiskSliceHits != 1 {
-		t.Fatalf("b promoted %d times, want 1", st.DiskSliceHits)
-	}
-	if a.records.Load()+b.records.Load()+cc.records.Load() != 3 {
-		t.Fatal("a trace recorded more than once")
+	if st := c.Stats(); st.DiskSliceHits != 1 || st.SliceRerecords != 0 || st.Slices != 0 {
+		t.Fatalf("stats = %+v, want the one slice served once from the store, no re-record, none on the heap", st)
 	}
 }
 
 func TestCapSmallerThanOneTrace(t *testing.T) {
-	// A cache smaller than a single slice degrades to promoting the
-	// active slice every time — but still returns correct traces and
-	// its accounted residency stays at zero after each pin.
+	// A cap smaller than a single slice serves the slice from the store
+	// on every replay, returns correct traces and keeps nothing on the
+	// heap.
 	c := newCapped(t, 10*instBytes, 100)
 	src := &source{n: 100}
 	for i := 0; i < 3; i++ {
@@ -245,28 +210,29 @@ func TestCapSmallerThanOneTrace(t *testing.T) {
 		t.Fatalf("full recorder ran %d times, want 1", src.records.Load())
 	}
 	if st := c.Stats(); st.DiskSliceHits != 3 {
-		t.Fatalf("slice promoted %d times, want 3 (once per replay)", st.DiskSliceHits)
+		t.Fatalf("slice served %d times from the store, want 3 (once per replay)", st.DiskSliceHits)
 	}
 	if st := c.Stats(); st.Slices != 0 || st.BytesInUse != 0 {
-		t.Fatalf("stats = %+v, want no resident slices", st)
+		t.Fatalf("stats = %+v, want no heap slices", st)
 	}
 }
 
 // TestCappedResidencyBelowWholeTrace is the acceptance bound: replaying
-// a whole trace through a small cap keeps accounted residency below one
-// whole-trace footprint at every sample point.
+// a whole trace through a capped cache keeps no slice on the heap at
+// any sample point.
 func TestCappedResidencyBelowWholeTrace(t *testing.T) {
 	const n = 1000
-	cap := int64(3 * 100 * instBytes) // 3 of 10 slices
-	c := newCapped(t, cap, 100)
+	c := newCapped(t, 3*100*instBytes, 100)
 	src := &source{n: n}
 	v := record(t, c, "w", 0, n, src.Source())
-	whole := int64(n) * instBytes
 	bs := v.BlockStream(64)
 	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
-		if st := c.Stats(); st.BytesInUse > cap || st.BytesInUse >= whole {
-			t.Fatalf("residency %d bytes exceeds cap %d (whole trace %d)", st.BytesInUse, cap, whole)
+		if st := c.Stats(); st.BytesInUse != 0 {
+			t.Fatalf("%d bytes on the heap mid-replay, want 0", st.BytesInUse)
 		}
+	}
+	if st := c.Stats(); st.DiskSliceHits != 10 {
+		t.Fatalf("replay served %d slices from the store, want 10", st.DiskSliceHits)
 	}
 }
 
@@ -306,9 +272,9 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
-// TestConcurrentEvictedReplay hammers a one-slice-cap cache from many
-// goroutines: promotions coalesce per slice and every replay must be
-// byte-identical (run under -race).
+// TestConcurrentEvictedReplay hammers a capped cache from many
+// goroutines: every stream pins its slices from the spill store and
+// every replay must be byte-identical (run under -race).
 func TestConcurrentEvictedReplay(t *testing.T) {
 	c := newCapped(t, 16*instBytes, 16)
 	src := &source{n: 256}
@@ -366,8 +332,8 @@ func TestConcurrentMixedKeys(t *testing.T) {
 }
 
 // TestMemoFromRematerializedSlices: a memoized derived result computed
-// over slices re-materialized from the spill store must equal the same
-// computation over the uncached trace — promotion is byte-invisible to
+// over slices served from the spill store must equal the same
+// computation over the uncached trace — the store is byte-invisible to
 // Memo inputs — and subsequent calls must be memo hits.
 func TestMemoFromRematerializedSlices(t *testing.T) {
 	sum := func(tr trace.Replayable) uint64 {
@@ -379,7 +345,7 @@ func TestMemoFromRematerializedSlices(t *testing.T) {
 	}
 	want := sum(mkBuffer(100))
 
-	c := newCapped(t, 10*instBytes, 10) // one-slice cap: everything evicts
+	c := newCapped(t, 10*instBytes, 10) // capped: every slice is served from the store
 	src := &source{n: 100}
 	v := record(t, c, "w", 0, 100, src.Source())
 	var computes atomic.Int64
@@ -391,7 +357,7 @@ func TestMemoFromRematerializedSlices(t *testing.T) {
 		t.Fatalf("memo over re-materialized slices = %d, want %d", got, want)
 	}
 	if st := c.Stats(); st.DiskSliceHits == 0 {
-		t.Fatal("memo computation never touched a promoted slice; cap is not forcing eviction")
+		t.Fatal("memo computation never touched a store-served slice")
 	}
 	again := c.Memo("sum/w/0", func() any {
 		computes.Add(1)
@@ -611,7 +577,7 @@ func TestRerecordFailurePanicsTyped(t *testing.T) {
 		}
 		return inner.Record(ctx, sliceLen, sink)
 	}}
-	c := newCapped(t, 10*instBytes, 10) // one-slice cap: slice 0 is evicted after recording
+	c := newCapped(t, 10*instBytes, 10) // capped: every slice is served from the store
 	v := record(t, c, "rerecfail", 3, 100, src)
 	// Lose every stored slice, so the next pin must re-record.
 	files, _ := filepath.Glob(filepath.Join(c.spill.Dir(), "*", "s*"))

@@ -15,7 +15,7 @@ const mmapSupported = true
 // mapped read-only and shared, so the returned bytes alias the page
 // cache and cost no copy. The mapping stays valid until munmap — the
 // store holds every mapping until Close, which is what lets pinned
-// slices outlive RAM-tier eviction (DESIGN.md §11). Residency is
+// slices outlive disk-cap eviction of their files (DESIGN.md §11). Residency is
 // separate from validity: when a mapping's last pin goes, releasePages
 // drops its pages from the process (MADV_DONTNEED on Linux), and a
 // later read refaults the same bytes from the page cache — a shared

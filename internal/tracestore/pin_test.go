@@ -29,7 +29,7 @@ func residentOf(s *Store) (int64, int64) {
 	return st.BytesResident, st.PeakResident
 }
 
-// TestPinRefCounting: PinSlice and Ref each add a reference to the
+// TestPinRefCounting: each PinSlice adds a reference to the file's one
 // mapping, Unpin drops exactly one however often it is called, and the
 // mapping's bytes count resident while any reference is live.
 func TestPinRefCounting(t *testing.T) {
@@ -41,13 +41,15 @@ func TestPinRefCounting(t *testing.T) {
 	if got, _ := residentOf(s); got != size {
 		t.Fatalf("resident after PinSlice = %d, want %d", got, size)
 	}
-	q := p.Ref()
-	r, err := s.PinSlice(k, 0, 512) // a mapping-cache hit: a third reference
-	if err != nil {
-		t.Fatal(err)
+	var pins [2]*Pin
+	for i := range pins { // mapping-cache hits: a second and a third reference
+		if pins[i], err = s.PinSlice(k, 0, 512); err != nil {
+			t.Fatal(err)
+		}
 	}
+	q, r := pins[0], pins[1]
 	if m := s.maps[slicePath(s, k, 0)]; m == nil || m.refs != 3 {
-		t.Fatalf("mapping refs = %+v, want 3 (PinSlice, Ref, PinSlice)", m)
+		t.Fatalf("mapping refs = %+v, want 3 (three PinSlice calls)", m)
 	}
 	for _, pin := range []*Pin{p, q, r} {
 		if string(payloadBytes(pin.PinnedInsts())) != string(raws[0]) {
@@ -75,13 +77,7 @@ func TestPinRefCounting(t *testing.T) {
 		t.Fatal("the released mapping must stay cached, verified, with no references")
 	}
 
-	// Ref of an unpinned pin is unpinned; a released mapping serves the
-	// same bytes again on the next pin.
-	if dead := p.Ref(); dead.PinnedInsts() != nil {
-		t.Fatal("Ref of an unpinned pin serves instructions")
-	} else {
-		dead.Unpin()
-	}
+	// A released mapping serves the same bytes again on the next pin.
 	again, err := s.PinSlice(k, 0, 512)
 	if err != nil {
 		t.Fatal(err)
@@ -141,9 +137,10 @@ func TestPinSliceLostRace(t *testing.T) {
 	}
 }
 
-// TestConcurrentPinRefUnpin races first pins of fresh files, Refs and
-// Unpins; every reference must read the stored bytes, and the resident
-// count must return to zero (the -race companion to the counting test).
+// TestConcurrentPinRefUnpin races first pins of fresh files, second
+// pins of the same files and Unpins; every reference must read the
+// stored bytes, and the resident count must return to zero (the -race
+// companion to the counting test).
 func TestConcurrentPinRefUnpin(t *testing.T) {
 	s, k, raws, _ := pinFixture(t, 4, 1024)
 	var wg sync.WaitGroup
@@ -159,8 +156,12 @@ func TestConcurrentPinRefUnpin(t *testing.T) {
 					errs <- err.Error()
 					return
 				}
-				q := p.Ref()
+				q, err := s.PinSlice(k, idx, 1024)
 				p.Unpin()
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
 				if string(payloadBytes(q.PinnedInsts())) != string(raws[idx]) {
 					errs <- "a reference read the wrong bytes"
 				}
@@ -213,15 +214,18 @@ func TestResidentReturnsToZero(t *testing.T) {
 }
 
 // TestCloseWithLivePins: Close unmaps pinned mappings too and zeroes the
-// resident count; the live pins' later Unpin and Ref are no-ops that
-// leave the counts alone, and the reopened mapping counts afresh.
+// resident count; the live pins' later Unpin is a no-op that leaves the
+// counts alone, and the reopened mapping counts afresh.
 func TestCloseWithLivePins(t *testing.T) {
 	s, k, raws, size := pinFixture(t, 2, 128)
 	p, err := s.PinSlice(k, 0, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := p.Ref()
+	q, err := s.PinSlice(k, 0, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := s.PinSlice(k, 1, 128)
 	if err != nil {
 		t.Fatal(err)
@@ -231,9 +235,6 @@ func TestCloseWithLivePins(t *testing.T) {
 	}
 	if st := s.Stats(); st.BytesResident != 0 || st.BytesMapped != 0 {
 		t.Fatalf("after Close: resident %d, mapped %d; want 0, 0", st.BytesResident, st.BytesMapped)
-	}
-	if dead := q.Ref(); dead.PinnedInsts() != nil {
-		t.Fatal("Ref after Close serves instructions from an unmapped file")
 	}
 	p.Unpin()
 	q.Unpin()

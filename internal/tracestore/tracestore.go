@@ -1,5 +1,5 @@
 // Package tracestore is the persistent, content-addressed on-disk tier
-// beneath the RAM slice cache (DESIGN.md §11): recorded slices and a
+// beneath the slice cache (DESIGN.md §11): recorded slices and a
 // per-trace header holding the recorded extent land in a directory store
 // keyed by the content hash of what generated them, survive process
 // restarts, and are served back zero-copy via mmap into the replay
@@ -24,10 +24,10 @@
 //
 // Concurrency: all methods are safe for concurrent use. Mappings are
 // verified once, cached per slice file and held until Close, so a
-// pinned slice stays valid across both RAM-tier eviction and disk-tier
-// (cap) eviction of its backing file — an unlinked mapping remains
-// readable. Each Pin owns one reference to its mapping (PinSlice and
-// Pin.Ref add one, Unpin drops it); when the last reference goes, the
+// pinned slice stays valid across disk-tier (cap) eviction of its
+// backing file — an unlinked mapping remains readable. Each Pin owns
+// one reference to its mapping (PinSlice adds one, Unpin drops it);
+// when the last reference goes, the
 // store releases the mapping's pages to the kernel (madvise
 // MADV_DONTNEED) but keeps the mapping and its verification, so the
 // resident set follows the live pins while a later pin, or a stale
@@ -475,16 +475,22 @@ func (w *SliceWriter) Commit() error {
 		os.Remove(f.Name())
 		return w.fail(err)
 	}
-	if err := os.Rename(f.Name(), w.path); err != nil {
+	// The rename runs under mu, as rejectFile's check-and-remove does,
+	// so a reader rejecting the file this path named before cannot
+	// remove this one.
+	s := w.s
+	s.mu.Lock()
+	err := os.Rename(f.Name(), w.path)
+	if err == nil {
+		s.stats.SliceWrites++
+		s.dirBytes[w.name] += sliceHeaderSize + int64(w.count*instBytes)
+		s.evictLocked(w.name)
+	}
+	s.mu.Unlock()
+	if err != nil {
 		os.Remove(f.Name())
 		return w.fail(err)
 	}
-	s := w.s
-	s.mu.Lock()
-	s.stats.SliceWrites++
-	s.dirBytes[w.name] += sliceHeaderSize + int64(w.count*instBytes)
-	s.evictLocked(w.name)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -563,20 +569,6 @@ type Pin struct {
 // PinnedInsts returns the pinned instruction slice. Callers must not
 // retain it (or any subslice) past Unpin.
 func (p *Pin) PinnedInsts() []trace.Inst { return p.insts }
-
-// Ref returns a new pin holding its own reference to p's mapping, so
-// the two can be released independently. Ref of an unpinned pin
-// returns an unpinned pin.
-func (p *Pin) Ref() *Pin {
-	p.s.mu.Lock()
-	defer p.s.mu.Unlock()
-	if p.m == nil || p.m.raw == nil {
-		return &Pin{s: p.s} // unpinned, or its store closed
-	}
-	p.s.refLocked(p.m)
-	//lint:ignore storegate the pinned mapping passed verifySliceFile in PinSlice before p was handed out; the taint engine's aliasing over-approximation cannot see that
-	return &Pin{s: p.s, m: p.m, insts: p.insts}
-}
 
 // Unpin drops the pin's reference; the last reference to a mapping
 // releases its pages. Unpinning twice is a no-op, as is unpinning
@@ -669,7 +661,7 @@ func (s *Store) PinSlice(k Key, idx int, wantCount uint64) (*Pin, error) {
 		if mapped {
 			unmapFile(raw)
 		}
-		s.rejectFile(path, name, int64(len(raw)))
+		s.rejectFile(path, name, info)
 		return nil, err
 	}
 	m := s.adopt(path, name, &mapping{
@@ -701,15 +693,18 @@ func (s *Store) adopt(path, name string, m *mapping) *mapping {
 	return kept
 }
 
-// rejectFile deletes one untrustworthy slice file and counts the
-// reject; the rest of the trace directory stays (each file verifies
-// independently).
-func (s *Store) rejectFile(path, name string, size int64) {
-	os.Remove(path)
+// rejectFile deletes one untrustworthy slice file, the one info
+// describes, and counts the reject; the rest of the trace directory
+// stays (each file verifies independently). A path that no longer
+// names that file was healed by a writer since it was opened, and
+// stays.
+func (s *Store) rejectFile(path, name string, info os.FileInfo) {
 	s.mu.Lock()
+	cur, err := os.Stat(path)
+	removed := err == nil && os.SameFile(cur, info) && os.Remove(path) == nil
 	s.stats.Rejects++
-	if b, ok := s.dirBytes[name]; ok {
-		if b -= size; b > 0 {
+	if b, ok := s.dirBytes[name]; ok && removed {
+		if b -= info.Size(); b > 0 {
 			s.dirBytes[name] = b
 		} else {
 			s.dirBytes[name] = 0

@@ -332,7 +332,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 // directory) replays each — byte-identically and without a single
 // re-recording. This is the store's whole contract in one test:
 // content keys are stable across processes, headers restore without
-// recording, and promoted slices carry exact bytes.
+// recording, and store-served slices carry exact bytes.
 func TestStoreRestartReuseAllWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records all 15 workloads twice")

@@ -87,33 +87,6 @@ func (r *Rand) Uint64() uint64 {
 // Uint32 returns a uniformly distributed 32-bit value.
 func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
-// jumpPoly is the xoshiro256 jump polynomial of Blackman and Vigna: a
-// Jump advances the stream by exactly 2^128 steps.
-var jumpPoly = [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-
-// Jump advances the generator 2^128 steps, the canonical way to derive
-// non-overlapping per-slice substreams from one seed: New(seed) jumped
-// k times yields slice k's stream, and no two slices' sequences can
-// collide for any realistic draw count. No production code path draws
-// from jumped substreams yet — today's sharded recording replays the
-// payload prefix instead (DESIGN.md §6); Jump is the substream
-// primitive for the future slice-local payload contract.
-func (r *Rand) Jump() {
-	var s [4]uint64
-	for _, jp := range jumpPoly {
-		for b := 0; b < 64; b++ {
-			if jp&(1<<uint(b)) != 0 {
-				s[0] ^= r.s[0]
-				s[1] ^= r.s[1]
-				s[2] ^= r.s[2]
-				s[3] ^= r.s[3]
-			}
-			r.Uint64()
-		}
-	}
-	r.s = s
-}
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {

@@ -24,16 +24,13 @@
 #                                         test-only Reference oracle
 #   BenchmarkTraceCacheHit              - cache serve-from-memory cost
 #   BenchmarkTraceCacheSlicedReplay/{resident,evicted}
-#                                       - slice-cache replay: zero-copy resident
-#                                         serving vs forced eviction and
-#                                         promotion from the private spill
-#                                         store; the evicted run also reports
-#                                         peak accounted residency (must stay
-#                                         below one whole-trace footprint)
+#                                       - slice-cache replay: zero-copy heap
+#                                         serving (uncapped, no store) vs a
+#                                         capped cache pinning every slice
+#                                         from its private spill store
 #   BenchmarkEvictedRefill/mode=store/pos={first,last}
-#                                       - evicted-slice promotion from the
-#                                         trace store; must be
-#                                         position-independent
+#                                       - serving one slice from the trace
+#                                         store; must be position-independent
 #   BenchmarkFig5Parallel/workers=N     - engine scaling (meaningful on multi-core hosts)
 #   BenchmarkPipelineALU                - timing model on a saturated 100K-instruction
 #                                         independent-ALU stream (internal/pipeline):

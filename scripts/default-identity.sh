@@ -3,8 +3,8 @@
 # budget prints the same bytes as the base revision's binary.
 #
 # CI and perfbench run Quick, where every trace has 2 slices; at Default
-# a trace has 12, so multi-slice eviction, promotion and cross-slice
-# work only run at full size here. The base binary runs once, uncapped
+# a trace has 12, so multi-slice store serving and cross-slice work
+# only run at full size here. The base binary runs once, uncapped
 # at -parallel 1, as the reference. The head binary then runs four
 # times, and each stdout must cmp equal to the reference:
 #   1. uncapped, at the default worker count;
