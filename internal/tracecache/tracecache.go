@@ -20,17 +20,20 @@
 //
 // One rule decides where a slice lives (DESIGN.md §5, §11). A cache
 // without a store keeps every slice on the heap. A cache with a store
-// keeps on the heap only the slices whose store file failed to commit;
-// every committed slice is served from the store as a checksum-verified
-// zero-copy mapping of the bytes the recording streamed to disk while
-// it recorded, and each stream holds its own pin on the slice it reads.
+// keeps on the heap only the slices whose store file failed to commit,
+// and the traces it had to re-record (below); every other slice is
+// served from the store as a checksum-verified zero-copy mapping of the
+// bytes the recording streamed to disk while it recorded, and each
+// stream holds its own pin on the slice it reads.
 // The kernel's page cache is then the RAM tier: resident memory follows
 // the live pins. A capped cache with no store attached opens a private,
 // uncapped spill store under os.TempDir() the first time it records,
 // and Close removes it; the cap selects that mode and bounds nothing
 // else. A stored slice that is missing or rejected makes the cache
 // re-record the whole trace through Source.Record, which heals the
-// store; sharing and the disk tier stay byte-invisible to every driver.
+// store, and keep the re-recorded trace on the heap, so one re-record
+// serves every damaged slice of it; sharing and the disk tier stay
+// byte-invisible to every driver.
 //
 // Counters are exposed as report-friendly Stats for the CLIs to print
 // to stderr (WriteStats, behind the shared -cachestats flag).
@@ -109,7 +112,7 @@ type entry struct {
 	sliceLen uint64 // slice granularity of this entry (== key.budget when whole-trace)
 	// heap holds, per slice, its heap-resident array; a nil element is
 	// served from the store. heap is nil until the recording (or the
-	// warm restore) completes.
+	// warm restore) completes; a re-record fills every element.
 	heap [][]trace.Inst
 	// Persistent-store identity: store is non-nil when the cache had a
 	// store (attached or private) at recording time. The recording
@@ -198,12 +201,11 @@ type Stats struct {
 	// the store's own Stats carry the write/reject detail).
 	DiskHeaderHits uint64 // recordings avoided entirely: header restored from the store
 	DiskSliceHits  uint64 // slices served from the store
-	DiskRejects    uint64 // stored files that failed verification and fell back to re-record
+	DiskRejects    uint64 // stored files that failed verification (each once) and fell back to re-record
 
 	Entries    int   // trace headers resident (completed recordings)
 	Slices     int   // heap-resident slice arrays
 	BytesInUse int64 // instruction bytes across the heap-resident slices
-	CapBytes   int64 // configured cap (0 = unbounded); a cap only selects the spill store
 
 	MemoHits   uint64 // derived results served from memory (incl. coalesced)
 	MemoMisses uint64 // derived results computed
@@ -217,12 +219,8 @@ func (s Stats) Table() *report.Table {
 		"hits", "coalesced", "misses",
 		"slice hits", "re-records",
 		"disk hdrs", "disk hits", "disk rejects",
-		"traces", "slices", "MiB in use", "MiB cap",
+		"traces", "slices", "MiB in use",
 		"memo hits", "memo misses", "pass hits", "pass misses")
-	capMiB := "unbounded"
-	if s.CapBytes > 0 {
-		capMiB = fmt.Sprintf("%.1f", float64(s.CapBytes)/(1<<20))
-	}
 	t.AddRow(
 		fmt.Sprintf("%d", s.Hits),
 		fmt.Sprintf("%d", s.Coalesced),
@@ -235,7 +233,6 @@ func (s Stats) Table() *report.Table {
 		fmt.Sprintf("%d", s.Entries),
 		fmt.Sprintf("%d", s.Slices),
 		fmt.Sprintf("%.1f", float64(s.BytesInUse)/(1<<20)),
-		capMiB,
 		fmt.Sprintf("%d", s.MemoHits),
 		fmt.Sprintf("%d", s.MemoMisses),
 		fmt.Sprintf("%d", s.PassHits),
@@ -283,7 +280,7 @@ func WriteStats(w io.Writer, c *Cache) {
 // records).
 type Cache struct {
 	mu         sync.Mutex
-	maxBytes   int64
+	spills     bool // with no store attached, record into a private spill store
 	sliceInsts uint64
 	store      *tracestore.Store // disk tier (attached or spill), or nil (heap only)
 	spill      *tracestore.Store // the private spill store, once opened
@@ -307,7 +304,7 @@ func New(maxBytes int64) *Cache {
 // single slices.
 func NewSliced(maxBytes int64, sliceInsts uint64) *Cache {
 	return &Cache{
-		maxBytes:   maxBytes,
+		spills:     maxBytes > 0,
 		sliceInsts: sliceInsts,
 		entries:    make(map[key]*entry),
 		memos:      make(map[string]*memoEntry),
@@ -356,7 +353,7 @@ func (c *Cache) Close() error {
 // spillLocked opens the private spill store when a capped cache without
 // a store is about to record (caller holds mu).
 func (c *Cache) spillLocked() error {
-	if c.store != nil || c.maxBytes <= 0 {
+	if c.store != nil || !c.spills {
 		return nil
 	}
 	st, err := tracestore.OpenSpill()
@@ -577,7 +574,8 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 
 // keepLocked puts the recorded array a of slice i on e's heap unless
 // the store holds the slice: committed is, per slice, whether its store
-// file committed (nil without a store). Caller holds mu.
+// file committed (nil without a store, and for a re-record, which keeps
+// every slice). Caller holds mu.
 func (c *Cache) keepLocked(e *entry, i int, a []trace.Inst, committed []bool) {
 	if e.heap[i] != nil || i < len(committed) && committed[i] {
 		return
@@ -712,8 +710,8 @@ func (f *storeFill) abort() {
 
 // pin returns slice si's heap-resident array, or else the caller's own
 // store pin on the slice, which the caller unpins once it is done with
-// it. A stored slice that is missing or rejected re-records the trace
-// and returns the fresh array.
+// it. A stored slice that is missing or rejected re-records the trace,
+// which puts every slice of it on the heap, and returns the fresh array.
 func (c *Cache) pin(e *entry, si int) ([]trace.Inst, *tracestore.Pin) {
 	c.mu.Lock()
 	for {
@@ -723,7 +721,7 @@ func (c *Cache) pin(e *entry, si int) ([]trace.Inst, *tracestore.Pin) {
 			return a, nil
 		}
 		// A re-record of the trace is in flight on another goroutine:
-		// wait for it to heal the store, then retry.
+		// wait for it to put the trace on the heap, then retry.
 		if ch := e.rerec; ch != nil {
 			c.mu.Unlock()
 			<-ch
@@ -747,7 +745,7 @@ func (c *Cache) pin(e *entry, si int) ([]trace.Inst, *tracestore.Pin) {
 			c.stats.DiskRejects++
 		}
 		if e.heals != heals || e.rerec != nil {
-			continue // a re-record healed (or is healing) the store meanwhile
+			continue // a re-record served (or is serving) the trace meanwhile
 		}
 		return c.rerecordLocked(e, si), nil
 	}
@@ -757,10 +755,12 @@ func (c *Cache) pin(e *entry, si int) ([]trace.Inst, *tracestore.Pin) {
 // file turned out missing or rejected, under one single flight per
 // entry, and returns slice si's fresh array (caller holds mu, which is
 // released on return). The recording streams into the store, healing
-// it: files already there are skipped, the missing ones written. A
-// slice whose file still fails to commit stays on the heap, so the
-// pins waiting on the re-record are all served, from the store or the
-// heap.
+// it for later runs: files already there are skipped, the missing ones
+// written. Every re-recorded array stays on the heap, whatever its
+// file's state: a file that is still there may be damaged too, so
+// serving the trace from the heap from now on makes one re-record
+// cover all of its damaged slices. The cost is the trace's footprint,
+// paid only for a trace found damaged.
 //
 // Re-records are context-free: a replay must be able to finish after
 // the recording context is gone. A re-record re-runs a payload whose
@@ -782,7 +782,7 @@ func (c *Cache) rerecordLocked(e *entry, si int) []trace.Inst {
 		}
 	}()
 	//lint:ignore ctxflow re-records are deliberately context-free: a replay must be able to regenerate bytes after the recording context is gone
-	arrs, committed, err := e.record(context.Background())
+	arrs, _, err := e.record(context.Background())
 	if err == nil && len(arrs) != len(e.heap) {
 		err = fmt.Errorf("%d slices, the recording had %d", len(arrs), len(e.heap))
 	}
@@ -795,7 +795,7 @@ func (c *Cache) rerecordLocked(e *entry, si int) []trace.Inst {
 	c.mu.Lock()
 	c.stats.SliceRerecords++
 	for i, a := range arrs {
-		c.keepLocked(e, i, a, committed)
+		c.keepLocked(e, i, a, nil)
 	}
 	e.heals++
 	close(e.rerec)
@@ -888,7 +888,6 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.BytesInUse = c.bytes
-	s.CapBytes = c.maxBytes
 	return s
 }
 

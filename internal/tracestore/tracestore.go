@@ -84,8 +84,8 @@ type Stats struct {
 	HeaderHits   uint64 // trace headers served from disk
 	HeaderMisses uint64 // header lookups with no stored file
 	SliceHits    uint64 // slice pins served from verified stored files
-	SliceMisses  uint64 // slice pins with no stored file
-	Rejects      uint64 // files that failed verification (deleted)
+	SliceMisses  uint64 // slice pins with no stored file, or whose file another reader rejected first
+	Rejects      uint64 // files that failed verification (deleted; each counted once)
 
 	HeaderWrites uint64 // header files written
 	SliceWrites  uint64 // slice files written
@@ -612,7 +612,9 @@ func (s *Store) unrefLocked(m *mapping) {
 // returned pin's Unpin. wantCount is the instruction count the caller's
 // trace geometry requires; any stored file disagreeing with it — or
 // failing any integrity check — is deleted and rejected. ErrNotFound
-// is a clean miss. Safe on a nil store.
+// is a clean miss, also for a reader whose damaged file another reader
+// rejected first, so each damaged file is rejected once. Safe on a nil
+// store.
 func (s *Store) PinSlice(k Key, idx int, wantCount uint64) (*Pin, error) {
 	if s == nil {
 		return nil, ErrNotFound
@@ -661,7 +663,9 @@ func (s *Store) PinSlice(k Key, idx int, wantCount uint64) (*Pin, error) {
 		if mapped {
 			unmapFile(raw)
 		}
-		s.rejectFile(path, name, info)
+		if !s.rejectFile(path, name, info) {
+			return nil, ErrNotFound
+		}
 		return nil, err
 	}
 	m := s.adopt(path, name, &mapping{
@@ -694,23 +698,31 @@ func (s *Store) adopt(path, name string, m *mapping) *mapping {
 }
 
 // rejectFile deletes one untrustworthy slice file, the one info
-// describes, and counts the reject; the rest of the trace directory
-// stays (each file verifies independently). A path that no longer
-// names that file was healed by a writer since it was opened, and
-// stays.
-func (s *Store) rejectFile(path, name string, info os.FileInfo) {
+// describes, counts the reject and reports true; the rest of the trace
+// directory stays (each file verifies independently). A path that no
+// longer names that file was rejected by a concurrent reader or healed
+// by a writer since it was opened: it stays, nothing is counted, and
+// rejectFile reports false.
+func (s *Store) rejectFile(path, name string, info os.FileInfo) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	cur, err := os.Stat(path)
-	removed := err == nil && os.SameFile(cur, info) && os.Remove(path) == nil
+	if err != nil || !os.SameFile(cur, info) {
+		s.stats.SliceMisses++
+		return false
+	}
 	s.stats.Rejects++
-	if b, ok := s.dirBytes[name]; ok && removed {
+	if os.Remove(path) != nil {
+		return true
+	}
+	if b, ok := s.dirBytes[name]; ok {
 		if b -= info.Size(); b > 0 {
 			s.dirBytes[name] = b
 		} else {
 			s.dirBytes[name] = 0
 		}
 	}
-	s.mu.Unlock()
+	return true
 }
 
 // dropTrace deletes an entire trace directory whose identity failed
