@@ -148,11 +148,12 @@ func BenchmarkRunAll(b *testing.B) {
 }
 
 // BenchmarkCoreRun isolates the core.RunBlocks replay loop: the
-// no-observer fast path (pure MPKI measurement) against the fan-out
-// path with a collector attached, plus the pre-block per-instruction
-// reference loop — the block-vs-per-instruction contrast recorded in
-// EXPERIMENTS.md and gated by scripts/bench.sh. All replay the same
-// recorded trace through TAGE-SC-L 8KB.
+// bp.BlockRunner path a run with no observers takes (pure MPKI
+// measurement) against the general loop with a collector attached,
+// plus the pre-block per-instruction reference loop — the
+// block-vs-per-instruction contrast recorded in EXPERIMENTS.md and
+// gated by scripts/bench.sh. All replay the same recorded trace
+// through TAGE-SC-L 8KB.
 func BenchmarkCoreRun(b *testing.B) {
 	spec, _ := branchlab.Workload("605.mcf_s")
 	tr := branchlab.RecordTrace(spec, 0, 500_000)
@@ -181,11 +182,8 @@ func BenchmarkCoreRun(b *testing.B) {
 	})
 }
 
-// targetTrainerRef / branchObserverRef mirror the optional predictor
-// interfaces the measurement loop resolves, for the reference loop.
-type targetTrainerRef interface {
-	TrainWithTarget(ip, target uint64, taken, pred bool)
-}
+// branchObserverRef mirrors the optional predictor interface the
+// measurement loop resolves, for the reference loop.
 type branchObserverRef interface {
 	ObserveBranch(ip, target uint64, kind branchlab.Kind, taken bool)
 }
@@ -216,7 +214,6 @@ func (r *perInstReader) Next(inst *branchlab.Inst) bool {
 // interface Next call and one 40-byte copy per instruction — kept as
 // the benchmark baseline the block pipeline is measured against.
 func runPerInstReference(s instReader, p branchlab.Predictor) branchlab.RunStats {
-	tt, _ := p.(targetTrainerRef)
 	bo, _ := p.(branchObserverRef)
 	var st branchlab.RunStats
 	var inst branchlab.Inst
@@ -227,11 +224,7 @@ func runPerInstReference(s instReader, p branchlab.Predictor) branchlab.RunStats
 			if pred != inst.Taken {
 				st.Mispreds++
 			}
-			if tt != nil {
-				tt.TrainWithTarget(inst.IP, inst.Target, inst.Taken, pred)
-			} else {
-				p.Train(inst.IP, inst.Taken, pred)
-			}
+			p.Train(inst.IP, inst.Target, inst.Taken, pred)
 		} else if inst.IsBranch() {
 			if bo != nil {
 				bo.ObserveBranch(inst.IP, inst.Target, inst.Kind, inst.Taken)

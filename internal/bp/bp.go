@@ -6,8 +6,9 @@
 //
 // The deployment contract mirrors CBP2016: a predictor sees the
 // instruction pointer at prediction time and is trained with the resolved
-// direction at retirement; predictors that model path history additionally
-// observe every control-flow instruction via the BranchObserver interface.
+// branch, target and direction, at retirement; predictors that model path
+// history additionally observe every control-flow instruction via the
+// BranchObserver interface.
 package bp
 
 import "branchlab/internal/trace"
@@ -15,16 +16,18 @@ import "branchlab/internal/trace"
 // Predictor predicts conditional branch directions.
 //
 // The driver calls Predict(ip), records the prediction, then calls
-// Train(ip, taken, pred) with the resolved direction. Train is always
-// called exactly once per Predict, in program order (retirement order in
-// the simulated machine).
+// Train(ip, target, taken, pred) with the resolved branch. Train is
+// always called exactly once per Predict, in program order (retirement
+// order in the simulated machine).
 type Predictor interface {
 	// Predict returns the predicted direction for the conditional branch
 	// at ip.
 	Predict(ip uint64) bool
-	// Train updates the predictor with the resolved direction. pred must
+	// Train updates the predictor with the resolved branch: its taken
+	// target and direction. Predictors that do not use the target ignore
+	// it; a wrapper passes it on to every predictor it trains. pred must
 	// be the value Predict returned for this dynamic branch.
-	Train(ip uint64, taken, pred bool)
+	Train(ip, target uint64, taken, pred bool)
 	// Name identifies the predictor in reports.
 	Name() string
 }
@@ -42,18 +45,18 @@ type BranchObserver interface {
 // BlockRunner is implemented by predictors that can process a whole
 // replay block internally — predicting, training and observing every
 // instruction in blk with the per-branch dispatch inlined — and return
-// the conditional-branch and misprediction counts. The measurement
-// loop's no-observer fast path hands blocks straight to it, reducing
-// the driver/predictor boundary from several interface calls per branch
-// to one per block.
+// the conditional-branch and misprediction counts. core.RunBlocks hands
+// blocks straight to it when the run has no observers, reducing the
+// driver/predictor boundary from several interface calls per branch to
+// one per block.
 //
 // RunBlock must evolve predictor state exactly as the equivalent
-// per-instruction sequence of Predict, Train/TrainWithTarget and
-// ObserveBranch calls would: implementations are interchangeable with
-// the scalar interface at any block boundary, and the measurement loop
-// relies on that equivalence for byte-identical artifacts. blk follows
-// the trace.BlockStream aliasing contract — it must be treated as
-// read-only and not retained past the call.
+// per-instruction sequence of Predict, Train and ObserveBranch calls
+// would: implementations are interchangeable with the scalar interface
+// at any block boundary, and the measurement loop relies on that
+// equivalence for byte-identical artifacts. blk follows the
+// trace.BlockStream aliasing contract — it must be treated as read-only
+// and not retained past the call.
 type BlockRunner interface {
 	RunBlock(blk []trace.Inst) (condExecs, mispreds uint64)
 }

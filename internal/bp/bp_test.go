@@ -15,7 +15,7 @@ func run(p Predictor, seq func(i int) (uint64, bool), n int) float64 {
 		if pred == taken {
 			correct++
 		}
-		p.Train(ip, taken, pred)
+		p.Train(ip, 0, taken, pred)
 	}
 	return float64(correct) / float64(n)
 }
@@ -31,7 +31,7 @@ func accuracyAfterWarmup(p Predictor, seq func(i int) (uint64, bool), warm, meas
 		if pred == taken {
 			correct++
 		}
-		p.Train(ip, taken, pred)
+		p.Train(ip, 0, taken, pred)
 	}
 	return float64(correct) / float64(measure)
 }
@@ -276,7 +276,7 @@ func BenchmarkGShare(b *testing.B) {
 		ip := uint64(0x400 + (i%64)*4)
 		taken := rng.Bool(0.7)
 		pred := g.Predict(ip)
-		g.Train(ip, taken, pred)
+		g.Train(ip, 0, taken, pred)
 	}
 }
 
@@ -288,6 +288,6 @@ func BenchmarkPerceptron(b *testing.B) {
 		ip := uint64(0x400 + (i%64)*4)
 		taken := rng.Bool(0.7)
 		pred := p.Predict(ip)
-		p.Train(ip, taken, pred)
+		p.Train(ip, 0, taken, pred)
 	}
 }

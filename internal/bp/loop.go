@@ -73,7 +73,7 @@ func (l *Loop) PredictAt(idx uint32, tag uint16) bool {
 }
 
 // Train implements Predictor.
-func (l *Loop) Train(ip uint64, taken, _ bool) {
+func (l *Loop) Train(ip, _ uint64, taken, _ bool) {
 	idx, tag := l.Index(ip)
 	l.TrainAt(idx, tag, taken)
 }
@@ -139,8 +139,9 @@ func (t *Tournament) Predict(ip uint64) bool {
 	return t.lastB
 }
 
-// Train implements Predictor.
-func (t *Tournament) Train(ip uint64, taken, pred bool) {
+// Train implements Predictor. Both components are trained with the
+// target and with their own predictions.
+func (t *Tournament) Train(ip, target uint64, taken, _ bool) {
 	pa, pb := t.lastA, t.lastB
 	if !t.valid || t.lastIP != ip {
 		pa = t.a.Predict(ip)
@@ -151,8 +152,8 @@ func (t *Tournament) Train(ip uint64, taken, pred bool) {
 		i := hashIP(ip, t.bits)
 		t.chooser[i] = ctrUpdate(t.chooser[i], pa == taken, -2, 1)
 	}
-	t.a.Train(ip, taken, pa)
-	t.b.Train(ip, taken, pb)
+	t.a.Train(ip, target, taken, pa)
+	t.b.Train(ip, target, taken, pb)
 }
 
 // Name implements Predictor.

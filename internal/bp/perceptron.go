@@ -60,7 +60,7 @@ func (p *Perceptron) Predict(ip uint64) bool {
 }
 
 // Train implements Predictor.
-func (p *Perceptron) Train(ip uint64, taken, pred bool) {
+func (p *Perceptron) Train(ip, _ uint64, taken, pred bool) {
 	s := p.lastSum
 	if !p.haveLast || p.lastIP != ip {
 		s = p.sum(ip)

@@ -9,13 +9,14 @@ import "fmt"
 // heart of TAGE, implemented here without the usefulness machinery so the
 // two can be compared in ablations.
 type PPM struct {
-	tables  []ppmTable
-	base    *Bimodal
-	hist    historyReg
-	lastIdx []uint64 // per-table index cache from Predict
-	lastTag []uint16
-	lastIP  uint64
-	valid   bool
+	tables   []ppmTable
+	base     Predictor // a bimodal table; tests substitute a recorder
+	hist     historyReg
+	lastIdx  []uint64 // per-table index cache from Predict
+	lastTag  []uint16
+	lastBase bool // base's own prediction, the pred its Train receives
+	lastIP   uint64
+	valid    bool
 }
 
 type ppmTable struct {
@@ -58,7 +59,8 @@ func (p *PPM) indexTag(ip uint64, t *ppmTable) (uint64, uint16) {
 
 // Predict implements Predictor.
 func (p *PPM) Predict(ip uint64) bool {
-	pred := p.base.Predict(ip)
+	p.lastBase = p.base.Predict(ip)
+	pred := p.lastBase
 	for i := range p.tables {
 		t := &p.tables[i]
 		idx, tag := p.indexTag(ip, t)
@@ -73,12 +75,14 @@ func (p *PPM) Predict(ip uint64) bool {
 	return pred
 }
 
-// Train implements Predictor.
-func (p *PPM) Train(ip uint64, taken, pred bool) {
+// Train implements Predictor. The base is trained with the target and
+// with its own prediction.
+func (p *PPM) Train(ip, target uint64, taken, pred bool) {
 	if !p.valid || p.lastIP != ip {
 		for i := range p.tables {
 			p.lastIdx[i], p.lastTag[i] = p.indexTag(ip, &p.tables[i])
 		}
+		p.lastBase = p.base.Predict(ip)
 	}
 	p.valid = false
 
@@ -95,7 +99,7 @@ func (p *PPM) Train(ip uint64, taken, pred bool) {
 		e := &p.tables[longest].entries[p.lastIdx[longest]]
 		e.ctr = ctrUpdate(e.ctr, taken, -4, 3)
 	}
-	p.base.Train(ip, taken, pred)
+	p.base.Train(ip, target, taken, p.lastBase)
 	if pred != taken {
 		for i := longest + 1; i < len(p.tables); i++ {
 			e := &p.tables[i].entries[p.lastIdx[i]]

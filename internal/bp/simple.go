@@ -15,7 +15,7 @@ func NewStatic(taken bool) *Static { return &Static{Taken: taken} }
 func (s *Static) Predict(uint64) bool { return s.Taken }
 
 // Train implements Predictor; static predictors do not learn.
-func (s *Static) Train(uint64, bool, bool) {}
+func (s *Static) Train(uint64, uint64, bool, bool) {}
 
 // Name implements Predictor.
 func (s *Static) Name() string {
@@ -42,7 +42,7 @@ func (b *Bimodal) Predict(ip uint64) bool {
 }
 
 // Train implements Predictor.
-func (b *Bimodal) Train(ip uint64, taken, _ bool) {
+func (b *Bimodal) Train(ip, _ uint64, taken, _ bool) {
 	i := hashIP(ip, b.bits)
 	b.table[i] = ctrUpdate(b.table[i], taken, -2, 1)
 }
@@ -76,7 +76,7 @@ func (g *GShare) index(ip uint64) uint64 {
 func (g *GShare) Predict(ip uint64) bool { return g.table[g.index(ip)] >= 0 }
 
 // Train implements Predictor.
-func (g *GShare) Train(ip uint64, taken, _ bool) {
+func (g *GShare) Train(ip, _ uint64, taken, _ bool) {
 	i := g.index(ip)
 	g.table[i] = ctrUpdate(g.table[i], taken, -2, 1)
 	g.hist.push(taken)
@@ -111,7 +111,7 @@ func (g *GSelect) index(ip uint64) uint64 {
 func (g *GSelect) Predict(ip uint64) bool { return g.table[g.index(ip)] >= 0 }
 
 // Train implements Predictor.
-func (g *GSelect) Train(ip uint64, taken, _ bool) {
+func (g *GSelect) Train(ip, _ uint64, taken, _ bool) {
 	i := g.index(ip)
 	g.table[i] = ctrUpdate(g.table[i], taken, -2, 1)
 	g.hist.push(taken)
@@ -153,7 +153,7 @@ func (l *Local) patternIndex(ip uint64) uint64 {
 func (l *Local) Predict(ip uint64) bool { return l.pattern[l.patternIndex(ip)] >= 0 }
 
 // Train implements Predictor.
-func (l *Local) Train(ip uint64, taken, _ bool) {
+func (l *Local) Train(ip, _ uint64, taken, _ bool) {
 	pi := l.patternIndex(ip)
 	l.pattern[pi] = ctrUpdate(l.pattern[pi], taken, -2, 1)
 	hi := hashIP(ip, l.ipBits)

@@ -46,13 +46,17 @@ func (o *Overlay) Predict(ip uint64) bool {
 // Train implements bp.Predictor. The base predictor is always trained
 // with its own prediction so its internal state matches a solo
 // deployment; helpers are frozen (offline-trained).
-func (o *Overlay) Train(ip uint64, taken, pred bool) {
+func (o *Overlay) Train(ip, _ uint64, taken, _ bool) {
 	basePred := o.lastBase
 	if !o.haveLast || o.lastIP != ip {
 		basePred = o.Base.Predict(ip)
 	}
 	o.haveLast = false
-	o.Base.Train(ip, taken, basePred)
+	// The base gets target 0, so its IMLI component never counts: the
+	// cnn artifact and perfbench's reference digests were recorded that
+	// way. Passing the target here, with a digest regeneration, is
+	// ROADMAP item 1 fix 2.
+	o.Base.Train(ip, 0, taken, basePred)
 	o.push(Encode(o.cfg, ip, taken))
 }
 

@@ -12,18 +12,18 @@ import (
 // any reordering, skip or duplication of branches in the replay loop
 // changes its predictions and is caught by the equivalence tests.
 type histPredictor struct {
-	hist    uint64
-	table   [1 << 12]int8
-	trains  int
-	targets int
-	seen    uint64
+	hist   uint64
+	table  [1 << 12]int8
+	trains int
+	seen   uint64
 }
 
 func (p *histPredictor) idx(ip uint64) uint64 { return (ip ^ p.hist) & (1<<12 - 1) }
 func (p *histPredictor) Predict(ip uint64) bool {
 	return p.table[p.idx(ip)] >= 0
 }
-func (p *histPredictor) Train(ip uint64, taken, pred bool) {
+func (p *histPredictor) Train(ip, target uint64, taken, pred bool) {
+	p.hist ^= target << 3
 	i := p.idx(ip)
 	if taken && p.table[i] < 3 {
 		p.table[i]++
@@ -33,11 +33,6 @@ func (p *histPredictor) Train(ip uint64, taken, pred bool) {
 	}
 	p.hist = p.hist<<1 | b2u(taken)
 	p.trains++
-}
-func (p *histPredictor) TrainWithTarget(ip, target uint64, taken, pred bool) {
-	p.targets++
-	p.hist ^= target << 3
-	p.Train(ip, taken, pred)
 }
 func (p *histPredictor) ObserveBranch(ip, target uint64, kind trace.Kind, taken bool) {
 	p.hist = p.hist<<2 ^ ip ^ target
@@ -83,9 +78,6 @@ func randomTrace(n int, seed uint64) *trace.Buffer {
 // runPerInst is the pre-block reference loop: one instruction copy per
 // step, semantics identical to RunBlocks by construction.
 func runPerInst(tr *trace.Buffer, p bp.Predictor, obs ...Observer) RunStats {
-	tt, _ := p.(interface {
-		TrainWithTarget(ip, target uint64, taken, pred bool)
-	})
 	bo, _ := p.(bp.BranchObserver)
 	var st RunStats
 	var i uint64
@@ -100,11 +92,7 @@ func runPerInst(tr *trace.Buffer, p bp.Predictor, obs ...Observer) RunStats {
 			if pred != inst.Taken {
 				st.Mispreds++
 			}
-			if tt != nil {
-				tt.TrainWithTarget(inst.IP, inst.Target, inst.Taken, pred)
-			} else {
-				p.Train(inst.IP, inst.Taken, pred)
-			}
+			p.Train(inst.IP, inst.Target, inst.Taken, pred)
 			for _, o := range obs {
 				o.Branch(i, &inst, pred)
 			}
@@ -162,19 +150,18 @@ func TestRunBlocksEquivalentToPerInstruction(t *testing.T) {
 		if got != want {
 			t.Fatalf("block=%d: stats %+v != %+v", n, got, want)
 		}
-		if pred.hist != wantPred.hist || pred.trains != wantPred.trains ||
-			pred.targets != wantPred.targets || pred.seen != wantPred.seen {
+		if pred.hist != wantPred.hist || pred.trains != wantPred.trains || pred.seen != wantPred.seen {
 			t.Fatalf("block=%d: predictor state diverged", n)
 		}
 		assertCollectorsEqual(t, col, wantCol, "block run")
 	}
-	// The default block size and the no-observer fast path agree too.
+	// The default block size with no observers agrees too.
 	pred := &histPredictor{}
 	if got := RunBlocks(tr.BlockStream(0), pred); got != want {
-		t.Fatalf("native fast path: stats %+v != %+v", got, want)
+		t.Fatalf("no observers: stats %+v != %+v", got, want)
 	}
 	if pred.hist != wantPred.hist {
-		t.Fatal("native fast path: predictor state diverged")
+		t.Fatal("no observers: predictor state diverged")
 	}
 }
 

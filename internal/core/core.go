@@ -208,27 +208,20 @@ func (r RunStats) MPKI() float64 {
 	return 1000 * float64(r.Mispreds) / float64(r.Insts)
 }
 
-// targetTrainer is the optional predictor extension trained with the
-// branch target as well as the direction (TAGE-SC-L's IMLI component
-// keys on it). RunBlocks resolves the assertion once per run, not once per
-// branch: this is the simulator's innermost loop.
-type targetTrainer interface {
-	TrainWithTarget(ip, target uint64, taken, pred bool)
-}
-
 // RunBlocks drives the stream through the predictor (the CBP-style
 // measurement loop: predict at fetch, train at retire, observe all
 // control flow) and fans events out to the observers. The loop iterates
 // the trace in blocks (zero-copy for every Buffer and cache replay), so
 // the per-instruction cost is the predictor and the observers, not
-// stream dispatch. Runs with no observers — the pure-MPKI sweeps — take
-// a specialized loop with no fan-out work.
+// stream dispatch. A run with no observers over a bp.BlockRunner (the
+// pure-MPKI TAGE-SC-L sweeps) hands each block to the predictor whole.
+// The BranchObserver assertion is resolved once per run, not once per
+// branch: this is the simulator's innermost loop.
 func RunBlocks(bs trace.BlockStream, p bp.Predictor, obs ...Observer) RunStats {
-	tt, _ := p.(targetTrainer)
-	bo, _ := p.(bp.BranchObserver)
-	if len(obs) == 0 {
-		return runNoObservers(bs, p, tt, bo)
+	if br, ok := p.(bp.BlockRunner); ok && len(obs) == 0 {
+		return runBlockRunner(bs, br)
 	}
+	bo, _ := p.(bp.BranchObserver)
 	var st RunStats
 	var i uint64
 	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
@@ -243,11 +236,7 @@ func RunBlocks(bs trace.BlockStream, p bp.Predictor, obs ...Observer) RunStats {
 				if pred != inst.Taken {
 					st.Mispreds++
 				}
-				if tt != nil {
-					tt.TrainWithTarget(inst.IP, inst.Target, inst.Taken, pred)
-				} else {
-					p.Train(inst.IP, inst.Taken, pred)
-				}
+				p.Train(inst.IP, inst.Target, inst.Taken, pred)
 				for _, o := range obs {
 					o.Branch(i, inst, pred)
 				}
@@ -292,47 +281,17 @@ func ObserveBlocks(bs trace.BlockStream, obs ...Observer) RunStats {
 	return st
 }
 
-// runNoObservers is RunBlocks' fast path for pure-MPKI measurement: identical
-// prediction/training semantics, no observer fan-out in the loop body.
-// Predictors that implement bp.BlockRunner (TAGE-SC-L) consume whole
-// blocks in one call — the innermost loop then lives inside the
-// predictor with its dispatch inlined, and the driver/predictor boundary
-// costs one interface call per block instead of several per branch.
-func runNoObservers(bs trace.BlockStream, p bp.Predictor, tt targetTrainer, bo bp.BranchObserver) RunStats {
+// runBlockRunner is RunBlocks with no observers over a predictor that
+// consumes whole blocks: the innermost loop lives inside the predictor
+// with its dispatch inlined, and the driver/predictor boundary costs one
+// interface call per block instead of several per branch.
+func runBlockRunner(bs trace.BlockStream, br bp.BlockRunner) RunStats {
 	var st RunStats
-	var i uint64
-	if br, ok := p.(bp.BlockRunner); ok {
-		for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
-			cond, miss := br.RunBlock(blk)
-			st.CondExecs += cond
-			st.Mispreds += miss
-			i += uint64(len(blk))
-		}
-		st.Insts = i
-		return st
-	}
 	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
-		for j := range blk {
-			inst := &blk[j]
-			if inst.Kind == trace.KindCondBr {
-				st.CondExecs++
-				pred := p.Predict(inst.IP)
-				if pred != inst.Taken {
-					st.Mispreds++
-				}
-				if tt != nil {
-					tt.TrainWithTarget(inst.IP, inst.Target, inst.Taken, pred)
-				} else {
-					p.Train(inst.IP, inst.Taken, pred)
-				}
-			} else if inst.Kind.IsBranch() {
-				if bo != nil {
-					bo.ObserveBranch(inst.IP, inst.Target, inst.Kind, inst.Taken)
-				}
-			}
-		}
-		i += uint64(len(blk))
+		cond, miss := br.RunBlock(blk)
+		st.CondExecs += cond
+		st.Mispreds += miss
+		st.Insts += uint64(len(blk))
 	}
-	st.Insts = i
 	return st
 }

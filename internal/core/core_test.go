@@ -12,9 +12,9 @@ import (
 // fixedPredictor always predicts a constant direction.
 type fixedPredictor struct{ dir bool }
 
-func (f fixedPredictor) Predict(uint64) bool      { return f.dir }
-func (f fixedPredictor) Train(uint64, bool, bool) {}
-func (f fixedPredictor) Name() string             { return "fixed" }
+func (f fixedPredictor) Predict(uint64) bool              { return f.dir }
+func (f fixedPredictor) Train(uint64, uint64, bool, bool) {}
+func (f fixedPredictor) Name() string                     { return "fixed" }
 
 // buildTrace makes a trace with interleaved branches: ip 0xA00 always
 // taken (predicted correctly by fixed-taken), ip 0xB00 never taken

@@ -226,8 +226,8 @@ func (c *ConditionedPredictor) Predict(ip uint64) bool { return c.sub().Predict(
 
 // Train implements bp.Predictor. The phase detector advances at train
 // time so prediction and training see the same phase.
-func (c *ConditionedPredictor) Train(ip uint64, taken, pred bool) {
-	c.sub().Train(ip, taken, pred)
+func (c *ConditionedPredictor) Train(ip, target uint64, taken, pred bool) {
+	c.sub().Train(ip, target, taken, pred)
 	c.detector.Observe(ip)
 }
 

@@ -120,7 +120,7 @@ func TestConditionedPredictorBeatsFlatOnPhaseFlippingBranch(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				sigIP := 0x1000 + uint64(ph)*0x80000 + uint64(i%12)*64
 				sp := p.Predict(sigIP)
-				p.Train(sigIP, true, sp)
+				p.Train(sigIP, 0, true, sp)
 			}
 			// The rare phase-dependent branch: few executions per visit.
 			for i := 0; i < 6; i++ {
@@ -131,7 +131,7 @@ func TestConditionedPredictorBeatsFlatOnPhaseFlippingBranch(t *testing.T) {
 					correct++
 				}
 				total++
-				p.Train(ip, taken, pred)
+				p.Train(ip, 0, taken, pred)
 			}
 		}
 		return float64(correct) / float64(total)

@@ -33,9 +33,9 @@ func (o *Outcomes) Mispredicted(i int) bool { return o.miss[i>>6]&(1<<(i&63)) !=
 func bitWords(n int) int { return (n + 63) >> 6 }
 
 // Predict runs p over bs and records its outcomes. Per instruction it
-// makes the fused model's calls in its order: Predict then
-// TrainWithTarget (or Train) for a conditional branch, ObserveBranch
-// for any other branch when p implements bp.BranchObserver.
+// makes the fused model's calls in its order: Predict then Train for a
+// conditional branch, ObserveBranch for any other branch when p
+// implements bp.BranchObserver.
 func Predict(bs trace.BlockStream, p bp.Predictor) *Outcomes {
 	ps := newPredStream(p)
 	o := &Outcomes{}
@@ -53,16 +53,14 @@ func Predict(bs trace.BlockStream, p bp.Predictor) *Outcomes {
 }
 
 // predStream is the prediction pass's state: the predictor with its
-// optional interfaces resolved once.
+// optional BranchObserver resolved once.
 type predStream struct {
 	p  bp.Predictor
-	tt targetTrainer
 	bo bp.BranchObserver
 }
 
 func newPredStream(p bp.Predictor) *predStream {
 	ps := &predStream{p: p}
-	ps.tt, _ = p.(targetTrainer)
 	ps.bo, _ = p.(bp.BranchObserver)
 	return ps
 }
@@ -76,11 +74,7 @@ func (ps *predStream) block(blk []trace.Inst, miss []uint64, base int) (cond, mi
 		if inst.Kind == trace.KindCondBr {
 			cond++
 			pred := ps.p.Predict(inst.IP)
-			if ps.tt != nil {
-				ps.tt.TrainWithTarget(inst.IP, inst.Target, inst.Taken, pred)
-			} else {
-				ps.p.Train(inst.IP, inst.Taken, pred)
-			}
+			ps.p.Train(inst.IP, inst.Target, inst.Taken, pred)
 			if pred != inst.Taken {
 				mis++
 				i := base + j
@@ -91,10 +85,4 @@ func (ps *predStream) block(blk []trace.Inst, miss []uint64, base int) (cond, mi
 		}
 	}
 	return cond, mis
-}
-
-// targetTrainer mirrors core's optional target-aware training interface;
-// the prediction pass resolves it once per stream rather than per branch.
-type targetTrainer interface {
-	TrainWithTarget(ip, target uint64, taken, pred bool)
 }

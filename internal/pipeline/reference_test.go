@@ -94,18 +94,9 @@ func referenceRun(cfg Config, bs trace.BlockStream, opt Options) Result {
 		execCounts = make(map[uint64]uint64) // for MinExecsPerfect
 	)
 
-	var predTT targetTrainer
 	var predBO bp.BranchObserver
 	if opt.Predictor != nil {
-		predTT, _ = opt.Predictor.(targetTrainer)
 		predBO, _ = opt.Predictor.(bp.BranchObserver)
-	}
-	train := func(ip, target uint64, taken, pred bool) {
-		if predTT != nil {
-			predTT.TrainWithTarget(ip, target, taken, pred)
-			return
-		}
-		opt.Predictor.Train(ip, taken, pred)
 	}
 
 	blk := bs.NextBlock()
@@ -189,16 +180,16 @@ func referenceRun(cfg Config, bs trace.BlockStream, opt Options) Result {
 			case opt.PerfectIPs != nil && opt.PerfectIPs[inst.IP]:
 				if opt.Predictor != nil {
 					p := opt.Predictor.Predict(inst.IP)
-					train(inst.IP, inst.Target, inst.Taken, p)
+					opt.Predictor.Train(inst.IP, inst.Target, inst.Taken, p)
 				}
 			case opt.MinExecsPerfect > 0 && execCounts[inst.IP] >= opt.MinExecsPerfect:
 				if opt.Predictor != nil {
 					p := opt.Predictor.Predict(inst.IP)
-					train(inst.IP, inst.Target, inst.Taken, p)
+					opt.Predictor.Train(inst.IP, inst.Target, inst.Taken, p)
 				}
 			case opt.Predictor != nil:
 				pred = opt.Predictor.Predict(inst.IP)
-				train(inst.IP, inst.Target, inst.Taken, pred)
+				opt.Predictor.Train(inst.IP, inst.Target, inst.Taken, pred)
 			}
 			if opt.MinExecsPerfect > 0 {
 				execCounts[inst.IP]++

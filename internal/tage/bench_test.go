@@ -41,7 +41,7 @@ func BenchmarkTAGEPredictTrain(b *testing.B) {
 					ev := &events[j]
 					if ev.IsCondBranch() {
 						pred := p.Predict(ev.IP)
-						p.TrainWithTarget(ev.IP, ev.Target, ev.Taken, pred)
+						p.Train(ev.IP, ev.Target, ev.Taken, pred)
 					} else {
 						p.ObserveBranch(ev.IP, ev.Target, ev.Kind, ev.Taken)
 					}

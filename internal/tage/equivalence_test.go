@@ -23,7 +23,7 @@ import (
 // engine is the scalar surface both implementations share.
 type engine interface {
 	Predict(ip uint64) bool
-	TrainWithTarget(ip, target uint64, taken, pred bool)
+	Train(ip, target uint64, taken, pred bool)
 	ObserveBranch(ip, target uint64, kind trace.Kind, taken bool)
 }
 
@@ -44,8 +44,8 @@ func lockstep(t *testing.T, name string, buf *trace.Buffer, a, b engine) uint64 
 			if pa != inst.Taken {
 				mispreds++
 			}
-			a.TrainWithTarget(inst.IP, inst.Target, inst.Taken, pa)
-			b.TrainWithTarget(inst.IP, inst.Target, inst.Taken, pb)
+			a.Train(inst.IP, inst.Target, inst.Taken, pa)
+			b.Train(inst.IP, inst.Target, inst.Taken, pb)
 		} else if inst.Kind.IsBranch() {
 			a.ObserveBranch(inst.IP, inst.Target, inst.Kind, inst.Taken)
 			b.ObserveBranch(inst.IP, inst.Target, inst.Kind, inst.Taken)
@@ -152,8 +152,8 @@ func TestLazyAgingMatchesEagerSweep(t *testing.T) {
 			if pa != pb {
 				t.Fatalf("UResetPeriod=%d: diverged at step %d (ip %#x)", period, i, ip)
 			}
-			packed.TrainWithTarget(ip, ip+16, taken, pa)
-			ref.TrainWithTarget(ip, ip+16, taken, pb)
+			packed.Train(ip, ip+16, taken, pa)
+			ref.Train(ip, ip+16, taken, pb)
 		}
 		if sa.TotalAllocs != sb.TotalAllocs {
 			t.Errorf("UResetPeriod=%d: TotalAllocs packed %d, reference %d", period, sa.TotalAllocs, sb.TotalAllocs)
@@ -165,11 +165,10 @@ func TestLazyAgingMatchesEagerSweep(t *testing.T) {
 // back to the per-instruction loop, exposing the batch/scalar contrast.
 type scalarOnly struct{ p *tage.Predictor }
 
-func (s scalarOnly) Predict(ip uint64) bool            { return s.p.Predict(ip) }
-func (s scalarOnly) Train(ip uint64, taken, pred bool) { s.p.Train(ip, taken, pred) }
-func (s scalarOnly) Name() string                      { return s.p.Name() }
-func (s scalarOnly) TrainWithTarget(ip, target uint64, taken, pred bool) {
-	s.p.TrainWithTarget(ip, target, taken, pred)
+func (s scalarOnly) Predict(ip uint64) bool { return s.p.Predict(ip) }
+func (s scalarOnly) Name() string           { return s.p.Name() }
+func (s scalarOnly) Train(ip, target uint64, taken, pred bool) {
+	s.p.Train(ip, target, taken, pred)
 }
 func (s scalarOnly) ObserveBranch(ip, target uint64, kind trace.Kind, taken bool) {
 	s.p.ObserveBranch(ip, target, kind, taken)

@@ -185,14 +185,9 @@ func (p *Reference) Predict(ip uint64) bool {
 	return p.ctx.final
 }
 
-// Train implements bp.Predictor.
-func (p *Reference) Train(ip uint64, taken, pred bool) {
-	p.TrainWithTarget(ip, 0, taken, pred)
-}
-
-// TrainWithTarget updates the predictor with the resolved direction of
-// the conditional branch at ip targeting target.
-func (p *Reference) TrainWithTarget(ip, target uint64, taken, pred bool) {
+// Train implements bp.Predictor: it updates the predictor with the
+// resolved direction of the conditional branch at ip targeting target.
+func (p *Reference) Train(ip, target uint64, taken, pred bool) {
 	if !p.ctxOK || p.ctxIP != ip {
 		p.predictInternal(ip)
 	}
@@ -200,7 +195,7 @@ func (p *Reference) TrainWithTarget(ip, target uint64, taken, pred bool) {
 	ctx := &p.ctx
 
 	if p.loop != nil {
-		p.loop.Train(ip, taken, ctx.loopPred)
+		p.loop.Train(ip, target, taken, ctx.loopPred)
 	}
 	if p.sc != nil {
 		p.sc.train(ip, target, taken, ctx.tagePred, &ctx.sc)

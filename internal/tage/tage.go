@@ -18,8 +18,8 @@ import (
 // across every workload.
 //
 // Predictor implements bp.Predictor, bp.BranchObserver and
-// bp.BlockRunner; drivers that know branch targets should use
-// TrainWithTarget so the IMLI component sees loop-back edges.
+// bp.BlockRunner. Train's target feeds the IMLI component, which counts
+// loop-back (backward) edges.
 type Predictor struct {
 	cfg      Config
 	histLens []int
@@ -312,15 +312,11 @@ func (p *Predictor) Predict(ip uint64) bool {
 	return p.ctx.final
 }
 
-// Train implements bp.Predictor.
-func (p *Predictor) Train(ip uint64, taken, pred bool) {
-	p.TrainWithTarget(ip, 0, taken, pred)
-}
-
-// TrainWithTarget updates the predictor with the resolved direction of the
-// conditional branch at ip targeting target. Passing the real target lets
-// the IMLI component detect backward (loop) edges.
-func (p *Predictor) TrainWithTarget(ip, target uint64, taken, pred bool) {
+// Train implements bp.Predictor: it updates the predictor with the
+// resolved direction of the conditional branch at ip targeting target.
+// The IMLI component detects backward (loop) edges from the target; a
+// target of 0 never counts as one.
+func (p *Predictor) Train(ip, target uint64, taken, pred bool) {
 	if !p.ctxOK || p.ctxIP != ip {
 		p.predictInternal(&p.ctx, ip)
 	}
@@ -329,7 +325,7 @@ func (p *Predictor) TrainWithTarget(ip, target uint64, taken, pred bool) {
 }
 
 // trainResolved applies the resolved direction to the state ctx captured
-// at prediction time. It is the shared retire path of TrainWithTarget and
+// at prediction time. It is the shared retire path of Train and
 // RunBlock.
 func (p *Predictor) trainResolved(ctx *predCtx, ip, target uint64, taken bool) {
 	if p.loop != nil {
@@ -481,8 +477,8 @@ func (p *Predictor) ObserveBranch(ip, target uint64, kind trace.Kind, taken bool
 // replay block to the predictor, which walks it with the predict/retire
 // paths inlined — no per-branch interface dispatch, no cached-context
 // revalidation — and returns the conditional/mispredict counts. State
-// evolution is identical to the equivalent Predict/TrainWithTarget/
-// ObserveBranch call sequence.
+// evolution is identical to the equivalent Predict/Train/ObserveBranch
+// call sequence.
 func (p *Predictor) RunBlock(blk []trace.Inst) (condExecs, mispreds uint64) {
 	ctx := &p.ctx
 	for j := range blk {

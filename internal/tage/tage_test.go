@@ -19,7 +19,7 @@ func run(p bp.Predictor, seq func(i int) (uint64, bool), n int) float64 {
 		if pred == taken {
 			correct++
 		}
-		p.Train(ip, taken, pred)
+		p.Train(ip, 0, taken, pred)
 	}
 	return float64(correct) / float64(n)
 }
@@ -33,7 +33,7 @@ func accuracyAfterWarmup(p bp.Predictor, seq func(i int) (uint64, bool), warm, m
 		if pred == taken {
 			correct++
 		}
-		p.Train(ip, taken, pred)
+		p.Train(ip, 0, taken, pred)
 	}
 	return float64(correct) / float64(measure)
 }
@@ -259,7 +259,7 @@ func TestAllocTelemetry(t *testing.T) {
 			ip, taken = 0xE00+uint64(i%7)*4, i%2 == 0
 		}
 		pred := p.Predict(ip)
-		p.Train(ip, taken, pred)
+		p.Train(ip, 0, taken, pred)
 	}
 	if stats.TotalAllocs == 0 {
 		t.Fatal("no allocations recorded")
@@ -329,7 +329,7 @@ func TestPredictTrainWithoutPredictStillWorks(t *testing.T) {
 	// batches predictions).
 	p := New(Config8KB())
 	for i := 0; i < 1000; i++ {
-		p.Train(0x400, i%2 == 0, false)
+		p.Train(0x400, 0, i%2 == 0, false)
 	}
 	// And still have learned something sane.
 	acc := accuracyAfterWarmup(p, func(i int) (uint64, bool) { return 0x400, i%2 == 0 }, 100, 1000)
@@ -339,7 +339,7 @@ func TestPredictTrainWithoutPredictStillWorks(t *testing.T) {
 }
 
 func TestIMLIRequiresTargets(t *testing.T) {
-	// Smoke-test TrainWithTarget with backward targets; must not panic
+	// Smoke-test Train with backward targets; must not panic
 	// and should keep accuracy on a loop-ish pattern.
 	p := New(Config8KB())
 	correct, n := 0, 20000
@@ -354,7 +354,7 @@ func TestIMLIRequiresTargets(t *testing.T) {
 		if pred == taken {
 			correct++
 		}
-		p.TrainWithTarget(0x900, 0x800, taken, pred)
+		p.Train(0x900, 0x800, taken, pred)
 	}
 	if float64(correct)/float64(n) < 0.95 {
 		t.Errorf("loop with IMLI targets: accuracy %v", float64(correct)/float64(n))
@@ -373,7 +373,7 @@ func benchTage(b *testing.B, cfg Config) {
 		ip := 0x400 + uint64(i%256)*4
 		taken := rng.Bool(0.7)
 		pred := p.Predict(ip)
-		p.Train(ip, taken, pred)
+		p.Train(ip, 0, taken, pred)
 	}
 }
 
@@ -389,8 +389,8 @@ func TestPredictorDeterminism(t *testing.T) {
 		if pa != pb {
 			t.Fatalf("diverged at step %d", i)
 		}
-		a.TrainWithTarget(ip, ip+64, taken, pa)
-		b.TrainWithTarget(ip, ip+64, taken, pb)
+		a.Train(ip, ip+64, taken, pa)
+		b.Train(ip, ip+64, taken, pb)
 	}
 }
 
@@ -403,18 +403,12 @@ func TestPredictorDeterminism(t *testing.T) {
 // oracle — each behavior must hold for both, and the two must agree
 // prediction for prediction.
 
-// specEngine is the surface the spec tests drive; both engines satisfy it.
-type specEngine interface {
-	bp.Predictor
-	TrainWithTarget(ip, target uint64, taken, pred bool)
-}
-
 var specEngines = []struct {
 	name string
-	mk   func(cfg Config) specEngine
+	mk   func(cfg Config) bp.Predictor
 }{
-	{"packed", func(cfg Config) specEngine { return New(cfg) }},
-	{"reference", func(cfg Config) specEngine { return NewReference(cfg) }},
+	{"packed", func(cfg Config) bp.Predictor { return New(cfg) }},
+	{"reference", func(cfg Config) bp.Predictor { return NewReference(cfg) }},
 }
 
 // runSpec drives seq through a fresh instance of each engine, checks the
@@ -422,7 +416,7 @@ var specEngines = []struct {
 // on every single prediction.
 func runSpec(t *testing.T, cfg Config, seq func(i int) (uint64, bool), warm, measure int, minAcc float64) {
 	t.Helper()
-	ps := make([]specEngine, len(specEngines))
+	ps := make([]bp.Predictor, len(specEngines))
 	for i, e := range specEngines {
 		ps[i] = e.mk(cfg)
 	}
@@ -441,7 +435,7 @@ func runSpec(t *testing.T, cfg Config, seq func(i int) (uint64, bool), warm, mea
 			if pred == taken && i >= warm {
 				correct[k]++
 			}
-			p.Train(ip, taken, pred)
+			p.Train(ip, 0, taken, pred)
 		}
 	}
 	for k := range ps {
@@ -544,8 +538,8 @@ func TestSpecAllocationChurn(t *testing.T) {
 		if pa != pb {
 			t.Fatalf("engines diverged at step %d", i)
 		}
-		packed.Train(ip, taken, pa)
-		ref.Train(ip, taken, pb)
+		packed.Train(ip, 0, taken, pa)
+		ref.Train(ip, 0, taken, pb)
 	}
 	if sa.TotalAllocs == 0 {
 		t.Fatal("no allocation churn generated")
@@ -660,7 +654,7 @@ func TestStorageScalingMonotoneAccuracy(t *testing.T) {
 				}
 				total++
 			}
-			p.Train(ip, taken, pred)
+			p.Train(ip, 0, taken, pred)
 		}
 		return float64(correct) / float64(total)
 	}

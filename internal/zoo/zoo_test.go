@@ -20,7 +20,7 @@ func TestAllNamesConstruct(t *testing.T) {
 		}
 		// Smoke: predict/train cycle must not panic.
 		pred := p.Predict(0x400)
-		p.Train(0x400, true, pred)
+		p.Train(0x400, 0, true, pred)
 	}
 }
 
@@ -58,7 +58,7 @@ func TestDistinctInstances(t *testing.T) {
 	b, _ := New("bimodal")
 	// Train a hard; b must be unaffected (no shared state).
 	for i := 0; i < 100; i++ {
-		a.Train(0x400, true, false)
+		a.Train(0x400, 0, true, false)
 	}
 	if !a.Predict(0x400) {
 		t.Error("a did not learn")
